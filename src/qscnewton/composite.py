@@ -114,7 +114,12 @@ class CompositeTerm:
 
 @dataclass
 class StepResult:
-    """One completed regularized Newton step."""
+    """One completed regularized Newton step.
+
+    `grad_plus` is the smooth gradient g(x+) that the subgradient selection
+    evaluated; a caller stepping on from x+ passes it back as `grad=` instead
+    of evaluating the oracle at x+ a second time.
+    """
 
     x_plus: np.ndarray
     subgradient: np.ndarray  # selected F'(x+) in the subdifferential of f + psi
@@ -122,6 +127,7 @@ class StepResult:
     inner_iterations: int
     step_length: float  # ||x+ - x|| in the metric norm
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
+    grad_plus: np.ndarray  # smooth gradient g(x+) of f alone
 
 
 def _power_max_eigenvalue(matrix: np.ndarray, iterations: int = 20) -> float:
@@ -152,6 +158,8 @@ def newton_step(
     beta: float,
     extra_quadratic: tuple[np.ndarray, float] | None = None,
     max_inner: int = 50_000,
+    grad: np.ndarray | None = None,
+    hess: np.ndarray | None = None,
 ) -> StepResult:
     """Minimize the regularized quadratic model of f + psi around x.
 
@@ -160,13 +168,21 @@ def newton_step(
     subgradient accounts for it.  The zero-composite case is one regularized
     solve; the box case runs projected gradient with a tolerance tied to
     1e-2 * (model strong convexity) * (current step length).
+
+    `grad` and `hess` are g(x) and the symmetrized H(x) when the caller
+    already holds them (the previous step's `grad_plus`, or the Hessian kept
+    across adaptive-sigma retries at the same x); each one left None is
+    evaluated here.  A step then costs one gradient (at x+) and one Hessian
+    at most, and passing the values changes no bit of the result.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     x = np.asarray(x, dtype=float)
     metric = oracle.metric
-    grad = oracle.gradient(x)
-    hess = symmetrize(oracle.hessian(x))
+    if grad is None:
+        grad = oracle.gradient(x)
+    if hess is None:
+        hess = symmetrize(oracle.hessian(x))
 
     quads = list(psi.quad_terms)
     if extra_quadratic is not None:
@@ -222,7 +238,10 @@ def newton_step(
         x_plus = y
         d = x_plus - x
 
-    subgradient = selected_subgradient(oracle, x, x_plus, beta, extra_quadratic, grad=grad, hess=hess)
+    grad_plus = oracle.gradient(x_plus)
+    subgradient = selected_subgradient(
+        oracle, x, x_plus, beta, extra_quadratic, grad=grad, hess=hess, grad_plus=grad_plus
+    )
     return StepResult(
         x_plus=x_plus,
         subgradient=subgradient,
@@ -230,6 +249,7 @@ def newton_step(
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),
         step_length_local=local_norm(d, hess),
+        grad_plus=grad_plus,
     )
 
 
@@ -241,13 +261,16 @@ def selected_subgradient(
     extra_quadratic: tuple[np.ndarray, float] | None = None,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
+    grad_plus: np.ndarray | None = None,
 ) -> np.ndarray:
     """Canonical subgradient of F = f + psi at x_plus from the step's optimality.
 
     Evaluates ``g(x+) - g(x) - (H(x) + beta B)(x+ - x) - 2w B(x+ - c)``; the
     psi-owned quadratics cancel against the model stationarity and need no
     explicit term.  For the zero composite this equals the plain gradient at
-    x_plus up to the linear-solver residual.
+    x_plus up to the linear-solver residual.  `grad` = g(x), `hess` = the
+    symmetrized H(x) and `grad_plus` = g(x+) are used when given and
+    evaluated otherwise.
     """
     x = np.asarray(x, dtype=float)
     x_plus = np.asarray(x_plus, dtype=float)
@@ -256,8 +279,10 @@ def selected_subgradient(
         grad = oracle.gradient(x)
     if hess is None:
         hess = symmetrize(oracle.hessian(x))
+    if grad_plus is None:
+        grad_plus = oracle.gradient(x_plus)
     d = x_plus - x
-    out = oracle.gradient(x_plus) - grad - hess @ d - beta * metric.apply(d)
+    out = grad_plus - grad - hess @ d - beta * metric.apply(d)
     if extra_quadratic is not None:
         center, weight = extra_quadratic
         out = out - 2.0 * weight * metric.apply(x_plus - np.asarray(center, dtype=float))

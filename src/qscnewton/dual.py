@@ -102,13 +102,20 @@ def solve_dual(
     x0: np.ndarray,
     config: DualConfig,
 ) -> DualResult:
-    """Run the dual Newton method until ||F'(x)||_* <= grad_tol."""
+    """Run the dual Newton method until ||F'(x)||_* <= grad_tol.
+
+    The smooth gradient is evaluated once at x0 and then carried from each
+    inner step's `grad_plus`, including into the next outer iteration (which
+    starts at the last inner point): one gradient and one Hessian per inner
+    step.
+    """
     metric = oracle.metric
     x = psi.project(np.asarray(x0, dtype=float))
     if not psi.contains(x0):
         raise ValueError("x0 must be feasible for the composite term")
     m_const = config.qsc_constant
-    g = metric.dual_norm(initial_subgradient(oracle, psi, x))
+    grad = oracle.gradient(x)
+    g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
     g0 = g
     trace: list[DualTraceRow] = []
     status = DualStatus.MAX_OUTER
@@ -140,13 +147,15 @@ def solve_dual(
             1e-14 * (1.0 + g),
         )
         z = x
+        grad_z = grad
         residuals = []
         s = None
         converged_inner = False
         try:
             for _ in range(config.max_inner):
-                step = newton_step(oracle, psi, z, 0.0, extra_quadratic=(x, weight))
+                step = newton_step(oracle, psi, z, 0.0, extra_quadratic=(x, weight), grad=grad_z)
                 z = step.x_plus
+                grad_z = step.grad_plus
                 prox_pull = 2.0 * weight * metric.apply(z - x)
                 s = step.subgradient + prox_pull
                 residuals.append(metric.dual_norm(s))
@@ -186,6 +195,7 @@ def solve_dual(
             )
         )
         x = z
+        grad = grad_z
         g = g_next
         k += 1
         if g <= config.grad_tol:

@@ -403,19 +403,45 @@ def check_hessian_stability(
     that directions of identically-zero curvature (present e.g. for the matrix
     problems) contribute the benign ratio 1.  Returns (passed, margin) where
     margin is the slack left in the exponent, negative on failure.
+
+    Such a direction's curvature is pure roundoff, of order eps * max|H|,
+    which is not small next to d, so for a close pair its computed log-ratio
+    can exceed the tiny M r.  A pencil that fails is therefore re-examined
+    eigenpair by eigenpair: perturbing both quadratic forms by
+    e = dim * eps * max|H| moves log(lambda_i) by at most
+    ``e ||v_i||^2 (1 + 1/lambda_i)`` for the eigenvector v_i normalized to
+    <(H(x) + dI) v_i, v_i> = 1, and that allowance is added to the bound.
+    With c * max|H| the curvature of (H(x) + dI) along v_i the allowance is
+    dim eps (1 + 1/lambda_i) / c: about 2 dim eps / 1e-12 in a
+    roundoff-curvature direction, and a few dim eps where curvature is of
+    the order of max|H|, so no real violation hides behind it.  Since
+    ||v_i||^2 <= 1/(d - e), a pencil that fails even with that largest
+    allowance is rejected without computing eigenvectors, and its margin is
+    reported without allowance.
     """
     hx = symmetrize(oracle.hessian(x))
     hy = symmetrize(oracle.hessian(y))
     scale = max(np.abs(hx).max(), np.abs(hy).max(), 1.0)
-    shift = 1e-12 * scale * np.eye(oracle.dim)
-    eigs = scipy.linalg.eigh(hy + shift, hx + shift, eigvals_only=True)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min <= 0:
-        return False, -np.inf
+    shift = 1e-12 * scale
+    shifted = shift * np.eye(oracle.dim)
+    pencil = (hy + shifted, hx + shifted)
     r = oracle.metric.primal_norm(np.asarray(y, float) - np.asarray(x, float))
     bound = oracle.qsc_constant * r
-    margin = bound - max(np.log(lam_max), -np.log(lam_min))
-    return bool(margin >= -1e-7 * (1.0 + bound)), float(margin)
+    slack = 1e-7 * (1.0 + bound)
+    eigs = scipy.linalg.eigh(*pencil, eigvals_only=True)
+    if eigs[0] <= 0:
+        return False, -np.inf
+    excess = np.abs(np.log(eigs)) - bound
+    if excess.max() <= slack:
+        return True, float(-excess.max())
+    roundoff = oracle.dim * np.finfo(float).eps * scale
+    largest_allowance = roundoff / (shift - roundoff) * (1.0 + 1.0 / eigs)
+    if np.max(excess - largest_allowance) > slack:
+        return False, float(-excess.max())
+    eigs, vecs = scipy.linalg.eigh(*pencil)
+    allowance = roundoff * np.sum(vecs**2, axis=0) * (1.0 + 1.0 / eigs)
+    margin = float(-np.max(np.abs(np.log(eigs)) - bound - allowance))
+    return margin >= -slack, margin
 
 
 def check_gradient_bound(

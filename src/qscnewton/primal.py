@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
-from .metric import SingularSystemError, min_generalized_eigenvalue
+from .metric import SingularSystemError, min_generalized_eigenvalue, symmetrize
 from .oracles import SmoothOracle, phi
 
 
@@ -145,10 +145,13 @@ def read_primal_trace(path) -> list[PrimalTraceRow]:
     return rows
 
 
-def initial_subgradient(oracle: SmoothOracle, psi: CompositeTerm, x: np.ndarray) -> np.ndarray:
-    """A valid subgradient of F at a feasible x: the smooth gradient plus the
-    gradient of psi's quadratic part (0 is always in the box normal cone)."""
-    return oracle.gradient(x) + psi.quad_gradient(x, oracle.metric)
+def initial_subgradient(
+    oracle: SmoothOracle, psi: CompositeTerm, x: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """A valid subgradient of F at a feasible x: the smooth gradient `grad`
+    = g(x) plus the gradient of psi's quadratic part (0 is always in the box
+    normal cone)."""
+    return grad + psi.quad_gradient(x, oracle.metric)
 
 
 def _progress_condition(progress, g_next, sigma, g) -> bool:
@@ -163,17 +166,25 @@ def adaptive_sigma_search(
     grad_norm: float,
     sigma_start: float,
     max_doublings: int = 60,
+    grad: np.ndarray | None = None,
+    hess: np.ndarray | None = None,
 ):
     """Double sigma from `sigma_start` until the progress condition holds.
 
     Returns (accepted sigma, StepResult, retries).  The caller should start
-    the next iteration from half the accepted value.
+    the next iteration from half the accepted value.  g(x) and H(x) are
+    evaluated once (or taken from `grad` / `hess`) and shared by every
+    retry: only the regularization, and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
+    if grad is None:
+        grad = oracle.gradient(x)
+    if hess is None:
+        hess = symmetrize(oracle.hessian(x))
     sigma = sigma_start
     for retries in range(max_doublings + 1):
-        step = newton_step(oracle, psi, x, sigma * grad_norm)
+        step = newton_step(oracle, psi, x, sigma * grad_norm, grad=grad, hess=hess)
         g_next = oracle.metric.dual_norm(step.subgradient)
         progress = float(step.subgradient @ (x - step.x_plus))
         if _progress_condition(progress, g_next, sigma, grad_norm):
@@ -190,13 +201,18 @@ def solve_primal(
     x0: np.ndarray,
     config: PrimalConfig,
 ) -> PrimalResult:
-    """Run the gradient-regularized Newton iteration from x0."""
+    """Run the gradient-regularized Newton iteration from x0.
+
+    The smooth gradient is evaluated once at x0; every later one comes from
+    the previous step's `grad_plus`, so a step costs one gradient and one
+    Hessian (shared with the eta diagnostics when they are recorded).
+    """
     x = psi.project(np.asarray(x0, dtype=float))
     if not psi.contains(x0):
         raise ValueError("x0 must be feasible for the composite term")
     metric = oracle.metric
-    f_prime = initial_subgradient(oracle, psi, x)
-    g = metric.dual_norm(f_prime)
+    grad = oracle.gradient(x)
+    g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
 
     gap0 = None
     if config.f_star_ref is not None and config.rel_accuracy is not None:
@@ -207,17 +223,22 @@ def solve_primal(
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
 
-    def diagnostics(point, grad_norm):
-        if not config.record_diagnostics:
+    def diagnostic_hessian(point):
+        # the diagnostics and the step from `point` share one evaluation
+        return symmetrize(oracle.hessian(point)) if config.record_diagnostics else None
+
+    def diagnostics(hess, grad_norm):
+        if hess is None:
             return math.nan, math.nan
-        lam = min_generalized_eigenvalue(oracle.hessian(point), metric)
+        lam = min_generalized_eigenvalue(hess, metric)
         if lam > 0:
             return lam, grad_norm / lam
         return lam, (0.0 if grad_norm == 0 else math.inf)
 
     for k in range(config.max_iters):
         f_val = oracle.value(x) + psi.value(x, metric)
-        lam, eta = diagnostics(x, g)
+        hess = diagnostic_hessian(x)
+        lam, eta = diagnostics(hess, g)
         if g <= config.grad_tol:
             status = PrimalStatus.GRAD_TOL_REACHED
             trace.append(PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy()))
@@ -230,12 +251,12 @@ def solve_primal(
         try:
             if config.adaptive:
                 sigma_k, step, retries = adaptive_sigma_search(
-                    oracle, psi, x, g, max(sigma_next, config.sigma_min)
+                    oracle, psi, x, g, max(sigma_next, config.sigma_min), grad=grad, hess=hess
                 )
                 sigma_next = max(sigma_k / 2.0, config.sigma_min)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
-                step = newton_step(oracle, psi, x, sigma_k * g)
+                step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess)
                 retries = 0
         except SingularSystemError:
             status = PrimalStatus.SINGULAR_SYSTEM
@@ -269,10 +290,11 @@ def solve_primal(
             )
         )
         x = step.x_plus
+        grad = step.grad_plus
         g = g_next
     else:
         f_val = oracle.value(x) + psi.value(x, metric)
-        lam, eta = diagnostics(x, g)
+        lam, eta = diagnostics(diagnostic_hessian(x), g)
         trace.append(
             PrimalTraceRow(config.max_iters, f_val, g, lam=lam, eta=eta, x=x.copy())
         )

@@ -11,6 +11,7 @@ from qscnewton import (
     solve_primal,
     verify_step_bound,
 )
+from qscnewton.metric import symmetrize
 from qscnewton.primal import PrimalConfig
 
 
@@ -199,6 +200,36 @@ class TestModelOptimality:
         step = newton_step(o, CompositeTerm.zero(), x, 0.7)
         recomputed = selected_subgradient(o, x, step.x_plus, 0.7)
         np.testing.assert_allclose(recomputed, step.subgradient, atol=1e-12)
+
+
+class TestSuppliedEvaluations:
+    """Passing g(x) and H(x) that the caller already holds changes no bit."""
+
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("prox", [False, True])
+    def test_supplied_grad_and_hess_are_bitwise_equivalent(self, box, prox):
+        o = generate_synthetic("logistic", n=6, m=30, seed=19)
+        psi = CompositeTerm.box(np.full(6, -0.2), np.full(6, 0.25)) if box else CompositeTerm.zero()
+        x = np.linspace(-0.15, 0.2, 6)
+        extra = (np.full(6, 0.05), 0.8) if prox else None
+        plain = newton_step(o, psi, x, 0.6, extra_quadratic=extra)
+        reused = newton_step(
+            o, psi, x, 0.6, extra_quadratic=extra,
+            grad=o.gradient(x), hess=symmetrize(o.hessian(x)),
+        )
+        for name in ("x_plus", "subgradient", "grad_plus"):
+            assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
+        for name in ("beta", "inner_iterations", "step_length", "step_length_local"):
+            assert getattr(plain, name) == getattr(reused, name), name
+        if box:
+            assert plain.inner_iterations > 0
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_grad_plus_is_the_gradient_at_x_plus(self, box):
+        o = generate_synthetic("softmax", n=5, m=25, seed=20)
+        psi = CompositeTerm.box(np.full(5, -0.1), np.full(5, 0.1)) if box else CompositeTerm.zero()
+        step = newton_step(o, psi, np.zeros(5), 0.4)
+        assert np.array_equal(step.grad_plus, o.gradient(step.x_plus))
 
 
 class TestStepBound:

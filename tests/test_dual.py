@@ -12,7 +12,9 @@ from qscnewton import (
     verify_dual_guarantee,
     verify_dual_rate,
 )
+from qscnewton import dual as dual_mod
 from qscnewton.dual import write_dual_trace
+from qscnewton.harness import CountingOracle
 
 ZERO = CompositeTerm.zero()
 
@@ -73,6 +75,35 @@ class TestSolveDual:
             DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5, adapt_qsc=False),
         )
         assert res.status is DualStatus.QSC_PARAMETER_SUSPECT
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_one_gradient_and_hessian_per_inner_step(self, logistic_ref, box):
+        o = CountingOracle(logistic_ref)
+        psi = CompositeTerm.box(np.full(20, -0.3), np.full(20, 0.3)) if box else ZERO
+        res = solve_dual(o, psi, np.zeros(20), DualConfig(qsc_constant=1.0, grad_tol=1e-8))
+        assert res.status is DualStatus.GRAD_TOL_REACHED
+        assert o.calls["gradient"] == res.total_inner + 1
+        assert o.calls["hessian"] == res.total_inner
+
+    def test_doubling_retry_restarts_from_the_carried_gradient(self, monkeypatch):
+        # the retried outer iteration starts again at x_k, whose gradient is
+        # kept: every carried gradient must be the one at the step's origin
+        base = generate_synthetic("exponential", n=8, m=40, seed=9)
+        real_step = dual_mod.newton_step
+
+        def checked_step(oracle, psi, x, beta, **kwargs):
+            assert np.array_equal(kwargs["grad"], base.gradient(x))
+            return real_step(oracle, psi, x, beta, **kwargs)
+
+        monkeypatch.setattr(dual_mod, "newton_step", checked_step)
+        o = CountingOracle(base)
+        res = solve_dual(
+            o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5)
+        )
+        assert res.status is DualStatus.GRAD_TOL_REACHED
+        assert res.qsc_used > 1e-8
+        assert o.calls["gradient"] == res.total_inner + 1
+        assert o.calls["hessian"] == res.total_inner
 
     def test_box_composite_toy(self):
         o = generate_synthetic("logistic", n=3, m=12, seed=9)

@@ -157,6 +157,13 @@ class TestInstanceChecks:
             "function_bounds",
         }
 
+    def test_matrix_scaling_close_pair_accepts_declared_constant(self):
+        # a sampled pair at distance 6e-6 once failed Hessian stability on
+        # the roundoff curvature of the Hessian's kernel direction
+        o = generate_synthetic("matrix_scaling", n=20, seed=512383483)
+        results = run_instance_checks(o, seed=512383483, samples=1000, pairs=200)
+        assert all(res["passed"] for res in results.values()), results
+
     def test_forced_small_constant_fails_qsc_only(self):
         o = generate_synthetic("logistic", n=2, m=4, seed=3)
         results = run_instance_checks(o, samples=500, pairs=40)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qscnewton import (
     Metric,
@@ -239,6 +240,40 @@ class TestHessianStability:
         ok, margin = check_hessian_stability(o, x, x + d)
         assert ok
         assert margin >= 0.0
+
+
+    def test_close_pairs_with_a_hessian_kernel_pass(self):
+        # matrix scaling's Hessian has the all-ones kernel at every point; its
+        # roundoff curvature must not fail pairs whose bound M r is tiny
+        o = generate_synthetic("matrix_scaling", n=20, seed=512383483)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            x = rng.standard_normal(40)
+            d = rng.standard_normal(40)
+            ok, margin = check_hessian_stability(o, x, x + 1e-6 * d / np.linalg.norm(d))
+            assert ok, margin
+
+    def test_roundoff_allowance_hides_no_violation(self):
+        # with M/4 declared, every pair whose Hessian ratio exceeds exp(M r / 4)
+        # by a visible amount is still rejected
+        base = generate_synthetic("matrix_scaling", n=20, seed=512383483)
+        o = with_qsc_constant(base, base.qsc_constant / 4)
+        rng = np.random.default_rng(5)
+        rejected = 0
+        for _ in range(20):
+            x = rng.standard_normal(40)
+            d = rng.standard_normal(40)
+            y = x + d / np.linalg.norm(d)
+            hx, hy = base.hessian(x), base.hessian(y)
+            shift = 1e-12 * max(np.abs(hx).max(), np.abs(hy).max()) * np.eye(40)
+            eigs = scipy.linalg.eigh(hy + shift, hx + shift, eigvals_only=True)
+            excess = np.abs(np.log(eigs)).max() - o.qsc_constant
+            ok, margin = check_hessian_stability(o, x, y)
+            if excess > 1e-6:
+                rejected += 1
+                assert not ok
+                assert margin == pytest.approx(-excess, rel=1e-6)
+        assert rejected >= 10
 
 
 class TestSmoothnessBounds:

@@ -16,6 +16,9 @@ from qscnewton import (
     generate_synthetic,
     solve_primal,
 )
+from qscnewton import primal as primal_mod
+from qscnewton.harness import CountingOracle
+from qscnewton.metric import symmetrize
 from qscnewton.primal import read_primal_trace, write_primal_trace
 
 ZERO = CompositeTerm.zero()
@@ -124,6 +127,48 @@ class TestAdaptiveSearch:
         accepted = [row.sigma for row in res.trace if not math.isnan(row.sigma)]
         budget = 2 * res.iterations + math.log2(max(accepted) / 1e-6)
         assert res.step_computations <= budget
+
+
+class TestOracleCalls:
+    """Each point is evaluated once: one gradient and one Hessian per step."""
+
+    def test_constant_sigma(self, logistic_ref):
+        o = CountingOracle(logistic_ref)
+        res = solve_primal(o, ZERO, np.zeros(20), PrimalConfig(sigma=1.0, grad_tol=1e-10))
+        assert res.status is PrimalStatus.GRAD_TOL_REACHED
+        assert o.calls["gradient"] == res.iterations + 1
+        assert o.calls["hessian"] == res.iterations
+
+    def test_diagnostics_share_the_step_hessian(self, logistic_ref):
+        o = CountingOracle(logistic_ref)
+        res = solve_primal(
+            o, ZERO, np.zeros(20), PrimalConfig(grad_tol=1e-10, record_diagnostics=True)
+        )
+        # one more Hessian for the eta of the terminal iterate
+        assert o.calls["hessian"] == res.iterations + 1
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_carried_values_belong_to_the_step_origin(self, monkeypatch, adaptive):
+        base = generate_synthetic("matrix_scaling", n=10, seed=1)
+        real_step = primal_mod.newton_step
+
+        def checked_step(oracle, psi, x, beta, **kwargs):
+            assert np.array_equal(kwargs["grad"], base.gradient(x))
+            assert np.array_equal(kwargs["hess"], symmetrize(base.hessian(x)))
+            return real_step(oracle, psi, x, beta, **kwargs)
+
+        monkeypatch.setattr(primal_mod, "newton_step", checked_step)
+        config = PrimalConfig(adaptive=adaptive, grad_tol=1e-8, record_diagnostics=True)
+        res = solve_primal(base, ZERO, np.zeros(20), config)
+        assert res.status is PrimalStatus.GRAD_TOL_REACHED
+
+    def test_adaptive_retries_reuse_the_hessian(self):
+        o = CountingOracle(generate_synthetic("matrix_scaling", n=100, seed=0))
+        res = solve_primal(o, ZERO, np.zeros(200), PrimalConfig(adaptive=True, grad_tol=1e-8))
+        assert res.status is PrimalStatus.GRAD_TOL_REACHED
+        assert res.step_computations > res.iterations  # retries did happen
+        assert o.calls["hessian"] == res.iterations
+        assert o.calls["gradient"] == res.step_computations + 1
 
 
 class TestEtaMeasure:

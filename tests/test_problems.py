@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscnewton import (
     DimensionError,
@@ -102,6 +104,34 @@ class TestSeparable:
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
             SeparableObjective(np.eye(2), np.zeros(2), "hinge")
+
+
+def _general_product_hessian(oracle, x):
+    """The weighted-Gram Hessians as the general product (A^T * w) @ A."""
+    rows = np.asarray(oracle.rows)
+    if isinstance(oracle, SoftMaxObjective):
+        pi, _ = oracle._weights(x)
+        g = rows.T @ pi
+        return ((rows.T * pi) @ rows - np.outer(g, g)) / oracle.smoothing
+    t = rows @ x - oracle._offsets
+    return (rows.T * (oracle._second(t) / t.size)) @ rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "exponential", "softmax"]),
+    n=st.integers(min_value=1, max_value=12),
+    extra_rows=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_weighted_gram_hessian_is_symmetric_and_matches_general_product(kind, n, extra_rows, seed):
+    o = generate_synthetic(kind, n=n, m=n + extra_rows, seed=seed)
+    x = 0.5 * np.random.default_rng(seed).standard_normal(n)
+    h = o.hessian(x)
+    assert np.array_equal(h, h.T)
+    old = _general_product_hessian(o, x)
+    assert np.abs(h - old).max() <= 1e-13 * np.abs(old).max()
+    assert check_hessian(o, x) <= 1e-5
 
 
 class TestMatrixProblems:
