@@ -268,3 +268,73 @@ class TestRunSolve:
         }
         report = run_solve(config, tmp_path)
         assert report["success"]
+
+
+_REPORT_KEYS = {
+    "schema_version",
+    "config",
+    "status",
+    "success",
+    "iterations",
+    "oracle_calls",
+    "final_grad_norm",
+    "final_f",
+    "reference",
+    "final_gap",
+    "verification",
+    "wall_time_s",
+}
+_PRIMAL_HEADER = "k,F,g,sigma,beta,step_len,progress,retries,lambda,eta"
+_DUAL_HEADER = "k,t,s_norm,threshold,g_k,a_next,g_next,F_next"
+_BOX = {"kind": "box", "lower": -0.3, "upper": 0.3}
+
+
+class TestOutputLayout:
+    """The documented trace.csv header and report.json keys of every solver."""
+
+    @pytest.mark.parametrize(
+        "solver, composite, header, extras",
+        [
+            (
+                {"name": "primal", "grad_tol": 1e-8},
+                None,
+                _PRIMAL_HEADER,
+                {"step_computations", "observed_diameter"},
+            ),
+            (
+                {"name": "pure_newton_local", "grad_tol": 1e-8},
+                None,
+                _PRIMAL_HEADER,
+                {"step_computations", "observed_diameter"},
+            ),
+            ({"name": "dual", "grad_tol": 1e-8}, None, _DUAL_HEADER, {"total_inner", "qsc_used"}),
+            ({"name": "dual", "grad_tol": 1e-8}, _BOX, _DUAL_HEADER, {"total_inner", "qsc_used"}),
+            (
+                {"name": "accelerated", "rel_accuracy": 1e-6},
+                None,
+                "k,A,a,nu,dual_outer,dual_inner,F,v_step_sq",
+                {
+                    "gamma",
+                    "gamma_clamped",
+                    "a0",
+                    "distance_bound",
+                    "total_dual_outer",
+                    "total_dual_inner",
+                },
+            ),
+        ],
+        ids=["primal", "pure_newton_local", "dual", "dual-box", "accelerated"],
+    )
+    def test_trace_header_and_report_keys(self, tmp_path, solver, composite, header, extras):
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+            "solver": solver,
+        }
+        if composite is not None:
+            config["composite"] = composite
+        report = run_solve(config, tmp_path)
+        assert report["success"]
+        assert (tmp_path / "trace.csv").read_text().splitlines()[0] == header
+        persisted = json.loads((tmp_path / "report.json").read_text())
+        assert set(persisted) == _REPORT_KEYS | extras

@@ -164,6 +164,70 @@ class TestContractOracle:
             contract_oracle(zoo["quadratic"], 1.0, np.zeros(8), 1.0)
 
 
+class TestCombinatorFormulasBitwise:
+    """Each combinator reproduces its literal formula to the last bit."""
+
+    def _points(self, o, count=3):
+        rng = np.random.default_rng(17)
+        return [0.5 * rng.standard_normal(o.dim) for _ in range(count)]
+
+    def test_scale_oracle(self, zoo):
+        for name in ("softmax", "logistic", "matrix_scaling"):
+            o = zoo[name]
+            factor = 2.7
+            scaled = scale_oracle(o, factor)
+            assert scaled.metric is o.metric and scaled.qsc_constant == o.qsc_constant
+            for x in self._points(o):
+                assert scaled.value(x) == factor * o.value(x)
+                np.testing.assert_array_equal(scaled.gradient(x), factor * o.gradient(x))
+                np.testing.assert_array_equal(scaled.hessian(x), factor * o.hessian(x))
+
+    def test_affine_substitute(self, zoo):
+        o = zoo["logistic"]
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((o.dim, 5))
+        b = 0.1 * rng.standard_normal(o.dim)
+        induced = affine_substitute(o, a, b)
+        np.testing.assert_array_equal(
+            induced.metric.matrix, Metric(a.T @ o.metric.matrix @ a).matrix
+        )
+        assert induced.qsc_constant == o.qsc_constant
+        kept = affine_substitute(o, a, b, new_metric=Metric.identity(5), norm_bound=3.5)
+        assert kept.qsc_constant == o.qsc_constant * 3.5
+        no_offset = affine_substitute(o, a)
+        for x in self._points(kept):
+            inner = a @ x - b
+            for sub in (induced, kept):
+                assert sub.value(x) == o.value(inner)
+                np.testing.assert_array_equal(sub.gradient(x), a.T @ o.gradient(inner))
+                np.testing.assert_array_equal(sub.hessian(x), a.T @ o.hessian(inner) @ a)
+            np.testing.assert_array_equal(no_offset.hessian(x), a.T @ o.hessian(a @ x) @ a)
+
+    def test_contract_oracle(self, zoo):
+        for name in ("softmax", "logistic", "matrix_balancing"):
+            o = zoo[name]
+            gamma, scale = 0.3, 7.5
+            anchor = np.linspace(-0.4, 0.6, o.dim)
+            c = contract_oracle(o, gamma, anchor, scale)
+            assert c.metric is o.metric and c.qsc_constant == gamma * o.qsc_constant
+            grad_factor = scale * gamma
+            hess_factor = scale * gamma**2
+            for x in self._points(o):
+                inner = gamma * x + (1.0 - gamma) * anchor
+                assert c.value(x) == scale * o.value(inner)
+                np.testing.assert_array_equal(c.gradient(x), grad_factor * o.gradient(inner))
+                np.testing.assert_array_equal(c.hessian(x), hess_factor * o.hessian(inner))
+
+    def test_with_qsc_constant(self, zoo):
+        o = zoo["exponential"]
+        declared = with_qsc_constant(o, 0.125)
+        assert declared.metric is o.metric and declared.qsc_constant == 0.125
+        for x in self._points(o):
+            assert declared.value(x) == o.value(x)
+            np.testing.assert_array_equal(declared.gradient(x), o.gradient(x))
+            np.testing.assert_array_equal(declared.hessian(x), o.hessian(x))
+
+
 class TestSumOracle:
     def test_sum_constant_is_max(self, zoo):
         o = zoo["logistic"]
