@@ -18,7 +18,6 @@ are invariant under positive scaling), so only the quadratic is attached.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +83,17 @@ class AccelTraceRow:
     v: np.ndarray | None = None
     x: np.ndarray | None = None
 
+    CSV_COLUMNS = {
+        "k": "k",
+        "A": "a_cumulative",
+        "a": "a_increment",
+        "nu": "nu",
+        "dual_outer": "dual_outer",
+        "dual_inner": "dual_inner_total",
+        "F": "f_value",
+        "v_step_sq": "v_step_sq",
+    }
+
 
 @dataclass
 class AccelResult:
@@ -100,19 +110,6 @@ class AccelResult:
     total_dual_outer: int
     total_dual_inner: int
     metric: object = None
-
-
-def write_accel_trace(trace: list[AccelTraceRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "A", "a", "nu", "dual_outer", "dual_inner", "F", "v_step_sq"])
-        for row in trace:
-            writer.writerow(
-                [row.k]
-                + [f"{v:.17g}" for v in (row.a_cumulative, row.a_increment, row.nu)]
-                + [row.dual_outer, row.dual_inner_total]
-                + [f"{v:.17g}" for v in (row.f_value, row.v_step_sq)]
-            )
 
 
 def solve_accelerated(
@@ -151,40 +148,25 @@ def solve_accelerated(
         return oracle.value(point) + psi.value(point, metric)
 
     f0 = full_value(x0)
+    gap0 = None if config.f_star_ref is None else f0 - config.f_star_ref
+    if config.a0 is None and gap0 is None:
+        raise ValueError("f_star_ref is required unless a0 is overridden")
+    # the A_0 rule needs a positive gap; at or below F* no iteration runs
+    converged = config.a0 is None and gap0 <= 0
     if config.a0 is not None:
         a_cum = config.a0
-        gap0 = None if config.f_star_ref is None else f0 - config.f_star_ref
     else:
-        if config.f_star_ref is None:
-            raise ValueError("f_star_ref is required unless a0 is overridden")
-        gap0 = f0 - config.f_star_ref
-        if gap0 <= 0:
-            return AccelResult(
-                x=x0,
-                trace=[AccelTraceRow(0, math.nan, math.nan, math.nan, 0, 0, f0, 0.0, x0.copy(), x0.copy())],
-                status=AccelStatus.ALREADY_CONVERGED,
-                gamma=gamma,
-                gamma_clamped=gamma_clamped,
-                a0=math.nan,
-                distance_bound=r,
-                c=config.c,
-                f_star_ref=config.f_star_ref,
-                outer_iterations=0,
-                total_dual_outer=0,
-                total_dual_inner=0,
-                metric=metric,
-            )
-        a_cum = config.c**2 * r**2 / (2.0 * gap0)
+        a_cum = math.nan if converged else config.c**2 * r**2 / (2.0 * gap0)
     a0 = a_cum
 
     x = x0.copy()
     v = x0.copy()
     trace = [AccelTraceRow(0, a_cum, math.nan, math.nan, 0, 0, f0, 0.0, v.copy(), x.copy())]
-    status = AccelStatus.MAX_OUTER
+    status = AccelStatus.ALREADY_CONVERGED if converged else AccelStatus.MAX_OUTER
     total_dual_outer = 0
     total_dual_inner = 0
 
-    for k in range(config.max_outer):
+    for k in range(0 if converged else config.max_outer):
         f_now = full_value(x)
         if gap0 is not None and f_now - config.f_star_ref <= config.rel_accuracy * gap0:
             status = AccelStatus.TARGET_GAP_REACHED

@@ -14,7 +14,6 @@ doubles the constant and retries the same outer iteration.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,6 +63,22 @@ class DualTraceRow:
     step_norm: float  # ||x_{k+1} - x_k||
     x_next: np.ndarray | None = None  # in memory only
 
+    CSV_COLUMNS = {
+        "k": "k",
+        "t": "t",
+        "s_norm": "s_norm",
+        "threshold": "threshold",
+        "g_k": "g_k",
+        "a_next": "a_next",
+        "g_next": "g_next",
+        "F_next": "f_next",
+    }
+
+    def csv_records(self) -> list[dict]:
+        """Long format: one record per inner step t with its residual s_norm,
+        the outer-iteration fields repeated."""
+        return [dict(vars(self), t=t, s_norm=s) for t, s in enumerate(self.inner_residuals, start=1)]
+
 
 @dataclass
 class DualResult:
@@ -78,22 +93,6 @@ class DualResult:
     x0: np.ndarray
     final_grad_norm: float
     metric: object = None  # the metric the run was measured in
-
-
-def write_dual_trace(trace: list[DualTraceRow], path) -> None:
-    """Long-format CSV: one row per inner step, outer summary columns repeated."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "t", "s_norm", "threshold", "g_k", "a_next", "g_next", "F_next"])
-        for row in trace:
-            for t, s_norm in enumerate(row.inner_residuals, start=1):
-                writer.writerow(
-                    [row.k, t]
-                    + [
-                        f"{v:.17g}"
-                        for v in (s_norm, row.threshold, row.g_k, row.a_next, row.g_next, row.f_next)
-                    ]
-                )
 
 
 def solve_dual(
@@ -122,23 +121,10 @@ def solve_dual(
     total_inner = 0
     doublings = 0
 
-    if g <= config.grad_tol:
-        return DualResult(
-            x=x,
-            trace=trace,
-            status=DualStatus.GRAD_TOL_REACHED,
-            qsc_used=m_const,
-            grad_tol=config.grad_tol,
-            outer_iterations=0,
-            total_inner=0,
-            g0=g0,
-            x0=np.array(x0, dtype=float),
-            final_grad_norm=g,
-            metric=metric,
-        )
-
     k = 0
-    while k < config.max_outer:
+    # "not g <= tol" rather than "g > tol": a NaN norm goes on to the Newton
+    # step instead of ending the run with the max_outer status
+    while k < config.max_outer and not g <= config.grad_tol:
         weight = m_const * g
         # the roundoff floor keeps the inner target meaningful once the
         # nominal threshold drops below double-precision noise
@@ -198,9 +184,9 @@ def solve_dual(
         grad = grad_z
         g = g_next
         k += 1
-        if g <= config.grad_tol:
-            status = DualStatus.GRAD_TOL_REACHED
-            break
+    # every break leaves g above the tolerance, so this also covers x0
+    if g <= config.grad_tol:
+        status = DualStatus.GRAD_TOL_REACHED
 
     return DualResult(
         x=x,

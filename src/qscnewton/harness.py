@@ -11,6 +11,8 @@ variable.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -573,36 +576,23 @@ def run_instance_checks(
         "tolerance": report.tolerance,
     }
 
-    stability_ok = True
-    grad_bound_ok = True
-    func_bound_ok = True
-    worst = {"hessian_stability": math.inf, "gradient_bound": math.inf, "function_bounds": math.inf}
+    # the checks are looked up here, at call time, so replaced module
+    # attributes are the ones that run
+    pair_checks = {
+        "hessian_stability": check_hessian_stability,
+        "gradient_bound": check_gradient_bound,
+        "function_bounds": check_function_bounds,
+    }
+    passed = dict.fromkeys(pair_checks, True)
+    worst = dict.fromkeys(pair_checks, math.inf)
     for _ in range(pairs):
         x, y = sample_pairs(oracle, rng, pair_radius, x_scale)
-        ok, margin = check_hessian_stability(oracle, x, y)
-        stability_ok &= ok
-        worst["hessian_stability"] = min(worst["hessian_stability"], margin)
-        ok, margin = check_gradient_bound(oracle, x, y)
-        grad_bound_ok &= ok
-        worst["gradient_bound"] = min(worst["gradient_bound"], margin)
-        ok, margin = check_function_bounds(oracle, x, y)
-        func_bound_ok &= ok
-        worst["function_bounds"] = min(worst["function_bounds"], margin)
-    results["hessian_stability"] = {
-        "passed": bool(stability_ok),
-        "pairs": pairs,
-        "worst_margin": worst["hessian_stability"],
-    }
-    results["gradient_bound"] = {
-        "passed": bool(grad_bound_ok),
-        "pairs": pairs,
-        "worst_margin": worst["gradient_bound"],
-    }
-    results["function_bounds"] = {
-        "passed": bool(func_bound_ok),
-        "pairs": pairs,
-        "worst_margin": worst["function_bounds"],
-    }
+        for name, check in pair_checks.items():
+            ok, margin = check(oracle, x, y)
+            passed[name] &= ok
+            worst[name] = min(worst[name], margin)
+    for name in pair_checks:
+        results[name] = {"passed": bool(passed[name]), "pairs": pairs, "worst_margin": worst[name]}
     return results
 
 
@@ -611,44 +601,22 @@ def run_instance_checks(
 # ---------------------------------------------------------------------------
 
 
-def _solver_config(solver_cfg: dict, oracle: SmoothOracle):
-    name = solver_cfg["name"]
-    params = {k: v for k, v in solver_cfg.items() if k != "name"}
-    if name in ("primal", "pure_newton_local"):
-        if name == "pure_newton_local":
-            params.setdefault("sigma", 0.0)
-        allowed = (
-            "sigma",
-            "adaptive",
-            "sigma0",
-            "sigma_min",
-            "grad_tol",
-            "max_iters",
-            "rel_accuracy",
-            "record_diagnostics",
-        )
-        params = {k: v for k, v in params.items() if k in allowed}
-        return primal_mod.PrimalConfig(**params)
-    if name == "dual":
-        params.setdefault("qsc_constant", max(oracle.qsc_constant, 1e-12))
-        params.setdefault("grad_tol", 1e-8)
-        allowed = ("qsc_constant", "grad_tol", "max_outer", "max_inner")
-        params = {k: v for k, v in params.items() if k in allowed}
-        return dual_mod.DualConfig(**params)
-    if name == "accelerated":
-        allowed = (
-            "distance_bound",
-            "c",
-            "gamma",
-            "a0",
-            "rel_accuracy",
-            "max_outer",
-            "dual_max_outer",
-            "dual_max_inner",
-        )
-        params = {k: v for k, v in params.items() if k in allowed}
-        return params  # completed later once the reference is known
-    raise RunConfigError(f"unknown solver {name!r}")
+def write_trace(trace, path, row_type) -> None:
+    """Write solver trace rows as CSV under `row_type.CSV_COLUMNS`.
+
+    `CSV_COLUMNS` maps each header to the attribute written under it.  A row
+    with a `csv_records` method writes one line per record it returns (the
+    dual trace: one per inner step); any other row writes one line.  Ints
+    are written with str, floats with %.17g.
+    """
+    columns = row_type.CSV_COLUMNS
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in trace:
+            for record in row.csv_records() if hasattr(row, "csv_records") else [vars(row)]:
+                values = (record[attr] for attr in columns.values())
+                writer.writerow(str(v) if isinstance(v, int) else f"{v:.17g}" for v in values)
 
 
 def _json_safe(value):
@@ -672,194 +640,243 @@ def _json_safe(value):
     return value
 
 
+def _write_report(report: dict, path) -> dict:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(_json_safe(report), handle, indent=2)
+    return report
+
+
+def _build_instance(config: dict):
+    oracle = build_problem(config["problem"])
+    psi = build_composite(config.get("composite"), oracle.dim)
+    return oracle, psi, build_x0(config.get("x0"), oracle.dim, psi)
+
+
+def _config_reference(config: dict, oracle, psi, x0) -> tuple[ReferenceSolution, str]:
+    """The cached reference solve for a config, and its cache key."""
+    reference_cfg = config.get("reference", {})
+    ref_tol = reference_cfg.get("grad_tol", 1e-12)
+    ref_iters = reference_cfg.get("max_iters", 10_000)
+    key = reference_cache_key(
+        config["problem"], config.get("composite"), config.get("x0"), ref_tol, ref_iters
+    )
+    reference = compute_reference(
+        oracle, psi, x0, grad_tol=ref_tol, max_iters=ref_iters, cache_key=key
+    )
+    return reference, key
+
+
+def _reference_summary(reference: ReferenceSolution) -> dict:
+    return {
+        "f_star": reference.f_value,
+        "grad_norm": reference.grad_norm,
+        "iterations": reference.iterations,
+        "from_cache": reference.from_cache,
+    }
+
+
+def _primal_config(params, oracle, x0, reference, verify_cfg, strict):
+    config = primal_mod.PrimalConfig(**params)
+    if config.rel_accuracy is not None:
+        config.f_star_ref = reference.f_value
+    if verify_cfg.get("local_quadratic", False):
+        config.record_diagnostics = True  # the check needs eta per row
+    return config
+
+
+def _accel_config(params, oracle, x0, reference, verify_cfg, strict):
+    if "distance_bound" not in params:
+        dist = oracle.metric.primal_norm(x0 - reference.x)
+        floor = 2.0**1.5 / oracle.qsc_constant if oracle.qsc_constant > 0 else 0.0
+        params = {**params, "distance_bound": max(dist, floor, 1e-8)}
+    return accel_mod.AccelConfig(f_star_ref=reference.f_value, strict=strict, **params)
+
+
+def _primal_extras(result, oracle, reference):
+    diameter = observed_diameter(
+        [row.x for row in result.trace if row.x is not None],
+        oracle.metric,
+        extra=None if reference is None else reference.x,
+    )
+    return {
+        "step_computations": result.step_computations,
+        "observed_diameter": {
+            "value": diameter,
+            "caveat": "lower estimate of the sublevel-set diameter from observed iterates",
+        },
+    }
+
+
+def _primal_rate_fit(result, oracle, reference, extras):
+    diameter = extras["observed_diameter"]["value"]
+    envelope = check_primal_rate_envelope(
+        result.trace, reference.f_value, result.trace[0].grad_norm, oracle.qsc_constant, diameter
+    )
+    try:
+        fit = fit_linear_rate(result.f_values, reference.f_value)
+    except InsufficientDataError as exc:
+        return {"passed": None, "skipped": str(exc), "envelope": vars(envelope)}
+    bound = 8.0 * oracle.qsc_constant * diameter
+    return {
+        **vars(fit),
+        "bound_8MD": bound,
+        # advisory: the diameter is only a lower estimate
+        "within_bound": bool(fit.implied_factor <= bound) if bound > 0 else True,
+        "envelope": vars(envelope),
+        "policy": "warn",
+    }
+
+
+@dataclass(frozen=True)
+class _Solver:
+    """How `run_solve` runs one solver name.
+
+    `solve` looks the solve function up in its module on each call, so a
+    replaced module attribute is the one that runs.
+    """
+
+    config_type: type  # the solver section's keys must be its fields
+    configure: Callable  # (params, oracle, x0, reference, verify_cfg, strict) -> config
+    solve: Callable  # (oracle, psi, x0, config) -> result
+    row_type: type
+    success: tuple
+    summary: Callable  # result -> (iterations, final F or None if no row has it, final g)
+    extras: Callable  # (result, oracle, reference) -> report fields
+    verifiers: dict  # verify flag -> (result, oracle, reference, extras) -> entry or None
+
+
+_PRIMAL = _Solver(
+    config_type=primal_mod.PrimalConfig,
+    configure=_primal_config,
+    solve=lambda *args: primal_mod.solve_primal(*args),
+    row_type=primal_mod.PrimalTraceRow,
+    success=(primal_mod.PrimalStatus.GRAD_TOL_REACHED, primal_mod.PrimalStatus.TARGET_GAP_REACHED),
+    summary=lambda r: (r.iterations, r.trace[-1].f_value, r.final_grad_norm),
+    extras=_primal_extras,
+    verifiers={
+        "per_step": lambda r, *_: vars(check_primal_trace(r.trace)),
+        "rate_fit": _primal_rate_fit,
+        "local_quadratic": lambda r, o, *_: vars(primal_mod.check_local_quadratic(r.trace, o.qsc_constant)),
+    },
+)
+
+_SOLVERS = {
+    "primal": _PRIMAL,
+    "pure_newton_local": dataclasses.replace(
+        _PRIMAL, configure=lambda params, *rest: _primal_config({"sigma": 0.0, **params}, *rest)
+    ),
+    "dual": _Solver(
+        config_type=dual_mod.DualConfig,
+        configure=lambda params, oracle, *_: dual_mod.DualConfig(
+            **{"qsc_constant": max(oracle.qsc_constant, 1e-12), "grad_tol": 1e-8, **params}
+        ),
+        solve=lambda *args: dual_mod.solve_dual(*args),
+        row_type=dual_mod.DualTraceRow,
+        success=(dual_mod.DualStatus.GRAD_TOL_REACHED,),
+        summary=lambda r: (r.outer_iterations, r.trace[-1].f_next if r.trace else None, r.final_grad_norm),
+        extras=lambda r, *_: {"total_inner": r.total_inner, "qsc_used": r.qsc_used},
+        verifiers={
+            "dual_guarantee": lambda r, o, ref, _: (
+                vars(dual_mod.verify_dual_guarantee(r, ref.x, ref.f_value)) if r.trace else None
+            ),
+            "dual_rate": lambda r, o, ref, _: (
+                vars(dual_mod.verify_dual_rate(r, ref.x)) if len(r.trace) >= 3 else None
+            ),
+            "inner_quadratic": lambda r, *_: vars(dual_mod.check_inner_quadratic(r)) if r.trace else None,
+        },
+    ),
+    "accelerated": _Solver(
+        config_type=accel_mod.AccelConfig,
+        configure=_accel_config,
+        solve=lambda *args: accel_mod.solve_accelerated(*args),
+        row_type=accel_mod.AccelTraceRow,
+        success=(accel_mod.AccelStatus.TARGET_GAP_REACHED, accel_mod.AccelStatus.ALREADY_CONVERGED),
+        summary=lambda r: (r.outer_iterations, r.trace[-1].f_value, math.nan),
+        extras=lambda r, *_: {
+            "gamma": r.gamma,
+            "gamma_clamped": r.gamma_clamped,
+            "a0": r.a0,
+            "distance_bound": r.distance_bound,
+            "total_dual_outer": r.total_dual_outer,
+            "total_dual_inner": r.total_dual_inner,
+        },
+        verifiers={
+            "accel_potential": lambda r, o, ref, _: vars(accel_mod.verify_accel_potential(r, ref.x, ref.f_value)),
+            "accel_rate": lambda r, o, ref, _: vars(accel_mod.verify_accel_rate(r, ref.f_value, ref.x)),
+        },
+    ),
+}
+
+# verify flags whose checks compare against the reference solution
+_REFERENCE_CHECKS = ("rate_fit", "dual_guarantee", "dual_rate", "accel_potential", "accel_rate")
+
+
 def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     """Execute a solve config; writes trace + report into `out_dir`.
 
     Returns the report dict; the `success` field drives the CLI exit code.
+    A solver-section key that the named solver does not take is a
+    `RunConfigError`.
     """
     validate_config(config)
     if "solver" not in config:
         raise RunConfigError("solve runs need a 'solver' section")
+    name = config["solver"]["name"]
+    solver = _SOLVERS[name]
+    params = {k: v for k, v in config["solver"].items() if k != "name"}
+    defaults = {f.name: f.default for f in dataclasses.fields(solver.config_type)}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise RunConfigError(f"solver {name!r} does not take {unknown}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    oracle = build_problem(config["problem"])
-    psi = build_composite(config.get("composite"), oracle.dim)
-    x0 = build_x0(config.get("x0"), oracle.dim, psi)
+    oracle, psi, x0 = _build_instance(config)
     counting = CountingOracle(oracle)
-    solver_name = config["solver"]["name"]
     verify_cfg = config.get("verify", {})
-    reference_cfg = config.get("reference", {})
-
-    needs_reference = (
-        reference_cfg.get("auto", False)
-        or solver_name == "accelerated"  # A_0 rule and the stopping test need F*
-        or ("rel_accuracy" in config["solver"] and solver_name in ("primal", "pure_newton_local"))
-        or any(
-            verify_cfg.get(flag)
-            for flag in ("rate_fit", "dual_guarantee", "dual_rate", "accel_potential", "accel_rate")
-        )
-    )
     reference = None
-    if needs_reference:
-        ref_tol = reference_cfg.get("grad_tol", 1e-12)
-        ref_iters = reference_cfg.get("max_iters", 10_000)
-        key = reference_cache_key(
-            config["problem"], config.get("composite"), config.get("x0"), ref_tol, ref_iters
-        )
-        reference = compute_reference(
-            oracle, psi, x0, grad_tol=ref_tol, max_iters=ref_iters, cache_key=key
-        )
+    # a solver that stops at a gap relative to F* needs the reference (the
+    # accelerated scheme always does; its A_0 rule needs F* as well)
+    if (
+        config.get("reference", {}).get("auto", False)
+        or params.get("rel_accuracy", defaults.get("rel_accuracy")) is not None
+        or any(verify_cfg.get(flag) for flag in _REFERENCE_CHECKS)
+    ):
+        reference, _ = _config_reference(config, oracle, psi, x0)
 
-    verification: dict[str, dict] = {}
-    trace_path = out_dir / config.get("output", {}).get("trace", "trace.csv")
-    report_path = out_dir / config.get("output", {}).get("report", "report.json")
-
-    if solver_name in ("primal", "pure_newton_local"):
-        solver_config = _solver_config(config["solver"], oracle)
-        if solver_config.rel_accuracy is not None and reference is not None:
-            solver_config.f_star_ref = reference.f_value
-        if verify_cfg.get("local_quadratic", False):
-            solver_config.record_diagnostics = True  # the check needs eta per row
-        result = primal_mod.solve_primal(counting, psi, x0, solver_config)
-        success = result.status in (
-            primal_mod.PrimalStatus.GRAD_TOL_REACHED,
-            primal_mod.PrimalStatus.TARGET_GAP_REACHED,
-        )
-        primal_mod.write_primal_trace(result.trace, trace_path)
-        iterations = result.iterations
-        final_g = result.final_grad_norm
-        final_f = result.trace[-1].f_value
-        diameter = observed_diameter(
-            [row.x for row in result.trace if row.x is not None],
-            oracle.metric,
-            extra=None if reference is None else reference.x,
-        )
-        extras = {
-            "step_computations": result.step_computations,
-            "observed_diameter": {
-                "value": diameter,
-                "caveat": "lower estimate of the sublevel-set diameter from observed iterates",
-            },
-        }
-        if verify_cfg.get("per_step", True):
-            report = check_primal_trace(result.trace)
-            verification["per_step"] = _json_safe(report.__dict__)
-        if verify_cfg.get("rate_fit", False) and reference is not None:
-            envelope = check_primal_rate_envelope(
-                result.trace,
-                reference.f_value,
-                result.trace[0].grad_norm,
-                oracle.qsc_constant,
-                diameter,
-            )
-            try:
-                fit = fit_linear_rate(result.f_values, reference.f_value)
-                bound = 8.0 * oracle.qsc_constant * diameter
-                verification["rate_fit"] = _json_safe(
-                    {
-                        **fit.__dict__,
-                        "bound_8MD": bound,
-                        # advisory: the diameter is only a lower estimate
-                        "within_bound": bool(fit.implied_factor <= bound) if bound > 0 else True,
-                        "envelope": envelope.__dict__,
-                        "policy": "warn",
-                    }
-                )
-            except InsufficientDataError as exc:
-                verification["rate_fit"] = {
-                    "passed": None,
-                    "skipped": str(exc),
-                    "envelope": _json_safe(envelope.__dict__),
-                }
-        if verify_cfg.get("local_quadratic", False):
-            report = primal_mod.check_local_quadratic(result.trace, oracle.qsc_constant)
-            verification["local_quadratic"] = _json_safe(report.__dict__)
-    elif solver_name == "dual":
-        solver_config = _solver_config(config["solver"], oracle)
-        result = dual_mod.solve_dual(counting, psi, x0, solver_config)
-        success = result.status is dual_mod.DualStatus.GRAD_TOL_REACHED
-        dual_mod.write_dual_trace(result.trace, trace_path)
-        iterations = result.outer_iterations
-        final_g = result.final_grad_norm
-        final_f = result.trace[-1].f_next if result.trace else oracle.value(x0) + psi.value(x0, oracle.metric)
-        extras = {"total_inner": result.total_inner, "qsc_used": result.qsc_used}
-        if reference is not None and result.trace:
-            if verify_cfg.get("dual_guarantee", False):
-                rep = dual_mod.verify_dual_guarantee(result, reference.x, reference.f_value)
-                verification["dual_guarantee"] = _json_safe(rep.__dict__)
-            if verify_cfg.get("dual_rate", False) and len(result.trace) >= 3:
-                rep = dual_mod.verify_dual_rate(result, reference.x)
-                verification["dual_rate"] = _json_safe(rep.__dict__)
-        if verify_cfg.get("inner_quadratic", False) and result.trace:
-            rep = dual_mod.check_inner_quadratic(result)
-            verification["inner_quadratic"] = _json_safe(rep.__dict__)
-    elif solver_name == "accelerated":
-        params = _solver_config(config["solver"], oracle)
-        if "distance_bound" not in params:
-            if reference is None:
-                raise RunConfigError("accelerated runs need a distance_bound or auto reference")
-            dist = oracle.metric.primal_norm(x0 - reference.x)
-            floor = 2.0**1.5 / oracle.qsc_constant if oracle.qsc_constant > 0 else 0.0
-            params["distance_bound"] = max(dist, floor, 1e-8)
-        accel_config = accel_mod.AccelConfig(
-            f_star_ref=None if reference is None else reference.f_value,
-            strict=strict,
-            **params,
-        )
-        result = accel_mod.solve_accelerated(counting, psi, x0, accel_config)
-        success = result.status in (
-            accel_mod.AccelStatus.TARGET_GAP_REACHED,
-            accel_mod.AccelStatus.ALREADY_CONVERGED,
-        )
-        accel_mod.write_accel_trace(result.trace, trace_path)
-        iterations = result.outer_iterations
-        final_f = result.trace[-1].f_value
-        final_g = math.nan
-        extras = {
-            "gamma": result.gamma,
-            "gamma_clamped": result.gamma_clamped,
-            "a0": result.a0,
-            "distance_bound": result.distance_bound,
-            "total_dual_outer": result.total_dual_outer,
-            "total_dual_inner": result.total_dual_inner,
-        }
-        if reference is not None:
-            if verify_cfg.get("accel_potential", False):
-                rep = accel_mod.verify_accel_potential(result, reference.x, reference.f_value)
-                verification["accel_potential"] = _json_safe(rep.__dict__)
-            if verify_cfg.get("accel_rate", False):
-                rep = accel_mod.verify_accel_rate(result, reference.f_value, reference.x)
-                verification["accel_rate"] = _json_safe(rep.__dict__)
-    else:  # pragma: no cover - schema forbids
-        raise RunConfigError(f"unknown solver {solver_name!r}")
+    result = solver.solve(
+        counting, psi, x0, solver.configure(params, oracle, x0, reference, verify_cfg, strict)
+    )
+    output_cfg = config.get("output", {})
+    write_trace(result.trace, out_dir / output_cfg.get("trace", "trace.csv"), solver.row_type)
+    iterations, final_f, final_g = solver.summary(result)
+    if final_f is None:
+        final_f = oracle.value(x0) + psi.value(x0, oracle.metric)
+    extras = solver.extras(result, oracle, reference)
+    verification = {}
+    for flag, check in solver.verifiers.items():
+        if verify_cfg.get(flag, flag == "per_step"):  # per_step is on unless turned off
+            entry = check(result, oracle, reference, extras)
+            if entry is not None:
+                verification[flag] = _json_safe(entry)
 
     report = {
         "schema_version": 1,
         "config": config,
         "status": result.status.value,
-        "success": bool(success),
+        "success": result.status in solver.success,
         "iterations": iterations,
         "oracle_calls": counting.calls,
         "final_grad_norm": _json_safe(final_g),
         "final_f": _json_safe(final_f),
-        "reference": None
-        if reference is None
-        else {
-            "f_star": reference.f_value,
-            "grad_norm": reference.grad_norm,
-            "iterations": reference.iterations,
-            "from_cache": reference.from_cache,
-        },
+        "reference": None if reference is None else _reference_summary(reference),
         "final_gap": None if reference is None else _json_safe(final_f - reference.f_value),
         "verification": verification,
         "wall_time_s": time.perf_counter() - started,
         **_json_safe(extras),
     }
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(_json_safe(report), handle, indent=2)
-    return report
+    return _write_report(report, out_dir / output_cfg.get("report", "report.json"))
 
 
 def run_verify(config: dict, out_dir) -> dict:
@@ -889,9 +906,7 @@ def run_verify(config: dict, out_dir) -> dict:
         "wall_time_s": time.perf_counter() - started,
     }
     report_path = out_dir / config.get("output", {}).get("report", "verify_report.json")
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(_json_safe(report), handle, indent=2)
-    return report
+    return _write_report(report, report_path)
 
 
 def run_reference(config: dict, out_dir) -> dict:
@@ -899,30 +914,9 @@ def run_reference(config: dict, out_dir) -> dict:
     validate_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    oracle = build_problem(config["problem"])
-    psi = build_composite(config.get("composite"), oracle.dim)
-    x0 = build_x0(config.get("x0"), oracle.dim, psi)
-    reference_cfg = config.get("reference", {})
-    ref_tol = reference_cfg.get("grad_tol", 1e-12)
-    ref_iters = reference_cfg.get("max_iters", 10_000)
-    key = reference_cache_key(
-        config["problem"], config.get("composite"), config.get("x0"), ref_tol, ref_iters
-    )
-    reference = compute_reference(
-        oracle, psi, x0, grad_tol=ref_tol, max_iters=ref_iters, cache_key=key
-    )
-    report = {
-        "schema_version": 1,
-        "config": config,
-        "f_star": reference.f_value,
-        "grad_norm": reference.grad_norm,
-        "iterations": reference.iterations,
-        "from_cache": reference.from_cache,
-        "cache_key": key,
-    }
-    with open(out_dir / "reference.json", "w", encoding="utf-8") as handle:
-        json.dump(_json_safe(report), handle, indent=2)
-    return report
+    reference, key = _config_reference(config, *_build_instance(config))
+    report = {"schema_version": 1, "config": config, **_reference_summary(reference), "cache_key": key}
+    return _write_report(report, out_dir / "reference.json")
 
 
 # ---------------------------------------------------------------------------
@@ -1000,36 +994,22 @@ def run_benchmark(suite: dict, out_dir, jobs: int = 1, strict: bool = False) -> 
         label = config["problem"]["kind"]
         if "smoothing" in config["problem"]:
             label += f"(mu={config['problem']['smoothing']})"
+        row = {"problem": label, "solver": config["solver"]["name"]}
         if outcome["ok"]:
             rep = outcome["report"]
-            rows.append(
-                {
-                    "problem": label,
-                    "solver": config["solver"]["name"],
-                    "status": rep["status"],
-                    "iterations": rep["iterations"],
-                    "grad_calls": rep["oracle_calls"]["gradient"],
-                    "hess_calls": rep["oracle_calls"]["hessian"],
-                    "final_gap": rep["final_gap"],
-                }
+            row.update(
+                status=rep["status"],
+                iterations=rep["iterations"],
+                grad_calls=rep["oracle_calls"]["gradient"],
+                hess_calls=rep["oracle_calls"]["hessian"],
+                final_gap=rep["final_gap"],
             )
         else:
-            rows.append(
-                {
-                    "problem": label,
-                    "solver": config["solver"]["name"],
-                    "status": f"error: {outcome['error']}",
-                    "iterations": "",
-                    "grad_calls": "",
-                    "hess_calls": "",
-                    "final_gap": "",
-                }
-            )
-
-    import csv as _csv
+            row.update(dict.fromkeys(_TABLE_COLUMNS[2:], ""), status=f"error: {outcome['error']}")
+        rows.append(row)
 
     with open(out_dir / "table.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = _csv.DictWriter(handle, fieldnames=_TABLE_COLUMNS)
+        writer = csv.DictWriter(handle, fieldnames=_TABLE_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     widths = {

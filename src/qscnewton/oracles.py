@@ -75,48 +75,53 @@ class SmoothOracle(abc.ABC):
         ...
 
 
-class _ScaledOracle(SmoothOracle):
-    def __init__(self, base: SmoothOracle, factor: float) -> None:
-        # positive rescaling leaves the qsc constant unchanged
-        super().__init__(base.metric, base.qsc_constant)
+class _TransformedOracle(SmoothOracle):
+    """scale * f(T x + shift) over a given metric with a declared qsc constant.
+
+    T is None (the identity), a scalar or a matrix.  A scalar T folds into the
+    derivative factors scale * T and scale * T**2.  A derivative factor of
+    exactly 1 is not applied, so pass-through derivatives are not copied.
+    """
+
+    def __init__(self, base, metric, qsc_constant, scale=1.0, transform=None, shift=None):
+        super().__init__(metric, qsc_constant)
         self._base = base
-        self._factor = float(factor)
+        self._scale = float(scale)
+        self._matrix = transform if np.ndim(transform) == 2 else None
+        self._t = None if self._matrix is not None else transform
+        t = 1.0 if self._t is None else self._t
+        self._grad_factor = self._scale * t
+        self._hess_factor = self._scale * t**2
+        self._shift = shift
+
+    def _inner(self, x):
+        if self._matrix is not None:
+            x = self._matrix @ x
+        elif self._t is not None:
+            x = self._t * x
+        return x if self._shift is None else x + self._shift
 
     def value(self, x):
-        return self._factor * self._base.value(x)
+        return self._scale * self._base.value(self._inner(x))
 
     def gradient(self, x):
-        return self._factor * self._base.gradient(x)
+        g = self._base.gradient(self._inner(x))
+        if self._matrix is not None:
+            g = self._matrix.T @ g
+        return g if self._grad_factor == 1.0 else self._grad_factor * g
 
     def hessian(self, x):
-        return self._factor * self._base.hessian(x)
+        h = self._base.hessian(self._inner(x))
+        if self._matrix is not None:
+            h = self._matrix.T @ h @ self._matrix
+        return h if self._hess_factor == 1.0 else self._hess_factor * h
 
 
 def scale_oracle(oracle: SmoothOracle, factor: float) -> SmoothOracle:
     """Multiply an oracle by a positive constant; the qsc constant is unchanged."""
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return _ScaledOracle(oracle, factor)
-
-
-class _AffineOracle(SmoothOracle):
-    def __init__(self, base, transform, offset, metric, qsc_constant):
-        super().__init__(metric, qsc_constant)
-        self._base = base
-        self._a = transform
-        self._b = offset
-
-    def _inner(self, x):
-        return self._a @ x - self._b
-
-    def value(self, x):
-        return self._base.value(self._inner(x))
-
-    def gradient(self, x):
-        return self._a.T @ self._base.gradient(self._inner(x))
-
-    def hessian(self, x):
-        return self._a.T @ self._base.hessian(self._inner(x)) @ self._a
+    return _TransformedOracle(oracle, oracle.metric, oracle.qsc_constant, scale=factor)
 
 
 def affine_substitute(
@@ -142,49 +147,34 @@ def affine_substitute(
     if b.shape != (oracle.dim,):
         raise ValueError("offset dimension does not match oracle dimension")
     if new_metric is None:
-        induced = a.T @ oracle.metric.matrix @ a
-        return _AffineOracle(oracle, a, b, Metric(induced), oracle.qsc_constant)
-    if new_metric.dim != a.shape[1]:
+        metric, qsc_constant = Metric(a.T @ oracle.metric.matrix @ a), oracle.qsc_constant
+    elif new_metric.dim != a.shape[1]:
         raise ValueError("new metric dimension does not match transform domain")
-    if norm_bound is None:
+    elif norm_bound is None:
         raise ValueError("norm_bound is required when overriding the induced metric")
-    return _AffineOracle(oracle, a, b, new_metric, oracle.qsc_constant * norm_bound)
-
-
-class _ContractedOracle(SmoothOracle):
-    """scale * f(gamma*x + (1-gamma)*anchor), used by the accelerated outer loop."""
-
-    def __init__(self, base: SmoothOracle, gamma: float, anchor: np.ndarray, scale: float):
-        # contraction by gamma shrinks the qsc constant to gamma*M; the
-        # positive scale factor leaves it unchanged
-        super().__init__(base.metric, gamma * base.qsc_constant)
-        self._base = base
-        self._gamma = float(gamma)
-        self._anchor = np.array(anchor, dtype=float)
-        self._scale = float(scale)
-
-    def _inner(self, x):
-        return self._gamma * x + (1.0 - self._gamma) * self._anchor
-
-    def value(self, x):
-        return self._scale * self._base.value(self._inner(x))
-
-    def gradient(self, x):
-        return self._scale * self._gamma * self._base.gradient(self._inner(x))
-
-    def hessian(self, x):
-        return self._scale * self._gamma**2 * self._base.hessian(self._inner(x))
+    else:
+        metric, qsc_constant = new_metric, oracle.qsc_constant * norm_bound
+    # Ax - b and Ax + (-b) are the same floating-point operation
+    return _TransformedOracle(oracle, metric, qsc_constant, transform=a, shift=-b)
 
 
 def contract_oracle(
     oracle: SmoothOracle, gamma: float, anchor: np.ndarray, scale: float
 ) -> SmoothOracle:
-    """Build scale * f(gamma*x + (1-gamma)*anchor) with qsc constant gamma*M."""
+    """Build scale * f(gamma*x + (1-gamma)*anchor) with qsc constant gamma*M.
+
+    Contraction by gamma shrinks the qsc constant to gamma*M; the positive
+    scale factor leaves it unchanged.  Used by the accelerated outer loop.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"contraction factor must lie in (0, 1), got {gamma}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    return _ContractedOracle(oracle, gamma, anchor, scale)
+    gamma = float(gamma)
+    shift = (1.0 - gamma) * np.array(anchor, dtype=float)
+    return _TransformedOracle(
+        oracle, oracle.metric, gamma * oracle.qsc_constant, scale=scale, transform=gamma, shift=shift
+    )
 
 
 class _SumOracle(SmoothOracle):
@@ -212,25 +202,10 @@ def add_oracles(first: SmoothOracle, second: SmoothOracle) -> SmoothOracle:
     return _SumOracle(first, second)
 
 
-class _DeclaredQscOracle(SmoothOracle):
-    def __init__(self, base: SmoothOracle, qsc_constant: float):
-        super().__init__(base.metric, qsc_constant)
-        self._base = base
-
-    def value(self, x):
-        return self._base.value(x)
-
-    def gradient(self, x):
-        return self._base.gradient(x)
-
-    def hessian(self, x):
-        return self._base.hessian(x)
-
-
 def with_qsc_constant(oracle: SmoothOracle, qsc_constant: float) -> SmoothOracle:
     """Same oracle with a different declared constant (e.g. to probe the
     checkers with a deliberately undersized bound)."""
-    return _DeclaredQscOracle(oracle, qsc_constant)
+    return _TransformedOracle(oracle, oracle.metric, qsc_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,18 @@ class PrimalTraceRow:
     eta: float = math.nan
     x: np.ndarray | None = None  # kept in memory, not serialized
 
-
-_CSV_COLUMNS = ("k", "F", "g", "sigma", "beta", "step_len", "progress", "retries", "lambda", "eta")
+    CSV_COLUMNS = {
+        "k": "k",
+        "F": "f_value",
+        "g": "grad_norm",
+        "sigma": "sigma",
+        "beta": "beta",
+        "step_len": "step_length",
+        "progress": "progress",
+        "retries": "retries",
+        "lambda": "lam",
+        "eta": "eta",
+    }
 
 
 @dataclass
@@ -101,48 +111,18 @@ class PrimalResult:
         return np.array([row.f_value for row in self.trace])
 
 
-def write_primal_trace(trace: list[PrimalTraceRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        for row in trace:
-            writer.writerow(
-                [row.k]
-                + [
-                    f"{v:.17g}"
-                    for v in (
-                        row.f_value,
-                        row.grad_norm,
-                        row.sigma,
-                        row.beta,
-                        row.step_length,
-                        row.progress,
-                    )
-                ]
-                + [row.retries, f"{row.lam:.17g}", f"{row.eta:.17g}"]
-            )
-
-
 def read_primal_trace(path) -> list[PrimalTraceRow]:
-    rows = []
+    """Parse a primal trace CSV back into rows (without the iterates)."""
     with open(path, "r", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for rec in reader:
-            rows.append(
-                PrimalTraceRow(
-                    k=int(rec["k"]),
-                    f_value=float(rec["F"]),
-                    grad_norm=float(rec["g"]),
-                    sigma=float(rec["sigma"]),
-                    beta=float(rec["beta"]),
-                    step_length=float(rec["step_len"]),
-                    progress=float(rec["progress"]),
-                    retries=int(rec["retries"]),
-                    lam=float(rec["lambda"]),
-                    eta=float(rec["eta"]),
-                )
+        return [
+            PrimalTraceRow(
+                **{
+                    attr: (int if attr in ("k", "retries") else float)(rec[header])
+                    for header, attr in PrimalTraceRow.CSV_COLUMNS.items()
+                }
             )
-    return rows
+            for rec in csv.DictReader(handle)
+        ]
 
 
 def initial_subgradient(

@@ -13,7 +13,6 @@ of their rows; the declared constants are only valid under these metrics.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 
 import numpy as np
@@ -66,16 +65,6 @@ def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return scaled.T @ scaled
 
 
-def _hash_arrays(tag: str, *parts) -> str:
-    digest = hashlib.sha256(tag.encode())
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
-        else:
-            digest.update(repr(part).encode())
-    return digest.hexdigest()
-
-
 class QuadraticObjective(SmoothOracle):
     """f(x) = 1/2 <Ax, x> - <b, x> with PSD A; qsc constant 0."""
 
@@ -100,9 +89,6 @@ class QuadraticObjective(SmoothOracle):
 
     def hessian(self, x):
         return self._a
-
-    def content_hash(self) -> str:
-        return _hash_arrays("quadratic", self._a, self._b, self.metric.matrix)
 
 
 class SoftMaxObjective(SmoothOracle):
@@ -156,11 +142,6 @@ class SoftMaxObjective(SmoothOracle):
         pi, _ = self._weights(x)
         g = self._rows.T @ pi
         return (_weighted_gram(self._rows, pi) - np.outer(g, g)) / self._mu
-
-    def content_hash(self) -> str:
-        return _hash_arrays(
-            "softmax", self._rows, self._offsets, self._mu, self.metric.matrix
-        )
 
 
 class SeparableObjective(SmoothOracle):
@@ -233,11 +214,6 @@ class SeparableObjective(SmoothOracle):
         t = self._margins(x)
         return _weighted_gram(self._rows, self._second(t) / t.size)
 
-    def content_hash(self) -> str:
-        return _hash_arrays(
-            "separable", self._rows, self._offsets, self._loss, self.metric.matrix
-        )
-
 
 def _clamped_exp_weights(mass: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     # zero-mass entries contribute nothing, even where the exponent is huge
@@ -290,9 +266,6 @@ class MatrixScalingObjective(SmoothOracle):
         bottom = np.concatenate([-w.T, np.diag(c)], axis=1)
         return np.concatenate([top, bottom], axis=0)
 
-    def content_hash(self) -> str:
-        return _hash_arrays("matrix_scaling", self._a)
-
 
 class MatrixBalancingObjective(SmoothOracle):
     """sum_ij A_ij exp(x_i - x_j) over R^n; identity metric, M = sqrt(2).
@@ -325,9 +298,6 @@ class MatrixBalancingObjective(SmoothOracle):
         w = self._weights(x)
         h = np.diag(w.sum(axis=1) + w.sum(axis=0)) - (w + w.T)
         return h
-
-    def content_hash(self) -> str:
-        return _hash_arrays("matrix_balancing", self._a)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,26 @@ class TestSolveCommand:
     def test_missing_config_exits_three(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"name": "dual", "sigma": 123, "adaptive": True, "max_iters": 1},
+            {"name": "primal", "max_outer": 1, "qsc_constant": 99},
+        ],
+        ids=["dual-with-primal-keys", "primal-with-dual-keys"],
+    )
+    def test_key_the_solver_does_not_take_exits_three(self, tmp_path, solver):
+        config = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+                "solver": solver,
+            },
+        )
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+
     def test_solver_failure_exits_two(self, tmp_path):
         config = write_config(
             tmp_path / "c.json",

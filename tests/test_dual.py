@@ -13,8 +13,8 @@ from qscnewton import (
     verify_dual_rate,
 )
 from qscnewton import dual as dual_mod
-from qscnewton.dual import write_dual_trace
-from qscnewton.harness import CountingOracle
+from qscnewton.dual import DualTraceRow
+from qscnewton.harness import CountingOracle, write_trace
 
 ZERO = CompositeTerm.zero()
 
@@ -216,7 +216,7 @@ def test_trace_csv_long_format(tmp_path, logistic_ref):
         logistic_ref, ZERO, np.zeros(20), DualConfig(qsc_constant=1.0, grad_tol=1e-6)
     )
     path = tmp_path / "dual.csv"
-    write_dual_trace(res.trace, path)
+    write_trace(res.trace, path, DualTraceRow)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,t,s_norm,threshold,g_k,a_next,g_next,F_next"
     assert len(lines) == 1 + res.total_inner

@@ -205,6 +205,24 @@ class TestConfigValidation:
 
 
 class TestRunSolve:
+    @pytest.mark.parametrize(
+        "solver, rejected",
+        [
+            ({"name": "dual", "sigma": 123, "adaptive": True, "max_iters": 1}, "adaptive"),
+            ({"name": "primal", "max_outer": 1, "qsc_constant": 99}, "max_outer"),
+            ({"name": "pure_newton_local", "gamma": 0.5}, "gamma"),
+            ({"name": "accelerated", "grad_tol": 1e-8}, "grad_tol"),
+        ],
+    )
+    def test_key_the_solver_does_not_take_rejected(self, tmp_path, solver, rejected):
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+            "solver": solver,
+        }
+        with pytest.raises(RunConfigError, match=rejected):
+            run_solve(config, tmp_path / "out")
+
     def test_quadratic_primal_end_to_end(self, tmp_path):
         config = {
             "schema_version": 1,

@@ -17,9 +17,9 @@ from qscnewton import (
     solve_primal,
 )
 from qscnewton import primal as primal_mod
-from qscnewton.harness import CountingOracle
+from qscnewton.harness import CountingOracle, write_trace
 from qscnewton.metric import symmetrize
-from qscnewton.primal import read_primal_trace, write_primal_trace
+from qscnewton.primal import PrimalTraceRow, read_primal_trace
 
 ZERO = CompositeTerm.zero()
 
@@ -247,7 +247,7 @@ class TestTraceCsv:
             o, ZERO, np.zeros(8), PrimalConfig(sigma=1.0, grad_tol=1e-8, record_diagnostics=True)
         )
         path = tmp_path / "trace.csv"
-        write_primal_trace(res.trace, path)
+        write_trace(res.trace, path, PrimalTraceRow)
         header = path.read_text().splitlines()[0]
         assert header == "k,F,g,sigma,beta,step_len,progress,retries,lambda,eta"
         rows = read_primal_trace(path)

@@ -225,12 +225,13 @@ class TestGenerators:
         a = generate_synthetic("logistic", n=6, m=20, seed=42)
         b = generate_synthetic("logistic", n=6, m=20, seed=42)
         np.testing.assert_array_equal(a.rows, b.rows)
-        assert a.content_hash() == b.content_hash()
+        np.testing.assert_array_equal(a._offsets, b._offsets)
 
     def test_different_seed_differs(self):
         a = generate_synthetic("logistic", n=6, m=20, seed=42)
         b = generate_synthetic("logistic", n=6, m=20, seed=43)
-        assert a.content_hash() != b.content_hash()
+        assert not np.array_equal(a.rows, b.rows)
+        assert not np.array_equal(a._offsets, b._offsets)
 
     def test_logistic_gram_metric_positive_definite(self):
         o = generate_synthetic("logistic", n=20, m=200, seed=1)
