@@ -268,12 +268,13 @@ def build_x0(x0_cfg, dim: int, psi: CompositeTerm) -> np.ndarray:
 
 
 class CountingOracle(SmoothOracle):
-    """Delegating wrapper that counts value/gradient/hessian calls."""
+    """Delegating wrapper that counts value/gradient/hessian/hessian_vector
+    calls; a stacked hessian_vector call counts once."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
         self._base = base
-        self.calls = {"value": 0, "gradient": 0, "hessian": 0}
+        self.calls = {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0}
 
     def value(self, x):
         self.calls["value"] += 1
@@ -286,6 +287,10 @@ class CountingOracle(SmoothOracle):
     def hessian(self, x):
         self.calls["hessian"] += 1
         return self._base.hessian(x)
+
+    def hessian_vector(self, x, u):
+        self.calls["hessian_vector"] += 1
+        return self._base.hessian_vector(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +582,27 @@ def run_instance_checks(
     }
 
     # the checks are looked up here, at call time, so replaced module
-    # attributes are the ones that run
+    # attributes are the ones that run; each takes the evaluations it needs
     pair_checks = {
-        "hessian_stability": check_hessian_stability,
-        "gradient_bound": check_gradient_bound,
-        "function_bounds": check_function_bounds,
+        "hessian_stability": (check_hessian_stability, ("hx", "hy")),
+        "gradient_bound": (check_gradient_bound, ("hx", "gx", "gy")),
+        "function_bounds": (check_function_bounds, ("hx", "gx", "fx", "fy")),
     }
     passed = dict.fromkeys(pair_checks, True)
     worst = dict.fromkeys(pair_checks, math.inf)
     for _ in range(pairs):
         x, y = sample_pairs(oracle, rng, pair_radius, x_scale)
-        for name, check in pair_checks.items():
-            ok, margin = check(oracle, x, y)
+        # each point is evaluated once for all three checks
+        evaluated = {
+            "hx": oracle.hessian(x),
+            "hy": oracle.hessian(y),
+            "gx": oracle.gradient(x),
+            "gy": oracle.gradient(y),
+            "fx": oracle.value(x),
+            "fy": oracle.value(y),
+        }
+        for name, (check, keys) in pair_checks.items():
+            ok, margin = check(oracle, x, y, **{key: evaluated[key] for key in keys})
             passed[name] &= ok
             worst[name] = min(worst[name], margin)
     for name in pair_checks:
@@ -707,6 +721,19 @@ def _primal_extras(result, oracle, reference):
     }
 
 
+def _check_primal_instance(params, oracle, psi) -> None:
+    """A box-constrained Newton step needs a strongly convex model: a
+    positive sigma (the adaptive search's always is) or a quadratic in psi."""
+    if not psi.is_box or psi.quad_weight() > 0 or params.get("adaptive", False):
+        return
+    sigma = params.get("sigma")
+    if (oracle.qsc_constant if sigma is None else sigma) == 0:
+        raise RunConfigError(
+            "a box composite needs sigma > 0: with sigma = 0 and no quadratic term "
+            "the box-constrained Newton model is not strongly convex"
+        )
+
+
 def _primal_rate_fit(result, oracle, reference, extras):
     diameter = extras["observed_diameter"]["value"]
     envelope = check_primal_rate_envelope(
@@ -743,6 +770,9 @@ class _Solver:
     summary: Callable  # result -> (iterations, final F or None if no row has it, final g)
     extras: Callable  # (result, oracle, reference) -> report fields
     verifiers: dict  # verify flag -> (result, oracle, reference, extras) -> entry or None
+    # (params, oracle, psi) -> None; raises RunConfigError for an instance the solver cannot run
+    check_instance: Callable = lambda params, oracle, psi: None
+    preset: dict = dataclasses.field(default_factory=dict)  # parameters the solver section may override
 
 
 _PRIMAL = _Solver(
@@ -758,13 +788,12 @@ _PRIMAL = _Solver(
         "rate_fit": _primal_rate_fit,
         "local_quadratic": lambda r, o, *_: vars(primal_mod.check_local_quadratic(r.trace, o.qsc_constant)),
     },
+    check_instance=_check_primal_instance,
 )
 
 _SOLVERS = {
     "primal": _PRIMAL,
-    "pure_newton_local": dataclasses.replace(
-        _PRIMAL, configure=lambda params, *rest: _primal_config({"sigma": 0.0, **params}, *rest)
-    ),
+    "pure_newton_local": dataclasses.replace(_PRIMAL, preset={"sigma": 0.0}),
     "dual": _Solver(
         config_type=dual_mod.DualConfig,
         configure=lambda params, oracle, *_: dual_mod.DualConfig(
@@ -815,8 +844,10 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     """Execute a solve config; writes trace + report into `out_dir`.
 
     Returns the report dict; the `success` field drives the CLI exit code.
-    A solver-section key that the named solver does not take is a
-    `RunConfigError`.
+    A solver-section key that the named solver does not take, a verify flag
+    turned on that it has no check for, and an instance it cannot step on
+    (sigma = 0 on a box) are each a `RunConfigError`, raised before any
+    reference solve and before `out_dir` is made.
     """
     validate_config(config)
     if "solver" not in config:
@@ -828,13 +859,18 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise RunConfigError(f"solver {name!r} does not take {unknown}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    params = {**solver.preset, **params}
+    verify_cfg = config.get("verify", {})
+    unchecked = sorted(flag for flag, on in verify_cfg.items() if on and flag not in solver.verifiers)
+    if unchecked:
+        raise RunConfigError(f"solver {name!r} has no check for verify flags {unchecked}")
     started = time.perf_counter()
 
     oracle, psi, x0 = _build_instance(config)
+    solver.check_instance(params, oracle, psi)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     counting = CountingOracle(oracle)
-    verify_cfg = config.get("verify", {})
     reference = None
     # a solver that stops at a gap relative to F* needs the reference (the
     # accelerated scheme always does; its A_0 rule needs F* as well)

@@ -22,6 +22,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def matvec(a: np.ndarray, x) -> np.ndarray:
+    """A x for a vector x, or A x_i for each row x_i of a stack of vectors."""
+    return a @ x if np.ndim(x) == 1 else x @ a.T
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

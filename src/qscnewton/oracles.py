@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .metric import Metric, local_norm, symmetrize
+from .metric import Metric, local_norm, matvec, symmetrize
 
 _PHI_SERIES_CUTOFF = 1e-4
 
@@ -74,6 +74,20 @@ class SmoothOracle(abc.ABC):
     def hessian(self, x: np.ndarray) -> np.ndarray:
         ...
 
+    def hessian_vector(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """H(x) u, broadcast over leading axes.
+
+        `x` and `u` have the same shape (..., n); the result has that shape
+        too, each row H(x_i) u_i.  This default forms every Hessian; the zoo
+        overrides it with products that never assemble one.
+        """
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.ndim == 1:
+            return self.hessian(x) @ u
+        flat = zip(x.reshape(-1, x.shape[-1]), u.reshape(-1, u.shape[-1]))
+        return np.array([self.hessian(xi) @ ui for xi, ui in flat]).reshape(u.shape)
+
 
 class _TransformedOracle(SmoothOracle):
     """scale * f(T x + shift) over a given metric with a declared qsc constant.
@@ -96,7 +110,7 @@ class _TransformedOracle(SmoothOracle):
 
     def _inner(self, x):
         if self._matrix is not None:
-            x = self._matrix @ x
+            x = matvec(self._matrix, x)
         elif self._t is not None:
             x = self._t * x
         return x if self._shift is None else x + self._shift
@@ -115,6 +129,14 @@ class _TransformedOracle(SmoothOracle):
         if self._matrix is not None:
             h = self._matrix.T @ h @ self._matrix
         return h if self._hess_factor == 1.0 else self._hess_factor * h
+
+    def hessian_vector(self, x, u):
+        if self._matrix is None:
+            hu = self._base.hessian_vector(self._inner(x), u)
+        else:
+            inner_u = matvec(self._matrix, u)
+            hu = matvec(self._matrix.T, self._base.hessian_vector(self._inner(x), inner_u))
+        return hu if self._hess_factor == 1.0 else self._hess_factor * hu
 
 
 def scale_oracle(oracle: SmoothOracle, factor: float) -> SmoothOracle:
@@ -196,6 +218,9 @@ class _SumOracle(SmoothOracle):
     def hessian(self, x):
         return self._first.hessian(x) + self._second.hessian(x)
 
+    def hessian_vector(self, x, u):
+        return self._first.hessian_vector(x, u) + self._second.hessian_vector(x, u)
+
 
 def add_oracles(first: SmoothOracle, second: SmoothOracle) -> SmoothOracle:
     """Sum of two oracles over the same metric; qsc constant is max(M1, M2)."""
@@ -243,25 +268,32 @@ def check_hessian(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> fl
     return worst
 
 
-def _fd_step(oracle: SmoothOracle, x: np.ndarray) -> float:
-    # balances truncation against roundoff at double precision
-    return 1e-4 * (1.0 + oracle.metric.primal_norm(x))
+def _primal_norms(metric: Metric, h: np.ndarray):
+    """||h|| of a vector, or of each row of a stack of them."""
+    q = np.sum((h @ metric.matrix) * h, axis=-1)
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _fd_step(oracle: SmoothOracle, x: np.ndarray):
+    # balances truncation against roundoff at double precision; one step per
+    # row of a stack of points
+    return 1e-4 * (1.0 + _primal_norms(oracle.metric, x))
 
 
 def third_derivative_estimate(
     oracle: SmoothOracle, x: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> float:
-    """Central-difference estimate of D^3 f(x)[u, u, v] from two Hessians."""
+    """Central-difference estimate of D^3 f(x)[u, u, v] from two Hessian-vector products."""
     t = _fd_step(oracle, x)
-    diff = oracle.hessian(x + t * v) - oracle.hessian(x - t * v)
-    return float(u @ diff @ u) / (2.0 * t)
+    hu = oracle.hessian_vector(np.stack([x + t * v, x - t * v]), np.stack([u, u]))
+    return float(u @ (hu[0] - hu[1])) / (2.0 * t)
 
 
 def _third_derivative_slice(oracle, x, u):
     """FD estimate of the dual vector D^3 f(x)[u, u, .] (differencing along u)."""
     t = _fd_step(oracle, x)
-    diff = oracle.hessian(x + t * u) - oracle.hessian(x - t * u)
-    return (diff @ u) / (2.0 * t)
+    hu = oracle.hessian_vector(np.stack([x + t * u, x - t * u]), np.stack([u, u]))
+    return (hu[0] - hu[1]) / (2.0 * t)
 
 
 @dataclass
@@ -282,6 +314,66 @@ class QscCheckReport:
         )
 
 
+# Dense-Hessian entries (points x dim^2) that one hessian_vector call of the
+# qsc check may cover.  The zoo's products hold a few arrays of about this
+# many entries, so the check adds well under 1 MB to the working set; four
+# times as many added 2.4 MB to a certification's peak RSS and ran no faster.
+_QSC_CHUNK_ENTRIES = 1 << 14
+
+
+def _qsc_chunk(dim: int) -> int:
+    """Samples per hessian_vector call of the qsc check: three points each."""
+    return max(1, _QSC_CHUNK_ENTRIES // (3 * dim * dim))
+
+
+def _qsc_violations(oracle: SmoothOracle, x, u, v):
+    """Violation of the qsc bound and its tolerance for each triple row.
+
+    The estimate of D^3 f(x)[u, u, v] is the central difference of u^T H u
+    along v; the three forms u^T H u at x + tv, x - tv and x of at most
+    `_qsc_chunk` triples come from one hessian_vector call.
+    """
+    m_const = oracle.qsc_constant
+    t = _fd_step(oracle, x)
+    forms = np.empty((3, len(x)))
+    chunk = _qsc_chunk(oracle.dim)
+    for lo in range(0, len(x), chunk):
+        rows = slice(lo, lo + chunk)
+        step = t[rows, None] * v[rows]
+        points = np.concatenate([x[rows] + step, x[rows] - step, x[rows]])
+        vecs = np.concatenate([u[rows]] * 3)
+        products = oracle.hessian_vector(points, vecs)
+        forms[:, rows] = np.sum(products * vecs, axis=-1).reshape(3, -1)
+    estimate = (forms[0] - forms[1]) / (2.0 * t)
+    unorm2 = np.maximum(forms[2], 0.0)  # PSD up to roundoff
+    return estimate - m_const * unorm2, 1e-4 * (1.0 + m_const * unorm2)
+
+
+def _refine_triple(oracle: SmoothOracle, x, u, v, rounds: int):
+    """Alternately steer v along the steepest direction of the tensor slice
+    D^3 f(x)[u, u, .] and u to the leading eigenvector of the slice along v."""
+    metric = oracle.metric
+    n = oracle.dim
+    shifted_hx = None
+    for _ in range(rounds):
+        slice_vec = _third_derivative_slice(oracle, x, u)
+        if metric.dual_norm(slice_vec) < 1e-14:
+            break
+        v = metric.solve(slice_vec)
+        v = v / max(metric.primal_norm(v), 1e-300)
+        t = _fd_step(oracle, x)
+        form = symmetrize((oracle.hessian(x + t * v) - oracle.hessian(x - t * v)) / (2.0 * t))
+        if shifted_hx is None:  # x stays fixed, so H(x) is formed once
+            hx = symmetrize(oracle.hessian(x))
+            shifted_hx = hx + 1e-10 * (1.0 + np.abs(hx).max()) * np.eye(n)
+        try:
+            _, vecs = scipy.linalg.eigh(form, shifted_hx, subset_by_index=[n - 1, n - 1])
+        except scipy.linalg.LinAlgError:
+            break
+        u = vecs[:, 0]
+    return x, u, v
+
+
 def check_qsc(
     oracle: SmoothOracle,
     seed: int = 0,
@@ -293,73 +385,43 @@ def check_qsc(
     """Sample-based certificate of the third-derivative bound at the declared M.
 
     Each sample draws (x, u, v) with v normalized to unit primal norm, and
-    estimates D^3 f(x)[u,u,v] by central differences of Hessians along v.
+    estimates D^3 f(x)[u,u,v] by central differences of u^T H u along v,
+    from Hessian-vector products over a chunk of samples at a time.
     The sample violates if the estimate exceeds ``M ||u||_x^2`` by more than
     ``1e-4 * (1 + M ||u||_x^2)``.  A handful of the worst triples are refined
     by alternately choosing v as the steepest direction of the tensor slice
     D^3 f(x)[u,u,.] and u as the leading eigenvector of the slice along v,
-    which makes undersized declared constants reliably detectable.
+    which makes undersized declared constants reliably detectable.  Ties
+    between equal excesses go to the earlier sample.
     """
     rng = np.random.default_rng(seed)
     n = oracle.dim
-    metric = oracle.metric
-    m_const = oracle.qsc_constant
-
-    def evaluate(x, u, v):
-        est = third_derivative_estimate(oracle, x, u, v)
-        unorm2 = local_norm(u, oracle.hessian(x)) ** 2
-        tol = 1e-4 * (1.0 + m_const * unorm2)
-        return est - m_const * unorm2, tol
-
-    worst: list[tuple[float, float, tuple]] = []  # (excess, violation, triple)
-    max_violation = -np.inf
-    tol_at_worst = np.nan
-    worst_triple = None
-    evaluated = 0
-
-    def record(x, u, v):
-        nonlocal max_violation, tol_at_worst, worst_triple, evaluated
-        violation, tol = evaluate(x, u, v)
-        evaluated += 1
+    keep = max(refine_top, 1)
+    chunk = _qsc_chunk(n)
+    # (excess, violation, tolerance, triple) of the worst samples, worst
+    # first; the stable sorts keep the earlier of equal excesses first
+    worst: list[tuple] = []
+    for lo in range(0, num_samples, chunk):
+        # chunk by chunk, the same stream as drawing each sample's x, u, v in turn
+        draws = rng.standard_normal((min(chunk, num_samples - lo), 3, n))
+        x = x_scale * draws[:, 0]
+        u = draws[:, 1]
+        v = draws[:, 2] / np.maximum(_primal_norms(oracle.metric, draws[:, 2]), 1e-300)[:, None]
+        violation, tol = _qsc_violations(oracle, x, u, v)
         excess = violation - tol
-        if worst_triple is None or excess > max_violation - tol_at_worst:
-            max_violation, tol_at_worst, worst_triple = violation, tol, (x, u, v)
-        worst.append((excess, violation, (x, u, v)))
-        worst.sort(key=lambda w: -w[0])
-        del worst[max(refine_top, 1):]
+        order = np.argsort(-excess, kind="stable")[:keep]
+        chunk_worst = [(excess[i], violation[i], tol[i], (x[i], u[i], v[i])) for i in order]
+        worst = sorted(worst + chunk_worst, key=lambda w: -w[0])[:keep]
+    if not worst:
+        return QscCheckReport(0, -np.inf, None, np.nan, False)
 
-    for _ in range(num_samples):
-        x = x_scale * rng.standard_normal(n)
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        v = v / max(metric.primal_norm(v), 1e-300)
-        record(x, u, v)
-
-    for _, _, (x, u, v) in list(worst):
-        for _ in range(refine_rounds):
-            slice_vec = _third_derivative_slice(oracle, x, u)
-            snorm = metric.dual_norm(slice_vec)
-            if snorm < 1e-14:
-                break
-            v = metric.solve(slice_vec)
-            v = v / max(metric.primal_norm(v), 1e-300)
-            t = _fd_step(oracle, x)
-            form = symmetrize(
-                (oracle.hessian(x + t * v) - oracle.hessian(x - t * v)) / (2.0 * t)
-            )
-            hx = symmetrize(oracle.hessian(x))
-            shift = 1e-10 * (1.0 + np.abs(hx).max())
-            try:
-                _, vecs = scipy.linalg.eigh(
-                    form, hx + shift * np.eye(n), subset_by_index=[n - 1, n - 1]
-                )
-                u = vecs[:, 0]
-            except scipy.linalg.LinAlgError:
-                break
-        record(x, u, v)
-
+    refined = [_refine_triple(oracle, *triple, refine_rounds) for *_, triple in worst]
+    violation, tol = _qsc_violations(oracle, *(np.array(column) for column in zip(*refined)))
+    records = [worst[0]] + [(vi - ti, vi, ti, triple) for vi, ti, triple in zip(violation, tol, refined)]
+    # max keeps the first of equal excesses: the sampled worst, then refinement order
+    _, max_violation, tol_at_worst, worst_triple = max(records, key=lambda r: r[0])
     return QscCheckReport(
-        samples=evaluated,
+        samples=num_samples + len(refined),
         max_violation=float(max_violation),
         worst_triple=worst_triple,
         tolerance=float(tol_at_worst),
@@ -368,7 +430,7 @@ def check_qsc(
 
 
 def check_hessian_stability(
-    oracle: SmoothOracle, x: np.ndarray, y: np.ndarray
+    oracle: SmoothOracle, x: np.ndarray, y: np.ndarray, *, hx=None, hy=None
 ) -> tuple[bool, float]:
     """Two-sided Hessian stability between x and y.
 
@@ -393,9 +455,12 @@ def check_hessian_stability(
     ||v_i||^2 <= 1/(d - e), a pencil that fails even with that largest
     allowance is rejected without computing eigenvectors, and its margin is
     reported without allowance.
+
+    `hx` and `hy` are H(x) and H(y) when the caller already holds them;
+    passing them changes no bit of the result.
     """
-    hx = symmetrize(oracle.hessian(x))
-    hy = symmetrize(oracle.hessian(y))
+    hx = symmetrize(oracle.hessian(x) if hx is None else hx)
+    hy = symmetrize(oracle.hessian(y) if hy is None else hy)
     scale = max(np.abs(hx).max(), np.abs(hy).max(), 1.0)
     shift = 1e-12 * scale
     shifted = shift * np.eye(oracle.dim)
@@ -420,18 +485,32 @@ def check_hessian_stability(
 
 
 def check_gradient_bound(
-    oracle: SmoothOracle, x: np.ndarray, y: np.ndarray, slack: float = 1e-8
+    oracle: SmoothOracle,
+    x: np.ndarray,
+    y: np.ndarray,
+    slack: float = 1e-8,
+    *,
+    hx=None,
+    gx=None,
+    gy=None,
 ) -> tuple[bool, float]:
     """Gradient linearization-error bound between x and y.
 
     Verifies ``||g(y) - g(x) - H(x)(y-x)||_* <= M r_x^2 phi(M r) + slack``
     with r = ||y - x|| and r_x the local norm of the displacement at x.
+    `hx`, `gx` and `gy` are H(x), g(x) and g(y) when the caller already
+    holds them; passing them changes no bit of the result.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     d = y - x
-    hx = oracle.hessian(x)
-    lhs = oracle.metric.dual_norm(oracle.gradient(y) - oracle.gradient(x) - hx @ d)
+    if hx is None:
+        hx = oracle.hessian(x)
+    if gy is None:
+        gy = oracle.gradient(y)
+    if gx is None:
+        gx = oracle.gradient(x)
+    lhs = oracle.metric.dual_norm(gy - gx - hx @ d)
     m = oracle.qsc_constant
     r = oracle.metric.primal_norm(d)
     rhs = m * local_norm(d, hx) ** 2 * phi(m * r) + slack
@@ -439,20 +518,36 @@ def check_gradient_bound(
 
 
 def check_function_bounds(
-    oracle: SmoothOracle, x: np.ndarray, y: np.ndarray, slack: float = 1e-8
+    oracle: SmoothOracle,
+    x: np.ndarray,
+    y: np.ndarray,
+    slack: float = 1e-8,
+    *,
+    hx=None,
+    gx=None,
+    fx=None,
+    fy=None,
 ) -> tuple[bool, float]:
     """Two-sided second-order model bounds on f(y) around x.
 
     Verifies ``r_x^2 phi(-Mr) - slack <= f(y) - f(x) - <g(x), y-x> <=
-    r_x^2 phi(Mr) + slack``.
+    r_x^2 phi(Mr) + slack``.  `hx`, `gx`, `fx` and `fy` are H(x), g(x),
+    f(x) and f(y) when the caller already holds them; passing them changes
+    no bit of the result.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     d = y - x
-    gap = oracle.value(y) - oracle.value(x) - float(oracle.gradient(x) @ d)
+    if fy is None:
+        fy = oracle.value(y)
+    if fx is None:
+        fx = oracle.value(x)
+    if gx is None:
+        gx = oracle.gradient(x)
+    gap = fy - fx - float(gx @ d)
     m = oracle.qsc_constant
     r = oracle.metric.primal_norm(d)
-    rx2 = local_norm(d, oracle.hessian(x)) ** 2
+    rx2 = local_norm(d, oracle.hessian(x) if hx is None else hx) ** 2
     lower = rx2 * phi(-m * r) - slack
     upper = rx2 * phi(m * r) + slack
     margin = min(gap - lower, upper - gap)

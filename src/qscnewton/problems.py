@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import scipy.special
 
-from .metric import Metric, symmetrize
+from .metric import Metric, matvec, symmetrize
 from .oracles import SmoothOracle
 
 _EXP_CLAMP = 700.0  # exp argument above which float64 overflows
@@ -90,6 +90,9 @@ class QuadraticObjective(SmoothOracle):
     def hessian(self, x):
         return self._a
 
+    def hessian_vector(self, x, u):
+        return np.asarray(u, dtype=float) @ self._a
+
 
 class SoftMaxObjective(SmoothOracle):
     """Smoothed maximum mu * log sum_i exp((<a_i, x> - b_i)/mu); qsc constant 2/mu.
@@ -143,6 +146,16 @@ class SoftMaxObjective(SmoothOracle):
         g = self._rows.T @ pi
         return (_weighted_gram(self._rows, pi) - np.outer(g, g)) / self._mu
 
+    def hessian_vector(self, x, u):
+        # the weights of _weights for each row of a stack of points
+        margins = (matvec(self._rows, x) - self._offsets) / self._mu
+        w = np.exp(margins - margins.max(axis=-1, keepdims=True))
+        pi = w / w.sum(axis=-1, keepdims=True)
+        u = np.asarray(u, dtype=float)
+        g = pi @ self._rows
+        curvature = (pi * matvec(self._rows, u)) @ self._rows
+        return (curvature - g * np.sum(g * u, axis=-1, keepdims=True)) / self._mu
+
 
 class SeparableObjective(SmoothOracle):
     """(1/m) sum_i loss(<a_i, x> - b_i) for a logistic or exponential loss.
@@ -180,7 +193,7 @@ class SeparableObjective(SmoothOracle):
         return self._loss
 
     def _margins(self, x):
-        t = self._rows @ x - self._offsets
+        t = matvec(self._rows, x) - self._offsets
         if self._loss == "exponential" and np.any(t > _EXP_CLAMP):
             warnings.warn(
                 "exponential loss argument clamped at 700",
@@ -213,6 +226,10 @@ class SeparableObjective(SmoothOracle):
     def hessian(self, x):
         t = self._margins(x)
         return _weighted_gram(self._rows, self._second(t) / t.size)
+
+    def hessian_vector(self, x, u):
+        weights = self._second(self._margins(x)) / self._rows.shape[0]
+        return (weights * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
 
 
 def _clamped_exp_weights(mass: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -249,7 +266,7 @@ class MatrixScalingObjective(SmoothOracle):
 
     def _weights(self, z):
         n = self._n
-        return _clamped_exp_weights(self._a, z[:n, None] - z[n:][None, :])
+        return _clamped_exp_weights(self._a, z[..., :n, None] - z[..., None, n:])
 
     def value(self, z):
         return float(self._weights(z).sum())
@@ -265,6 +282,16 @@ class MatrixScalingObjective(SmoothOracle):
         top = np.concatenate([np.diag(r), -w], axis=1)
         bottom = np.concatenate([-w.T, np.diag(c)], axis=1)
         return np.concatenate([top, bottom], axis=0)
+
+    def hessian_vector(self, z, u):
+        # [diag(r) p - W q, diag(c) q - W^T p] for u = (p, q), never forming H
+        n = self._n
+        w = self._weights(z)
+        u = np.asarray(u, dtype=float)
+        p, q = u[..., :n], u[..., n:]
+        wq = (w @ q[..., None])[..., 0]
+        wtp = (p[..., None, :] @ w)[..., 0, :]
+        return np.concatenate([w.sum(axis=-1) * p - wq, w.sum(axis=-2) * q - wtp], axis=-1)
 
 
 class MatrixBalancingObjective(SmoothOracle):
@@ -285,7 +312,7 @@ class MatrixBalancingObjective(SmoothOracle):
         self._a = a
 
     def _weights(self, x):
-        return _clamped_exp_weights(self._a, x[:, None] - x[None, :])
+        return _clamped_exp_weights(self._a, x[..., :, None] - x[..., None, :])
 
     def value(self, x):
         return float(self._weights(x).sum())
@@ -298,6 +325,13 @@ class MatrixBalancingObjective(SmoothOracle):
         w = self._weights(x)
         h = np.diag(w.sum(axis=1) + w.sum(axis=0)) - (w + w.T)
         return h
+
+    def hessian_vector(self, x, u):
+        w = self._weights(x)
+        u = np.asarray(u, dtype=float)
+        wu = (w @ u[..., None])[..., 0]
+        wtu = (u[..., None, :] @ w)[..., 0, :]
+        return (w.sum(axis=-1) + w.sum(axis=-2)) * u - (wu + wtu)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,26 @@ class TestSolveCommand:
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {
+                "composite": {"kind": "box", "lower": -0.3, "upper": 0.3},
+                "solver": {"name": "pure_newton_local"},
+            },
+            {"solver": {"name": "primal"}, "verify": {"dual_guarantee": True}},
+        ],
+        ids=["pure-newton-local-on-a-box", "verify-flag-without-a-check"],
+    )
+    def test_config_the_solver_cannot_run_exits_three(self, tmp_path, capsys, extra):
+        config = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "problem": {"kind": "logistic", "n": 6, "m": 30, "seed": 4}, **extra},
+        )
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_solver_failure_exits_two(self, tmp_path):
         config = write_config(
             tmp_path / "c.json",

@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from qscnewton import harness
 from qscnewton import (
     CompositeTerm,
+    CountingOracle,
     InsufficientDataError,
     Metric,
     PrimalConfig,
     ReferenceNotConvergedError,
     RunConfigError,
+    check_function_bounds,
+    check_gradient_bound,
+    check_hessian_stability,
     check_primal_trace,
     compute_reference,
     fit_linear_rate,
@@ -24,6 +29,7 @@ from qscnewton.harness import (
     load_config,
     reference_cache_key,
     run_solve,
+    sample_pairs,
     validate_config,
 )
 
@@ -164,6 +170,29 @@ class TestInstanceChecks:
         results = run_instance_checks(o, seed=512383483, samples=1000, pairs=200)
         assert all(res["passed"] for res in results.values()), results
 
+    @pytest.mark.parametrize("kind", ["softmax", "logistic", "matrix_scaling", "matrix_balancing"])
+    def test_pair_checks_same_with_supplied_evaluations(self, kind):
+        o = generate_synthetic(kind, n=5, m=30, seed=6)
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            x, y = sample_pairs(o, rng, radius=2.0)
+            hx, gx, fx = o.hessian(x), o.gradient(x), o.value(x)
+            hy, gy, fy = o.hessian(y), o.gradient(y), o.value(y)
+            assert check_hessian_stability(o, x, y, hx=hx, hy=hy) == check_hessian_stability(o, x, y)
+            assert check_gradient_bound(o, x, y, hx=hx, gx=gx, gy=gy) == check_gradient_bound(o, x, y)
+            assert check_function_bounds(o, x, y, hx=hx, gx=gx, fx=fx, fy=fy) == check_function_bounds(o, x, y)
+
+    def test_each_pair_point_is_evaluated_once(self):
+        # the FD and qsc parts are the same for any number of pairs, so two
+        # more pairs cost exactly their four points' evaluations
+        calls = []
+        for pairs in (1, 3):
+            counting = CountingOracle(generate_synthetic("logistic", n=4, m=20, seed=2))
+            run_instance_checks(counting, samples=50, pairs=pairs)
+            calls.append(counting.calls)
+        extra = {key: calls[1][key] - calls[0][key] for key in calls[0]}
+        assert extra == {"value": 4, "gradient": 4, "hessian": 4, "hessian_vector": 0}
+
     def test_forced_small_constant_fails_qsc_only(self):
         o = generate_synthetic("logistic", n=2, m=4, seed=3)
         results = run_instance_checks(o, samples=500, pairs=40)
@@ -222,6 +251,82 @@ class TestRunSolve:
         }
         with pytest.raises(RunConfigError, match=rejected):
             run_solve(config, tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "solver, verify, rejected",
+        [
+            ({"name": "primal"}, {"dual_guarantee": True}, "dual_guarantee"),
+            ({"name": "pure_newton_local"}, {"accel_rate": True}, "accel_rate"),
+            ({"name": "dual"}, {"per_step": True, "dual_rate": True}, "per_step"),
+            ({"name": "accelerated", "rel_accuracy": 1e-6}, {"rate_fit": True}, "rate_fit"),
+        ],
+    )
+    def test_verify_flag_without_a_check_rejected(self, tmp_path, monkeypatch, solver, verify, rejected):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference solve ran for a rejected config")
+
+        monkeypatch.setattr(harness, "compute_reference", no_reference)
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+            "solver": solver,
+            "verify": verify,
+        }
+        with pytest.raises(RunConfigError, match=rejected):
+            run_solve(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_flag_turned_off_is_accepted(self, tmp_path):
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+            "solver": {"name": "primal", "grad_tol": 1e-8},
+            "verify": {"dual_guarantee": False},
+        }
+        report = run_solve(config, tmp_path)
+        assert report["success"] and report["reference"] is None
+
+    @pytest.mark.parametrize(
+        "solver",
+        [{"name": "pure_newton_local"}, {"name": "primal", "sigma": 0.0}],
+        ids=["pure_newton_local", "primal-sigma-0"],
+    )
+    def test_box_without_strong_convexity_rejected(self, tmp_path, solver):
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 6, "m": 30, "seed": 4},
+            "composite": _BOX,
+            "solver": solver,
+        }
+        with pytest.raises(RunConfigError, match="sigma > 0"):
+            run_solve(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_box_with_a_quadratic_term_needs_no_sigma(self):
+        # psi's own quadratic makes the box model strongly convex at sigma = 0
+        o = generate_synthetic("logistic", n=6, m=30, seed=4)
+        psi = CompositeTerm.box(np.full(6, -0.3), np.full(6, 0.3)).with_quadratic(np.zeros(6), 0.5)
+        harness._SOLVERS["pure_newton_local"].check_instance({"sigma": 0.0}, o, psi)
+        res = solve_primal(o, psi, np.zeros(6), PrimalConfig(sigma=0.0, grad_tol=1e-8))
+        assert res.status.value == "grad_tol_reached"
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"name": "pure_newton_local", "sigma": 0.5},
+            {"name": "primal", "sigma": 0.0, "adaptive": True},
+            {"name": "primal"},
+        ],
+        ids=["pure_newton_local-sigma", "adaptive", "primal-default-sigma"],
+    )
+    def test_box_with_positive_sigma_runs(self, tmp_path, solver):
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 6, "m": 30, "seed": 4},
+            "composite": _BOX,
+            "solver": {**solver, "grad_tol": 1e-8},
+        }
+        assert run_solve(config, tmp_path)["success"]
 
     def test_quadratic_primal_end_to_end(self, tmp_path):
         config = {

@@ -18,8 +18,9 @@ from qscnewton import (
     scale_oracle,
     with_qsc_constant,
 )
-from qscnewton.oracles import SmoothOracle, third_derivative_estimate
-from qscnewton.problems import QuadraticObjective, SeparableObjective, generate_synthetic
+from qscnewton.metric import local_norm, symmetrize
+from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, third_derivative_estimate
+from qscnewton.problems import KINDS, QuadraticObjective, SeparableObjective, generate_synthetic
 
 
 class TestPhi:
@@ -380,3 +381,122 @@ class TestSmoothnessBounds:
         from qscnewton import local_norm
 
         assert gap == pytest.approx(0.5 * local_norm(y - x, o.hessian(x)) ** 2, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the batched certifier against the per-sample one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _per_sample_check_qsc(oracle, seed=0, num_samples=1000, x_scale=1.0, refine_top=5, refine_rounds=3):
+    """check_qsc one sample at a time from three full Hessians each, as it
+    was before the Hessian-vector batching.  Returns (passed, max_violation,
+    tolerance, worst_triple, samples)."""
+    rng = np.random.default_rng(seed)
+    n, metric, m_const = oracle.dim, oracle.metric, oracle.qsc_constant
+
+    def step(x):
+        return 1e-4 * (1.0 + metric.primal_norm(x))
+
+    def evaluate(x, u, v):
+        t = step(x)
+        est = float(u @ (oracle.hessian(x + t * v) - oracle.hessian(x - t * v)) @ u) / (2.0 * t)
+        unorm2 = local_norm(u, oracle.hessian(x)) ** 2
+        return est - m_const * unorm2, 1e-4 * (1.0 + m_const * unorm2)
+
+    records = []  # (violation, tolerance, triple) in evaluation order
+    for _ in range(num_samples):
+        x = x_scale * rng.standard_normal(n)
+        u = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        v = v / max(metric.primal_norm(v), 1e-300)
+        records.append((*evaluate(x, u, v), (x, u, v)))
+    for _, _, (x, u, v) in sorted(records, key=lambda r: r[1] - r[0])[: max(refine_top, 1)]:
+        for _ in range(refine_rounds):
+            t = step(x)
+            slice_vec = (oracle.hessian(x + t * u) - oracle.hessian(x - t * u)) @ u / (2.0 * t)
+            if metric.dual_norm(slice_vec) < 1e-14:
+                break
+            v = metric.solve(slice_vec)
+            v = v / max(metric.primal_norm(v), 1e-300)
+            form = symmetrize((oracle.hessian(x + t * v) - oracle.hessian(x - t * v)) / (2.0 * t))
+            hx = symmetrize(oracle.hessian(x))
+            shift = 1e-10 * (1.0 + np.abs(hx).max())
+            try:
+                _, vecs = scipy.linalg.eigh(form, hx + shift * np.eye(n), subset_by_index=[n - 1, n - 1])
+            except scipy.linalg.LinAlgError:
+                break
+            u = vecs[:, 0]
+        records.append((*evaluate(x, u, v), (x, u, v)))
+    violation, tol, triple = max(records, key=lambda r: r[0] - r[1])  # the first of equal excesses
+    return violation <= tol, violation, tol, triple, len(records)
+
+
+_CERTIFY_SIZES = {"quadratic": dict(n=6), "matrix_scaling": dict(n=4), "matrix_balancing": dict(n=6)}
+_CONTROLS = {"exponential": 1 / 8, "matrix_scaling": 1 / 4, "matrix_balancing": 1 / 4}
+_CERTIFY_CASES = [(kind, seed, None) for kind in KINDS for seed in range(5)] + [
+    (kind, seed, fraction) for kind, fraction in _CONTROLS.items() for seed in range(5)
+]
+
+
+class TestBatchedCheckQsc:
+    @pytest.mark.parametrize("kind, seed, control", _CERTIFY_CASES)
+    def test_matches_per_sample_certifier(self, kind, seed, control):
+        oracle = generate_synthetic(kind, seed=seed, **_CERTIFY_SIZES.get(kind, dict(n=6, m=40)))
+        if control is not None:
+            oracle = with_qsc_constant(oracle, control * oracle.qsc_constant)
+        passed, violation, tol, (x, u, v), samples = _per_sample_check_qsc(oracle, seed=seed, num_samples=300)
+        report = check_qsc(oracle, seed=seed, num_samples=300)
+        assert report.passed == passed
+        assert report.samples == samples
+        assert abs(report.max_violation - violation) <= 1e-10 * (1.0 + abs(violation))
+        assert report.tolerance == pytest.approx(tol, rel=1e-10)
+        # the same sample: x is never refined; u and v agree up to roundoff,
+        # u only as the Hessian sees it (up to sign, and up to a component in
+        # the kernel that the matrix problems' Hessians share at every point)
+        bx, bu, bv = report.worst_triple
+        np.testing.assert_array_equal(bx, x)
+        hx = oracle.hessian(x)
+        seen = min(np.abs(hx @ (bu - u)).max(), np.abs(hx @ (bu + u)).max())
+        assert seen <= 1e-9 * np.abs(hx @ u).max()
+        assert np.abs(bv - v).max() <= 1e-9 * np.abs(v).max()
+        if control is not None:
+            assert not passed
+
+    def test_no_hessian_vector_call_exceeds_the_chunk_budget(self):
+        shapes = []
+
+        class Spy(SmoothOracle):
+            def __init__(self, base):
+                super().__init__(base.metric, base.qsc_constant)
+                self._base = base
+
+            def value(self, x):
+                return self._base.value(x)
+
+            def gradient(self, x):
+                return self._base.gradient(x)
+
+            def hessian(self, x):
+                return self._base.hessian(x)
+
+            def hessian_vector(self, x, u):
+                shapes.append(np.shape(x))
+                return self._base.hessian_vector(x, u)
+
+        for base in (generate_synthetic("matrix_scaling", n=20, seed=1), generate_synthetic("logistic", n=20, m=400, seed=1)):
+            shapes.clear()
+            report = check_qsc(Spy(base), seed=0, num_samples=1000)
+            assert report.passed
+            entries = [np.prod(shape[:-1]) * shape[-1] ** 2 for shape in shapes]
+            assert max(entries) <= _QSC_CHUNK_ENTRIES
+            assert sum(np.prod(shape[:-1]) for shape in shapes) >= 3 * 1000  # every sample's three forms
+            assert len(shapes) > 3  # the samples went through in several chunks
+
+    def test_worst_sample_ties_go_to_the_earlier_sample(self):
+        # every sample of a quadratic has violation 0 and tolerance 1e-4, so
+        # the first sample is both the worst and the first one refined
+        o = generate_synthetic("quadratic", n=4, seed=0)
+        report = check_qsc(o, seed=3, num_samples=50)
+        rng = np.random.default_rng(3)
+        np.testing.assert_array_equal(report.worst_triple[0], rng.standard_normal(4))
