@@ -13,8 +13,10 @@ from qscnewton import (
     verify_dual_rate,
 )
 from qscnewton import dual as dual_mod
+from qscnewton.composite import MaxInnerIterationsError
 from qscnewton.dual import DualTraceRow
 from qscnewton.harness import CountingOracle, write_trace
+from qscnewton.metric import SingularSystemError
 
 ZERO = CompositeTerm.zero()
 
@@ -104,6 +106,46 @@ class TestSolveDual:
         assert res.qsc_used > 1e-8
         assert o.calls["gradient"] == res.total_inner + 1
         assert o.calls["hessian"] == res.total_inner
+
+    @pytest.mark.parametrize("fail_at", [1, 4])
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (SingularSystemError, DualStatus.SINGULAR_SYSTEM),
+            (MaxInnerIterationsError, DualStatus.INNER_SOLVER_FAILURE),
+        ],
+    )
+    def test_failure_status_keeps_completed_outer_rows(
+        self, monkeypatch, logistic_ref, error, status, fail_at
+    ):
+        real_step = dual_mod.newton_step
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise error("injected failure")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(dual_mod, "newton_step", failing)
+        res = solve_dual(
+            logistic_ref, ZERO, np.zeros(20), DualConfig(qsc_constant=1.0, grad_tol=1e-8)
+        )
+        assert res.status is status
+        assert res.total_inner == fail_at - 1
+        assert res.outer_iterations == len(res.trace)
+        # only outer iterations whose inner loop finished have a row
+        assert sum(row.inner_iterations for row in res.trace) <= fail_at - 1
+        assert [row.k for row in res.trace] == list(range(len(res.trace)))
+        for row in res.trace:
+            assert row.inner_residuals[-1] <= row.threshold
+        if res.trace:
+            np.testing.assert_array_equal(res.x, res.trace[-1].x_next)
+            assert res.final_grad_norm == res.trace[-1].g_next
+        else:
+            np.testing.assert_array_equal(res.x, np.zeros(20))
+            assert res.final_grad_norm == res.g0
+        assert res.final_grad_norm > 1e-8
 
     def test_box_composite_toy(self):
         o = generate_synthetic("logistic", n=3, m=12, seed=9)

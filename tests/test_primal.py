@@ -17,9 +17,10 @@ from qscnewton import (
     solve_primal,
 )
 from qscnewton import primal as primal_mod
+from qscnewton.composite import MaxInnerIterationsError
 from qscnewton.harness import CountingOracle, write_trace
-from qscnewton.metric import symmetrize
-from qscnewton.primal import PrimalTraceRow, read_primal_trace
+from qscnewton.metric import SingularSystemError, symmetrize
+from qscnewton.primal import AdaptiveSearchError, PrimalTraceRow, read_primal_trace
 
 ZERO = CompositeTerm.zero()
 
@@ -169,6 +170,49 @@ class TestOracleCalls:
         assert res.step_computations > res.iterations  # retries did happen
         assert o.calls["hessian"] == res.iterations
         assert o.calls["gradient"] == res.step_computations + 1
+
+
+class TestFailureStatuses:
+    """Each solver exception ends the run in its status, with a terminal row
+    that records the iterate the failed step started from."""
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    @pytest.mark.parametrize(
+        "patched, error, status",
+        [
+            ("newton_step", SingularSystemError, PrimalStatus.SINGULAR_SYSTEM),
+            ("newton_step", MaxInnerIterationsError, PrimalStatus.INNER_SOLVER_FAILURE),
+            ("adaptive_sigma_search", AdaptiveSearchError, PrimalStatus.ADAPTIVE_FAILURE),
+        ],
+    )
+    def test_status_and_terminal_row(self, monkeypatch, logistic_ref, patched, error, status, fail_at):
+        real = getattr(primal_mod, patched)
+        origins = []
+
+        def failing(oracle, psi, x, *args, **kwargs):
+            origins.append(np.array(x))
+            if len(origins) == fail_at:
+                raise error("injected failure")
+            return real(oracle, psi, x, *args, **kwargs)
+
+        monkeypatch.setattr(primal_mod, patched, failing)
+        config = PrimalConfig(adaptive=patched == "adaptive_sigma_search", grad_tol=1e-12)
+        res = solve_primal(logistic_ref, ZERO, np.zeros(20), config)
+        assert res.status is status
+        assert res.iterations == fail_at - 1
+        assert [row.k for row in res.trace] == list(range(fail_at))
+        last, x = res.trace[-1], origins[-1]
+        np.testing.assert_array_equal(last.x, x)
+        np.testing.assert_array_equal(res.x, x)
+        assert last.f_value == logistic_ref.value(x)
+        assert last.grad_norm == res.final_grad_norm
+        direct = logistic_ref.metric.dual_norm(logistic_ref.gradient(x))
+        assert abs(last.grad_norm - direct) <= 1e-9 * (1.0 + direct)
+        for field in ("sigma", "beta", "step_length", "progress", "lam", "eta"):
+            assert math.isnan(getattr(last, field)), field
+        assert last.retries == 0
+        for row in res.trace[:-1]:
+            assert not math.isnan(row.sigma)
 
 
 class TestEtaMeasure:
