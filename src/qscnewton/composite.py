@@ -2,14 +2,14 @@
 
 One step from x minimizes the quadratic model
 
-    <g(x), y - x> + 1/2 ||y - x||_x^2 + beta/2 ||y - x||^2
-        + w ||y - c||^2 (optional prox term) + psi(y),
+    <g(x), y - x> + 1/2 ||y - x||_x^2 + beta/2 ||y - x||^2 + psi(y),
 
 where psi is zero or a box indicator, optionally carrying exact quadratic
-penalties of its own.  With no box the step is a single symmetric solve; with
-a box it is a warm-started projected-gradient loop on the strongly convex
-model.  Every step also selects the canonical subgradient of F = f + psi at
-the new point from the step's own optimality condition.
+penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
+through `CompositeTerm.with_quadratic`).  With no box the step is a single
+symmetric solve; with a box it is a warm-started projected-gradient loop on
+the strongly convex model.  Every step also selects the canonical subgradient
+of F = f + psi at the new point from the step's own optimality condition.
 """
 
 from __future__ import annotations
@@ -156,18 +156,17 @@ def newton_step(
     psi: CompositeTerm,
     x: np.ndarray,
     beta: float,
-    extra_quadratic: tuple[np.ndarray, float] | None = None,
     max_inner: int = 50_000,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
 ) -> StepResult:
     """Minimize the regularized quadratic model of f + psi around x.
 
-    `extra_quadratic` = (center, weight) adds ``weight * ||y - center||^2`` to
-    the model only (a prox term that is not part of psi); the selected
-    subgradient accounts for it.  The zero-composite case is one regularized
-    solve; the box case runs projected gradient with a tolerance tied to
-    1e-2 * (model strong convexity) * (current step length).
+    psi's quadratics enter the model exactly, and the selected subgradient
+    is one of f + psi, so it includes their gradient at x+.  The
+    zero-composite case is one regularized solve; the box case runs projected
+    gradient with a tolerance tied to 1e-2 * (model strong convexity) *
+    (current step length).
 
     `grad` and `hess` are g(x) and the symmetrized H(x) when the caller
     already holds them (the previous step's `grad_plus`, or the Hessian kept
@@ -184,18 +183,11 @@ def newton_step(
     if hess is None:
         hess = symmetrize(oracle.hessian(x))
 
-    quads = list(psi.quad_terms)
-    if extra_quadratic is not None:
-        center, weight = extra_quadratic
-        if weight < 0:
-            raise ValueError("extra quadratic weight must be nonnegative")
-        quads.append((np.asarray(center, dtype=float), float(weight)))
-    w_total = sum(w for _, w in quads)
-    coeff = beta + 2.0 * w_total  # total multiple of B added to the Hessian
+    coeff = beta + 2.0 * psi.quad_weight()  # total multiple of B added to the Hessian
 
     # right-hand side of the stationarity equation at y = x + d
     rhs = -grad.copy()
-    for center, weight in quads:
+    for center, weight in psi.quad_terms:
         rhs -= 2.0 * weight * metric.apply(x - center)
 
     inner_iterations = 0
@@ -239,9 +231,7 @@ def newton_step(
         d = x_plus - x
 
     grad_plus = oracle.gradient(x_plus)
-    subgradient = selected_subgradient(
-        oracle, x, x_plus, beta, extra_quadratic, grad=grad, hess=hess, grad_plus=grad_plus
-    )
+    subgradient = selected_subgradient(oracle, x, x_plus, beta, grad=grad, hess=hess, grad_plus=grad_plus)
     return StepResult(
         x_plus=x_plus,
         subgradient=subgradient,
@@ -258,17 +248,17 @@ def selected_subgradient(
     x: np.ndarray,
     x_plus: np.ndarray,
     beta: float,
-    extra_quadratic: tuple[np.ndarray, float] | None = None,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
     grad_plus: np.ndarray | None = None,
 ) -> np.ndarray:
     """Canonical subgradient of F = f + psi at x_plus from the step's optimality.
 
-    Evaluates ``g(x+) - g(x) - (H(x) + beta B)(x+ - x) - 2w B(x+ - c)``; the
-    psi-owned quadratics cancel against the model stationarity and need no
-    explicit term.  For the zero composite this equals the plain gradient at
-    x_plus up to the linear-solver residual.  `grad` = g(x), `hess` = the
+    Evaluates ``g(x+) - g(x) - (H(x) + beta B)(x+ - x)``; by the model
+    stationarity this is g(x+) plus the gradient of psi's quadratics at x+
+    plus a box normal vector, with no explicit quadratic term.  For the zero
+    composite this equals the plain gradient at x_plus up to the
+    linear-solver residual.  `grad` = g(x), `hess` = the
     symmetrized H(x) and `grad_plus` = g(x+) are used when given and
     evaluated otherwise.
     """
@@ -282,11 +272,7 @@ def selected_subgradient(
     if grad_plus is None:
         grad_plus = oracle.gradient(x_plus)
     d = x_plus - x
-    out = grad_plus - grad - hess @ d - beta * metric.apply(d)
-    if extra_quadratic is not None:
-        center, weight = extra_quadratic
-        out = out - 2.0 * weight * metric.apply(x_plus - np.asarray(center, dtype=float))
-    return out
+    return grad_plus - grad - hess @ d - beta * metric.apply(d)
 
 
 def verify_step_bound(

@@ -2,8 +2,9 @@
 
 Each outer iteration k augments the objective with the prox term
 ``M g_k ||y - x_k||^2`` (strong convexity 2 M g_k, which places x_k inside the
-quadratic-convergence region of the pure Newton method) and runs unregularized
-Newton steps until the augmented subgradient satisfies
+quadratic-convergence region of the pure Newton method), carried exactly as a
+quadratic of the composite term, and runs unregularized Newton steps until
+the augmented subgradient satisfies
 
     ||s_{t+1}||_*  <=  2 M g_k nu / (k + 1)^2.
 
@@ -34,6 +35,13 @@ class DualStatus(Enum):
     INNER_SOLVER_FAILURE = "inner_solver_failure"
 
 
+# the status each inner-step failure ends a run in (matched by isinstance)
+_FAILURE_STATUS = {
+    SingularSystemError: DualStatus.SINGULAR_SYSTEM,
+    MaxInnerIterationsError: DualStatus.INNER_SOLVER_FAILURE,
+}
+
+
 @dataclass
 class DualConfig:
     qsc_constant: float
@@ -60,7 +68,6 @@ class DualTraceRow:
     threshold: float  # inner stopping threshold for this outer iteration
     g_next: float
     f_next: float  # F(x_{k+1}) including the composite term
-    step_norm: float  # ||x_{k+1} - x_k||
     x_next: np.ndarray | None = None  # in memory only
 
     CSV_COLUMNS = {
@@ -126,6 +133,9 @@ def solve_dual(
     # step instead of ending the run with the max_outer status
     while k < config.max_outer and not g <= config.grad_tol:
         weight = m_const * g
+        # the prox term is an exact quadratic of the composite, so each inner
+        # step's subgradient is the augmented residual s itself
+        augmented = psi.with_quadratic(x, weight)
         # the roundoff floor keeps the inner target meaningful once the
         # nominal threshold drops below double-precision noise
         threshold = max(
@@ -135,36 +145,29 @@ def solve_dual(
         z = x
         grad_z = grad
         residuals = []
-        s = None
-        converged_inner = False
         try:
             for _ in range(config.max_inner):
-                step = newton_step(oracle, psi, z, 0.0, extra_quadratic=(x, weight), grad=grad_z)
+                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z)
                 z = step.x_plus
                 grad_z = step.grad_plus
-                prox_pull = 2.0 * weight * metric.apply(z - x)
-                s = step.subgradient + prox_pull
-                residuals.append(metric.dual_norm(s))
+                residuals.append(metric.dual_norm(step.subgradient))
                 total_inner += 1
                 if residuals[-1] <= threshold:
-                    converged_inner = True
                     break
-        except SingularSystemError:
-            status = DualStatus.SINGULAR_SYSTEM
+            else:
+                if config.adapt_qsc and doublings < config.max_qsc_doublings:
+                    # the declared constant is too small for the local theory
+                    # to bite; double it and retry this outer iteration
+                    m_const *= 2.0
+                    doublings += 1
+                    continue
+                status = DualStatus.QSC_PARAMETER_SUSPECT
+                break
+        except tuple(_FAILURE_STATUS) as exc:
+            status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))
             break
-        except MaxInnerIterationsError:
-            status = DualStatus.INNER_SOLVER_FAILURE
-            break
-        if not converged_inner:
-            if config.adapt_qsc and doublings < config.max_qsc_doublings:
-                # the declared constant is too small for the local theory to
-                # bite; double it and retry this outer iteration
-                m_const *= 2.0
-                doublings += 1
-                continue
-            status = DualStatus.QSC_PARAMETER_SUSPECT
-            break
-        g_next = metric.dual_norm(s - prox_pull)
+        # F'(z) is s without the prox term's gradient
+        g_next = metric.dual_norm(step.subgradient - 2.0 * weight * metric.apply(z - x))
         f_next = oracle.value(z) + psi.value(z, metric)
         trace.append(
             DualTraceRow(
@@ -176,7 +179,6 @@ def solve_dual(
                 threshold=threshold,
                 g_next=g_next,
                 f_next=f_next,
-                step_norm=metric.primal_norm(z - x),
                 x_next=z.copy(),
             )
         )

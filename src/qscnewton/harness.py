@@ -41,8 +41,10 @@ from .oracles import (
     with_qsc_constant,
 )
 from .problems import (
+    DimensionError,
     MatrixBalancingObjective,
     MatrixScalingObjective,
+    ParseError,
     QuadraticObjective,
     SeparableObjective,
     SoftMaxObjective,
@@ -210,18 +212,21 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
     kind = problem_cfg["kind"]
     data_path = problem_cfg.get("data_path")
     if data_path is not None:
-        if kind in ("logistic", "exponential"):
-            rows, offsets = load_design_matrix(data_path)
-            oracle = SeparableObjective(rows, offsets, kind)
-        elif kind == "softmax":
-            rows, offsets = load_design_matrix(data_path)
-            oracle = SoftMaxObjective(rows, offsets, problem_cfg.get("smoothing", 1.0))
-        elif kind == "matrix_scaling":
-            oracle = MatrixScalingObjective(load_matrix(data_path))
-        elif kind == "matrix_balancing":
-            oracle = MatrixBalancingObjective(load_matrix(data_path))
-        else:
-            raise RunConfigError(f"kind {kind!r} does not support data_path")
+        try:
+            if kind in ("logistic", "exponential"):
+                rows, offsets = load_design_matrix(data_path)
+                oracle = SeparableObjective(rows, offsets, kind)
+            elif kind == "softmax":
+                rows, offsets = load_design_matrix(data_path)
+                oracle = SoftMaxObjective(rows, offsets, problem_cfg.get("smoothing", 1.0))
+            elif kind == "matrix_scaling":
+                oracle = MatrixScalingObjective(load_matrix(data_path))
+            elif kind == "matrix_balancing":
+                oracle = MatrixBalancingObjective(load_matrix(data_path))
+            else:
+                raise RunConfigError(f"kind {kind!r} does not support data_path")
+        except (ParseError, DimensionError) as exc:
+            raise RunConfigError(f"cannot load {data_path}: {exc}") from exc
     else:
         knobs = {}
         for key in ("cond", "smoothing", "separable", "spread", "zero_fraction"):
@@ -254,7 +259,12 @@ def build_composite(composite_cfg: dict | None, dim: int) -> CompositeTerm:
     upper = composite_cfg.get("upper", np.inf)
     lower = np.full(dim, lower, dtype=float) if np.isscalar(lower) else np.asarray(lower, float)
     upper = np.full(dim, upper, dtype=float) if np.isscalar(upper) else np.asarray(upper, float)
-    return CompositeTerm.box(lower, upper)
+    if lower.shape != (dim,) or upper.shape != (dim,):
+        raise RunConfigError(f"box bounds have shapes {lower.shape} and {upper.shape}, problem has {dim}")
+    try:
+        return CompositeTerm.box(lower, upper)
+    except ValueError as exc:
+        raise RunConfigError(f"invalid box: {exc}") from exc
 
 
 def build_x0(x0_cfg, dim: int, psi: CompositeTerm) -> np.ndarray:
@@ -916,21 +926,17 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
 
 
 def run_verify(config: dict, out_dir) -> dict:
-    """Execute the instance verification suite; returns the report dict."""
+    """Execute the instance verification suite; returns the report dict.
+
+    A problem that cannot be built is a `RunConfigError`, raised before
+    `out_dir` is made."""
     validate_config(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     oracle = build_problem(config["problem"])
-    checks_cfg = config.get("instance_checks", {})
-    results = run_instance_checks(
-        oracle,
-        seed=checks_cfg.get("seed", 0),
-        samples=checks_cfg.get("samples", 1000),
-        pairs=checks_cfg.get("pairs", 200),
-        x_scale=checks_cfg.get("x_scale", 1.0),
-        pair_radius=checks_cfg.get("pair_radius", 2.0),
-    )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # the schema allows exactly run_instance_checks' keyword parameters
+    results = run_instance_checks(oracle, **config.get("instance_checks", {}))
     failing = sorted(name for name, res in results.items() if not res["passed"])
     report = {
         "schema_version": 1,
@@ -946,11 +952,14 @@ def run_verify(config: dict, out_dir) -> dict:
 
 
 def run_reference(config: dict, out_dir) -> dict:
-    """Compute (and cache) the reference solution for a config."""
+    """Compute (and cache) the reference solution for a config; an instance
+    that cannot be built is a `RunConfigError`, raised before `out_dir` is
+    made."""
     validate_config(config)
+    instance = _build_instance(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reference, key = _config_reference(config, *_build_instance(config))
+    reference, key = _config_reference(config, *instance)
     report = {"schema_version": 1, "config": config, **_reference_summary(reference), "cache_key": key}
     return _write_report(report, out_dir / "reference.json")
 

@@ -38,6 +38,14 @@ class AdaptiveSearchError(RuntimeError):
     """The doubling search exhausted its retry budget without progress."""
 
 
+# the status each step failure ends a run in (matched by isinstance)
+_FAILURE_STATUS = {
+    SingularSystemError: PrimalStatus.SINGULAR_SYSTEM,
+    AdaptiveSearchError: PrimalStatus.ADAPTIVE_FAILURE,
+    MaxInnerIterationsError: PrimalStatus.INNER_SOLVER_FAILURE,
+}
+
+
 @dataclass
 class PrimalConfig:
     """Configuration for `solve_primal`.
@@ -215,17 +223,21 @@ def solve_primal(
             return lam, grad_norm / lam
         return lam, (0.0 if grad_norm == 0 else math.inf)
 
-    for k in range(config.max_iters):
+    # every iterate gets a row; a row whose step is never taken (the last
+    # one) keeps NaN step fields
+    for k in range(config.max_iters + 1):
         f_val = oracle.value(x) + psi.value(x, metric)
         hess = diagnostic_hessian(x)
         lam, eta = diagnostics(hess, g)
+        row = PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy())
+        trace.append(row)
+        if k == config.max_iters:  # the budget is spent: status stays MAX_ITERS
+            break
         if g <= config.grad_tol:
             status = PrimalStatus.GRAD_TOL_REACHED
-            trace.append(PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy()))
             break
         if gap0 is not None and gap0 > 0 and f_val - config.f_star_ref <= config.rel_accuracy * gap0:
             status = PrimalStatus.TARGET_GAP_REACHED
-            trace.append(PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy()))
             break
 
         try:
@@ -238,46 +250,16 @@ def solve_primal(
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
                 step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess)
                 retries = 0
-        except SingularSystemError:
-            status = PrimalStatus.SINGULAR_SYSTEM
-            trace.append(PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy()))
-            break
-        except AdaptiveSearchError:
-            status = PrimalStatus.ADAPTIVE_FAILURE
-            trace.append(PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy()))
-            break
-        except MaxInnerIterationsError:
-            status = PrimalStatus.INNER_SOLVER_FAILURE
-            trace.append(PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy()))
+        except tuple(_FAILURE_STATUS) as exc:
+            status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))
             break
         step_computations += retries + 1
 
-        g_next = metric.dual_norm(step.subgradient)
-        progress = float(step.subgradient @ (x - step.x_plus))
-        trace.append(
-            PrimalTraceRow(
-                k=k,
-                f_value=f_val,
-                grad_norm=g,
-                sigma=sigma_k,
-                beta=step.beta,
-                step_length=step.step_length,
-                progress=progress,
-                retries=retries,
-                lam=lam,
-                eta=eta,
-                x=x.copy(),
-            )
-        )
+        row.sigma, row.beta, row.step_length, row.retries = sigma_k, step.beta, step.step_length, retries
+        row.progress = float(step.subgradient @ (x - step.x_plus))
         x = step.x_plus
         grad = step.grad_plus
-        g = g_next
-    else:
-        f_val = oracle.value(x) + psi.value(x, metric)
-        lam, eta = diagnostics(diagnostic_hessian(x), g)
-        trace.append(
-            PrimalTraceRow(config.max_iters, f_val, g, lam=lam, eta=eta, x=x.copy())
-        )
+        g = metric.dual_norm(step.subgradient)
 
     return PrimalResult(
         x=x,

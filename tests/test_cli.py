@@ -111,6 +111,49 @@ class TestSolveCommand:
         assert report["final_gap"] <= 1e-5 * 1.0  # relative target on a O(1) gap
 
 
+_LOGISTIC = {"kind": "logistic", "n": 4, "m": 20, "seed": 3}
+
+
+def _unbuildable_config(tmp_path, case):
+    """A schema-valid config whose instance cannot be built."""
+    if case == "non-numeric-csv-cell":
+        data = tmp_path / "rows.csv"
+        data.write_text("1.0,2.0,0.5\n1.0,abc,0.5\n")
+        return {"schema_version": 1, "problem": {"kind": "logistic", "data_path": str(data)}}
+    box = {
+        "lower-above-upper": {"lower": 0.5, "upper": -0.5},
+        "short-lower-bound": {"lower": [-1, -1]},
+        "short-bounds": {"lower": [-1, -1], "upper": [1, 1]},
+    }[case]
+    return {"schema_version": 1, "problem": _LOGISTIC, "composite": {"kind": "box", **box}}
+
+
+class TestUnbuildableInstance:
+    """Bounds or data the instance cannot be built from exit 3 before any output."""
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [
+            (command, case)
+            for case in ("lower-above-upper", "short-lower-bound", "short-bounds")
+            for command in ("solve", "reference")
+        ]
+        # verify builds the problem only
+        + [(command, "non-numeric-csv-cell") for command in ("solve", "reference", "verify")],
+    )
+    def test_exits_three_without_output(self, tmp_path, capsys, command, case):
+        config = _unbuildable_config(tmp_path, case)
+        config["solver"] = {"name": "primal"}
+        if command == "verify":
+            config["instance_checks"] = {"samples": 10, "pairs": 2}
+        path = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_zoo_instance_passes(self, tmp_path):
         config = write_config(

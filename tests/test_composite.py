@@ -95,12 +95,12 @@ class TestNewtonStepZeroComposite:
         drift = o.metric.dual_norm(step.subgradient - o.gradient(step.x_plus))
         assert drift <= 1e-9 * (1.0 + o.metric.dual_norm(o.gradient(step.x_plus)))
 
-    def test_extra_quadratic_shifts_solution(self):
+    def test_quadratic_term_shifts_solution(self):
         o = generate_synthetic("quadratic", n=4, seed=4)
         x = np.ones(4)
         center = np.full(4, 2.0)
         weight = 1.5
-        step = newton_step(o, CompositeTerm.zero(), x, 0.0, extra_quadratic=(center, weight))
+        step = newton_step(o, CompositeTerm.zero().with_quadratic(center, weight), x, 0.0)
         h = o.hessian(x)
         bmat = np.array(o.metric.matrix)
         # stationarity of the model with the prox term folded in
@@ -130,7 +130,7 @@ class TestNewtonStepBox:
         psi = CompositeTerm.box(lower, upper)
         x = np.zeros(2)
         center = np.full(2, 0.05)
-        step = newton_step(o, psi, x, 0.0, extra_quadratic=(center, 2.0))
+        step = newton_step(o, psi.with_quadratic(center, 2.0), x, 0.0)
         expected = brute_force_box_step(o, lower, upper, x, 0.0, quads=((center, 2.0),))
         assert o.metric.primal_norm(step.x_plus - expected) <= 1e-8
 
@@ -211,12 +211,10 @@ class TestSuppliedEvaluations:
         o = generate_synthetic("logistic", n=6, m=30, seed=19)
         psi = CompositeTerm.box(np.full(6, -0.2), np.full(6, 0.25)) if box else CompositeTerm.zero()
         x = np.linspace(-0.15, 0.2, 6)
-        extra = (np.full(6, 0.05), 0.8) if prox else None
-        plain = newton_step(o, psi, x, 0.6, extra_quadratic=extra)
-        reused = newton_step(
-            o, psi, x, 0.6, extra_quadratic=extra,
-            grad=o.gradient(x), hess=symmetrize(o.hessian(x)),
-        )
+        if prox:
+            psi = psi.with_quadratic(np.full(6, 0.05), 0.8)
+        plain = newton_step(o, psi, x, 0.6)
+        reused = newton_step(o, psi, x, 0.6, grad=o.gradient(x), hess=symmetrize(o.hessian(x)))
         for name in ("x_plus", "subgradient", "grad_plus"):
             assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
         for name in ("beta", "inner_iterations", "step_length", "step_length_local"):
