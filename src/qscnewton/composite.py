@@ -43,7 +43,7 @@ class CompositeTerm:
             upper = np.asarray(upper, dtype=float)
             if lower.shape != upper.shape:
                 raise ValueError("box bounds must have equal shapes")
-            if np.any(lower > upper):
+            if not np.all(lower <= upper):  # also rejects NaN bounds
                 raise ValueError("box requires lower <= upper componentwise")
         self._lower = lower
         self._upper = upper

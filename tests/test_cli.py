@@ -111,9 +111,6 @@ class TestSolveCommand:
         assert report["final_gap"] <= 1e-5 * 1.0  # relative target on a O(1) gap
 
 
-_LOGISTIC = {"kind": "logistic", "n": 4, "m": 20, "seed": 3}
-
-
 def _unbuildable_config(tmp_path, case):
     """A schema-valid config whose instance cannot be built."""
     if case == "non-numeric-csv-cell":
@@ -122,10 +119,12 @@ def _unbuildable_config(tmp_path, case):
         return {"schema_version": 1, "problem": {"kind": "logistic", "data_path": str(data)}}
     box = {
         "lower-above-upper": {"lower": 0.5, "upper": -0.5},
+        "nan-bound": {"lower": float("nan"), "upper": 0.5},
         "short-lower-bound": {"lower": [-1, -1]},
         "short-bounds": {"lower": [-1, -1], "upper": [1, 1]},
     }[case]
-    return {"schema_version": 1, "problem": _LOGISTIC, "composite": {"kind": "box", **box}}
+    problem = {"kind": "logistic", "n": 4, "m": 20, "seed": 3}
+    return {"schema_version": 1, "problem": problem, "composite": {"kind": "box", **box}}
 
 
 class TestUnbuildableInstance:
@@ -135,7 +134,7 @@ class TestUnbuildableInstance:
         "command, case",
         [
             (command, case)
-            for case in ("lower-above-upper", "short-lower-bound", "short-bounds")
+            for case in ("lower-above-upper", "nan-bound", "short-lower-bound", "short-bounds")
             for command in ("solve", "reference")
         ]
         # verify builds the problem only
