@@ -200,11 +200,27 @@ def load_config(path) -> dict:
     return config
 
 
+def _validator(schema: dict):
+    """A validator for `schema`, built once at import.
+
+    `jsonschema.validate` checks the schema against its metaschema on every
+    call, which costs far more than validating a config; the schemas here
+    are fixed, so their own check lives in the tests."""
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _raise_first_error(validator, instance, what: str) -> None:
+    """Raise the error `jsonschema.validate` would, as a `RunConfigError`."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise RunConfigError(f"{what}: {error.message}") from error
+
+
+_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
+
+
 def validate_config(config: dict) -> None:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise RunConfigError(f"invalid config: {exc.message}") from exc
+    _raise_first_error(_CONFIG_VALIDATOR, config, "invalid config")
 
 
 def build_problem(problem_cfg: dict) -> SmoothOracle:
@@ -983,6 +999,8 @@ BENCHMARK_SCHEMA = {
     },
 }
 
+_BENCHMARK_VALIDATOR = _validator(BENCHMARK_SCHEMA)
+
 _TABLE_COLUMNS = ("problem", "solver", "status", "iterations", "grad_calls", "hess_calls", "final_gap")
 
 
@@ -1002,10 +1020,7 @@ def run_benchmark(suite: dict, out_dir, jobs: int = 1, strict: bool = False) -> 
     cannot change any numeric output.  Exit is successful if every cell
     produced a report, even if some solves did not converge.
     """
-    try:
-        jsonschema.validate(suite, BENCHMARK_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise RunConfigError(f"invalid benchmark suite: {exc.message}") from exc
+    _raise_first_error(_BENCHMARK_VALIDATOR, suite, "invalid benchmark suite")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -221,6 +222,35 @@ class TestConfigValidation:
     def test_bad_kind_rejected(self):
         with pytest.raises(RunConfigError):
             validate_config({"schema_version": 1, "problem": {"kind": "cubic"}})
+
+    @pytest.mark.parametrize("schema", ["CONFIG_SCHEMA", "BENCHMARK_SCHEMA"])
+    def test_schema_is_valid_under_its_metaschema(self, schema):
+        # the validators are built once without this check, so it lives here
+        schema = getattr(harness, schema)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        "schema, instance",
+        [
+            ("CONFIG_SCHEMA", {"schema_version": 2, "problem": {"kind": "cubic"}}),
+            ("CONFIG_SCHEMA", {"problem": {"kind": "quadratic", "n": 0}}),
+            (
+                "CONFIG_SCHEMA",
+                {"schema_version": 1, "problem": {"kind": "logistic"}, "solver": {"name": "primal", "sigma": -1}},
+            ),
+            ("BENCHMARK_SCHEMA", {"schema_version": 1, "problems": [], "solvers": [{"name": "x"}]}),
+            ("BENCHMARK_SCHEMA", {"schema_version": 1, "problems": [{"kind": "quadratic"}]}),
+        ],
+    )
+    def test_error_message_is_the_one_jsonschema_validate_raises(self, tmp_path, schema, instance):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(instance, getattr(harness, schema))
+        with pytest.raises(RunConfigError) as raised:
+            if schema == "CONFIG_SCHEMA":
+                validate_config(instance)
+            else:
+                harness.run_benchmark(instance, tmp_path / "out")
+        assert str(raised.value).endswith(f": {expected.value.message}")
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(RunConfigError):
