@@ -7,9 +7,10 @@ One step from x minimizes the quadratic model
 where psi is zero or a box indicator, optionally carrying exact quadratic
 penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
 through `CompositeTerm.with_quadratic`).  With no box the step is a single
-symmetric solve; with a box it is a warm-started projected-gradient loop on
-the strongly convex model.  Every step also selects the canonical subgradient
-of F = f + psi at the new point from the step's own optimality condition.
+symmetric solve; with a box the model is a strongly convex box QP, solved
+exactly by a primal-dual active-set method that starts from that solve.
+Every step also selects the canonical subgradient of F = f + psi at the new
+point from the step's own optimality condition.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .metric import Metric, local_norm, regularized_solve, symmetrize
+from .metric import Metric, SingularSystemError, local_norm, regularized_solve, symmetrize
 from .oracles import SmoothOracle
 
 
 class MaxInnerIterationsError(RuntimeError):
-    """The projected-gradient loop for a box step hit its iteration cap."""
+    """The active-set solve of a box step hit its iteration cap."""
 
 
 class CompositeTerm:
@@ -118,7 +120,9 @@ class StepResult:
 
     `grad_plus` is the smooth gradient g(x+) that the subgradient selection
     evaluated; a caller stepping on from x+ passes it back as `grad=` instead
-    of evaluating the oracle at x+ a second time.
+    of evaluating the oracle at x+ a second time.  `inner_iterations` is the
+    number of linear solves of a box step (the unconstrained solve and one
+    per active-set update); it is 0 without a box.
     """
 
     x_plus: np.ndarray
@@ -130,25 +134,38 @@ class StepResult:
     grad_plus: np.ndarray  # smooth gradient g(x+) of f alone
 
 
-def _power_max_eigenvalue(matrix: np.ndarray, iterations: int = 20) -> float:
-    """Upper estimate of the largest eigenvalue by power iteration.
+def _box_step(system, rhs, lower, upper, d, max_inner):
+    """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``, by
+    a primal-dual active-set method (Hintermueller-Ito-Kunisch, SIAM J.
+    Optim. 2002) from the unconstrained minimizer `d`.
 
-    Starts from a fixed pseudo-random vector (a deterministic all-ones start
-    can be exactly orthogonal to the leading eigenvector of structured
-    Hessians, which would silently underestimate)."""
-    n = matrix.shape[0]
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iterations):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 1e-12
-        lam = float(v @ w)
-        v = w / norm
-    # power iteration approaches from below; pad for a safe step size
-    return max(lam, norm) * 1.05 + 1e-12
+    Each update bounds the coordinates that the scaled step
+    ``d - lam / diag(S)`` along the multiplier ``lam = Sd - r`` takes past a
+    bound, and solves the free block exactly.  Sets that repeat satisfy the
+    KKT conditions.  Returns d, the two active sets and the number of solves,
+    the unconstrained one included."""
+    scale = np.diag(system)
+    lam = np.zeros_like(d)
+    at_lower = at_upper = np.zeros(d.shape, dtype=bool)
+    for solves in range(1, max_inner + 1):
+        trial = d - lam / scale
+        new_lower, new_upper = trial < lower, trial > upper
+        if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
+            return d, at_lower, at_upper, solves
+        at_lower, at_upper = new_lower, new_upper
+        free = ~(at_lower | at_upper)
+        d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
+        if free.any():
+            bound = ~free
+            reduced = rhs[free] - system[np.ix_(free, bound)] @ d[bound]
+            try:
+                factor = scipy.linalg.cho_factor(system[np.ix_(free, free)], lower=True)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularSystemError("free block of the box step is not positive definite") from exc
+            d[free] = scipy.linalg.cho_solve(factor, reduced)
+        lam = system @ d - rhs
+        lam[free] = 0.0
+    raise MaxInnerIterationsError(f"box active set still changing after {max_inner} updates")
 
 
 def newton_step(
@@ -156,7 +173,7 @@ def newton_step(
     psi: CompositeTerm,
     x: np.ndarray,
     beta: float,
-    max_inner: int = 50_000,
+    max_inner: int = 100,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
 ) -> StepResult:
@@ -164,9 +181,9 @@ def newton_step(
 
     psi's quadratics enter the model exactly, and the selected subgradient
     is one of f + psi, so it includes their gradient at x+.  The
-    zero-composite case is one regularized solve; the box case runs projected
-    gradient with a tolerance tied to 1e-2 * (model strong convexity) *
-    (current step length).
+    zero-composite case is one regularized solve; the box case starts from
+    that solve and solves the box QP exactly by at most `max_inner`
+    active-set updates (`MaxInnerIterationsError` past that).
 
     `grad` and `hess` are g(x) and the symmetrized H(x) when the caller
     already holds them (the previous step's `grad_plus`, or the Hessian kept
@@ -190,44 +207,19 @@ def newton_step(
     for center, weight in psi.quad_terms:
         rhs -= 2.0 * weight * metric.apply(x - center)
 
-    inner_iterations = 0
-    if not psi.is_box:
-        d = regularized_solve(hess, metric, coeff, rhs)
-        x_plus = x + d
-    else:
-        if not psi.contains(x):
-            raise ValueError("step origin must be feasible for the box")
-        if coeff <= 0:
-            raise ValueError(
-                "box-constrained model needs strong convexity: beta or a quadratic term"
-            )
-        system = hess + coeff * metric.matrix
-        lipschitz = _power_max_eigenvalue(system)
-        try:
-            d0 = regularized_solve(hess, metric, coeff, rhs)
-        except np.linalg.LinAlgError:
-            d0 = np.zeros_like(x)
-        y = psi.project(x + d0)
-        atol = 1e-13 * (1.0 + np.linalg.norm(grad))
-        # the model is coeff-strongly convex in the metric norm, so the
-        # residual bounds the distance to the subproblem optimum through
-        # coeff * lambda_min(B); the stop targets ~1e-9 of that distance while
-        # staying under the step-tied cap 1e-2 * coeff * ||y - x||
-        accuracy = coeff * metric.min_eigenvalue
-        for inner_iterations in range(1, max_inner + 1):
-            model_grad = system @ (y - x) - rhs
-            y_next = psi.project(y - model_grad / lipschitz)
-            residual = lipschitz * metric.primal_norm(y - y_next)
-            y = y_next
-            step_len = metric.primal_norm(y - x)
-            tol = min(1e-2 * coeff * step_len, 1e-9 * accuracy * (1.0 + step_len))
-            if residual <= max(tol, atol):
-                break
-        else:
-            raise MaxInnerIterationsError(
-                f"projected gradient did not reach its tolerance in {max_inner} iterations"
-            )
-        x_plus = y
+    if psi.is_box and not psi.contains(x):
+        raise ValueError("step origin must be feasible for the box")
+    if psi.is_box and coeff <= 0:
+        raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
+    d = regularized_solve(hess, metric, coeff, rhs)
+    x_plus, inner_iterations = x + d, 0
+    if psi.is_box:
+        lower, upper = psi.bounds
+        d, at_lower, at_upper, inner_iterations = _box_step(
+            hess + coeff * metric.matrix, rhs, lower - x, upper - x, d, max_inner
+        )
+        # active coordinates sit exactly on their bound
+        x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
         d = x_plus - x
 
     grad_plus = oracle.gradient(x_plus)

@@ -201,11 +201,8 @@ def load_config(path) -> dict:
 
 
 def _validator(schema: dict):
-    """A validator for `schema`, built once at import.
-
-    `jsonschema.validate` checks the schema against its metaschema on every
-    call, which costs far more than validating a config; the schemas here
-    are fixed, so their own check lives in the tests."""
+    """A validator built once: `jsonschema.validate` re-checks the schema
+    against its metaschema on every call (a test checks it instead)."""
     return jsonschema.validators.validator_for(schema)(schema)
 
 
@@ -944,11 +941,12 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
 def run_verify(config: dict, out_dir) -> dict:
     """Execute the instance verification suite; returns the report dict.
 
-    A problem that cannot be built is a `RunConfigError`, raised before
+    An instance that cannot be built (the composite and x0 included, though
+    the checks use only the problem) is a `RunConfigError`, raised before
     `out_dir` is made."""
     validate_config(config)
     started = time.perf_counter()
-    oracle = build_problem(config["problem"])
+    oracle = _build_instance(config)[0]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the schema allows exactly run_instance_checks' keyword parameters

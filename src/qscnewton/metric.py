@@ -68,15 +68,6 @@ class Metric:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    @property
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of B, computed once on first use."""
-        lam = getattr(self, "_min_eig", None)
-        if lam is None:
-            lam = float(scipy.linalg.eigvalsh(np.array(self._matrix))[0])
-            self._min_eig = lam
-        return lam
-
     def apply(self, h: np.ndarray) -> np.ndarray:
         """B h, mapping a primal vector to a dual vector."""
         return self._matrix @ h

@@ -134,11 +134,9 @@ class TestUnbuildableInstance:
         "command, case",
         [
             (command, case)
-            for case in ("lower-above-upper", "nan-bound", "short-lower-bound", "short-bounds")
-            for command in ("solve", "reference")
-        ]
-        # verify builds the problem only
-        + [(command, "non-numeric-csv-cell") for command in ("solve", "reference", "verify")],
+            for case in ("lower-above-upper", "nan-bound", "short-lower-bound", "short-bounds", "non-numeric-csv-cell")
+            for command in ("solve", "reference", "verify")
+        ],
     )
     def test_exits_three_without_output(self, tmp_path, capsys, command, case):
         config = _unbuildable_config(tmp_path, case)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qscnewton import (
     CompositeTerm,
@@ -12,11 +14,16 @@ from qscnewton import (
     verify_step_bound,
 )
 from qscnewton.metric import symmetrize
+from qscnewton.oracles import affine_substitute
 from qscnewton.primal import PrimalConfig
 
 
 def brute_force_box_step(oracle, lower, upper, x, beta, quads=(), tol=1e-12, max_iters=500_000):
-    """Independent high-accuracy projected-gradient minimizer of the step model."""
+    """Independent high-accuracy projected-gradient minimizer of the step model.
+
+    Stops once the gradient mapping G = L (y - y+) has 2-norm below `tol`;
+    for a model whose Hessian has smallest eigenvalue mu, the returned y+ is
+    then within tol / mu of the exact minimizer in the 2-norm."""
     h = 0.5 * (oracle.hessian(x) + oracle.hessian(x).T)
     bmat = np.array(oracle.metric.matrix)
     grad = oracle.gradient(x)
@@ -287,3 +294,99 @@ class TestProgressAndMonotonicity:
             else:
                 # exact Newton on a quadratic: new subgradient vanishes
                 assert nxt.grad_norm <= 1e-8 * (1 + res.trace[0].grad_norm)
+
+
+def _box_qp(kind, n, seed, beta, weight):
+    """A box step on a logistic or matrix-scaling instance (whose Hessian has
+    the kernel (1, ..., 1, -1, ..., -1)), from a point with some coordinates on
+    a face, with one-sided and two-sided bounds and an optional prox term."""
+    oracle = generate_synthetic(kind, n=n, m=4 * n, seed=seed)
+    dim = oracle.dim
+    rng = np.random.default_rng(seed)
+    width = rng.uniform(0.01, 1.0)
+    lower = -width * rng.uniform(0.2, 1.0, dim)
+    upper = width * rng.uniform(0.2, 1.0, dim)
+    one_sided = rng.random(dim) < 0.2
+    lower[one_sided & (rng.random(dim) < 0.5)] = -np.inf
+    upper[one_sided & ~np.isinf(lower)] = np.inf
+    x = np.clip(rng.uniform(-width, width, dim), lower, upper)
+    on_face = rng.random(dim) < 0.3
+    x[on_face] = np.where(np.isfinite(lower), lower, upper)[on_face]
+    psi = CompositeTerm.box(lower, upper)
+    quads = ((x + 0.1 * rng.standard_normal(dim), weight),) if weight > 0 else ()
+    for center, w in quads:
+        psi = psi.with_quadratic(center, w)
+    return oracle, psi, x, quads
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "matrix_scaling"]),
+    n=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+    beta=st.sampled_from([0.0, 0.02, 0.5, 3.0]),
+    weight=st.sampled_from([0.0, 0.05, 1.0]),
+)
+# an unscaled active-set rule cycles here, so its step would hit the cap
+@example(kind="logistic", n=5, seed=1633, beta=0.5, weight=1.0)
+def test_box_step_is_the_exact_kkt_point(kind, n, seed, beta, weight):
+    """The active-set step meets the box QP's KKT conditions to roundoff,
+    agrees with an independent projected-gradient solve within that solve's
+    error bound, and never reaches its iteration cap (which would raise)."""
+    assume(beta + weight > 0)
+    oracle, psi, x, quads = _box_qp(kind, n, seed, beta, weight)
+    lower, upper = psi.bounds
+    step = newton_step(oracle, psi, x, beta)
+
+    bmat = np.array(oracle.metric.matrix)
+    system = symmetrize(oracle.hessian(x)) + (beta + 2.0 * weight) * bmat
+    rhs = -oracle.gradient(x) - sum(2.0 * w * bmat @ (x - c) for c, w in quads)
+    d = step.x_plus - x
+    lam = system @ d - rhs  # the multiplier of the bounds
+    tol = 1e-12 * (np.linalg.norm(rhs) + np.linalg.norm(system, 2) * np.linalg.norm(d) + 1e-12)
+    at_lower, at_upper = step.x_plus == lower, step.x_plus == upper
+    assert np.all(lower <= step.x_plus) and np.all(step.x_plus <= upper)
+    assert np.all(lam[at_lower] >= -tol)
+    assert np.all(lam[at_upper] <= tol)
+    assert np.all(np.abs(lam[~(at_lower | at_upper)]) <= tol)
+    assert 1 <= step.inner_iterations
+
+    # the brute force stops within 1e-12 / mu of the minimizer; x_plus is
+    # the exact KKT point of a model whose linear term is off by at most
+    # sqrt(dim) * tol, so it lies within sqrt(dim) * tol / mu of it
+    mu = np.linalg.eigvalsh(system)[0]
+    expected = brute_force_box_step(oracle, lower, upper, x, beta, quads=quads)
+    assert np.linalg.norm(step.x_plus - expected) <= (1e-12 + np.sqrt(x.size) * tol) / mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "matrix_scaling"]),
+    n=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+    beta=st.sampled_from([0.0, 0.02, 0.5, 3.0]),
+    weight=st.sampled_from([0.0, 0.05, 1.0]),
+)
+# an unscaled active-set rule cycles on the rescaled step of these
+@example(kind="matrix_scaling", n=3, seed=9630, beta=0.02, weight=0.0)
+@example(kind="logistic", n=6, seed=4765, beta=0.5, weight=0.0)
+def test_box_step_commutes_with_diagonal_rescaling(kind, n, seed, beta, weight):
+    """Substituting x = D u (D > 0 diagonal, induced metric D B D) maps the
+    box to a box, and the step from u = x / D to x_plus / D: the active-set
+    rule compares d - lam / diag(S), which scales like d, so it takes the
+    same sets in the same number of solves."""
+    assume(beta + weight > 0)
+    oracle, psi, x, quads = _box_qp(kind, n, seed, beta, weight)
+    lower, upper = psi.bounds
+    scale = np.exp(np.random.default_rng(seed + 1).uniform(-4.0, 4.0, x.size))
+    scaled_psi = CompositeTerm.box(lower / scale, upper / scale)
+    for center, w in quads:
+        scaled_psi = scaled_psi.with_quadratic(center / scale, w)
+    step = newton_step(oracle, psi, x, beta)
+    scaled = newton_step(affine_substitute(oracle, np.diag(scale)), scaled_psi, x / scale, beta)
+    assert scaled.inner_iterations == step.inner_iterations
+    np.testing.assert_array_equal(scaled.x_plus == lower / scale, step.x_plus == lower)
+    np.testing.assert_array_equal(scaled.x_plus == upper / scale, step.x_plus == upper)
+    assert oracle.metric.primal_norm(scaled.x_plus * scale - step.x_plus) <= 1e-9 * (
+        1.0 + step.step_length
+    )
