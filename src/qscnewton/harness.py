@@ -200,12 +200,6 @@ def load_config(path) -> dict:
     return config
 
 
-def _validator(schema: dict):
-    """A validator built once: `jsonschema.validate` re-checks the schema
-    against its metaschema on every call (a test checks it instead)."""
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
 def _raise_first_error(validator, instance, what: str) -> None:
     """Raise the error `jsonschema.validate` would, as a `RunConfigError`."""
     error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
@@ -213,7 +207,10 @@ def _raise_first_error(validator, instance, what: str) -> None:
         raise RunConfigError(f"{what}: {error.message}") from error
 
 
-_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
+# built once: `jsonschema.validate` re-checks the schema against its
+# metaschema on every call, which costs far more than validating a config
+# (a test checks both schemas instead)
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def validate_config(config: dict) -> None:
@@ -997,7 +994,7 @@ BENCHMARK_SCHEMA = {
     },
 }
 
-_BENCHMARK_VALIDATOR = _validator(BENCHMARK_SCHEMA)
+_BENCHMARK_VALIDATOR = jsonschema.validators.validator_for(BENCHMARK_SCHEMA)(BENCHMARK_SCHEMA)
 
 _TABLE_COLUMNS = ("problem", "solver", "status", "iterations", "grad_calls", "hess_calls", "final_gap")
 

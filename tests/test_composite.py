@@ -298,8 +298,8 @@ class TestProgressAndMonotonicity:
 
 def _box_qp(kind, n, seed, beta, weight):
     """A box step on a logistic or matrix-scaling instance (whose Hessian has
-    the kernel (1, ..., 1, -1, ..., -1)), from a point with some coordinates on
-    a face, with one-sided and two-sided bounds and an optional prox term."""
+    the kernel (1, ..., 1)), from a point with some coordinates on a face,
+    with one-sided and two-sided bounds and an optional prox term."""
     oracle = generate_synthetic(kind, n=n, m=4 * n, seed=seed)
     dim = oracle.dim
     rng = np.random.default_rng(seed)
@@ -319,14 +319,17 @@ def _box_qp(kind, n, seed, beta, weight):
     return oracle, psi, x, quads
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_BOX_QPS = dict(
     kind=st.sampled_from(["logistic", "matrix_scaling"]),
     n=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=10_000),
     beta=st.sampled_from([0.0, 0.02, 0.5, 3.0]),
     weight=st.sampled_from([0.0, 0.05, 1.0]),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_BOX_QPS)
 # an unscaled active-set rule cycles here, so its step would hit the cap
 @example(kind="logistic", n=5, seed=1633, beta=0.5, weight=1.0)
 def test_box_step_is_the_exact_kkt_point(kind, n, seed, beta, weight):
@@ -360,13 +363,7 @@ def test_box_step_is_the_exact_kkt_point(kind, n, seed, beta, weight):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    kind=st.sampled_from(["logistic", "matrix_scaling"]),
-    n=st.integers(min_value=2, max_value=6),
-    seed=st.integers(min_value=0, max_value=10_000),
-    beta=st.sampled_from([0.0, 0.02, 0.5, 3.0]),
-    weight=st.sampled_from([0.0, 0.05, 1.0]),
-)
+@given(**_BOX_QPS)
 # an unscaled active-set rule cycles on the rescaled step of these
 @example(kind="matrix_scaling", n=3, seed=9630, beta=0.02, weight=0.0)
 @example(kind="logistic", n=6, seed=4765, beta=0.5, weight=0.0)
