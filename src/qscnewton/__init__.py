@@ -53,6 +53,7 @@ from .harness import (
 )
 from .metric import (
     Metric,
+    NonFiniteError,
     SingularSystemError,
     local_norm,
     min_generalized_eigenvalue,

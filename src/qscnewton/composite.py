@@ -18,9 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .metric import Metric, SingularSystemError, local_norm, regularized_solve, symmetrize
+from .metric import (
+    Metric,
+    SingularSystemError,
+    _cho_solve,
+    _cholesky,
+    local_norm,
+    regularized_solve,
+    require_finite,
+    symmetrize,
+)
 from .oracles import SmoothOracle
 
 
@@ -158,11 +166,10 @@ def _box_step(system, rhs, lower, upper, d, max_inner):
         if free.any():
             bound = ~free
             reduced = rhs[free] - system[np.ix_(free, bound)] @ d[bound]
-            try:
-                factor = scipy.linalg.cho_factor(system[np.ix_(free, free)], lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularSystemError("free block of the box step is not positive definite") from exc
-            d[free] = scipy.linalg.cho_solve(factor, reduced)
+            factor = _cholesky(system[np.ix_(free, free)])
+            if factor is None:
+                raise SingularSystemError("free block of the box step is not positive definite")
+            d[free] = _cho_solve(factor, reduced)
         lam = system @ d - rhs
         lam[free] = 0.0
     raise MaxInnerIterationsError(f"box active set still changing after {max_inner} updates")
@@ -190,6 +197,10 @@ def newton_step(
     across adaptive-sigma retries at the same x); each one left None is
     evaluated here.  A step then costs one gradient (at x+) and one Hessian
     at most, and passing the values changes no bit of the result.
+
+    NaN or inf in g(x) or H(x) raises `NonFiniteError` from
+    `regularized_solve`'s entry check, and in g(x+) right after it is
+    evaluated.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -223,6 +234,7 @@ def newton_step(
         d = x_plus - x
 
     grad_plus = oracle.gradient(x_plus)
+    require_finite(grad_plus, "g(x+)")
     subgradient = selected_subgradient(oracle, x, x_plus, beta, grad=grad, hess=hess, grad_plus=grad_plus)
     return StepResult(
         x_plus=x_plus,

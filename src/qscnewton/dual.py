@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
-from .metric import SingularSystemError
+from .metric import NonFiniteError, SingularSystemError
 from .oracles import SmoothOracle, phi
 from .primal import initial_subgradient
 
@@ -33,12 +33,14 @@ class DualStatus(Enum):
     QSC_PARAMETER_SUSPECT = "qsc_parameter_suspect"
     SINGULAR_SYSTEM = "singular_system"
     INNER_SOLVER_FAILURE = "inner_solver_failure"
+    NON_FINITE = "non_finite"
 
 
-# the status each inner-step failure ends a run in (matched by isinstance)
+# the status each failure ends a run in (matched by isinstance)
 _FAILURE_STATUS = {
     SingularSystemError: DualStatus.SINGULAR_SYSTEM,
     MaxInnerIterationsError: DualStatus.INNER_SOLVER_FAILURE,
+    NonFiniteError: DualStatus.NON_FINITE,
 }
 
 
@@ -113,39 +115,41 @@ def solve_dual(
     The smooth gradient is evaluated once at x0 and then carried from each
     inner step's `grad_plus`, including into the next outer iteration (which
     starts at the last inner point): one gradient and one Hessian per inner
-    step.
+    step.  A gradient or Hessian holding NaN or inf ends the run in
+    `NON_FINITE` at that evaluation, at x0 as well.
     """
     metric = oracle.metric
     x = psi.project(np.asarray(x0, dtype=float))
     if not psi.contains(x0):
         raise ValueError("x0 must be feasible for the composite term")
     m_const = config.qsc_constant
-    grad = oracle.gradient(x)
-    g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
-    g0 = g
+    g = g0 = math.nan  # kept when g(x0) itself is not finite
     trace: list[DualTraceRow] = []
     status = DualStatus.MAX_OUTER
     total_inner = 0
     doublings = 0
 
-    k = 0
-    # "not g <= tol" rather than "g > tol": a NaN norm goes on to the Newton
-    # step instead of ending the run with the max_outer status
-    while k < config.max_outer and not g <= config.grad_tol:
-        weight = m_const * g
-        # the prox term is an exact quadratic of the composite, so each inner
-        # step's subgradient is the augmented residual s itself
-        augmented = psi.with_quadratic(x, weight)
-        # the roundoff floor keeps the inner target meaningful once the
-        # nominal threshold drops below double-precision noise
-        threshold = max(
-            2.0 * m_const * g * config.grad_tol / (k + 1) ** 2,
-            1e-14 * (1.0 + g),
-        )
-        z = x
-        grad_z = grad
-        residuals = []
-        try:
+    # a failure at x0 (a non-finite gradient) leaves the trace empty
+    try:
+        grad = oracle.gradient(x)
+        g = g0 = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
+        k = 0
+        # "not g <= tol" rather than "g > tol": a NaN norm goes on to the Newton
+        # step instead of ending the run with the max_outer status
+        while k < config.max_outer and not g <= config.grad_tol:
+            weight = m_const * g
+            # the prox term is an exact quadratic of the composite, so each inner
+            # step's subgradient is the augmented residual s itself
+            augmented = psi.with_quadratic(x, weight)
+            # the roundoff floor keeps the inner target meaningful once the
+            # nominal threshold drops below double-precision noise
+            threshold = max(
+                2.0 * m_const * g * config.grad_tol / (k + 1) ** 2,
+                1e-14 * (1.0 + g),
+            )
+            z = x
+            grad_z = grad
+            residuals = []
             for _ in range(config.max_inner):
                 step = newton_step(oracle, augmented, z, 0.0, grad=grad_z)
                 z = step.x_plus
@@ -163,29 +167,28 @@ def solve_dual(
                     continue
                 status = DualStatus.QSC_PARAMETER_SUSPECT
                 break
-        except tuple(_FAILURE_STATUS) as exc:
-            status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))
-            break
-        # F'(z) is s without the prox term's gradient
-        g_next = metric.dual_norm(step.subgradient - 2.0 * weight * metric.apply(z - x))
-        f_next = oracle.value(z) + psi.value(z, metric)
-        trace.append(
-            DualTraceRow(
-                k=k,
-                g_k=g,
-                a_next=1.0 / (2.0 * m_const * g),
-                inner_iterations=len(residuals),
-                inner_residuals=tuple(residuals),
-                threshold=threshold,
-                g_next=g_next,
-                f_next=f_next,
-                x_next=z.copy(),
+            # F'(z) is s without the prox term's gradient
+            g_next = metric.dual_norm(step.subgradient - 2.0 * weight * metric.apply(z - x))
+            f_next = oracle.value(z) + psi.value(z, metric)
+            trace.append(
+                DualTraceRow(
+                    k=k,
+                    g_k=g,
+                    a_next=1.0 / (2.0 * m_const * g),
+                    inner_iterations=len(residuals),
+                    inner_residuals=tuple(residuals),
+                    threshold=threshold,
+                    g_next=g_next,
+                    f_next=f_next,
+                    x_next=z.copy(),
+                )
             )
-        )
-        x = z
-        grad = grad_z
-        g = g_next
-        k += 1
+            x = z
+            grad = grad_z
+            g = g_next
+            k += 1
+    except tuple(_FAILURE_STATUS) as exc:
+        status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))
     # every break leaves g above the tolerance, so this also covers x0
     if g <= config.grad_tol:
         status = DualStatus.GRAD_TOL_REACHED

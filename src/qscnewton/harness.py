@@ -450,10 +450,13 @@ def fit_linear_rate(f_values, f_star: float, min_points: int = 10) -> RateFit:
 
 def observed_diameter(points, metric: Metric, extra=None) -> float:
     """Max pairwise metric distance among recorded iterates (plus an optional
-    reference point).  A lower estimate of the sublevel-set diameter."""
+    reference point).  A lower estimate of the sublevel-set diameter; 0 with
+    no points."""
     pts = [np.asarray(p, dtype=float) for p in points]
     if extra is not None:
         pts.append(np.asarray(extra, dtype=float))
+    if not pts:
+        return 0.0
     stack = np.stack(pts)
     gram = stack @ metric.matrix @ stack.T
     diag = np.diag(gram)
@@ -801,11 +804,11 @@ _PRIMAL = _Solver(
     solve=lambda *args: primal_mod.solve_primal(*args),
     row_type=primal_mod.PrimalTraceRow,
     success=(primal_mod.PrimalStatus.GRAD_TOL_REACHED, primal_mod.PrimalStatus.TARGET_GAP_REACHED),
-    summary=lambda r: (r.iterations, r.trace[-1].f_value, r.final_grad_norm),
+    summary=lambda r: (r.iterations, r.trace[-1].f_value if r.trace else None, r.final_grad_norm),
     extras=_primal_extras,
     verifiers={
         "per_step": lambda r, *_: vars(check_primal_trace(r.trace)),
-        "rate_fit": _primal_rate_fit,
+        "rate_fit": lambda r, *rest: _primal_rate_fit(r, *rest) if r.trace else None,
         "local_quadratic": lambda r, o, *_: vars(primal_mod.check_local_quadratic(r.trace, o.qsc_constant)),
     },
     check_instance=_check_primal_instance,

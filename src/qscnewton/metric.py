@@ -5,16 +5,56 @@ that defines the primal norm ``||h|| = <Bh, h>^{1/2}`` and the dual norm
 ``||s||_* = <s, B^{-1}s>^{1/2}``.  Vectors are plain 1-d float ndarrays;
 Hessians are plain symmetric 2-d ndarrays.  Everything here is dense and
 factorization based.
+
+Cholesky factor and solve go straight to LAPACK (``dpotrf``/``dpotrs``):
+at the sizes the solvers run, scipy's ``cho_factor``/``cho_solve`` wrappers
+cost more than the factorization itself, mostly in finiteness scans that
+re-read every input, B's cached factor included, on every call.  Both routes
+run the same LAPACK routine, so results are bitwise equal.  Finiteness is
+instead checked once per step, where a value enters: the metric at
+construction, ``H + beta*B`` and the right-hand side on entry to
+`regularized_solve`, and the vector of each `Metric.solve`.  A non-finite
+input raises `NonFiniteError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class SingularSystemError(np.linalg.LinAlgError):
     """A regularized system stayed unsolvable after the jitter ladder."""
+
+
+class NonFiniteError(ValueError):
+    """An oracle output or a solver input holds NaN or inf."""
+
+
+def require_finite(a, name: str) -> None:
+    """Raise `NonFiniteError` unless every entry of `a` is finite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{name} contains NaN or inf")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric matrix a, or None when a is
+    not positive definite.  Only the lower triangle of a is read, and the
+    factor's upper triangle holds leftovers (as with ``cho_factor``); a is
+    never overwritten.  The caller guarantees that a is finite."""
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
+    return None if info > 0 else factor
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a 1-d or 2-d b, given `_cholesky`'s factor of A."""
+    x, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return x
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -49,10 +89,9 @@ class Metric:
         if scale > 0 and np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValueError("metric operator must be symmetric (1e-12 relative)")
         m = symmetrize(m)
-        try:
-            self._chol = scipy.linalg.cho_factor(m, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystemError("metric operator is not positive definite") from exc
+        self._factor = _cholesky(m)
+        if self._factor is None:
+            raise SingularSystemError("metric operator is not positive definite")
         m.setflags(write=False)
         self._matrix = m
 
@@ -73,8 +112,11 @@ class Metric:
         return self._matrix @ h
 
     def solve(self, s: np.ndarray) -> np.ndarray:
-        """B^{-1} s via the cached Cholesky factor (never an explicit inverse)."""
-        return scipy.linalg.cho_solve(self._chol, s)
+        """B^{-1} s via the cached Cholesky factor (never an explicit inverse);
+        s is a vector or an (n, k) block of columns and must be finite."""
+        s = np.asarray(s, dtype=float)
+        require_finite(s, "vector")
+        return _cho_solve(self._factor, s)
 
     def primal_norm(self, h: np.ndarray) -> float:
         h = np.asarray(h, dtype=float)
@@ -118,7 +160,9 @@ def regularized_solve(
     the *unjittered* system exceeds ``1e-10 * (||rhs|| + 1)``, a jitter ladder
     adds ``delta * B`` with delta = 1e-12, growing tenfold per retry, for at
     most `max_jitter_retries` retries before raising `SingularSystemError`.
-    One step of iterative refinement is applied after each solve.
+    One step of iterative refinement is applied after each solve.  NaN or
+    inf in ``H + beta*B`` or in rhs raises `NonFiniteError` before any
+    factorization.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -127,19 +171,20 @@ def regularized_solve(
     if h.shape != (metric.dim, metric.dim) or rhs.shape != (metric.dim,):
         raise ValueError("dimension mismatch between hessian, metric, and rhs")
     system = h + beta * metric.matrix
+    require_finite(system, "H + beta*B")
+    require_finite(rhs, "rhs")
     tol = 1e-10 * (np.linalg.norm(rhs) + 1.0)
     delta = 0.0
     for _ in range(max_jitter_retries + 1):
         shifted = system if delta == 0.0 else system + delta * metric.matrix
-        try:
-            factor = scipy.linalg.cho_factor(shifted, lower=True)
-        except scipy.linalg.LinAlgError:
+        factor = _cholesky(shifted)
+        if factor is None:
             delta = 1e-12 if delta == 0.0 else delta * 10.0
             continue
-        d = scipy.linalg.cho_solve(factor, rhs)
+        d = _cho_solve(factor, rhs)
         # one refinement step against the shifted system, then check the
         # residual of the system we are contracted to solve
-        d += scipy.linalg.cho_solve(factor, rhs - shifted @ d)
+        d += _cho_solve(factor, rhs - shifted @ d)
         if np.linalg.norm(system @ d - rhs) <= tol:
             return d
         delta = 1e-12 if delta == 0.0 else delta * 10.0
@@ -154,11 +199,13 @@ def min_generalized_eigenvalue(hessian: np.ndarray, metric: Metric) -> float:
     Computed as the smallest eigenvalue of the pencil (H, B); invariant under
     simultaneous congruence transformations of H and B.  Values within
     ``-1e-10 * (1 + ||H||)`` of zero are clamped to 0; more negative values
-    mean the input was not PSD and raise.
+    mean the input was not PSD and raise; NaN or inf entries raise
+    `NonFiniteError`.
     """
     h = symmetrize(np.asarray(hessian, dtype=float))
     if h.shape != (metric.dim, metric.dim):
         raise ValueError("hessian dimension does not match metric")
+    require_finite(h, "hessian")
     lam = float(
         scipy.linalg.eigh(
             h, np.array(metric.matrix), eigvals_only=True, subset_by_index=[0, 0]

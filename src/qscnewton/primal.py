@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
-from .metric import SingularSystemError, min_generalized_eigenvalue, symmetrize
+from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, symmetrize
 from .oracles import SmoothOracle, phi
 
 
@@ -32,17 +32,19 @@ class PrimalStatus(Enum):
     SINGULAR_SYSTEM = "singular_system"
     ADAPTIVE_FAILURE = "adaptive_failure"
     INNER_SOLVER_FAILURE = "inner_solver_failure"
+    NON_FINITE = "non_finite"
 
 
 class AdaptiveSearchError(RuntimeError):
     """The doubling search exhausted its retry budget without progress."""
 
 
-# the status each step failure ends a run in (matched by isinstance)
+# the status each failure ends a run in (matched by isinstance)
 _FAILURE_STATUS = {
     SingularSystemError: PrimalStatus.SINGULAR_SYSTEM,
     AdaptiveSearchError: PrimalStatus.ADAPTIVE_FAILURE,
     MaxInnerIterationsError: PrimalStatus.INNER_SOLVER_FAILURE,
+    NonFiniteError: PrimalStatus.NON_FINITE,
 }
 
 
@@ -193,23 +195,19 @@ def solve_primal(
 
     The smooth gradient is evaluated once at x0; every later one comes from
     the previous step's `grad_plus`, so a step costs one gradient and one
-    Hessian (shared with the eta diagnostics when they are recorded).
+    Hessian (shared with the eta diagnostics when they are recorded).  A
+    gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at
+    that evaluation, at x0 as well.
     """
     x = psi.project(np.asarray(x0, dtype=float))
     if not psi.contains(x0):
         raise ValueError("x0 must be feasible for the composite term")
     metric = oracle.metric
-    grad = oracle.gradient(x)
-    g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
-
-    gap0 = None
-    if config.f_star_ref is not None and config.rel_accuracy is not None:
-        gap0 = oracle.value(x) + psi.value(x, metric) - config.f_star_ref
-
     trace: list[PrimalTraceRow] = []
     step_computations = 0
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
+    g = math.nan  # kept when g(x0) itself is not finite
 
     def diagnostic_hessian(point):
         # the diagnostics and the step from `point` share one evaluation
@@ -223,24 +221,32 @@ def solve_primal(
             return lam, grad_norm / lam
         return lam, (0.0 if grad_norm == 0 else math.inf)
 
-    # every iterate gets a row; a row whose step is never taken (the last
-    # one) keeps NaN step fields
-    for k in range(config.max_iters + 1):
-        f_val = oracle.value(x) + psi.value(x, metric)
-        hess = diagnostic_hessian(x)
-        lam, eta = diagnostics(hess, g)
-        row = PrimalTraceRow(k, f_val, g, lam=lam, eta=eta, x=x.copy())
-        trace.append(row)
-        if k == config.max_iters:  # the budget is spent: status stays MAX_ITERS
-            break
-        if g <= config.grad_tol:
-            status = PrimalStatus.GRAD_TOL_REACHED
-            break
-        if gap0 is not None and gap0 > 0 and f_val - config.f_star_ref <= config.rel_accuracy * gap0:
-            status = PrimalStatus.TARGET_GAP_REACHED
-            break
+    # a failure at x0 (a non-finite gradient) leaves the trace empty
+    try:
+        grad = oracle.gradient(x)
+        g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
 
-        try:
+        gap0 = None
+        if config.f_star_ref is not None and config.rel_accuracy is not None:
+            gap0 = oracle.value(x) + psi.value(x, metric) - config.f_star_ref
+
+        # every iterate gets a row; a row whose step is never taken (the last
+        # one) keeps NaN step fields
+        for k in range(config.max_iters + 1):
+            f_val = oracle.value(x) + psi.value(x, metric)
+            row = PrimalTraceRow(k, f_val, g, x=x.copy())
+            trace.append(row)
+            hess = diagnostic_hessian(x)
+            row.lam, row.eta = diagnostics(hess, g)
+            if k == config.max_iters:  # the budget is spent: status stays MAX_ITERS
+                break
+            if g <= config.grad_tol:
+                status = PrimalStatus.GRAD_TOL_REACHED
+                break
+            if gap0 is not None and gap0 > 0 and f_val - config.f_star_ref <= config.rel_accuracy * gap0:
+                status = PrimalStatus.TARGET_GAP_REACHED
+                break
+
             if config.adaptive:
                 sigma_k, step, retries = adaptive_sigma_search(
                     oracle, psi, x, g, max(sigma_next, config.sigma_min), grad=grad, hess=hess
@@ -250,16 +256,15 @@ def solve_primal(
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
                 step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess)
                 retries = 0
-        except tuple(_FAILURE_STATUS) as exc:
-            status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))
-            break
-        step_computations += retries + 1
+            step_computations += retries + 1
 
-        row.sigma, row.beta, row.step_length, row.retries = sigma_k, step.beta, step.step_length, retries
-        row.progress = float(step.subgradient @ (x - step.x_plus))
-        x = step.x_plus
-        grad = step.grad_plus
-        g = metric.dual_norm(step.subgradient)
+            row.sigma, row.beta, row.step_length, row.retries = sigma_k, step.beta, step.step_length, retries
+            row.progress = float(step.subgradient @ (x - step.x_plus))
+            x = step.x_plus
+            grad = step.grad_plus
+            g = metric.dual_norm(step.subgradient)
+    except tuple(_FAILURE_STATUS) as exc:
+        status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))
 
     return PrimalResult(
         x=x,

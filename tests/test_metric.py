@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscnewton import (
+    CompositeTerm,
+    DualConfig,
+    DualStatus,
     Metric,
+    NonFiniteError,
+    PrimalConfig,
+    PrimalStatus,
     SingularSystemError,
+    generate_synthetic,
     local_norm,
     min_generalized_eigenvalue,
     regularized_solve,
+    solve_dual,
+    solve_primal,
 )
 
 
@@ -193,3 +203,129 @@ def test_dual_norm_of_bh_is_primal_norm(seed):
     metric = Metric(random_spd(rng, n))
     h = rng.standard_normal(n)
     assert metric.dual_norm(metric.apply(h)) == pytest.approx(metric.primal_norm(h), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the LAPACK route against scipy's cho_factor/cho_solve
+# ---------------------------------------------------------------------------
+
+
+def reference_regularized_solve(hessian, bmat, beta, rhs, max_jitter_retries=6):
+    """`regularized_solve` written over scipy.linalg.cho_factor/cho_solve:
+    the same jitter ladder, refinement step and residual contract."""
+    h = 0.5 * (hessian + hessian.T)
+    system = h + beta * bmat
+    tol = 1e-10 * (np.linalg.norm(rhs) + 1.0)
+    delta = 0.0
+    for _ in range(max_jitter_retries + 1):
+        shifted = system if delta == 0.0 else system + delta * bmat
+        try:
+            factor = scipy.linalg.cho_factor(shifted, lower=True)
+        except scipy.linalg.LinAlgError:
+            delta = 1e-12 if delta == 0.0 else delta * 10.0
+            continue
+        d = scipy.linalg.cho_solve(factor, rhs)
+        d += scipy.linalg.cho_solve(factor, rhs - shifted @ d)
+        if np.linalg.norm(system @ d - rhs) <= tol:
+            return d
+        delta = 1e-12 if delta == 0.0 else delta * 10.0
+    raise SingularSystemError("reference ladder exhausted")
+
+
+def _draw_system(rng, n, kind):
+    """(H, B, beta, rhs) of one of three kinds: SPD; singular with rhs in
+    the range of H and beta = 0 (the jitter ladder solves it); indefinite
+    with beta = 0, its negative curvature beyond the ladder's largest
+    shift, 1e-6 B."""
+    bmat = random_spd(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+    if kind == "spd":
+        a = rng.standard_normal((n, n + 2))
+        return a @ a.T, bmat, float(rng.choice([0.0, 1e-3, 0.7, 50.0])), rng.standard_normal(n)
+    rank = int(rng.integers(0, n))  # rank < n
+    a = rng.standard_normal((n, rank))
+    if kind == "singular":
+        return a @ a.T, bmat, 0.0, a @ rng.standard_normal(rank)
+    # on the kernel of a a', the curvature is -(1 + max|B|) < -1e-6 w'Bw
+    return a @ a.T - (1.0 + np.abs(bmat).max()) * np.eye(n), bmat, 0.0, rng.standard_normal(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(["spd", "singular", "indefinite"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=2, kind="singular", columns=2, seed=0)
+@example(n=1, kind="indefinite", columns=1, seed=0)
+def test_lapack_route_is_bitwise_equal_to_cho_factor(n, kind, columns, seed):
+    rng = np.random.default_rng(seed)
+    h, bmat, beta, rhs = _draw_system(rng, n, kind)
+    metric = Metric(bmat)
+    try:
+        expected = reference_regularized_solve(h, metric.matrix, beta, rhs)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            regularized_solve(h, metric, beta, rhs)
+    else:
+        assert np.array_equal(regularized_solve(h, metric, beta, rhs), expected)
+    if kind == "indefinite":
+        with pytest.raises(SingularSystemError):
+            regularized_solve(h, metric, beta, rhs)
+
+    chol = scipy.linalg.cho_factor(metric.matrix, lower=True)
+    s = rng.standard_normal(n) if columns == 1 else rng.standard_normal((n, columns))
+    assert np.array_equal(metric.solve(s), scipy.linalg.cho_solve(chol, s))
+    vec = rng.standard_normal(n)
+    expected_norm = np.sqrt(max(float(vec @ scipy.linalg.cho_solve(chol, vec)), 0.0))
+    assert metric.dual_norm(vec) == expected_norm
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["hessian", "rhs"])
+    def test_regularized_solve_rejects(self, bad, where):
+        h, rhs = np.eye(3), np.ones(3)
+        if where == "hessian":
+            h[2, 1] = bad
+        else:
+            rhs[0] = bad
+        with pytest.raises(NonFiniteError):
+            regularized_solve(h, Metric.identity(3), 0.5, rhs)
+
+    def test_non_finite_beta_rejected(self):
+        with pytest.raises(NonFiniteError):
+            regularized_solve(np.eye(2), Metric(np.array([[2.0, 1.0], [1.0, 2.0]])), np.inf, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["solve", "dual_norm"])
+    def test_metric_rejects_a_non_finite_vector(self, bad, method):
+        s = np.array([1.0, bad, 0.0])
+        with pytest.raises(NonFiniteError):
+            getattr(Metric(np.diag([1.0, 2.0, 3.0])), method)(s)
+
+    def test_metric_matrix_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            Metric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_min_generalized_eigenvalue_rejects(self):
+        with pytest.raises(NonFiniteError):
+            min_generalized_eigenvalue(np.array([[1.0, np.nan], [np.nan, 1.0]]), Metric.identity(2))
+
+    def test_is_a_value_error(self):
+        assert issubclass(NonFiniteError, ValueError)
+
+
+def test_solve_path_never_calls_cho_factor_or_cho_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solve path must go straight to LAPACK")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", forbidden)
+    o = generate_synthetic("logistic", n=8, m=40, seed=7)
+    box = CompositeTerm.box(np.full(8, -0.05), np.full(8, 0.05))
+    zero = CompositeTerm.zero()
+    assert solve_primal(o, zero, np.zeros(8), PrimalConfig()).status is PrimalStatus.GRAD_TOL_REACHED
+    assert solve_primal(o, box, np.zeros(8), PrimalConfig()).status is PrimalStatus.GRAD_TOL_REACHED
+    dual = solve_dual(o, zero, np.zeros(8), DualConfig(qsc_constant=o.qsc_constant, grad_tol=1e-8))
+    assert dual.status is DualStatus.GRAD_TOL_REACHED
