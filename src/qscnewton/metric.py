@@ -15,13 +15,23 @@ instead checked once per step, where a value enters: the metric at
 construction, ``H + beta*B`` and the right-hand side on entry to
 `regularized_solve`, and the vector of each `Metric.solve`.  A non-finite
 input raises `NonFiniteError`.
+
+Symmetric-definite pencils (A, B) go straight to LAPACK the same way, in
+`_pencil_eigh`: ``dsygvd`` for the full spectrum, with or without
+eigenvectors, and ``dsygvx`` (with the workspace size its own query gives)
+for one eigenpair by index.  These are the routines and arguments that
+``scipy.linalg.eigh`` picks, so results are bitwise equal, without the
+wrapper's per-call validation; the certifiers call it thousands of times
+per instance.  Only lower triangles are read and the inputs are never
+overwritten.  Non-finite inputs raise `NonFiniteError`, and a B that is not
+positive definite gives None rather than an exception, so callers decide
+what an indefinite pencil means.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsygvd, dsygvx, dsygvx_lwork
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -55,6 +65,37 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     return x
+
+
+def _pencil_eigh(a: np.ndarray, b: np.ndarray, *, vectors: bool = False, index: int | None = None):
+    """Eigenvalues, ascending, of the symmetric-definite pencil a v = lambda b v.
+
+    With `vectors` it returns (eigenvalues, eigenvectors) with the
+    b-orthonormal eigenvectors as columns.  With `index` only the eigenpair
+    of that 0-based index is computed, so the arrays have length 1 and one
+    column.  Returns None when b is not positive definite; NaN or inf in a
+    or b raises `NonFiniteError`, and a LAPACK convergence failure raises
+    ``LinAlgError``.
+    """
+    require_finite(a, "pencil matrix A")
+    require_finite(b, "pencil matrix B")
+    n = a.shape[0]
+    jobz = "V" if vectors else "N"
+    if index is None:
+        w, v, info = dsygvd(a, b, jobz=jobz, uplo="L")
+    else:
+        lwork = int(dsygvx_lwork(n, uplo="L")[0])
+        w, v, found, _, info = dsygvx(
+            a, b, jobz=jobz, range="I", il=index + 1, iu=index + 1, uplo="L", lwork=lwork
+        )
+        w, v = w[:found], v[:, :found]
+    if info > n:
+        return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK sygv")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"generalized eigensolve did not converge (LAPACK info={info})")
+    return (w, v) if vectors else w
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -205,12 +246,8 @@ def min_generalized_eigenvalue(hessian: np.ndarray, metric: Metric) -> float:
     h = symmetrize(np.asarray(hessian, dtype=float))
     if h.shape != (metric.dim, metric.dim):
         raise ValueError("hessian dimension does not match metric")
-    require_finite(h, "hessian")
-    lam = float(
-        scipy.linalg.eigh(
-            h, np.array(metric.matrix), eigvals_only=True, subset_by_index=[0, 0]
-        )[0]
-    )
+    # B is positive definite (Metric checks it), so the pencil is definite
+    lam = float(_pencil_eigh(h, metric.matrix, index=0)[0])
     if lam >= 0.0:
         return lam
     tol = 1e-10 * (1.0 + np.linalg.norm(h, "fro"))

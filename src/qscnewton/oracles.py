@@ -16,9 +16,8 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .metric import Metric, local_norm, matvec, symmetrize
+from .metric import Metric, _pencil_eigh, local_norm, matvec, symmetrize
 
 _PHI_SERIES_CUTOFF = 1e-4
 
@@ -30,7 +29,19 @@ def phi(t):
     removable singularity.  Below |t| = 1e-4 the direct formula cancels
     catastrophically, so a 4-term series 1/2 + t/6 + t^2/24 + t^3/120 is used.
     Accepts scalars or arrays.
+
+    A Python or numpy float (or int) takes a scalar branch that skips the
+    0-d array round trip; the certifiers call phi once per pair check.  It
+    applies the same numpy ufuncs (``expm1``, ``square``, ``power``) to an
+    ``np.float64``, so its result is bitwise that of the array path.
+    ``math.expm1`` and ``t * t`` are not: they can differ from numpy's loops
+    in the last bit.
     """
+    if isinstance(t, (int, float)):
+        t = np.float64(t)
+        if abs(t) < _PHI_SERIES_CUTOFF:
+            return float(0.5 + t / 6.0 + np.square(t) / 24.0 + np.power(t, 3) / 120.0)
+        return float((np.expm1(t) - t) / np.square(t))
     arr = np.asarray(t, dtype=float)
     small = np.abs(arr) < _PHI_SERIES_CUTOFF
     safe = np.where(small, 1.0, arr)
@@ -366,11 +377,10 @@ def _refine_triple(oracle: SmoothOracle, x, u, v, rounds: int):
         if shifted_hx is None:  # x stays fixed, so H(x) is formed once
             hx = symmetrize(oracle.hessian(x))
             shifted_hx = hx + 1e-10 * (1.0 + np.abs(hx).max()) * np.eye(n)
-        try:
-            _, vecs = scipy.linalg.eigh(form, shifted_hx, subset_by_index=[n - 1, n - 1])
-        except scipy.linalg.LinAlgError:
+        pair = _pencil_eigh(form, shifted_hx, vectors=True, index=n - 1)
+        if pair is None:  # H(x) is not positive semidefinite
             break
-        u = vecs[:, 0]
+        u = pair[1][:, 0]
     return x, u, v
 
 
@@ -456,6 +466,9 @@ def check_hessian_stability(
     allowance is rejected without computing eigenvectors, and its margin is
     reported without allowance.
 
+    A pair where H(x) + dI is not positive definite (H(x) is not PSD, so f
+    is not convex there), or where H(y) + dI is not, fails with margin -inf.
+
     `hx` and `hy` are H(x) and H(y) when the caller already holds them;
     passing them changes no bit of the result.
     """
@@ -468,8 +481,8 @@ def check_hessian_stability(
     r = oracle.metric.primal_norm(np.asarray(y, float) - np.asarray(x, float))
     bound = oracle.qsc_constant * r
     slack = 1e-7 * (1.0 + bound)
-    eigs = scipy.linalg.eigh(*pencil, eigvals_only=True)
-    if eigs[0] <= 0:
+    eigs = _pencil_eigh(*pencil)
+    if eigs is None or eigs[0] <= 0:
         return False, -np.inf
     excess = np.abs(np.log(eigs)) - bound
     if excess.max() <= slack:
@@ -478,7 +491,7 @@ def check_hessian_stability(
     largest_allowance = roundoff / (shift - roundoff) * (1.0 + 1.0 / eigs)
     if np.max(excess - largest_allowance) > slack:
         return False, float(-excess.max())
-    eigs, vecs = scipy.linalg.eigh(*pencil)
+    eigs, vecs = _pencil_eigh(*pencil, vectors=True)
     allowance = roundoff * np.sum(vecs**2, axis=0) * (1.0 + 1.0 / eigs)
     margin = float(-np.max(np.abs(np.log(eigs)) - bound - allowance))
     return margin >= -slack, margin

@@ -233,15 +233,32 @@ class SeparableObjective(SmoothOracle):
 
 
 def _clamped_exp_weights(mass: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    # zero-mass entries contribute nothing, even where the exponent is huge
-    if np.any((mass > 0) & (exponents > _EXP_CLAMP)):
+    """mass * exp(min(exponents, 700)), warning when a positive mass is clamped.
+
+    The clamp keeps exp finite, so a zero mass gives a zero weight, +0.0
+    since the constructors store no -0.0.  The full clamp scan runs only
+    when some exponent exceeds the clamp (or is NaN).
+    """
+    if not exponents.max() <= _EXP_CLAMP and np.any((mass > 0) & (exponents > _EXP_CLAMP)):
         warnings.warn(
             "exponential sum argument clamped at 700",
             EvaluationOverflowWarning,
             stacklevel=3,
         )
-    safe = np.minimum(exponents, _EXP_CLAMP)
-    return np.where(mass > 0, mass * np.exp(safe), 0.0)
+    weights = np.minimum(exponents, _EXP_CLAMP)
+    np.exp(weights, out=weights)
+    weights *= mass
+    return weights
+
+
+def _square_nonnegative(matrix, what: str) -> np.ndarray:
+    """The data of a matrix objective as a float array with -0.0 stored as +0.0."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{what} data must be a square matrix")
+    if not np.all(a >= 0):
+        raise ValueError(f"{what} data must be nonnegative")
+    return a + 0.0
 
 
 class MatrixScalingObjective(SmoothOracle):
@@ -253,11 +270,7 @@ class MatrixScalingObjective(SmoothOracle):
     """
 
     def __init__(self, matrix) -> None:
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError("scaling data must be a square matrix")
-        if np.any(a < 0):
-            raise ValueError("scaling data must be nonnegative")
+        a = _square_nonnegative(matrix, "scaling")
         n = a.shape[0]
         super().__init__(Metric.identity(2 * n), np.sqrt(2.0))
         a.setflags(write=False)
@@ -276,12 +289,14 @@ class MatrixScalingObjective(SmoothOracle):
         return np.concatenate([w.sum(axis=1), -w.sum(axis=0)])
 
     def hessian(self, z):
+        # [[diag(r), -W], [-W^T, diag(c)]], written into one array
+        n = self._n
         w = self._weights(z)
-        r = w.sum(axis=1)
-        c = w.sum(axis=0)
-        top = np.concatenate([np.diag(r), -w], axis=1)
-        bottom = np.concatenate([-w.T, np.diag(c)], axis=1)
-        return np.concatenate([top, bottom], axis=0)
+        h = np.zeros((2 * n, 2 * n))
+        h.flat[:: 2 * n + 1] = np.concatenate([w.sum(axis=1), w.sum(axis=0)])
+        np.negative(w, out=h[:n, n:])
+        np.negative(w.T, out=h[n:, :n])
+        return h
 
     def hessian_vector(self, z, u):
         # [diag(r) p - W q, diag(c) q - W^T p] for u = (p, q), never forming H
@@ -302,11 +317,7 @@ class MatrixBalancingObjective(SmoothOracle):
     """
 
     def __init__(self, matrix) -> None:
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError("balancing data must be a square matrix")
-        if np.any(a < 0):
-            raise ValueError("balancing data must be nonnegative")
+        a = _square_nonnegative(matrix, "balancing")
         super().__init__(Metric.identity(a.shape[0]), np.sqrt(2.0))
         a.setflags(write=False)
         self._a = a
@@ -322,8 +333,13 @@ class MatrixBalancingObjective(SmoothOracle):
         return w.sum(axis=1) - w.sum(axis=0)
 
     def hessian(self, x):
+        # diag(row sums + column sums) - (W + W^T), written into one array;
+        # off the diagonal this is 0.0 - (w_ij + w_ji), so +0.0 where both are 0
         w = self._weights(x)
-        h = np.diag(w.sum(axis=1) + w.sum(axis=0)) - (w + w.T)
+        h = w + w.T
+        diagonal = w.sum(axis=1) + w.sum(axis=0) - h.diagonal()
+        np.subtract(0.0, h, out=h)
+        h.flat[:: h.shape[0] + 1] = diagonal
         return h
 
     def hessian_vector(self, x, u):

@@ -14,6 +14,12 @@ length; the dual's nu is held fixed, because its inner rule
 ||s|| <= 2 M g_k nu / (k+1)^2 multiplies nu by g_k, and only a fixed nu keeps
 that rule scaling with c.
 
+The certifier has the same invariance under f -> c f.  With c = 4^k every
+product with c is exact, so the qsc check's violations scale by exactly c,
+and Hessian stability, a statement about the pencil (H(y) + dI, H(x) + dI)
+with d = 1e-12 max(max|H|, 1), gives bitwise the same margin wherever max|H|
+is at least 1 at both scales: there the shift scales with H.
+
 Two roundoff guards in the solvers are absolute, so not scale invariant:
 the adaptive progress test's slack 1e-12 (1 + |rhs|) and the dual's
 threshold floor 1e-14 (1 + g).  NU = 1e-5 stops these runs before either
@@ -30,11 +36,14 @@ from qscnewton import (
     DualStatus,
     PrimalConfig,
     PrimalStatus,
+    check_hessian_stability,
     generate_synthetic,
     solve_dual,
     solve_primal,
 )
-from qscnewton.oracles import affine_substitute, scale_oracle
+from qscnewton.harness import sample_pairs
+from qscnewton.oracles import _qsc_violations, affine_substitute, scale_oracle
+from qscnewton.problems import KINDS
 
 NU = 1e-5
 # a step is a backward-stable Cholesky solve plus O(n) vector updates, so
@@ -104,6 +113,41 @@ def test_affine_substitution_maps_iterates(problem, solver):
     x0 = _start(oracle)
     substituted = _solve(solver, affine_substitute(oracle, a), CompositeTerm.zero(), np.linalg.solve(a, x0))
     _assert_same_iterates(_solve(solver, oracle, CompositeTerm.zero(), x0), [a @ u for u in substituted])
+
+
+CERTIFIER_SCALES = (4.0**3, 4.0**-3)
+
+
+def _certifier_instance(kind):
+    return generate_synthetic(kind, n=8 if kind.startswith("matrix") else 10, m=60, seed=21)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaling_f_scales_qsc_violations_exactly(kind):
+    oracle = _certifier_instance(kind)
+    rng = np.random.default_rng(22)
+    x, u, v = rng.standard_normal((3, 200, oracle.dim))
+    v /= np.sqrt(np.sum((v @ oracle.metric.matrix) * v, axis=1))[:, None]
+    violation, _ = _qsc_violations(oracle, x, u, v)
+    for c in CERTIFIER_SCALES:
+        scaled, _ = _qsc_violations(scale_oracle(oracle, c), x, u, v)
+        assert np.array_equal(scaled, c * violation), c
+
+
+def test_scaling_f_leaves_hessian_stability_margins_unchanged():
+    compared = 0
+    for kind in KINDS:
+        oracle = _certifier_instance(kind)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            x, y = sample_pairs(oracle, rng, radius=2.0, x_scale=2.0)
+            size = max(np.abs(oracle.hessian(x)).max(), np.abs(oracle.hessian(y)).max())
+            expected = check_hessian_stability(oracle, x, y)
+            for c in CERTIFIER_SCALES:
+                if min(size, c * size) >= 1.0:  # the shift's floor of 1 is absolute
+                    assert check_hessian_stability(scale_oracle(oracle, c), x, y) == expected, (kind, c)
+                    compared += 1
+    assert compared >= 40
 
 
 @pytest.mark.xfail(strict=True, reason="the progress test's absolute slack 1e-12 decides once c*g is tiny")

@@ -20,6 +20,7 @@ from qscnewton import (
     solve_dual,
     solve_primal,
 )
+from qscnewton.metric import _pencil_eigh
 
 
 def random_spd(rng, n, scale=1.0):
@@ -329,3 +330,58 @@ def test_solve_path_never_calls_cho_factor_or_cho_solve(monkeypatch):
     assert solve_primal(o, box, np.zeros(8), PrimalConfig()).status is PrimalStatus.GRAD_TOL_REACHED
     dual = solve_dual(o, zero, np.zeros(8), DualConfig(qsc_constant=o.qsc_constant, grad_tol=1e-8))
     assert dual.status is DualStatus.GRAD_TOL_REACHED
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the pencil route against scipy.linalg.eigh
+# ---------------------------------------------------------------------------
+
+
+def _draw_pencil(rng, n):
+    """(A, B): A general (only its lower triangle is read), B positive
+    definite in its lower triangle with junk above the diagonal, so a read of
+    the wrong triangle shows."""
+    scale = float(rng.choice([1e-6, 1.0, 1e4]))
+    a = scale * rng.standard_normal((n, n))
+    b = random_spd(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+    return a, np.tril(b) + np.triu(rng.standard_normal((n, n)), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=1, seed=0)
+@example(n=40, seed=0)
+def test_pencil_eigh_is_bitwise_equal_to_scipy_eigh(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _draw_pencil(rng, n)
+    a_before, b_before = a.copy(), b.copy()
+    assert np.array_equal(_pencil_eigh(a, b), scipy.linalg.eigh(a, b, eigvals_only=True))
+    w, v = _pencil_eigh(a, b, vectors=True)
+    expected_w, expected_v = scipy.linalg.eigh(a, b)
+    assert np.array_equal(w, expected_w) and np.array_equal(v, expected_v)
+    for index in (0, n - 1):
+        subset = [index, index]
+        expected = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=subset)
+        assert np.array_equal(_pencil_eigh(a, b, index=index), expected)
+        w, v = _pencil_eigh(a, b, vectors=True, index=index)
+        expected_w, expected_v = scipy.linalg.eigh(a, b, subset_by_index=subset)
+        assert np.array_equal(w, expected_w) and np.array_equal(v, expected_v)
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+    # B not positive definite: None in every mode, where scipy raises
+    k = int(rng.integers(n))
+    b[k, k] = -float(rng.uniform(0.0, 1.0))
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.eigh(a, b, eigvals_only=True)
+    for kwargs in ({}, {"vectors": True}, {"index": 0}, {"vectors": True, "index": n - 1}):
+        assert _pencil_eigh(a, b, **kwargs) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["a", "b"])
+@pytest.mark.parametrize("kwargs", [{}, {"vectors": True}, {"index": 0}, {"vectors": True, "index": 2}])
+def test_pencil_eigh_rejects_non_finite_input(bad, where, kwargs):
+    a, b = np.diag([1.0, 2.0, 3.0]), np.eye(3)
+    (a if where == "a" else b)[2, 0] = bad
+    with pytest.raises(NonFiniteError):
+        _pencil_eigh(a, b, **kwargs)

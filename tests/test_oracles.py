@@ -14,12 +14,14 @@ from qscnewton import (
     check_hessian_stability,
     check_qsc,
     contract_oracle,
+    min_generalized_eigenvalue,
     phi,
+    run_instance_checks,
     scale_oracle,
     with_qsc_constant,
 )
 from qscnewton.metric import local_norm, symmetrize
-from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, third_derivative_estimate
+from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, _refine_triple, third_derivative_estimate
 from qscnewton.problems import KINDS, QuadraticObjective, SeparableObjective, generate_synthetic
 
 
@@ -54,6 +56,27 @@ class TestPhi:
         out = phi(np.array([0.0, 1.0]))
         assert out.shape == (2,)
         assert out[1] == pytest.approx(math.e - 2.0)
+
+    def test_scalar_branch_is_bitwise_equal_to_the_array_path(self):
+        # 2.1e5 points: uniform out to |t| = 700, dense on both sides of the
+        # series cutoff +-1e-4, log-spaced from 1e-12 to 700, and the edges
+        rng = np.random.default_rng(0)
+        cut = 1e-4
+        edges = [cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0), 0.0, -0.0, 700.0]
+        t = np.concatenate([
+            rng.uniform(-700.0, 700.0, 60_000),
+            rng.uniform(-3 * cut, 3 * cut, 60_000),
+            np.exp(rng.uniform(np.log(1e-12), np.log(700.0), 90_000)) * rng.choice([-1.0, 1.0], 90_000),
+            edges,
+            np.negative(edges),
+        ])
+        expected = phi(t)
+        scalar = np.array([phi(float(value)) for value in t])
+        assert np.array_equal(scalar, expected)
+        for value in (t[0], float(t[1]), 1, -3, True):
+            out = phi(value)
+            assert type(out) is float
+            assert out == float(phi(np.array(value, dtype=float)))
 
 
 class _Cubic(SmoothOracle):
@@ -339,6 +362,48 @@ class TestHessianStability:
                 assert not ok
                 assert margin == pytest.approx(-excess, rel=1e-6)
         assert rejected >= 10
+
+
+class TestIndefiniteHessian:
+    """A Hessian that is not PSD fails the certificate instead of raising."""
+
+    def test_hessian_stability_fails_at_every_pair(self):
+        o = QuadraticObjective(np.diag([1.0, -1.0, 2.0]), np.zeros(3))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x, y = rng.standard_normal(3), rng.standard_normal(3)
+            assert check_hessian_stability(o, x, y) == (False, -np.inf)
+
+    def test_run_instance_checks_reports_it(self):
+        o = QuadraticObjective(np.diag([1.0, -1.0, 2.0]), np.zeros(3))
+        results = run_instance_checks(o, samples=50, pairs=5)
+        assert results["hessian_stability"] == {"passed": False, "pairs": 5, "worst_margin": -math.inf}
+
+    def test_refinement_stops_where_the_hessian_is_indefinite(self):
+        # at w.x < 0 the cubic's Hessian (w.x) w w^T is negative semidefinite,
+        # so the round's eigensolve meets an indefinite H(x) + shift and stops
+        # with u as it was and v along the tensor slice w
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal(4)
+        oracle = _Cubic(w)
+        x = -w
+        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        _, u_out, v_out = _refine_triple(oracle, x, u, v, rounds=3)
+        assert u_out is u
+        np.testing.assert_allclose(v_out, w / np.linalg.norm(w), rtol=1e-6)
+        assert check_qsc(oracle, num_samples=50).samples == 55
+
+
+def test_certifier_never_calls_scipy_eigh(monkeypatch, zoo):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certifier must go straight to LAPACK")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+    for name, oracle in zoo.items():
+        results = run_instance_checks(oracle, samples=100, pairs=20)
+        assert all(res["passed"] for res in results.values()), (name, results)
+    o = zoo["logistic"]
+    assert min_generalized_eigenvalue(o.hessian(np.zeros(o.dim)), o.metric) > 0.0
 
 
 class TestSmoothnessBounds:

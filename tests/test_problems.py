@@ -22,6 +22,7 @@ from qscnewton import (
     load_design_matrix,
     load_matrix,
 )
+from qscnewton.problems import _clamped_exp_weights
 
 
 class TestSoftMax:
@@ -180,6 +181,99 @@ class TestMatrixProblems:
     def test_declared_constant(self):
         o = generate_synthetic("matrix_balancing", n=3, seed=0)
         assert o.qsc_constant == pytest.approx(math.sqrt(2.0))
+
+
+def _old_clamped_exp_weights(mass, exponents):
+    """The weights as first written: a masked clamp scan and a select."""
+    if np.any((mass > 0) & (exponents > 700.0)):
+        warnings.warn("exponential sum argument clamped at 700", EvaluationOverflowWarning)
+    return np.where(mass > 0, mass * np.exp(np.minimum(exponents, 700.0)), 0.0)
+
+
+def _old_scaling_hessian(a, z):
+    n = a.shape[0]
+    w = _old_clamped_exp_weights(a, z[:n, None] - z[None, n:])
+    top = np.concatenate([np.diag(w.sum(axis=1)), -w], axis=1)
+    bottom = np.concatenate([-w.T, np.diag(w.sum(axis=0))], axis=1)
+    return np.concatenate([top, bottom], axis=0)
+
+
+def _old_balancing_hessian(a, x):
+    w = _old_clamped_exp_weights(a, x[:, None] - x[None, :])
+    return np.diag(w.sum(axis=1) + w.sum(axis=0)) - (w + w.T)
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _counted(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sum(issubclass(w.category, EvaluationOverflowWarning) for w in caught)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    z_scale=st.sampled_from([1.0, 300.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=3, zero_fraction=0.5, z_scale=300.0, seed=0)
+def test_matrix_weights_and_hessians_are_bitwise_the_old_expressions(n, zero_fraction, z_scale, seed):
+    # exact-zero masses, half of them -0.0 in the input; at z_scale 300 many
+    # exponents pass the clamp, some of them on zero masses only
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 1.0, (n, n))
+    zeros = rng.random((n, n)) < zero_fraction
+    a[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    z = z_scale * rng.standard_normal(2 * n)
+    stack = z_scale * rng.standard_normal((3, n, n))
+    cases = [
+        (a, z[:n, None] - z[None, n:]),
+        (a, stack),
+        (np.abs(a), stack),
+    ]
+    for mass, exponents in cases:
+        expected, expected_warnings = _counted(_old_clamped_exp_weights, mass, exponents)
+        # the objectives store -0.0 as +0.0, the product form's assumption
+        got, got_warnings = _counted(_clamped_exp_weights, mass + 0.0, exponents)
+        assert _bitwise_equal(got, expected)
+        assert got_warnings == expected_warnings
+
+    scaling, balancing = MatrixScalingObjective(a), MatrixBalancingObjective(a)
+    for oracle, old, point in ((scaling, _old_scaling_hessian, z), (balancing, _old_balancing_hessian, z[:n])):
+        expected, expected_warnings = _counted(old, a, point)
+        got, got_warnings = _counted(oracle.hessian, point)
+        assert _bitwise_equal(got, expected)
+        assert got_warnings == expected_warnings
+
+
+@pytest.mark.parametrize("kind", ["matrix_scaling", "matrix_balancing"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_objectives_at_a_non_finite_point(kind, bad):
+    o = generate_synthetic(kind, n=4, seed=3, zero_fraction=0.3)
+    z = np.random.default_rng(3).standard_normal(o.dim)
+    z[1] = bad
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("ignore", EvaluationOverflowWarning)
+        if kind == "matrix_scaling" and not np.isnan(bad):
+            # x_i - y_j is +-inf: clamped at 700 or a zero weight, as before
+            assert _bitwise_equal(o.hessian(z), _old_scaling_hessian(o._a, z))
+        else:
+            # a NaN exponent (balancing's x_1 - x_1 = inf - inf included) makes
+            # its weight NaN, whatever the mass
+            assert not np.isfinite(o.value(z))
+            assert not np.isfinite(o.gradient(z)).all()
+            assert not np.isfinite(o.hessian(z)).all()
+
+
+def test_matrix_objectives_reject_nan_data():
+    for cls in (MatrixScalingObjective, MatrixBalancingObjective):
+        with pytest.raises(ValueError):
+            cls(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestLoaders:
