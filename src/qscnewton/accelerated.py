@@ -26,7 +26,7 @@ import numpy as np
 
 from .composite import CompositeTerm
 from .dual import DualConfig, DualStatus, solve_dual
-from .oracles import SmoothOracle, contract_oracle
+from .oracles import SmoothOracle, check_bounds, contract_oracle, param
 
 
 class ParameterError(ValueError):
@@ -50,24 +50,18 @@ class AccelConfig:
     engages for degenerate M, e.g. quadratics).
     """
 
-    distance_bound: float
+    distance_bound: float = param("number", exclusiveMinimum=0)
     f_star_ref: float | None = None
-    c: float = 1.0
-    gamma: float | None = None
-    a0: float | None = None
-    rel_accuracy: float = 1e-6
-    max_outer: int = 500
+    c: float = param("number", 1.0, exclusiveMinimum=0)
+    gamma: float | None = param("number", None, exclusiveMinimum=0, exclusiveMaximum=1)
+    a0: float | None = param("number", None, exclusiveMinimum=0)
+    rel_accuracy: float = param("number", 1e-6, exclusiveMinimum=0)
+    max_outer: int = param("integer", 500, minimum=1)
     strict: bool = False
-    dual_max_outer: int = 200
-    dual_max_inner: int = 50
+    dual_max_outer: int = param("integer", 200, minimum=1)
+    dual_max_inner: int = param("integer", 50, minimum=1)
 
-    def __post_init__(self):
-        if self.distance_bound <= 0:
-            raise ValueError("distance bound R must be positive")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma override must lie in (0, 1)")
+    __post_init__ = check_bounds
 
 
 @dataclass

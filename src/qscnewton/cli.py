@@ -1,7 +1,7 @@
 """Command-line interface: solve, verify, reference, and benchmark subcommands.
 
 Exit codes: 0 on success, 2 when a solver or a verification check failed,
-3 on configuration errors.
+3 on configuration errors, command-line usage errors included.
 """
 
 from __future__ import annotations
@@ -19,11 +19,21 @@ from .harness import (
     run_reference,
     run_solve,
     run_verify,
+    validate_suite,
 )
 
 EXIT_OK = 0
 EXIT_FAILURE = 2
 EXIT_CONFIG = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits `EXIT_CONFIG` on a usage error, where argparse exits 2, the
+    solver-failure code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -39,7 +49,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qscnewton",
         description="Newton solvers with gradient regularization for "
         "quasi-self-concordant composite problems",
@@ -73,6 +83,7 @@ def main(argv=None) -> int:
         if args.command == "benchmark":
             with open(args.config, "r", encoding="utf-8") as handle:
                 suite = json.load(handle)
+            validate_suite(suite)  # before the seed goes into its problems
             suite = _apply_seed(suite, args.seed)
             outcome = run_benchmark(suite, args.out, jobs=args.jobs, strict=args.strict)
             print(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
 from .metric import NonFiniteError, SingularSystemError
-from .oracles import SmoothOracle, phi
+from .oracles import SmoothOracle, check_bounds, param, phi
 from .primal import initial_subgradient
 
 
@@ -46,18 +46,14 @@ _FAILURE_STATUS = {
 
 @dataclass
 class DualConfig:
-    qsc_constant: float
-    grad_tol: float
-    max_outer: int = 200
-    max_inner: int = 50
+    qsc_constant: float = param("number", exclusiveMinimum=0)
+    grad_tol: float = param("number", exclusiveMinimum=0)
+    max_outer: int = param("integer", 200, minimum=1)
+    max_inner: int = param("integer", 50, minimum=1)
     adapt_qsc: bool = True
     max_qsc_doublings: int = 40
 
-    def __post_init__(self):
-        if self.qsc_constant <= 0:
-            raise ValueError("dual method needs a positive qsc constant")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass

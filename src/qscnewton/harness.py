@@ -1,11 +1,17 @@
 """Experiment harness: configs, reference solutions, verification suites, reports.
 
-A run is described by a versioned JSON config (schema below, unknown keys
-rejected).  The harness builds the instance, computes a cached reference
-solution when one is needed, runs the requested solver, executes the enabled
-verification checks, and persists a trace CSV plus a self-contained JSON
-report.  Reference solutions are content-addressed by the problem section of
-the config; the cache directory honors the ``QSC_CACHE_DIR`` environment
+A run is described by a versioned JSON config (`CONFIG_SCHEMA`, unknown keys
+rejected).  Each key is declared once, by the code that consumes it: the
+solver section's keys and bounds are the `param` fields of the solver config
+dataclasses, the solver names and verify flags are those of `_SOLVERS`, and
+the problem kinds are `problems.KINDS`.  An integer must be a JSON integer
+(2.0 is not one) and a number must be finite.
+
+The harness builds the instance, computes a cached reference solution when
+one is needed, runs the requested solver, executes the enabled verification
+checks, and persists a trace CSV plus a self-contained JSON report.
+Reference solutions are content-addressed by the problem section of the
+config; the cache directory honors the ``QSC_CACHE_DIR`` environment
 variable.
 """
 
@@ -14,8 +20,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -38,9 +46,11 @@ from .oracles import (
     check_gradient_bound,
     check_hessian_stability,
     check_qsc,
+    config_params,
     with_qsc_constant,
 )
 from .problems import (
+    KINDS,
     DimensionError,
     MatrixBalancingObjective,
     MatrixScalingObjective,
@@ -70,126 +80,6 @@ class InsufficientDataError(ValueError):
     """Too few usable iterations for a rate fit."""
 
 
-_SOLVER_PARAMS = {
-    "sigma": {"type": "number", "minimum": 0},
-    "adaptive": {"type": "boolean"},
-    "sigma0": {"type": "number", "exclusiveMinimum": 0},
-    "sigma_min": {"type": "number", "minimum": 0},
-    "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-    "max_iters": {"type": "integer", "minimum": 1},
-    "rel_accuracy": {"type": "number", "exclusiveMinimum": 0},
-    "record_diagnostics": {"type": "boolean"},
-    "qsc_constant": {"type": "number", "exclusiveMinimum": 0},
-    "max_outer": {"type": "integer", "minimum": 1},
-    "max_inner": {"type": "integer", "minimum": 1},
-    "distance_bound": {"type": "number", "exclusiveMinimum": 0},
-    "c": {"type": "number", "exclusiveMinimum": 0},
-    "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-    "a0": {"type": "number", "exclusiveMinimum": 0},
-    "dual_max_outer": {"type": "integer", "minimum": 1},
-    "dual_max_inner": {"type": "integer", "minimum": 1},
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "problem"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "problem": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {
-                    "enum": [
-                        "quadratic",
-                        "softmax",
-                        "logistic",
-                        "exponential",
-                        "matrix_scaling",
-                        "matrix_balancing",
-                    ]
-                },
-                "n": {"type": "integer", "minimum": 1},
-                "m": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "smoothing": {"type": "number", "exclusiveMinimum": 0},
-                "cond": {"type": "number", "minimum": 1},
-                "separable": {"type": "boolean"},
-                "spread": {"type": "number"},
-                "zero_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "data_path": {"type": "string"},
-                "qsc_override": {"type": "number", "minimum": 0},
-                "quad_regularization": {"type": "number", "minimum": 0},
-            },
-        },
-        "composite": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["zero", "box"]},
-                "lower": {"type": ["number", "array"]},
-                "upper": {"type": ["number", "array"]},
-            },
-        },
-        "x0": {"type": ["string", "array"]},
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["primal", "pure_newton_local", "dual", "accelerated"]},
-                **_SOLVER_PARAMS,
-            },
-        },
-        "reference": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "auto": {"type": "boolean"},
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 1},
-            },
-        },
-        "verify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "per_step": {"type": "boolean"},
-                "rate_fit": {"type": "boolean"},
-                "local_quadratic": {"type": "boolean"},
-                "dual_guarantee": {"type": "boolean"},
-                "dual_rate": {"type": "boolean"},
-                "inner_quadratic": {"type": "boolean"},
-                "accel_potential": {"type": "boolean"},
-                "accel_rate": {"type": "boolean"},
-            },
-        },
-        "instance_checks": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer"},
-                "samples": {"type": "integer", "minimum": 1},
-                "pairs": {"type": "integer", "minimum": 1},
-                "x_scale": {"type": "number", "exclusiveMinimum": 0},
-                "pair_radius": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trace": {"type": "string"},
-                "report": {"type": "string"},
-            },
-        },
-    },
-}
-
-
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -201,20 +91,19 @@ def load_config(path) -> dict:
 
 
 def _raise_first_error(validator, instance, what: str) -> None:
-    """Raise the error `jsonschema.validate` would, as a `RunConfigError`."""
+    """Raise the error `jsonschema.validate` would (with `_Validator`'s
+    types), as a `RunConfigError`."""
     error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
     if error is not None:
         raise RunConfigError(f"{what}: {error.message}") from error
 
 
-# built once: `jsonschema.validate` re-checks the schema against its
-# metaschema on every call, which costs far more than validating a config
-# (a test checks both schemas instead)
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
 def validate_config(config: dict) -> None:
     _raise_first_error(_CONFIG_VALIDATOR, config, "invalid config")
+
+
+# the problem keys `generate_synthetic` takes by name, with its defaults
+_SYNTHETIC_KEYS = frozenset(inspect.signature(generate_synthetic).parameters) - {"kind"}
 
 
 def build_problem(problem_cfg: dict) -> SmoothOracle:
@@ -238,17 +127,8 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
         except (ParseError, DimensionError) as exc:
             raise RunConfigError(f"cannot load {data_path}: {exc}") from exc
     else:
-        knobs = {}
-        for key in ("cond", "smoothing", "separable", "spread", "zero_fraction"):
-            if key in problem_cfg:
-                knobs[key] = problem_cfg[key]
-        oracle = generate_synthetic(
-            kind,
-            n=problem_cfg.get("n", 10),
-            m=problem_cfg.get("m", 40),
-            seed=problem_cfg.get("seed", 0),
-            **knobs,
-        )
+        synthetic = {key: value for key, value in problem_cfg.items() if key in _SYNTHETIC_KEYS}
+        oracle = generate_synthetic(kind, **synthetic)
     reg = problem_cfg.get("quad_regularization", 0.0)
     if reg > 0:
         from .oracles import add_oracles
@@ -785,7 +665,7 @@ class _Solver:
     replaced module attribute is the one that runs.
     """
 
-    config_type: type  # the solver section's keys must be its fields
+    config_type: type  # the solver section's keys must be its `param` fields
     configure: Callable  # (params, oracle, x0, reference, verify_cfg, strict) -> config
     solve: Callable  # (oracle, psi, x0, config) -> result
     row_type: type
@@ -863,6 +743,124 @@ _SOLVERS = {
 _REFERENCE_CHECKS = ("rate_fit", "dual_guarantee", "dual_rate", "accel_potential", "accel_rate")
 
 
+def _solver_properties() -> dict:
+    """`name` and each config type's `param` fields; a shared name declares one fragment."""
+    properties = {"name": {"enum": list(_SOLVERS)}}
+    for solver in _SOLVERS.values():
+        for key, fragment in config_params(solver.config_type).items():
+            assert properties.setdefault(key, fragment) == fragment, f"{key} is declared twice"
+    return properties
+
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["schema_version", "problem"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "problem": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": list(KINDS)},
+                "n": {"type": "integer", "minimum": 1},
+                "m": {"type": "integer", "minimum": 1},
+                "seed": {"type": "integer"},
+                "smoothing": {"type": "number", "exclusiveMinimum": 0},
+                "cond": {"type": "number", "minimum": 1},
+                "separable": {"type": "boolean"},
+                "spread": {"type": "number"},
+                "zero_fraction": {"type": "number", "minimum": 0, "maximum": 1},
+                "data_path": {"type": "string"},
+                "qsc_override": {"type": "number", "minimum": 0},
+                "quad_regularization": {"type": "number", "minimum": 0},
+            },
+        },
+        "composite": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["zero", "box"]},
+                "lower": {"type": ["number", "array"]},
+                "upper": {"type": ["number", "array"]},
+            },
+        },
+        "x0": {"type": ["string", "array"]},
+        "solver": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["name"],
+            "properties": _solver_properties(),
+        },
+        "reference": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "auto": {"type": "boolean"},
+                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
+                "max_iters": {"type": "integer", "minimum": 1},
+            },
+        },
+        "verify": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                flag: {"type": "boolean"} for solver in _SOLVERS.values() for flag in solver.verifiers
+            },
+        },
+        "instance_checks": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "seed": {"type": "integer"},
+                "samples": {"type": "integer", "minimum": 1},
+                "pairs": {"type": "integer", "minimum": 1},
+                "x_scale": {"type": "number", "exclusiveMinimum": 0},
+                "pair_radius": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "output": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "trace": {"type": "string"},
+                "report": {"type": "string"},
+            },
+        },
+    },
+}
+
+
+def _is_integer(checker, instance) -> bool:
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+def _is_number(checker, instance) -> bool:
+    if isinstance(instance, bool) or not isinstance(instance, numbers.Real):
+        return False
+    return isinstance(instance, numbers.Integral) or math.isfinite(instance)
+
+
+# the one validator class of both schemas.  jsonschema's "integer" admits an
+# integral float such as 2.0 and its "number" admits NaN and the infinities,
+# which `json.load` parses; here an integer is an int and a number is a
+# finite int or float, and neither is a bool
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {"integer": _is_integer, "number": _is_number}
+    ),
+)
+
+
+# built once: `jsonschema.validate` re-checks the schema against its
+# metaschema on every call, which costs far more than validating a config
+# (a test checks both schemas instead)
+_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
+
+
 def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     """Execute a solve config; writes trace + report into `out_dir`.
 
@@ -878,8 +876,7 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     name = config["solver"]["name"]
     solver = _SOLVERS[name]
     params = {k: v for k, v in config["solver"].items() if k != "name"}
-    defaults = {f.name: f.default for f in dataclasses.fields(solver.config_type)}
-    unknown = sorted(set(params) - set(defaults))
+    unknown = sorted(set(params) - set(config_params(solver.config_type)))
     if unknown:
         raise RunConfigError(f"solver {name!r} does not take {unknown}")
     params = {**solver.preset, **params}
@@ -899,7 +896,8 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     # accelerated scheme always does; its A_0 rule needs F* as well)
     if (
         config.get("reference", {}).get("auto", False)
-        or params.get("rel_accuracy", defaults.get("rel_accuracy")) is not None
+        # a dataclass field's default is its class attribute
+        or params.get("rel_accuracy", getattr(solver.config_type, "rel_accuracy", None)) is not None
         or any(verify_cfg.get(flag) for flag in _REFERENCE_CHECKS)
     ):
         reference, _ = _config_reference(config, oracle, psi, x0)
@@ -997,7 +995,12 @@ BENCHMARK_SCHEMA = {
     },
 }
 
-_BENCHMARK_VALIDATOR = jsonschema.validators.validator_for(BENCHMARK_SCHEMA)(BENCHMARK_SCHEMA)
+_BENCHMARK_VALIDATOR = _Validator(BENCHMARK_SCHEMA)
+
+
+def validate_suite(suite: dict) -> None:
+    _raise_first_error(_BENCHMARK_VALIDATOR, suite, "invalid benchmark suite")
+
 
 _TABLE_COLUMNS = ("problem", "solver", "status", "iterations", "grad_calls", "hess_calls", "final_gap")
 
@@ -1018,7 +1021,7 @@ def run_benchmark(suite: dict, out_dir, jobs: int = 1, strict: bool = False) -> 
     cannot change any numeric output.  Exit is successful if every cell
     produced a report, even if some solves did not converge.
     """
-    _raise_first_error(_BENCHMARK_VALIDATOR, suite, "invalid benchmark suite")
+    validate_suite(suite)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -13,7 +13,9 @@ the declared M is validated as an upper bound, not as the minimal constant.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +51,50 @@ def phi(t):
     series = 0.5 + arr / 6.0 + arr**2 / 24.0 + arr**3 / 120.0
     out = np.where(small, series, direct)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+
+# the test a value within each JSON-schema bound keyword's limit passes
+_BOUND_TESTS = {
+    "minimum": operator.ge,
+    "exclusiveMinimum": operator.gt,
+    "exclusiveMaximum": operator.lt,
+}
+
+
+def param(json_type: str, default=MISSING, **bound):
+    """A solver config field that a run config may set.
+
+    `json_type` ("number", "integer" or "boolean") and the `_BOUND_TESTS`
+    keywords in `bound` are the field's JSON-schema fragment: the harness
+    builds its config schema from it, and `check_bounds` enforces it.  A
+    field declared without `param`, such as `f_star_ref`, is library-only.
+    """
+    return field(default=default, metadata={"schema": {"type": json_type, **bound}})
+
+
+def config_params(config_type) -> dict:
+    """Name -> schema fragment of each `param` field of a config dataclass."""
+    return {f.name: f.metadata["schema"] for f in fields(config_type) if "schema" in f.metadata}
+
+
+@functools.cache
+def _bounds(config_type) -> tuple:
+    # once per class: `solve_accelerated` builds a DualConfig per outer iteration
+    return tuple(
+        (name, keyword, _BOUND_TESTS[keyword], limit)
+        for name, fragment in config_params(config_type).items()
+        for keyword, limit in fragment.items()
+        if keyword != "type"
+    )
+
+
+def check_bounds(config) -> None:
+    """Raise `ValueError` for a `param` field of `config` outside its bound
+    (NaN is outside every bound); a None value is not checked."""
+    for name, keyword, test, limit in _bounds(type(config)):
+        value = getattr(config, name)
+        if value is not None and not test(value, limit):
+            raise ValueError(f"{name} = {value!r} is outside its bound {keyword} {limit}")
 
 
 class SmoothOracle(abc.ABC):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, symmetrize
-from .oracles import SmoothOracle, phi
+from .oracles import SmoothOracle, check_bounds, param, phi
 
 
 class PrimalStatus(Enum):
@@ -57,23 +57,17 @@ class PrimalConfig:
     reference value `f_star_ref`; the solver itself never estimates it.
     """
 
-    sigma: float | None = None
-    adaptive: bool = False
-    sigma0: float = 1.0
-    sigma_min: float = 1e-12
-    grad_tol: float = 1e-9
-    max_iters: int = 1000
+    sigma: float | None = param("number", None, minimum=0)
+    adaptive: bool = param("boolean", False)
+    sigma0: float = param("number", 1.0, exclusiveMinimum=0)
+    sigma_min: float = param("number", 1e-12, minimum=0)
+    grad_tol: float = param("number", 1e-9, exclusiveMinimum=0)
+    max_iters: int = param("integer", 1000, minimum=1)
     f_star_ref: float | None = None
-    rel_accuracy: float | None = None
-    record_diagnostics: bool = False
+    rel_accuracy: float | None = param("number", None, exclusiveMinimum=0)
+    record_diagnostics: bool = param("boolean", False)
 
-    def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.adaptive and self.sigma0 <= 0:
-            raise ValueError("adaptive search needs a positive sigma0")
+    __post_init__ = check_bounds
 
 
 @dataclass

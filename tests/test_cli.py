@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,64 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["reference"] is not None
         assert report["final_gap"] <= 1e-5 * 1.0  # relative target on a O(1) gap
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 3 (config error), not argparse's 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--out", "{out}"],
+            ["solve", "--config", "{config}", "--out", "{out}", "--seed", "x"],
+            ["solve", "--config", "{config}", "--out", "{out}", "--bogus"],
+            ["frobnicate", "--config", "{config}"],
+            [],
+        ],
+        ids=["no-config", "non-integer-seed", "unknown-option", "unknown-command", "no-command"],
+    )
+    def test_exits_three_without_output(self, tmp_path, quad_config, capsys, argv):
+        out = tmp_path / "u"
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(out=out, config=quad_config) for arg in argv])
+        assert exited.value.code == 3
+        assert not out.exists()
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self):
+        with pytest.raises(SystemExit) as exited:
+            main(["solve", "--help"])
+        assert exited.value.code == 0
+
+
+_LOGISTIC = {"kind": "logistic", "n": 4, "m": 20, "seed": 3}
+
+
+class TestNonFiniteAndNonIntegerNumbers:
+    """json.load parses NaN and Infinity, and an integral float is not an
+    integer: each is a config error before any output."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("solve", {"problem": _LOGISTIC, "solver": {"name": "primal", "grad_tol": math.inf}}),
+            ("solve", {"problem": _LOGISTIC, "solver": {"name": "dual", "qsc_constant": math.nan}}),
+            ("solve", {"problem": _LOGISTIC, "solver": {"name": "primal", "max_iters": 2.0}}),
+            ("verify", {"problem": _LOGISTIC, "instance_checks": {"samples": 10, "pairs": 2.0}}),
+            ("solve", {"problem": {**_LOGISTIC, "seed": 3.0}, "solver": {"name": "primal"}}),
+            ("solve", {"problem": {**_LOGISTIC, "n": 4.0}, "solver": {"name": "primal"}}),
+            ("reference", {"problem": {**_LOGISTIC, "n": 4.0}}),
+        ],
+        ids=["grad-tol-infinity", "qsc-constant-nan", "max-iters-2.0", "pairs-2.0", "seed-3.0", "n-4.0", "reference-n-4.0"],
+    )
+    def test_exits_three_without_output(self, tmp_path, capsys, command, config):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": 1, **config}))  # writes Infinity and NaN
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
 
 def _unbuildable_config(tmp_path, case):
@@ -249,6 +308,14 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", suite, "--out", str(out1), "--seed", "99"]) == 0
         assert main(["benchmark", "--config", suite, "--out", str(out2)]) == 0
         assert (out1 / "table.csv").read_text() != (out2 / "table.csv").read_text()
+
+    def test_malformed_suite_with_seed_exits_three(self, tmp_path, capsys):
+        # the suite is validated before the seed is written into its problems
+        suite = {"schema_version": 1, "problems": [1], "solvers": [{"name": "primal"}]}
+        bad = write_config(tmp_path / "s.json", suite)
+        assert main(["benchmark", "--config", bad, "--out", str(tmp_path / "o"), "--seed", "5"]) == 3
+        assert not (tmp_path / "o").exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_malformed_suite_exits_three(self, tmp_path):
         bad = write_config(tmp_path / "s.json", {"schema_version": 1, "problems": []})

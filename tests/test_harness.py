@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,8 +8,10 @@ import pytest
 
 from qscnewton import harness
 from qscnewton import (
+    AccelConfig,
     CompositeTerm,
     CountingOracle,
+    DualConfig,
     InsufficientDataError,
     Metric,
     PrimalConfig,
@@ -33,6 +36,7 @@ from qscnewton.harness import (
     sample_pairs,
     validate_config,
 )
+from qscnewton.problems import KINDS
 
 ZERO = CompositeTerm.zero()
 
@@ -252,6 +256,28 @@ class TestConfigValidation:
                 harness.run_benchmark(instance, tmp_path / "out")
         assert str(raised.value).endswith(f": {expected.value.message}")
 
+    @pytest.mark.parametrize(
+        "json_type, value, valid",
+        [
+            ("integer", 2, True),
+            ("integer", 10**400, True),
+            ("integer", 2.0, False),
+            ("integer", True, False),
+            ("number", 2, True),
+            ("number", -2.5, True),
+            ("number", 10**400, True),
+            ("number", np.float64(0.5), True),
+            ("number", math.nan, False),
+            ("number", math.inf, False),
+            ("number", -math.inf, False),
+            ("number", False, False),
+            ("number", "1", False),
+        ],
+    )
+    def test_integers_are_ints_and_numbers_are_finite(self, json_type, value, valid):
+        # the one validator class both schemas use
+        assert harness._Validator({"type": json_type}).is_valid(value) is valid
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(RunConfigError):
             load_config(tmp_path / "nope.json")
@@ -261,6 +287,109 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(RunConfigError):
             load_config(path)
+
+
+# every run-config solver key with its JSON type and bound, as documented;
+# the schema and the config dataclasses must each enforce exactly these
+_SOLVER_KEYS = {
+    "sigma": {"type": "number", "minimum": 0},
+    "adaptive": {"type": "boolean"},
+    "sigma0": {"type": "number", "exclusiveMinimum": 0},
+    "sigma_min": {"type": "number", "minimum": 0},
+    "grad_tol": {"type": "number", "exclusiveMinimum": 0},
+    "max_iters": {"type": "integer", "minimum": 1},
+    "rel_accuracy": {"type": "number", "exclusiveMinimum": 0},
+    "record_diagnostics": {"type": "boolean"},
+    "qsc_constant": {"type": "number", "exclusiveMinimum": 0},
+    "max_outer": {"type": "integer", "minimum": 1},
+    "max_inner": {"type": "integer", "minimum": 1},
+    "distance_bound": {"type": "number", "exclusiveMinimum": 0},
+    "c": {"type": "number", "exclusiveMinimum": 0},
+    "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "a0": {"type": "number", "exclusiveMinimum": 0},
+    "dual_max_outer": {"type": "integer", "minimum": 1},
+    "dual_max_inner": {"type": "integer", "minimum": 1},
+}
+# each config type, a solver name that builds it, and its required fields
+_CONFIG_TYPES = (
+    (PrimalConfig, "primal", {}),
+    (DualConfig, "dual", {"qsc_constant": 1.0, "grad_tol": 1e-8}),
+    (AccelConfig, "accelerated", {"distance_bound": 1.0}),
+)
+
+
+def _bound_edges(fragment):
+    """(just outside, just inside) for each bound of a schema fragment."""
+    step = 1 if fragment["type"] == "integer" else None
+
+    def toward(limit, direction):
+        return limit + direction * step if step else math.nextafter(limit, direction * math.inf)
+
+    for keyword, limit in fragment.items():
+        if keyword == "minimum":
+            yield toward(limit, -1), limit
+        elif keyword == "exclusiveMinimum":
+            yield limit, toward(limit, 1)
+        elif keyword == "maximum":
+            yield toward(limit, 1), limit
+        elif keyword == "exclusiveMaximum":
+            yield limit, toward(limit, -1)
+
+
+def _field_cases():
+    for config_type, name, required in _CONFIG_TYPES:
+        for field in dataclasses.fields(config_type):
+            if field.name in _SOLVER_KEYS:
+                yield pytest.param(config_type, name, required, field.name, id=f"{name}-{field.name}")
+
+
+class TestConfigFields:
+    """The solver keys are declared once, on the config dataclasses."""
+
+    def test_schema_solver_section_is_the_documented_keys(self):
+        solver = harness.CONFIG_SCHEMA["properties"]["solver"]["properties"]
+        assert solver == {"name": {"enum": ["primal", "pure_newton_local", "dual", "accelerated"]}, **_SOLVER_KEYS}
+
+    def test_library_only_fields_are_not_config_keys(self):
+        solver = harness.CONFIG_SCHEMA["properties"]["solver"]["properties"]
+        assert {"f_star_ref", "strict", "adapt_qsc", "max_qsc_doublings"}.isdisjoint(solver)
+
+    def test_every_documented_key_is_a_field_of_a_config_type(self):
+        fields = {f.name for config_type, *_ in _CONFIG_TYPES for f in dataclasses.fields(config_type)}
+        assert set(_SOLVER_KEYS) <= fields
+
+    def test_enums_and_flags_come_from_the_code(self):
+        properties = harness.CONFIG_SCHEMA["properties"]
+        flags = set().union(*(solver.verifiers for solver in harness._SOLVERS.values()))
+        assert set(properties["verify"]["properties"]) == flags
+        assert properties["solver"]["properties"]["name"]["enum"] == list(harness._SOLVERS)
+        assert properties["problem"]["properties"]["kind"]["enum"] == list(KINDS)
+
+    @pytest.mark.parametrize("config_type, name, required, key", _field_cases())
+    def test_bounds_enforced_by_schema_and_dataclass(self, config_type, name, required, key):
+        def config(value):
+            return {"schema_version": 1, "problem": {"kind": "logistic"}, "solver": {"name": name, key: value}}
+
+        fragment = _SOLVER_KEYS[key]
+        if fragment["type"] == "boolean":  # no bound; the dataclass checks no type
+            validate_config(config(True))
+            with pytest.raises(RunConfigError):
+                validate_config(config(1))
+            return
+        edges = list(_bound_edges(fragment))
+        assert edges, f"{key} has no bound"
+        for outside, inside in edges + [(math.nan, None)]:  # NaN is outside every bound
+            with pytest.raises(RunConfigError):
+                validate_config(config(outside))
+            with pytest.raises(ValueError, match=key):
+                config_type(**{**required, key: outside})
+            if inside is not None:
+                validate_config(config(inside))
+                assert getattr(config_type(**{**required, key: inside}), key) == inside
+
+    def test_none_defaults_are_not_checked(self):
+        assert PrimalConfig(sigma=None, rel_accuracy=None).sigma is None
+        assert AccelConfig(distance_bound=1.0, gamma=None, a0=None).gamma is None
 
 
 class TestRunSolve:

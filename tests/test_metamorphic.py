@@ -6,7 +6,16 @@ Every solver states its parameters in the metric and in ||F'||_*, so
   scale by c, the qsc constant does not, and each step solves the same
   system times c;
 - f(x) -> f(Ax) with the induced metric A'BA maps iterates u_k to x_k = A u_k
-  (zero composite only: a box is not mapped to a box).
+  (zero composite only: a box is not mapped to a box);
+- permuting the rows of a design matrix leaves f and its Gram metric B
+  unchanged, so it leaves the iterates unchanged up to summation order.
+
+The accelerated scheme has both maps too.  Under f -> c f with F* scaled
+and R fixed, gamma = (M R)^{-2/3} is unchanged, A_0 = c0^2 R^2 / (2 gap_0)
+scales by 1/c, so every contracted subproblem A_{k+1} f(...) is the same
+function and every inner dual solve makes the same decisions; the gap test
+compares c gap with c rel_accuracy gap_0.  Under f(Ax) the distance bound,
+the dual norms of nu_k and the prox term are all metric quantities.
 
 Iterates are compared over the common prefix of the two traces.  The
 primal's stopping tolerance is scaled with c, so both runs have the same
@@ -31,13 +40,19 @@ import numpy as np
 import pytest
 
 from qscnewton import (
+    AccelConfig,
+    AccelStatus,
     CompositeTerm,
     DualConfig,
     DualStatus,
     PrimalConfig,
     PrimalStatus,
+    SeparableObjective,
+    SoftMaxObjective,
     check_hessian_stability,
+    compute_reference,
     generate_synthetic,
+    solve_accelerated,
     solve_dual,
     solve_primal,
 )
@@ -80,6 +95,10 @@ def _start(oracle):
     return np.random.default_rng(1).uniform(-0.5, 0.5, oracle.dim)
 
 
+def _transform(n):
+    return np.eye(n) + 0.3 * np.random.default_rng(2).standard_normal((n, n)) / np.sqrt(n)
+
+
 @pytest.mark.parametrize("c", [1e-3, 1e4])
 @pytest.mark.parametrize("solver", SOLVERS)
 @pytest.mark.parametrize("problem", list(PROBLEMS))
@@ -108,11 +127,90 @@ def test_scaling_f_leaves_box_iterates_unchanged(problem, solver):
 @pytest.mark.parametrize("problem", list(PROBLEMS))
 def test_affine_substitution_maps_iterates(problem, solver):
     oracle = PROBLEMS[problem]()
-    n = oracle.dim
-    a = np.eye(n) + 0.3 * np.random.default_rng(2).standard_normal((n, n)) / np.sqrt(n)
+    a = _transform(oracle.dim)
     x0 = _start(oracle)
     substituted = _solve(solver, affine_substitute(oracle, a), CompositeTerm.zero(), np.linalg.solve(a, x0))
     _assert_same_iterates(_solve(solver, oracle, CompositeTerm.zero(), x0), [a @ u for u in substituted])
+
+
+def _design_objective(kind, rows, offsets):
+    if kind == "softmax":
+        return SoftMaxObjective(rows, offsets, smoothing=0.5)
+    return SeparableObjective(rows, offsets, kind)
+
+
+@pytest.mark.parametrize("composite", ["zero", "box"])
+@pytest.mark.parametrize("kind", ["logistic", "exponential", "softmax"])
+def test_permuting_design_rows_leaves_iterates_unchanged(kind, composite):
+    # primal sigma = M; the permuted oracle sums its terms and its Gram
+    # metric in another order, which a backward-stable step turns into
+    # roundoff per iterate (ROUNDOFF), and it must stop at the same k
+    rng = np.random.default_rng(6)
+    rows, offsets = rng.standard_normal((80, 10)), 0.5 * rng.standard_normal(80)
+    perm = rng.permutation(80)
+    psi = CompositeTerm.zero() if composite == "zero" else CompositeTerm.box(np.full(10, -0.3), np.full(10, 0.3))
+    x0 = psi.project(_start(_design_objective(kind, rows, offsets)))
+    expected = _solve("primal", _design_objective(kind, rows, offsets), psi, x0)
+    got = _solve("primal", _design_objective(kind, rows[perm], offsets[perm]), psi, x0)
+    assert len(got) == len(expected)
+    _assert_same_iterates(expected, got)
+
+
+ACCEL_ACCURACY = 1e-6
+
+
+def _accelerated(oracle, x0, f_star, distance_bound):
+    config = AccelConfig(distance_bound=distance_bound, f_star_ref=f_star, rel_accuracy=ACCEL_ACCURACY)
+    res = solve_accelerated(oracle, CompositeTerm.zero(), x0, config)
+    assert res.status is AccelStatus.TARGET_GAP_REACHED
+    return res
+
+
+def _accel_instance(problem):
+    """An instance, x0, F* and the rule's R = max(||x0 - x*||, 2^{3/2}/M)."""
+    oracle = PROBLEMS[problem]()
+    x0 = _start(oracle)
+    reference = compute_reference(oracle, CompositeTerm.zero(), x0)
+    r = max(oracle.metric.primal_norm(x0 - reference.x), 2.0**1.5 / oracle.qsc_constant)
+    return oracle, x0, reference.f_value, r
+
+
+def _assert_same_accelerated(expected, got, f_scale=1.0, to_x=lambda u: u):
+    """The same decisions (outer and inner counts), the iterates x_k, v_k
+    and the metric step v_step_sq within roundoff, and F (over f_scale)
+    within the gap the scheme's own stop resolves, rel_accuracy gap_0."""
+    assert got.outer_iterations == expected.outer_iterations >= 5
+    counts = [(row.dual_outer, row.dual_inner_total) for row in expected.trace]
+    assert [(row.dual_outer, row.dual_inner_total) for row in got.trace] == counts
+    gap0 = expected.trace[0].f_value - expected.f_star_ref
+    for k, (row, other) in enumerate(zip(expected.trace, got.trace)):
+        for attr in ("x", "v"):
+            x, y = getattr(row, attr), to_x(getattr(other, attr))
+            assert np.linalg.norm(x - y) <= ROUNDOFF * (1.0 + np.linalg.norm(x)), (k, attr)
+        assert abs(other.v_step_sq - row.v_step_sq) <= ROUNDOFF * (1.0 + row.v_step_sq), k
+        assert abs(other.f_value / f_scale - row.f_value) <= ACCEL_ACCURACY * gap0, k
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e4])
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+def test_accelerated_scaling_f_leaves_iterates_unchanged(problem, c):
+    oracle, x0, f_star, r = _accel_instance(problem)
+    _assert_same_accelerated(
+        _accelerated(oracle, x0, f_star, r),
+        _accelerated(scale_oracle(oracle, c), x0, c * f_star, r),
+        f_scale=c,
+    )
+
+
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+def test_accelerated_affine_substitution_maps_iterates(problem):
+    oracle, x0, f_star, r = _accel_instance(problem)
+    a = _transform(oracle.dim)
+    _assert_same_accelerated(
+        _accelerated(oracle, x0, f_star, r),
+        _accelerated(affine_substitute(oracle, a), np.linalg.solve(a, x0), f_star, r),
+        to_x=lambda u: a @ u,
+    )
 
 
 CERTIFIER_SCALES = (4.0**3, 4.0**-3)
