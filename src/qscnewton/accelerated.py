@@ -104,6 +104,9 @@ class AccelResult:
     total_dual_outer: int
     total_dual_inner: int
     metric: object = None
+    # why the parameter rules' guarantee does not hold (R below 2^(3/2)/M),
+    # kept in non-strict mode, where the run goes on; None when it holds
+    parameter_warning: str | None = None
 
 
 def solve_accelerated(
@@ -120,13 +123,14 @@ def solve_accelerated(
     m_const = oracle.qsc_constant
     r = config.distance_bound
 
+    parameter_warning = None
     if m_const > 0 and r < 2.0**1.5 / m_const:
-        message = (
+        parameter_warning = (
             f"distance bound R={r:g} is below 2^(3/2)/M={2.0 ** 1.5 / m_const:g}; "
             "the contraction rule is not certified"
         )
         if config.strict:
-            raise ParameterError(message)
+            raise ParameterError(parameter_warning)
 
     gamma_clamped = False
     if config.gamma is not None:
@@ -160,8 +164,8 @@ def solve_accelerated(
     total_dual_outer = 0
     total_dual_inner = 0
 
+    f_now = f0  # F(x_k), evaluated once per iterate
     for k in range(0 if converged else config.max_outer):
-        f_now = full_value(x)
         if gap0 is not None and f_now - config.f_star_ref <= config.rel_accuracy * gap0:
             status = AccelStatus.TARGET_GAP_REACHED
             break
@@ -192,6 +196,7 @@ def solve_accelerated(
         step_sq = metric.primal_norm(v_next - v) ** 2
         v = v_next
         a_cum = a_next_cum
+        f_now = full_value(x)
         trace.append(
             AccelTraceRow(
                 k=k + 1,
@@ -200,7 +205,7 @@ def solve_accelerated(
                 nu=nu_next,
                 dual_outer=inner.outer_iterations,
                 dual_inner_total=inner.total_inner,
-                f_value=full_value(x),
+                f_value=f_now,
                 v_step_sq=step_sq,
                 v=v.copy(),
                 x=x.copy(),
@@ -221,6 +226,7 @@ def solve_accelerated(
         total_dual_outer=total_dual_outer,
         total_dual_inner=total_dual_inner,
         metric=metric,
+        parameter_warning=parameter_warning,
     )
 
 

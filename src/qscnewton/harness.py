@@ -46,7 +46,9 @@ from .oracles import (
     check_gradient_bound,
     check_hessian_stability,
     check_qsc,
+    chunk_size,
     config_params,
+    evaluate,
     with_qsc_constant,
 )
 from .problems import (
@@ -142,13 +144,20 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
     return oracle
 
 
+def _box_bound(bound, dim: int) -> np.ndarray:
+    """A box bound as an array: a number for every coordinate, or one entry
+    per coordinate, where an array may hold +-inf for a one-sided box."""
+    try:
+        return np.full(dim, bound, dtype=float) if np.isscalar(bound) else np.asarray(bound, float)
+    except (TypeError, ValueError) as exc:
+        raise RunConfigError(f"box bound {bound!r} is not numeric: {exc}") from exc
+
+
 def build_composite(composite_cfg: dict | None, dim: int) -> CompositeTerm:
     if composite_cfg is None or composite_cfg["kind"] == "zero":
         return CompositeTerm.zero()
-    lower = composite_cfg.get("lower", -np.inf)
-    upper = composite_cfg.get("upper", np.inf)
-    lower = np.full(dim, lower, dtype=float) if np.isscalar(lower) else np.asarray(lower, float)
-    upper = np.full(dim, upper, dtype=float) if np.isscalar(upper) else np.asarray(upper, float)
+    lower = _box_bound(composite_cfg.get("lower", -np.inf), dim)
+    upper = _box_bound(composite_cfg.get("upper", np.inf), dim)
     if lower.shape != (dim,) or upper.shape != (dim,):
         raise RunConfigError(f"box bounds have shapes {lower.shape} and {upper.shape}, problem has {dim}")
     try:
@@ -167,25 +176,36 @@ def build_x0(x0_cfg, dim: int, psi: CompositeTerm) -> np.ndarray:
     return psi.project(x0)
 
 
+def _points(x) -> int:
+    """1 for a point of shape (n,), k for a stack of k points."""
+    return math.prod(np.asarray(x).shape[:-1])
+
+
 class CountingOracle(SmoothOracle):
     """Delegating wrapper that counts value/gradient/hessian/hessian_vector
-    calls; a stacked hessian_vector call counts once."""
+    calls.  A stacked value, gradient or hessian call counts one per point,
+    so the counts do not depend on how the points were stacked; a stacked
+    hessian_vector call counts once."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
         self._base = base
         self.calls = {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0}
 
+    @property
+    def stacks(self):
+        return self._base.stacks
+
     def value(self, x):
-        self.calls["value"] += 1
+        self.calls["value"] += _points(x)
         return self._base.value(x)
 
     def gradient(self, x):
-        self.calls["gradient"] += 1
+        self.calls["gradient"] += _points(x)
         return self._base.gradient(x)
 
     def hessian(self, x):
-        self.calls["hessian"] += 1
+        self.calls["hessian"] += _points(x)
         return self._base.hessian(x)
 
     def hessian_vector(self, x, u):
@@ -467,12 +487,10 @@ def run_instance_checks(
     rng = np.random.default_rng(seed)
     results: dict[str, dict] = {}
 
-    grad_err = 0.0
-    hess_err = 0.0
-    for _ in range(5):
-        x = x_scale * rng.standard_normal(oracle.dim)
-        grad_err = max(grad_err, check_gradient(oracle, x))
-        hess_err = max(hess_err, check_hessian(oracle, x))
+    # NaN propagates: a NaN error fails its check
+    fd_points = [x_scale * rng.standard_normal(oracle.dim) for _ in range(5)]
+    grad_err = float(np.max([check_gradient(oracle, x) for x in fd_points]))
+    hess_err = float(np.max([check_hessian(oracle, x) for x in fd_points]))
     results["gradient_fd"] = {"passed": grad_err <= 1e-6, "max_rel_error": grad_err}
     results["hessian_fd"] = {"passed": hess_err <= 1e-5, "max_rel_error": hess_err}
 
@@ -493,21 +511,21 @@ def run_instance_checks(
     }
     passed = dict.fromkeys(pair_checks, True)
     worst = dict.fromkeys(pair_checks, math.inf)
-    for _ in range(pairs):
-        x, y = sample_pairs(oracle, rng, pair_radius, x_scale)
-        # each point is evaluated once for all three checks
-        evaluated = {
-            "hx": oracle.hessian(x),
-            "hy": oracle.hessian(y),
-            "gx": oracle.gradient(x),
-            "gy": oracle.gradient(y),
-            "fx": oracle.value(x),
-            "fy": oracle.value(y),
-        }
+    chunk = chunk_size(oracle.dim, 2)
+    for lo in range(0, pairs, chunk):
+        # chunk by chunk, the same stream as drawing each pair in turn
+        drawn = [sample_pairs(oracle, rng, pair_radius, x_scale) for _ in range(min(chunk, pairs - lo))]
+        x, y = np.array(drawn).transpose(1, 0, 2)
+        k = len(x)
+        # each point is evaluated once for all three checks, the chunk's
+        # 2k points in one call per method
+        points = np.concatenate([x, y])
+        h, g, f = (evaluate(oracle, method, points) for method in ("hessian", "gradient", "value"))
+        evaluated = {"hx": h[:k], "hy": h[k:], "gx": g[:k], "gy": g[k:], "fx": f[:k], "fy": f[k:]}
         for name, (check, keys) in pair_checks.items():
             ok, margin = check(oracle, x, y, **{key: evaluated[key] for key in keys})
-            passed[name] &= ok
-            worst[name] = min(worst[name], margin)
+            passed[name] &= bool(ok.all())
+            worst[name] = float(np.minimum(worst[name], margin.min()))  # NaN propagates
     for name in pair_checks:
         results[name] = {"passed": bool(passed[name]), "pairs": pairs, "worst_margin": worst[name]}
     return results
@@ -731,6 +749,7 @@ _SOLVERS = {
             "distance_bound": r.distance_bound,
             "total_dual_outer": r.total_dual_outer,
             "total_dual_inner": r.total_dual_inner,
+            "parameter_warning": r.parameter_warning,
         },
         verifiers={
             "accel_potential": lambda r, o, ref, _: vars(accel_mod.verify_accel_potential(r, ref.x, ref.f_value)),
@@ -787,7 +806,7 @@ CONFIG_SCHEMA = {
                 "upper": {"type": ["number", "array"]},
             },
         },
-        "x0": {"type": ["string", "array"]},
+        "x0": {"anyOf": [{"const": "zeros"}, {"type": "array", "items": {"type": "number"}}]},
         "solver": {
             "type": "object",
             "additionalProperties": False,

@@ -99,13 +99,15 @@ def _pencil_eigh(a: np.ndarray, b: np.ndarray, *, vectors: bool = False, index: 
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2; oracle outputs may drift off symmetric in float."""
-    return 0.5 * (a + a.T)
+    """Return (A + A^T)/2, of each matrix of a stack; oracle outputs may
+    drift off symmetric in float."""
+    return 0.5 * (a + a.mT)
 
 
 def matvec(a: np.ndarray, x) -> np.ndarray:
-    """A x for a vector x, or A x_i for each row x_i of a stack of vectors."""
-    return a @ x if np.ndim(x) == 1 else x @ a.T
+    """A x for a vector x, or A x_i for each row x_i of a stack of vectors,
+    the stack in one matrix product."""
+    return a @ x if np.asarray(x).ndim == 1 else x @ a.T
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .metric import Metric, _pencil_eigh, local_norm, matvec, symmetrize
+from .metric import Metric, _pencil_eigh, symmetrize
 
 _PHI_SERIES_CUTOFF = 1e-4
 
@@ -98,7 +98,16 @@ def check_bounds(config) -> None:
 
 
 class SmoothOracle(abc.ABC):
-    """Evaluation contract for the smooth component of a composite problem."""
+    """Evaluation contract for the smooth component of a composite problem.
+
+    `value`, `gradient` and `hessian` take a point of shape (n,).  An oracle
+    whose three methods also take a stack of points of shape (..., n), and
+    return one result per point (shapes (...), (..., n) and (..., n, n)),
+    sets `stacks` to True.  The certifier then evaluates a chunk of points in
+    one call; for an oracle that does not, it calls them point by point.
+    """
+
+    stacks = False
 
     def __init__(self, metric: Metric, qsc_constant: float) -> None:
         if qsc_constant < 0:
@@ -152,6 +161,8 @@ class _TransformedOracle(SmoothOracle):
     T is None (the identity), a scalar or a matrix.  A scalar T folds into the
     derivative factors scale * T and scale * T**2.  A derivative factor of
     exactly 1 is not applied, so pass-through derivatives are not copied.
+    Products with a matrix T go through numpy's matvec, which runs the gemv
+    of a point once per row of a stack, so stacking changes no bit.
     """
 
     def __init__(self, base, metric, qsc_constant, scale=1.0, transform=None, shift=None):
@@ -165,9 +176,13 @@ class _TransformedOracle(SmoothOracle):
         self._hess_factor = self._scale * t**2
         self._shift = shift
 
+    @property
+    def stacks(self):
+        return self._base.stacks
+
     def _inner(self, x):
         if self._matrix is not None:
-            x = matvec(self._matrix, x)
+            x = np.matvec(self._matrix, x)
         elif self._t is not None:
             x = self._t * x
         return x if self._shift is None else x + self._shift
@@ -178,21 +193,21 @@ class _TransformedOracle(SmoothOracle):
     def gradient(self, x):
         g = self._base.gradient(self._inner(x))
         if self._matrix is not None:
-            g = self._matrix.T @ g
+            g = np.matvec(self._matrix.T, g)
         return g if self._grad_factor == 1.0 else self._grad_factor * g
 
     def hessian(self, x):
         h = self._base.hessian(self._inner(x))
         if self._matrix is not None:
-            h = self._matrix.T @ h @ self._matrix
+            h = self._matrix.T @ h @ self._matrix  # one product per matrix of a stack
         return h if self._hess_factor == 1.0 else self._hess_factor * h
 
     def hessian_vector(self, x, u):
         if self._matrix is None:
             hu = self._base.hessian_vector(self._inner(x), u)
         else:
-            inner_u = matvec(self._matrix, u)
-            hu = matvec(self._matrix.T, self._base.hessian_vector(self._inner(x), inner_u))
+            inner_u = np.matvec(self._matrix, u)
+            hu = np.matvec(self._matrix.T, self._base.hessian_vector(self._inner(x), inner_u))
         return hu if self._hess_factor == 1.0 else self._hess_factor * hu
 
 
@@ -266,6 +281,10 @@ class _SumOracle(SmoothOracle):
         self._first = first
         self._second = second
 
+    @property
+    def stacks(self):
+        return self._first.stacks and self._second.stacks
+
     def value(self, x):
         return self._first.value(x) + self._second.value(x)
 
@@ -295,19 +314,55 @@ def with_qsc_constant(oracle: SmoothOracle, qsc_constant: float) -> SmoothOracle
 # ---------------------------------------------------------------------------
 
 
+def evaluate(oracle: SmoothOracle, method: str, x):
+    """`oracle.<method>` ("value", "gradient" or "hessian") at a point of
+    shape (n,), or at each row of a (k, n) stack: in one call when the
+    oracle takes stacks, else point by point."""
+    fn = getattr(oracle, method)
+    if np.ndim(x) == 1 or oracle.stacks:
+        return fn(x)
+    return np.array([fn(point) for point in x])
+
+
+# Dense-Hessian entries (points x dim^2) that one stacked call of the
+# certifier may cover: a hessian_vector call of the qsc check, or an
+# `evaluate` call of the pair or finite-difference checks.  The zoo holds a
+# few arrays of about this many entries per call, so a check adds well under
+# 1 MB to the working set; four times as many added 2.4 MB to a
+# certification's peak RSS and ran no faster.
+_QSC_CHUNK_ENTRIES = 1 << 14
+
+
+def chunk_size(dim: int, points: int) -> int:
+    """Items per stacked call when each item has `points` points: three per
+    triple of the qsc check, two per pair of the pair checks or per
+    coordinate of the finite-difference checks."""
+    return max(1, _QSC_CHUNK_ENTRIES // (points * dim * dim))
+
+
+def _central_differences(oracle: SmoothOracle, method: str, x: np.ndarray, step: float):
+    """Central differences of `method` along each coordinate, row i along
+    e_i.  The points x + step e_i and x - step e_i are bitwise those of
+    perturbing one coordinate at a time; `chunk_size(n, 2)` coordinates go
+    to each `evaluate` call."""
+    n = x.size
+    chunk = chunk_size(n, 2)
+    rows = []
+    for lo in range(0, n, chunk):
+        shifts = step * np.eye(n)[lo : lo + chunk]
+        values = evaluate(oracle, method, np.concatenate([x + shifts, x - shifts]))
+        rows.append((values[: len(shifts)] - values[len(shifts) :]) / (2.0 * step))
+    return np.concatenate(rows)
+
+
 def check_gradient(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> float:
     """Max per-coordinate relative error of the analytic gradient vs central differences."""
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     grad = oracle.gradient(x)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        fd = (oracle.value(x + e) - oracle.value(x - e)) / (2.0 * step)
-        worst = max(worst, abs(fd - grad[i]) / (1.0 + abs(grad[i])))
-    return worst
+    fd = _central_differences(oracle, "value", x, step)
+    return float(np.max(np.abs(fd - grad) / (1.0 + np.abs(grad))))
 
 
 def check_hessian(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> float:
@@ -316,18 +371,31 @@ def check_hessian(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> fl
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     hess = symmetrize(oracle.hessian(x))
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        fd_col = (oracle.gradient(x + e) - oracle.gradient(x - e)) / (2.0 * step)
-        worst = max(worst, float(np.max(np.abs(fd_col - hess[:, i]) / (1.0 + np.abs(hess[:, i])))))
-    return worst
+    # row i estimates column i of H, which is row i of the symmetric hess
+    fd = _central_differences(oracle, "gradient", x, step)
+    return float(np.max(np.abs(fd - hess) / (1.0 + np.abs(hess))))
+
+
+# The stacked norms below give each row bitwise what the Metric methods and
+# `local_norm` give its vector: numpy's vecmat, matvec and vecdot run the
+# gemv or dot of the 1-d product once per row.
 
 
 def _primal_norms(metric: Metric, h: np.ndarray):
     """||h|| of a vector, or of each row of a stack of them."""
-    q = np.sum((h @ metric.matrix) * h, axis=-1)
+    q = np.vecdot(np.vecmat(h, metric.matrix), h)
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _dual_norms(metric: Metric, s: np.ndarray):
+    """||s||_* of each row of a (k, n) stack."""
+    q = np.vecdot(s, metric.solve(s.T).T)
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _local_norms(d: np.ndarray, hessians: np.ndarray):
+    """<H_i d_i, d_i>^{1/2} of each row of a (k, n) stack d, H_i = hessians[i]."""
+    q = np.vecdot(np.vecmat(d, hessians), d)
     return np.sqrt(np.maximum(q, 0.0))
 
 
@@ -371,29 +439,17 @@ class QscCheckReport:
         )
 
 
-# Dense-Hessian entries (points x dim^2) that one hessian_vector call of the
-# qsc check may cover.  The zoo's products hold a few arrays of about this
-# many entries, so the check adds well under 1 MB to the working set; four
-# times as many added 2.4 MB to a certification's peak RSS and ran no faster.
-_QSC_CHUNK_ENTRIES = 1 << 14
-
-
-def _qsc_chunk(dim: int) -> int:
-    """Samples per hessian_vector call of the qsc check: three points each."""
-    return max(1, _QSC_CHUNK_ENTRIES // (3 * dim * dim))
-
-
 def _qsc_violations(oracle: SmoothOracle, x, u, v):
     """Violation of the qsc bound and its tolerance for each triple row.
 
     The estimate of D^3 f(x)[u, u, v] is the central difference of u^T H u
     along v; the three forms u^T H u at x + tv, x - tv and x of at most
-    `_qsc_chunk` triples come from one hessian_vector call.
+    `chunk_size(n, 3)` triples come from one hessian_vector call.
     """
     m_const = oracle.qsc_constant
     t = _fd_step(oracle, x)
     forms = np.empty((3, len(x)))
-    chunk = _qsc_chunk(oracle.dim)
+    chunk = chunk_size(oracle.dim, 3)
     for lo in range(0, len(x), chunk):
         rows = slice(lo, lo + chunk)
         step = t[rows, None] * v[rows]
@@ -453,7 +509,7 @@ def check_qsc(
     rng = np.random.default_rng(seed)
     n = oracle.dim
     keep = max(refine_top, 1)
-    chunk = _qsc_chunk(n)
+    chunk = chunk_size(n, 3)
     # (excess, violation, tolerance, triple) of the worst samples, worst
     # first; the stable sorts keep the earlier of equal excesses first
     worst: list[tuple] = []
@@ -485,17 +541,64 @@ def check_qsc(
     )
 
 
-def check_hessian_stability(
-    oracle: SmoothOracle, x: np.ndarray, y: np.ndarray, *, hx=None, hy=None
-) -> tuple[bool, float]:
+def _pairs(oracle: SmoothOracle, x, y):
+    """x and y as arrays, and the displacements y - x as a (k, n) stack."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    return x, y, np.reshape(y - x, (-1, oracle.dim))
+
+
+def _given(oracle: SmoothOracle, value, method: str, x, *tail):
+    """What the caller passed, else `method` evaluated at x, as a stack with
+    one item per pair: one pair's point is evaluated as a point."""
+    return np.reshape(evaluate(oracle, method, x) if value is None else value, (-1, *tail))
+
+
+def _per_pair(x: np.ndarray, passed, margin):
+    """(passed, margin) of one pair as a bool and a float, or of a stack of
+    pairs as two arrays."""
+    if x.ndim == 1:
+        return bool(passed[0]), float(margin[0])
+    return passed, margin
+
+
+def _pencil_stability(hx, hy, shift, bound, slack, roundoff) -> tuple[bool, float]:
+    """`check_hessian_stability` on one pair, given its symmetrized Hessians
+    and the scalars computed from them."""
+    shifted = shift * np.eye(len(hx))
+    pencil = (hy + shifted, hx + shifted)
+    eigs = _pencil_eigh(*pencil)
+    if eigs is None or eigs[0] <= 0:
+        return False, -np.inf
+    excess = np.abs(np.log(eigs)) - bound
+    if excess.max() <= slack:
+        return True, -excess.max()
+    largest_allowance = roundoff / (shift - roundoff) * (1.0 + 1.0 / eigs)
+    if np.max(excess - largest_allowance) > slack:
+        return False, -excess.max()
+    eigs, vecs = _pencil_eigh(*pencil, vectors=True)
+    allowance = roundoff * np.sum(vecs**2, axis=0) * (1.0 + 1.0 / eigs)
+    margin = -np.max(np.abs(np.log(eigs)) - bound - allowance)
+    return margin >= -slack, margin
+
+
+# The three pair checks take one pair, x and y of shape (n,), or a stack of k
+# pairs, x and y of shape (k, n).  A pair gives (passed, margin) as a bool and
+# a float; a stack gives them as two length-k arrays, each entry bitwise what
+# its pair gives on its own when evaluated alike.  The evaluations the caller
+# already holds (hx, gx, ... : H(x), g(x), ... with one item per pair) may be
+# passed; passing them changes no bit of the result.
+
+
+def check_hessian_stability(oracle: SmoothOracle, x, y, *, hx=None, hy=None):
     """Two-sided Hessian stability between x and y.
 
     Verifies ``exp(-Mr) H(x) <= H(y) <= exp(Mr) H(x)`` with r = ||y - x||,
     through the extreme generalized eigenvalues of the pencil
     (H(y) + dI, H(x) + dI).  The same tiny shift d is applied on both sides so
     that directions of identically-zero curvature (present e.g. for the matrix
-    problems) contribute the benign ratio 1.  Returns (passed, margin) where
-    margin is the slack left in the exponent, negative on failure.
+    problems) contribute the benign ratio 1.  The margin is the slack left in
+    the exponent, negative on failure.  The eigensolve runs pair by pair.
 
     Such a direction's curvature is pure roundoff, of order eps * max|H|,
     which is not small next to d, so for a close pair its computed log-ratio
@@ -514,100 +617,56 @@ def check_hessian_stability(
 
     A pair where H(x) + dI is not positive definite (H(x) is not PSD, so f
     is not convex there), or where H(y) + dI is not, fails with margin -inf.
-
-    `hx` and `hy` are H(x) and H(y) when the caller already holds them;
-    passing them changes no bit of the result.
     """
-    hx = symmetrize(oracle.hessian(x) if hx is None else hx)
-    hy = symmetrize(oracle.hessian(y) if hy is None else hy)
-    scale = max(np.abs(hx).max(), np.abs(hy).max(), 1.0)
-    shift = 1e-12 * scale
-    shifted = shift * np.eye(oracle.dim)
-    pencil = (hy + shifted, hx + shifted)
-    r = oracle.metric.primal_norm(np.asarray(y, float) - np.asarray(x, float))
-    bound = oracle.qsc_constant * r
+    n = oracle.dim
+    x, y, d = _pairs(oracle, x, y)
+    hx = symmetrize(_given(oracle, hx, "hessian", x, n, n))
+    hy = symmetrize(_given(oracle, hy, "hessian", y, n, n))
+    scale = np.maximum(np.maximum(np.abs(hx).max(axis=(1, 2)), np.abs(hy).max(axis=(1, 2))), 1.0)
+    bound = oracle.qsc_constant * _primal_norms(oracle.metric, d)
     slack = 1e-7 * (1.0 + bound)
-    eigs = _pencil_eigh(*pencil)
-    if eigs is None or eigs[0] <= 0:
-        return False, -np.inf
-    excess = np.abs(np.log(eigs)) - bound
-    if excess.max() <= slack:
-        return True, float(-excess.max())
-    roundoff = oracle.dim * np.finfo(float).eps * scale
-    largest_allowance = roundoff / (shift - roundoff) * (1.0 + 1.0 / eigs)
-    if np.max(excess - largest_allowance) > slack:
-        return False, float(-excess.max())
-    eigs, vecs = _pencil_eigh(*pencil, vectors=True)
-    allowance = roundoff * np.sum(vecs**2, axis=0) * (1.0 + 1.0 / eigs)
-    margin = float(-np.max(np.abs(np.log(eigs)) - bound - allowance))
-    return margin >= -slack, margin
+    roundoff = n * np.finfo(float).eps * scale
+    passed = np.empty(len(d), dtype=bool)
+    margin = np.empty(len(d))
+    for i in range(len(d)):
+        passed[i], margin[i] = _pencil_stability(
+            hx[i], hy[i], 1e-12 * scale[i], bound[i], slack[i], roundoff[i]
+        )
+    return _per_pair(x, passed, margin)
 
 
-def check_gradient_bound(
-    oracle: SmoothOracle,
-    x: np.ndarray,
-    y: np.ndarray,
-    slack: float = 1e-8,
-    *,
-    hx=None,
-    gx=None,
-    gy=None,
-) -> tuple[bool, float]:
+def check_gradient_bound(oracle: SmoothOracle, x, y, slack: float = 1e-8, *, hx=None, gx=None, gy=None):
     """Gradient linearization-error bound between x and y.
 
     Verifies ``||g(y) - g(x) - H(x)(y-x)||_* <= M r_x^2 phi(M r) + slack``
     with r = ||y - x|| and r_x the local norm of the displacement at x.
-    `hx`, `gx` and `gy` are H(x), g(x) and g(y) when the caller already
-    holds them; passing them changes no bit of the result.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    d = y - x
-    if hx is None:
-        hx = oracle.hessian(x)
-    if gy is None:
-        gy = oracle.gradient(y)
-    if gx is None:
-        gx = oracle.gradient(x)
-    lhs = oracle.metric.dual_norm(gy - gx - hx @ d)
+    n = oracle.dim
+    x, y, d = _pairs(oracle, x, y)
+    hx = _given(oracle, hx, "hessian", x, n, n)
+    residual = _given(oracle, gy, "gradient", y, n) - _given(oracle, gx, "gradient", x, n) - np.matvec(hx, d)
+    lhs = _dual_norms(oracle.metric, residual)
     m = oracle.qsc_constant
-    r = oracle.metric.primal_norm(d)
-    rhs = m * local_norm(d, hx) ** 2 * phi(m * r) + slack
-    return bool(lhs <= rhs), float(rhs - lhs)
+    r = _primal_norms(oracle.metric, d)
+    rhs = m * _local_norms(d, hx) ** 2 * phi(m * r) + slack
+    return _per_pair(x, lhs <= rhs, rhs - lhs)
 
 
 def check_function_bounds(
-    oracle: SmoothOracle,
-    x: np.ndarray,
-    y: np.ndarray,
-    slack: float = 1e-8,
-    *,
-    hx=None,
-    gx=None,
-    fx=None,
-    fy=None,
-) -> tuple[bool, float]:
+    oracle: SmoothOracle, x, y, slack: float = 1e-8, *, hx=None, gx=None, fx=None, fy=None
+):
     """Two-sided second-order model bounds on f(y) around x.
 
     Verifies ``r_x^2 phi(-Mr) - slack <= f(y) - f(x) - <g(x), y-x> <=
-    r_x^2 phi(Mr) + slack``.  `hx`, `gx`, `fx` and `fy` are H(x), g(x),
-    f(x) and f(y) when the caller already holds them; passing them changes
-    no bit of the result.
+    r_x^2 phi(Mr) + slack``.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    d = y - x
-    if fy is None:
-        fy = oracle.value(y)
-    if fx is None:
-        fx = oracle.value(x)
-    if gx is None:
-        gx = oracle.gradient(x)
-    gap = fy - fx - float(gx @ d)
+    n = oracle.dim
+    x, y, d = _pairs(oracle, x, y)
+    gx = _given(oracle, gx, "gradient", x, n)
+    gap = _given(oracle, fy, "value", y) - _given(oracle, fx, "value", x) - np.vecdot(gx, d)
     m = oracle.qsc_constant
-    r = oracle.metric.primal_norm(d)
-    rx2 = local_norm(d, oracle.hessian(x) if hx is None else hx) ** 2
+    r = _primal_norms(oracle.metric, d)
+    rx2 = _local_norms(d, _given(oracle, hx, "hessian", x, n, n)) ** 2
     lower = rx2 * phi(-m * r) - slack
     upper = rx2 * phi(m * r) + slack
-    margin = min(gap - lower, upper - gap)
-    return bool(lower <= gap <= upper), float(margin)
+    return _per_pair(x, (lower <= gap) & (gap <= upper), np.minimum(gap - lower, upper - gap))

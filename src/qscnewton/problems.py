@@ -9,6 +9,12 @@ The zoo covers the four families the solvers are exercised on:
 
 Soft-max and separable objectives default to the Gram metric sum_i a_i a_i^T
 of their rows; the declared constants are only valid under these metrics.
+
+Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
+the same operations it always has; a stack runs them once per call, with
+the rows of a stack bitwise their points' results for the quadratic and the
+matrix families.  The Gram families multiply a stack by the design rows in
+one matrix product, which differs from a product per point in roundoff.
 """
 
 from __future__ import annotations
@@ -54,19 +60,36 @@ def gram_metric(rows: np.ndarray) -> tuple[Metric, float]:
         return Metric(gram + ridge * np.eye(gram.shape[0])), ridge
 
 
+def _per_point(values):
+    """A float for one point, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i a_i a_i^T for weights w >= 0, exactly symmetric.
+    """sum_i w_i a_i a_i^T for weights w >= 0 (one row of weights per point
+    of a stack), exactly symmetric.
 
     Written as S^T S with S = diag(sqrt(w)) A: numpy hands a product of an
     array with its own transpose to BLAS SYRK, which does half the flops of
-    the general product and mirrors one triangle into the other.
+    the general product and mirrors one triangle into the other.  A stack is
+    done point by point, so only one scaled copy of the rows is held.
     """
+    if weights.ndim > 1:
+        stack = [_weighted_gram(rows, w) for w in weights.reshape(-1, weights.shape[-1])]
+        return np.reshape(stack, weights.shape[:-1] + 2 * rows.shape[-1:])
     scaled = rows * np.sqrt(weights)[:, None]
     return scaled.T @ scaled
 
 
+def _set_diagonal(h: np.ndarray, diagonal: np.ndarray) -> None:
+    """Write the diagonal of each matrix of a C-contiguous stack."""
+    h.reshape(h.shape[:-2] + (-1,))[..., :: h.shape[-1] + 1] = diagonal
+
+
 class QuadraticObjective(SmoothOracle):
     """f(x) = 1/2 <Ax, x> - <b, x> with PSD A; qsc constant 0."""
+
+    stacks = True
 
     def __init__(self, quad, offset, metric: Metric | None = None) -> None:
         a = symmetrize(np.asarray(quad, dtype=float))
@@ -81,14 +104,18 @@ class QuadraticObjective(SmoothOracle):
         self._a = a
         self._b = b
 
+    # vecmat, matvec and vecdot run the gemv or dot of x @ A, A @ x and b @ x
+    # once per row, so each row of a stack is bitwise its point's result
+
     def value(self, x):
-        return 0.5 * float(x @ self._a @ x) - float(self._b @ x)
+        return _per_point(0.5 * np.vecdot(np.vecmat(x, self._a), x) - np.vecdot(self._b, x))
 
     def gradient(self, x):
-        return self._a @ x - self._b
+        return np.matvec(self._a, x) - self._b
 
     def hessian(self, x):
-        return self._a
+        x = np.asarray(x)
+        return self._a if x.ndim == 1 else np.broadcast_to(self._a, x.shape[:-1] + self._a.shape)
 
     def hessian_vector(self, x, u):
         return np.asarray(u, dtype=float) @ self._a
@@ -100,6 +127,8 @@ class SoftMaxObjective(SmoothOracle):
     Computed with the max-subtraction trick, so evaluation never overflows for
     finite inputs.  The default metric is the Gram matrix of the rows.
     """
+
+    stacks = True
 
     def __init__(self, rows, offsets, smoothing: float, metric: Metric | None = None):
         rows = np.asarray(rows, dtype=float)
@@ -126,31 +155,39 @@ class SoftMaxObjective(SmoothOracle):
     def smoothing(self):
         return self._mu
 
+    def _shifted_exp(self, x):
+        """exp(m_i - top) for the margins m_i = (<a_i, x> - b_i)/mu and
+        top = max_i m_i, their sum (keeping the summed axis), and top."""
+        # in place, and the ufunc reductions are ndarray.max and .sum
+        # without their wrappers: the same operations, fewer allocations
+        margins = matvec(self._rows, x)
+        margins -= self._offsets
+        margins /= self._mu
+        top = np.maximum.reduce(margins, axis=-1)
+        margins -= top[..., None]
+        w = np.exp(margins, out=margins)
+        return w, np.add.reduce(w, axis=-1, keepdims=True), top
+
     def _weights(self, x):
-        margins = (self._rows @ x - self._offsets) / self._mu
-        top = margins.max()
-        w = np.exp(margins - top)
-        total = w.sum()
-        return w / total, top + np.log(total)
+        """The soft-max weights pi."""
+        w, total, _ = self._shifted_exp(x)
+        w /= total
+        return w
 
     def value(self, x):
-        _, logsum = self._weights(x)
-        return self._mu * float(logsum)
+        _, total, top = self._shifted_exp(x)
+        return _per_point(self._mu * (top + np.log(total[..., 0])))
 
     def gradient(self, x):
-        pi, _ = self._weights(x)
-        return self._rows.T @ pi
+        return matvec(self._rows.T, self._weights(x))
 
     def hessian(self, x):
-        pi, _ = self._weights(x)
-        g = self._rows.T @ pi
-        return (_weighted_gram(self._rows, pi) - np.outer(g, g)) / self._mu
+        pi = self._weights(x)
+        g = matvec(self._rows.T, pi)
+        return (_weighted_gram(self._rows, pi) - g[..., :, None] * g[..., None, :]) / self._mu
 
     def hessian_vector(self, x, u):
-        # the weights of _weights for each row of a stack of points
-        margins = (matvec(self._rows, x) - self._offsets) / self._mu
-        w = np.exp(margins - margins.max(axis=-1, keepdims=True))
-        pi = w / w.sum(axis=-1, keepdims=True)
+        pi = self._weights(x)
         u = np.asarray(u, dtype=float)
         g = pi @ self._rows
         curvature = (pi * matvec(self._rows, u)) @ self._rows
@@ -164,6 +201,8 @@ class SeparableObjective(SmoothOracle):
     the Gram metric of the rows.  The exponential loss clamps its argument at
     700 and emits `EvaluationOverflowWarning` when the clamp engages.
     """
+
+    stacks = True
 
     LOSSES = ("logistic", "exponential")
 
@@ -193,7 +232,8 @@ class SeparableObjective(SmoothOracle):
         return self._loss
 
     def _margins(self, x):
-        t = matvec(self._rows, x) - self._offsets
+        t = matvec(self._rows, x)
+        t -= self._offsets
         if self._loss == "exponential" and np.any(t > _EXP_CLAMP):
             warnings.warn(
                 "exponential loss argument clamped at 700",
@@ -206,8 +246,8 @@ class SeparableObjective(SmoothOracle):
     def value(self, x):
         t = self._margins(x)
         if self._loss == "logistic":
-            return float(np.logaddexp(0.0, t).mean())
-        return float(np.exp(t).mean())
+            return _per_point(np.logaddexp(0.0, t).mean(axis=-1))
+        return _per_point(np.exp(t).mean(axis=-1))
 
     def _second(self, t):
         if self._loss == "logistic":
@@ -221,11 +261,11 @@ class SeparableObjective(SmoothOracle):
             first = scipy.special.expit(t)
         else:
             first = np.exp(t)
-        return self._rows.T @ first / t.size
+        return matvec(self._rows.T, first) / self._rows.shape[0]
 
     def hessian(self, x):
         t = self._margins(x)
-        return _weighted_gram(self._rows, self._second(t) / t.size)
+        return _weighted_gram(self._rows, self._second(t) / self._rows.shape[0])
 
     def hessian_vector(self, x, u):
         weights = self._second(self._margins(x)) / self._rows.shape[0]
@@ -269,6 +309,8 @@ class MatrixScalingObjective(SmoothOracle):
     on quadratic regularization there.
     """
 
+    stacks = True
+
     def __init__(self, matrix) -> None:
         a = _square_nonnegative(matrix, "scaling")
         n = a.shape[0]
@@ -282,20 +324,20 @@ class MatrixScalingObjective(SmoothOracle):
         return _clamped_exp_weights(self._a, z[..., :n, None] - z[..., None, n:])
 
     def value(self, z):
-        return float(self._weights(z).sum())
+        return _per_point(self._weights(z).sum(axis=(-2, -1)))
 
     def gradient(self, z):
         w = self._weights(z)
-        return np.concatenate([w.sum(axis=1), -w.sum(axis=0)])
+        return np.concatenate([w.sum(axis=-1), -w.sum(axis=-2)], axis=-1)
 
     def hessian(self, z):
         # [[diag(r), -W], [-W^T, diag(c)]], written into one array
         n = self._n
         w = self._weights(z)
-        h = np.zeros((2 * n, 2 * n))
-        h.flat[:: 2 * n + 1] = np.concatenate([w.sum(axis=1), w.sum(axis=0)])
-        np.negative(w, out=h[:n, n:])
-        np.negative(w.T, out=h[n:, :n])
+        h = np.zeros(w.shape[:-2] + (2 * n, 2 * n))
+        _set_diagonal(h, np.concatenate([w.sum(axis=-1), w.sum(axis=-2)], axis=-1))
+        np.negative(w, out=h[..., :n, n:])
+        np.negative(w.mT, out=h[..., n:, :n])
         return h
 
     def hessian_vector(self, z, u):
@@ -316,6 +358,8 @@ class MatrixBalancingObjective(SmoothOracle):
     direction is in the kernel of the Hessian everywhere.
     """
 
+    stacks = True
+
     def __init__(self, matrix) -> None:
         a = _square_nonnegative(matrix, "balancing")
         super().__init__(Metric.identity(a.shape[0]), np.sqrt(2.0))
@@ -326,20 +370,20 @@ class MatrixBalancingObjective(SmoothOracle):
         return _clamped_exp_weights(self._a, x[..., :, None] - x[..., None, :])
 
     def value(self, x):
-        return float(self._weights(x).sum())
+        return _per_point(self._weights(x).sum(axis=(-2, -1)))
 
     def gradient(self, x):
         w = self._weights(x)
-        return w.sum(axis=1) - w.sum(axis=0)
+        return w.sum(axis=-1) - w.sum(axis=-2)
 
     def hessian(self, x):
         # diag(row sums + column sums) - (W + W^T), written into one array;
         # off the diagonal this is 0.0 - (w_ij + w_ji), so +0.0 where both are 0
         w = self._weights(x)
-        h = w + w.T
-        diagonal = w.sum(axis=1) + w.sum(axis=0) - h.diagonal()
+        h = w + w.mT
+        diagonal = w.sum(axis=-1) + w.sum(axis=-2) - h.diagonal(0, -2, -1)
         np.subtract(0.0, h, out=h)
-        h.flat[:: h.shape[0] + 1] = diagonal
+        _set_diagonal(h, diagonal)
         return h
 
     def hessian_vector(self, x, u):

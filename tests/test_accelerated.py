@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from qscnewton import accelerated
 from qscnewton import (
     AccelConfig,
     AccelStatus,
     CompositeTerm,
+    CountingOracle,
     ParameterError,
     compute_reference,
     contract_oracle,
@@ -106,8 +108,28 @@ class TestSolveAccelerated:
         config = AccelConfig(
             distance_bound=0.5, f_star_ref=logistic_reference.f_value, strict=True
         )
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"below 2\^\(3/2\)/M"):
             solve_accelerated(logistic_ref, ZERO, np.zeros(20), config)
+
+    def test_non_strict_mode_keeps_the_small_distance_bound_message(self, logistic_ref, logistic_reference):
+        config = AccelConfig(distance_bound=0.5, f_star_ref=logistic_reference.f_value, max_outer=2)
+        run = solve_accelerated(logistic_ref, ZERO, np.zeros(20), config)
+        assert "R=0.5 is below 2^(3/2)/M=2.82843" in run.parameter_warning
+
+    def test_no_message_when_the_rules_hold(self, accel_run):
+        assert accel_run.parameter_warning is None
+
+    def test_each_iterate_is_valued_once(self, monkeypatch, logistic_ref, logistic_reference):
+        # the inner solves get an uncounted oracle, so the counter sees the
+        # outer loop alone: F(x_0), ..., F(x_K), one call each
+        original = accelerated.contract_oracle
+        monkeypatch.setattr(accelerated, "contract_oracle", lambda _, *args: original(logistic_ref, *args))
+        counting = CountingOracle(logistic_ref)
+        config = AccelConfig(distance_bound=4.0, f_star_ref=logistic_reference.f_value, rel_accuracy=1e-6)
+        run = solve_accelerated(counting, ZERO, np.zeros(20), config)
+        assert run.status is AccelStatus.TARGET_GAP_REACHED
+        assert counting.calls["value"] == len(run.trace) > 2
+        assert [row.f_value for row in run.trace] == [logistic_ref.value(row.x) for row in run.trace]
 
     def test_quadratic_clamps_gamma(self):
         o = generate_synthetic("quadratic", n=5, seed=4)

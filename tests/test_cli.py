@@ -170,6 +170,38 @@ class TestNonFiniteAndNonIntegerNumbers:
         assert "Traceback" not in err
 
 
+class TestMalformedStartAndBounds:
+    """An x0 that is not "zeros" or an array of finite numbers, and a box
+    bound array holding a non-number, are config errors before any output."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"x0": "ones"},
+            {"x0": ["a", "b", "c", "d"]},
+            {"x0": [math.nan, 0.0, 0.0, 0.0]},
+            {"composite": {"kind": "box", "lower": [-1, "a", -1, -1], "upper": 1}},
+        ],
+        ids=["x0-ones", "x0-strings", "x0-nan", "bound-string"],
+    )
+    def test_exits_three_without_output(self, tmp_path, capsys, extra):
+        config = {"schema_version": 1, "problem": _LOGISTIC, "solver": {"name": "primal"}, **extra}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))  # writes NaN
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    def test_one_sided_bound_array_still_runs(self, tmp_path):
+        box = {"kind": "box", "lower": [-math.inf, -1, -1, -1], "upper": 1}
+        config = {"schema_version": 1, "problem": _LOGISTIC, "solver": {"name": "primal"}, "composite": box}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))  # writes -Infinity
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 def _unbuildable_config(tmp_path, case):
     """A schema-valid config whose instance cannot be built."""
     if case == "non-numeric-csv-cell":

@@ -14,6 +14,7 @@ from qscnewton import (
     DualConfig,
     InsufficientDataError,
     Metric,
+    ParameterError,
     PrimalConfig,
     ReferenceNotConvergedError,
     RunConfigError,
@@ -515,6 +516,22 @@ class TestRunSolve:
         assert report["verification"]["accel_potential"]["passed"]
         assert report["verification"]["accel_rate"]["passed"]
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_accelerated_small_distance_bound_message(self, tmp_path, strict):
+        # logistic M = 1: R = 0.5 is below 2^(3/2)/M
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 8, "m": 40, "seed": 7},
+            "solver": {"name": "accelerated", "rel_accuracy": 1e-6, "distance_bound": 0.5, "max_outer": 3},
+        }
+        if strict:
+            with pytest.raises(ParameterError, match=r"below 2\^\(3/2\)/M"):
+                run_solve(config, tmp_path, strict=True)
+            return
+        run_solve(config, tmp_path)
+        persisted = json.loads((tmp_path / "report.json").read_text())
+        assert "R=0.5 is below 2^(3/2)/M=2.82843" in persisted["parameter_warning"]
+
     def test_dual_with_verifiers(self, tmp_path):
         config = {
             "schema_version": 1,
@@ -602,6 +619,7 @@ class TestOutputLayout:
                     "distance_bound",
                     "total_dual_outer",
                     "total_dual_inner",
+                    "parameter_warning",
                 },
             ),
         ],
