@@ -183,18 +183,23 @@ def _points(x) -> int:
 
 class CountingOracle(SmoothOracle):
     """Delegating wrapper that counts value/gradient/hessian/hessian_vector
-    calls.  A stacked value, gradient or hessian call counts one per point,
-    so the counts do not depend on how the points were stacked; a stacked
-    hessian_vector call counts once."""
+    and qsc_forms calls, the last under "third_order".  A stacked value,
+    gradient or hessian call counts one per point, so the counts do not
+    depend on how the points were stacked; a stacked hessian_vector or
+    qsc_forms call counts once."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
         self._base = base
-        self.calls = {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0}
+        self.calls = {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0, "third_order": 0}
 
     @property
     def stacks(self):
         return self._base.stacks
+
+    @property
+    def third_order(self):
+        return self._base.third_order
 
     def value(self, x):
         self.calls["value"] += _points(x)
@@ -211,6 +216,10 @@ class CountingOracle(SmoothOracle):
     def hessian_vector(self, x, u):
         self.calls["hessian_vector"] += 1
         return self._base.hessian_vector(x, u)
+
+    def qsc_forms(self, x, u, v):
+        self.calls["third_order"] += 1
+        return self._base.qsc_forms(x, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +916,6 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
 
     oracle, psi, x0 = _build_instance(config)
     solver.check_instance(params, oracle, psi)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     counting = CountingOracle(oracle)
     reference = None
     # a solver that stops at a gap relative to F* needs the reference (the
@@ -924,6 +931,10 @@ def run_solve(config: dict, out_dir, strict: bool = False) -> dict:
     result = solver.solve(
         counting, psi, x0, solver.configure(params, oracle, x0, reference, verify_cfg, strict)
     )
+    # made only once the solver returns: a run it refuses to start (a strict
+    # parameter rule) raises here and leaves no directory
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     output_cfg = config.get("output", {})
     write_trace(result.trace, out_dir / output_cfg.get("trace", "trace.csv"), solver.row_type)
     iterations, final_f, final_g = solver.summary(result)

@@ -6,8 +6,10 @@ bound M on its quasi-self-concordance, i.e. a constant with
 
     D^3 f(x)[u, u, v]  <=  M * <H(x)u, u> * ||v||        for all u, v.
 
-The checkers in this module certify such declarations by finite differences:
-the declared M is validated as an upper bound, not as the minimal constant.
+The checkers in this module certify such declarations by sampling, with the
+third derivative in closed form where the oracle provides it and by finite
+differences otherwise: the declared M is validated as an upper bound, not as
+the minimal constant.
 """
 
 from __future__ import annotations
@@ -105,9 +107,14 @@ class SmoothOracle(abc.ABC):
     return one result per point (shapes (...), (..., n) and (..., n, n)),
     sets `stacks` to True.  The certifier then evaluates a chunk of points in
     one call; for an oracle that does not, it calls them point by point.
+
+    An oracle that sets `third_order` to True provides `qsc_forms`, the two
+    forms the qsc bound compares, in closed form; the certifier then needs no
+    finite differences of Hessian-vector products to sample the bound.
     """
 
     stacks = False
+    third_order = False
 
     def __init__(self, metric: Metric, qsc_constant: float) -> None:
         if qsc_constant < 0:
@@ -154,12 +161,20 @@ class SmoothOracle(abc.ABC):
         flat = zip(x.reshape(-1, x.shape[-1]), u.reshape(-1, u.shape[-1]))
         return np.array([self.hessian(xi) @ ui for xi, ui in flat]).reshape(u.shape)
 
+    def qsc_forms(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
+        """(u^T H(x) u, D^3 f(x)[u, u, v]) for each row of (k, n) stacks x,
+        u and v, as two arrays of length k.
+
+        Only an oracle with `third_order` set provides it.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not provide qsc_forms")
+
 
 class _TransformedOracle(SmoothOracle):
     """scale * f(T x + shift) over a given metric with a declared qsc constant.
 
     T is None (the identity), a scalar or a matrix.  A scalar T folds into the
-    derivative factors scale * T and scale * T**2.  A derivative factor of
+    derivative factors scale * T, scale * T**2 and scale * T**3.  A derivative factor of
     exactly 1 is not applied, so pass-through derivatives are not copied.
     Products with a matrix T go through numpy's matvec, which runs the gemv
     of a point once per row of a stack, so stacking changes no bit.
@@ -174,11 +189,16 @@ class _TransformedOracle(SmoothOracle):
         t = 1.0 if self._t is None else self._t
         self._grad_factor = self._scale * t
         self._hess_factor = self._scale * t**2
+        self._third_factor = self._scale * t**3
         self._shift = shift
 
     @property
     def stacks(self):
         return self._base.stacks
+
+    @property
+    def third_order(self):
+        return self._base.third_order
 
     def _inner(self, x):
         if self._matrix is not None:
@@ -209,6 +229,16 @@ class _TransformedOracle(SmoothOracle):
             inner_u = np.matvec(self._matrix, u)
             hu = np.matvec(self._matrix.T, self._base.hessian_vector(self._inner(x), inner_u))
         return hu if self._hess_factor == 1.0 else self._hess_factor * hu
+
+    def qsc_forms(self, x, u, v):
+        if self._matrix is not None:
+            u, v = np.matvec(self._matrix, u), np.matvec(self._matrix, v)
+        form, third = self._base.qsc_forms(self._inner(x), u, v)
+        if self._hess_factor != 1.0:
+            form = self._hess_factor * form
+        if self._third_factor != 1.0:
+            third = self._third_factor * third
+        return form, third
 
 
 def scale_oracle(oracle: SmoothOracle, factor: float) -> SmoothOracle:
@@ -285,6 +315,10 @@ class _SumOracle(SmoothOracle):
     def stacks(self):
         return self._first.stacks and self._second.stacks
 
+    @property
+    def third_order(self):
+        return self._first.third_order and self._second.third_order
+
     def value(self, x):
         return self._first.value(x) + self._second.value(x)
 
@@ -296,6 +330,10 @@ class _SumOracle(SmoothOracle):
 
     def hessian_vector(self, x, u):
         return self._first.hessian_vector(x, u) + self._second.hessian_vector(x, u)
+
+    def qsc_forms(self, x, u, v):
+        (form, third), (form2, third2) = self._first.qsc_forms(x, u, v), self._second.qsc_forms(x, u, v)
+        return form + form2, third + third2
 
 
 def add_oracles(first: SmoothOracle, second: SmoothOracle) -> SmoothOracle:
@@ -325,7 +363,7 @@ def evaluate(oracle: SmoothOracle, method: str, x):
 
 
 # Dense-Hessian entries (points x dim^2) that one stacked call of the
-# certifier may cover: a hessian_vector call of the qsc check, or an
+# certifier may cover: a hessian_vector or qsc_forms call of the qsc check, or an
 # `evaluate` call of the pair or finite-difference checks.  The zoo holds a
 # few arrays of about this many entries per call, so a check adds well under
 # 1 MB to the working set; four times as many added 2.4 MB to a
@@ -439,27 +477,35 @@ class QscCheckReport:
         )
 
 
+def _fd_forms(oracle: SmoothOracle, x, u, v):
+    """(u^T H(x) u, estimate of D^3 f(x)[u, u, v]) for each triple row, the
+    estimate the central difference of u^T H u along v.  The three forms
+    u^T H u at x + tv, x - tv and x come from one hessian_vector call."""
+    t = _fd_step(oracle, x)
+    step = t[:, None] * v
+    points = np.concatenate([x + step, x - step, x])
+    vecs = np.concatenate([u] * 3)
+    forms = np.sum(oracle.hessian_vector(points, vecs) * vecs, axis=-1).reshape(3, -1)
+    return forms[2], (forms[0] - forms[1]) / (2.0 * t)
+
+
 def _qsc_violations(oracle: SmoothOracle, x, u, v):
     """Violation of the qsc bound and its tolerance for each triple row.
 
-    The estimate of D^3 f(x)[u, u, v] is the central difference of u^T H u
-    along v; the three forms u^T H u at x + tv, x - tv and x of at most
-    `chunk_size(n, 3)` triples come from one hessian_vector call.
+    u^T H(x) u and D^3 f(x)[u, u, v] come from `qsc_forms` when the oracle
+    provides it, else from `_fd_forms`, for at most `chunk_size(n, 3)`
+    triples per call.
     """
     m_const = oracle.qsc_constant
-    t = _fd_step(oracle, x)
-    forms = np.empty((3, len(x)))
+    forms = oracle.qsc_forms if oracle.third_order else functools.partial(_fd_forms, oracle)
+    unorm2 = np.empty(len(x))
+    third = np.empty(len(x))
     chunk = chunk_size(oracle.dim, 3)
     for lo in range(0, len(x), chunk):
         rows = slice(lo, lo + chunk)
-        step = t[rows, None] * v[rows]
-        points = np.concatenate([x[rows] + step, x[rows] - step, x[rows]])
-        vecs = np.concatenate([u[rows]] * 3)
-        products = oracle.hessian_vector(points, vecs)
-        forms[:, rows] = np.sum(products * vecs, axis=-1).reshape(3, -1)
-    estimate = (forms[0] - forms[1]) / (2.0 * t)
-    unorm2 = np.maximum(forms[2], 0.0)  # PSD up to roundoff
-    return estimate - m_const * unorm2, 1e-4 * (1.0 + m_const * unorm2)
+        unorm2[rows], third[rows] = forms(x[rows], u[rows], v[rows])
+    unorm2 = np.maximum(unorm2, 0.0)  # PSD up to roundoff
+    return third - m_const * unorm2, 1e-4 * (1.0 + m_const * unorm2)
 
 
 def _refine_triple(oracle: SmoothOracle, x, u, v, rounds: int):
@@ -496,9 +542,11 @@ def check_qsc(
 ) -> QscCheckReport:
     """Sample-based certificate of the third-derivative bound at the declared M.
 
-    Each sample draws (x, u, v) with v normalized to unit primal norm, and
-    estimates D^3 f(x)[u,u,v] by central differences of u^T H u along v,
-    from Hessian-vector products over a chunk of samples at a time.
+    Each sample draws (x, u, v) with v normalized to unit primal norm.  Over
+    a chunk of samples at a time, D^3 f(x)[u,u,v] and u^T H(x) u come from
+    the oracle's `qsc_forms` when it sets `third_order`, else D^3 f is
+    estimated by central differences of u^T H u along v, from
+    Hessian-vector products.
     The sample violates if the estimate exceeds ``M ||u||_x^2`` by more than
     ``1e-4 * (1 + M ||u||_x^2)``.  A handful of the worst triples are refined
     by alternately choosing v as the steepest direction of the tensor slice

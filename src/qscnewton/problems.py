@@ -10,6 +10,10 @@ The zoo covers the four families the solvers are exercised on:
 Soft-max and separable objectives default to the Gram metric sum_i a_i a_i^T
 of their rows; the declared constants are only valid under these metrics.
 
+Every family gives its qsc forms u^T H(x) u and D^3 f(x)[u, u, v] in closed
+form (`SmoothOracle.third_order`), from one pass over the design or the
+weight matrix per stack of triples.
+
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
 the rows of a stack bitwise their points' results for the quadratic and the
@@ -90,6 +94,7 @@ class QuadraticObjective(SmoothOracle):
     """f(x) = 1/2 <Ax, x> - <b, x> with PSD A; qsc constant 0."""
 
     stacks = True
+    third_order = True
 
     def __init__(self, quad, offset, metric: Metric | None = None) -> None:
         a = symmetrize(np.asarray(quad, dtype=float))
@@ -120,6 +125,9 @@ class QuadraticObjective(SmoothOracle):
     def hessian_vector(self, x, u):
         return np.asarray(u, dtype=float) @ self._a
 
+    def qsc_forms(self, x, u, v):
+        return np.vecdot(np.vecmat(u, self._a), u), np.zeros(len(u))
+
 
 class SoftMaxObjective(SmoothOracle):
     """Smoothed maximum mu * log sum_i exp((<a_i, x> - b_i)/mu); qsc constant 2/mu.
@@ -129,6 +137,7 @@ class SoftMaxObjective(SmoothOracle):
     """
 
     stacks = True
+    third_order = True
 
     def __init__(self, rows, offsets, smoothing: float, metric: Metric | None = None):
         rows = np.asarray(rows, dtype=float)
@@ -193,6 +202,15 @@ class SoftMaxObjective(SmoothOracle):
         curvature = (pi * matvec(self._rows, u)) @ self._rows
         return (curvature - g * np.sum(g * u, axis=-1, keepdims=True)) / self._mu
 
+    def qsc_forms(self, x, u, v):
+        # the second and third cumulants of (<a, u>, <a, v>) under pi
+        pi = self._weights(x)
+        au, av = matvec(self._rows, np.stack([u, v]))
+        au -= np.vecdot(pi, au)[:, None]
+        av -= np.vecdot(pi, av)[:, None]
+        weighted = pi * np.square(au)
+        return np.add.reduce(weighted, axis=-1) / self._mu, np.vecdot(weighted, av) / self._mu**2
+
 
 class SeparableObjective(SmoothOracle):
     """(1/m) sum_i loss(<a_i, x> - b_i) for a logistic or exponential loss.
@@ -203,6 +221,7 @@ class SeparableObjective(SmoothOracle):
     """
 
     stacks = True
+    third_order = True
 
     LOSSES = ("logistic", "exponential")
 
@@ -271,6 +290,19 @@ class SeparableObjective(SmoothOracle):
         weights = self._second(self._margins(x)) / self._rows.shape[0]
         return (weights * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
 
+    def qsc_forms(self, x, u, v):
+        t = self._margins(x)
+        if self._loss == "logistic":
+            p = scipy.special.expit(t)
+            second = p * (1.0 - p)
+            third = second * (1.0 - 2.0 * p)
+        else:
+            second = third = np.exp(t)
+        au, av = matvec(self._rows, np.stack([u, v]))
+        au2 = np.square(au)
+        m = self._rows.shape[0]
+        return np.vecdot(au2, second) / m, np.vecdot(au2 * av, third) / m
+
 
 def _clamped_exp_weights(mass: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """mass * exp(min(exponents, 700)), warning when a positive mass is clamped.
@@ -289,6 +321,16 @@ def _clamped_exp_weights(mass: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     np.exp(weights, out=weights)
     weights *= mass
     return weights
+
+
+def _exp_sum_forms(w, du, dv):
+    """sum_ij w_ij du_ij^2 and sum_ij w_ij du_ij^2 dv_ij for each matrix of
+    (k, n, n') stacks: the qsc forms of sum_ij w_ij e^(e_ij) when the
+    exponents e_ij move by du_ij along u and by dv_ij along v."""
+    weighted = np.square(du, out=du)
+    weighted *= w
+    weighted = weighted.reshape(len(w), -1)
+    return np.add.reduce(weighted, axis=-1), np.vecdot(weighted, dv.reshape(len(w), -1))
 
 
 def _square_nonnegative(matrix, what: str) -> np.ndarray:
@@ -310,6 +352,7 @@ class MatrixScalingObjective(SmoothOracle):
     """
 
     stacks = True
+    third_order = True
 
     def __init__(self, matrix) -> None:
         a = _square_nonnegative(matrix, "scaling")
@@ -350,6 +393,11 @@ class MatrixScalingObjective(SmoothOracle):
         wtp = (p[..., None, :] @ w)[..., 0, :]
         return np.concatenate([w.sum(axis=-1) * p - wq, w.sum(axis=-2) * q - wtp], axis=-1)
 
+    def qsc_forms(self, z, u, v):
+        # the exponent x_i - y_j moves by u_i - u'_j along u = (u, u')
+        n = self._n
+        return _exp_sum_forms(self._weights(z), u[:, :n, None] - u[:, None, n:], v[:, :n, None] - v[:, None, n:])
+
 
 class MatrixBalancingObjective(SmoothOracle):
     """sum_ij A_ij exp(x_i - x_j) over R^n; identity metric, M = sqrt(2).
@@ -359,6 +407,7 @@ class MatrixBalancingObjective(SmoothOracle):
     """
 
     stacks = True
+    third_order = True
 
     def __init__(self, matrix) -> None:
         a = _square_nonnegative(matrix, "balancing")
@@ -392,6 +441,9 @@ class MatrixBalancingObjective(SmoothOracle):
         wu = (w @ u[..., None])[..., 0]
         wtu = (u[..., None, :] @ w)[..., 0, :]
         return (w.sum(axis=-1) + w.sum(axis=-2)) * u - (wu + wtu)
+
+    def qsc_forms(self, x, u, v):
+        return _exp_sum_forms(self._weights(x), u[:, :, None] - u[:, None, :], v[:, :, None] - v[:, None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,21 @@ class TestSolveCommand:
         )
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
+    def test_strict_parameter_error_exits_two_without_output(self, tmp_path, capsys):
+        # R = 0.5 is below 2^(3/2)/M for M = 1: the strict run refuses to start
+        config = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+                "solver": {"name": "accelerated", "distance_bound": 0.5},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", config, "--out", str(out), "--strict"]) == 2
+        assert "solver failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_accelerated_auto_reference_end_to_end(self, tmp_path):
         config = write_config(
             tmp_path / "acc.json",

@@ -197,7 +197,7 @@ class TestInstanceChecks:
             run_instance_checks(counting, samples=50, pairs=pairs)
             calls.append(counting.calls)
         extra = {key: calls[1][key] - calls[0][key] for key in calls[0]}
-        assert extra == {"value": 4, "gradient": 4, "hessian": 4, "hessian_vector": 0}
+        assert extra == {"value": 4, "gradient": 4, "hessian": 4, "hessian_vector": 0, "third_order": 0}
 
     def test_forced_small_constant_fails_qsc_only(self):
         o = generate_synthetic("logistic", n=2, m=4, seed=3)

@@ -132,7 +132,7 @@ def test_counting_oracle_counts_one_call_per_stack():
     x, u = _points(4, (5,), 3)
     counting.hessian_vector(x, u)
     counting.hessian_vector(x[0], u[0])
-    assert counting.calls == {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 2}
+    assert counting.calls == {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 2, "third_order": 0}
 
 
 @pytest.mark.parametrize("kind", ["matrix_scaling", "matrix_balancing"])

@@ -129,7 +129,7 @@ def test_non_finite_start_leaves_an_empty_trace(solver):
     result = _run(solver, counting)
     assert result.trace == []
     assert np.isnan(result.final_grad_norm)
-    assert counting.calls == {"value": 0, "gradient": 1, "hessian": 0, "hessian_vector": 0}
+    assert counting.calls == {"value": 0, "gradient": 1, "hessian": 0, "hessian_vector": 0, "third_order": 0}
 
 
 def test_completed_steps_keep_their_rows():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from qscnewton import (
+    CountingOracle,
     Metric,
     add_oracles,
     affine_substitute,
@@ -21,7 +22,7 @@ from qscnewton import (
     with_qsc_constant,
 )
 from qscnewton.metric import local_norm, symmetrize
-from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, _refine_triple, third_derivative_estimate
+from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, _refine_triple, chunk_size, third_derivative_estimate
 from qscnewton.problems import KINDS, QuadraticObjective, SeparableObjective, generate_synthetic
 
 
@@ -504,14 +505,41 @@ _CERTIFY_CASES = [(kind, seed, None) for kind in KINDS for seed in range(5)] + [
 ]
 
 
+def _certify_instance(kind, seed):
+    return generate_synthetic(kind, seed=seed, **_CERTIFY_SIZES.get(kind, dict(n=6, m=40)))
+
+
+class _FdOnly(SmoothOracle):
+    """An oracle without closed-form qsc forms, delegating the rest: the
+    certifier takes its finite-difference path on it."""
+
+    def __init__(self, base):
+        super().__init__(base.metric, base.qsc_constant)
+        self._base = base
+
+    def value(self, x):
+        return self._base.value(x)
+
+    def gradient(self, x):
+        return self._base.gradient(x)
+
+    def hessian(self, x):
+        return self._base.hessian(x)
+
+    def hessian_vector(self, x, u):
+        return self._base.hessian_vector(x, u)
+
+
 class TestBatchedCheckQsc:
     @pytest.mark.parametrize("kind, seed, control", _CERTIFY_CASES)
     def test_matches_per_sample_certifier(self, kind, seed, control):
-        oracle = generate_synthetic(kind, seed=seed, **_CERTIFY_SIZES.get(kind, dict(n=6, m=40)))
+        # the finite-difference path of check_qsc, on an oracle without
+        # closed forms, against the per-sample reference it replaced
+        oracle = _certify_instance(kind, seed)
         if control is not None:
             oracle = with_qsc_constant(oracle, control * oracle.qsc_constant)
         passed, violation, tol, (x, u, v), samples = _per_sample_check_qsc(oracle, seed=seed, num_samples=300)
-        report = check_qsc(oracle, seed=seed, num_samples=300)
+        report = check_qsc(_FdOnly(oracle), seed=seed, num_samples=300)
         assert report.passed == passed
         assert report.samples == samples
         assert abs(report.max_violation - violation) <= 1e-10 * (1.0 + abs(violation))
@@ -528,23 +556,24 @@ class TestBatchedCheckQsc:
         if control is not None:
             assert not passed
 
+    @pytest.mark.parametrize("kind, seed, control", _CERTIFY_CASES)
+    def test_closed_forms_keep_the_outcome(self, kind, seed, control):
+        # the zoo's closed forms against the finite-difference path: the
+        # same verdict, and violations that move by the finite difference's
+        # error, a relative t^2 ~ 1e-7 of D^3 f: far below the tolerance
+        # where the constant holds, and of the violation's size where not
+        oracle = _certify_instance(kind, seed)
+        if control is not None:
+            oracle = with_qsc_constant(oracle, control * oracle.qsc_constant)
+        exact = check_qsc(oracle, seed=seed, num_samples=300)
+        fd = check_qsc(_FdOnly(oracle), seed=seed, num_samples=300)
+        assert exact.passed == fd.passed == (control is None)
+        assert exact.max_violation == pytest.approx(fd.max_violation, rel=1e-6, abs=1e-3 * fd.tolerance)
+
     def test_no_hessian_vector_call_exceeds_the_chunk_budget(self):
         shapes = []
 
-        class Spy(SmoothOracle):
-            def __init__(self, base):
-                super().__init__(base.metric, base.qsc_constant)
-                self._base = base
-
-            def value(self, x):
-                return self._base.value(x)
-
-            def gradient(self, x):
-                return self._base.gradient(x)
-
-            def hessian(self, x):
-                return self._base.hessian(x)
-
+        class Spy(_FdOnly):
             def hessian_vector(self, x, u):
                 shapes.append(np.shape(x))
                 return self._base.hessian_vector(x, u)
@@ -557,6 +586,47 @@ class TestBatchedCheckQsc:
             assert max(entries) <= _QSC_CHUNK_ENTRIES
             assert sum(np.prod(shape[:-1]) for shape in shapes) >= 3 * 1000  # every sample's three forms
             assert len(shapes) > 3  # the samples went through in several chunks
+
+    def test_closed_forms_are_forwarded_and_counted(self):
+        base = generate_synthetic("softmax", n=4, m=12, seed=1)
+        plain = _FdOnly(base)
+        assert base.third_order and not plain.third_order
+        for oracle in (scale_oracle(plain, 2.0), with_qsc_constant(plain, 1.0), CountingOracle(plain)):
+            assert not oracle.third_order
+        assert not add_oracles(base, plain).third_order
+        assert add_oracles(base, base).third_order
+        counting = CountingOracle(base)
+        x, u, v = np.random.default_rng(2).standard_normal((3, 3, 4))
+        counting.qsc_forms(x, u, v)
+        counting.qsc_forms(x[:1], u[:1], v[:1])
+        assert counting.calls == {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0, "third_order": 2}
+
+    @pytest.mark.parametrize("undersized", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sampled_phase_makes_no_hessian_vector_calls(self, kind, undersized):
+        """check_qsc on CountingOracle(base), bare and under an undersized
+        declared constant as `certify` composes them: with refinement off it
+        calls only qsc_forms, once per chunk and once for the refined
+        triples; with refinement on it makes the gradient and Hessian calls
+        of the finite-difference path, and only refinement's products."""
+        base = _certify_instance(kind, 1)
+        samples = 300
+        sampled_calls = -(-samples // chunk_size(base.dim, 3)) + 1
+        calls = {}
+        for path, wrap in (("exact", lambda o: o), ("fd", _FdOnly)):
+            for rounds in (0, 3):
+                counting = CountingOracle(wrap(base))
+                oracle = with_qsc_constant(counting, base.qsc_constant / 4) if undersized else counting
+                check_qsc(oracle, seed=2, num_samples=samples, refine_rounds=rounds)
+                calls[path, rounds] = counting.calls
+        zero = {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0}
+        assert calls["exact", 0] == {**zero, "third_order": sampled_calls}
+        assert calls["fd", 0] == {**zero, "hessian_vector": sampled_calls, "third_order": 0}
+        exact, fd = calls["exact", 3], calls["fd", 3]
+        for method in ("value", "gradient", "hessian"):
+            assert exact[method] == fd[method], method
+        assert exact["hessian_vector"] == fd["hessian_vector"] - sampled_calls
+        assert exact["third_order"] == sampled_calls
 
     def test_worst_sample_ties_go_to_the_earlier_sample(self):
         # every sample of a quadratic has violation 0 and tolerance 1e-4, so
