@@ -36,16 +36,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the problem seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel benchmark cells")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="turn parameter precondition violations into hard errors",
-    )
+    # each command takes only the flags it acts on: a flag it would ignore
+    # is a usage error
+    if command == "benchmark":
+        parser.add_argument("--jobs", type=int, default=1, help="parallel benchmark cells")
+    if command in ("solve", "benchmark"):
+        parser.add_argument(
+            "--strict",
+            action="store_true",
+            help="turn parameter precondition violations into hard errors",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("reference", "compute and cache a high-accuracy reference solution"),
         ("benchmark", "run an instances x solvers grid and write a table"),
     ):
-        _add_common(sub.add_parser(name, help=doc))
+        _add_common(sub.add_parser(name, help=doc), name)
     return parser
 
 

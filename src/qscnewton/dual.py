@@ -10,7 +10,8 @@ the augmented subgradient satisfies
 
 The outer loop stops once the plain subgradient norm drops below nu.  If the
 supplied qsc constant is too small the inner loop stalls; the method then
-doubles the constant and retries the same outer iteration.
+doubles the constant and retries the same outer iteration, at most
+`max_qsc_doublings` times (0 never doubles).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class DualConfig:
     grad_tol: float = param("number", exclusiveMinimum=0)
     max_outer: int = param("integer", 200, minimum=1)
     max_inner: int = param("integer", 50, minimum=1)
-    adapt_qsc: bool = True
     max_qsc_doublings: int = 40
 
     __post_init__ = check_bounds
@@ -155,7 +155,7 @@ def solve_dual(
                 if residuals[-1] <= threshold:
                     break
             else:
-                if config.adapt_qsc and doublings < config.max_qsc_doublings:
+                if doublings < config.max_qsc_doublings:
                     # the declared constant is too small for the local theory
                     # to bite; double it and retry this outer iteration
                     m_const *= 2.0
@@ -316,10 +316,11 @@ def check_inner_quadratic(result: DualResult, slack: float = 1e-10) -> InnerQuad
     passed = True
     worst = math.inf
     checked = 0
+    phi_half = phi(0.5)
     for row in result.trace:
         mu = 2.0 * m * row.g_k
         region = row.g_k
-        factor = m * phi(0.5) / mu
+        factor = m * phi_half / mu
         residuals = (row.g_k,) + row.inner_residuals
         for r_now, r_next in zip(residuals, residuals[1:]):
             if r_now > region:

@@ -40,6 +40,7 @@ from .composite import CompositeTerm
 from .metric import Metric
 from .oracles import (
     SmoothOracle,
+    add_oracles,
     check_gradient,
     check_hessian,
     check_function_bounds,
@@ -105,7 +106,8 @@ def validate_config(config: dict) -> None:
 
 
 # the problem keys `generate_synthetic` takes by name, with its defaults
-_SYNTHETIC_KEYS = frozenset(inspect.signature(generate_synthetic).parameters) - {"kind"}
+_SYNTHETIC_PARAMETERS = inspect.signature(generate_synthetic).parameters
+_SYNTHETIC_KEYS = frozenset(_SYNTHETIC_PARAMETERS) - {"kind"}
 
 
 def build_problem(problem_cfg: dict) -> SmoothOracle:
@@ -119,7 +121,8 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
                 oracle = SeparableObjective(rows, offsets, kind)
             elif kind == "softmax":
                 rows, offsets = load_design_matrix(data_path)
-                oracle = SoftMaxObjective(rows, offsets, problem_cfg.get("smoothing", 1.0))
+                smoothing = problem_cfg.get("smoothing", _SYNTHETIC_PARAMETERS["smoothing"].default)
+                oracle = SoftMaxObjective(rows, offsets, smoothing)
             elif kind == "matrix_scaling":
                 oracle = MatrixScalingObjective(load_matrix(data_path))
             elif kind == "matrix_balancing":
@@ -133,8 +136,6 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
         oracle = generate_synthetic(kind, **synthetic)
     reg = problem_cfg.get("quad_regularization", 0.0)
     if reg > 0:
-        from .oracles import add_oracles
-
         bump = QuadraticObjective(
             reg * oracle.metric.matrix, np.zeros(oracle.dim), metric=oracle.metric
         )
@@ -186,7 +187,8 @@ class CountingOracle(SmoothOracle):
     and qsc_forms calls, the last under "third_order".  A stacked value,
     gradient or hessian call counts one per point, so the counts do not
     depend on how the points were stacked; a stacked hessian_vector or
-    qsc_forms call counts once."""
+    qsc_forms call counts once, and is passed on whole: the products the
+    default makes inside it are not counted."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
@@ -196,10 +198,6 @@ class CountingOracle(SmoothOracle):
     @property
     def stacks(self):
         return self._base.stacks
-
-    @property
-    def third_order(self):
-        return self._base.third_order
 
     def value(self, x):
         self.calls["value"] += _points(x)
@@ -308,6 +306,14 @@ def compute_reference(
         )
         os.replace(tmp, directory / f"{cache_key}.npz")
     return reference
+
+
+# the reference solve's defaults, read once here: `_config_reference` calls
+# `compute_reference` through the module, where a replacement (a tracing
+# wrapper) may have none
+_REFERENCE_DEFAULTS = {
+    key: inspect.signature(compute_reference).parameters[key].default for key in ("grad_tol", "max_iters")
+}
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +433,11 @@ def check_primal_trace(trace, slack: float = 1e-8) -> PerStepReport:
 
     Checks, for every completed step k: monotone F (1e-10 slack), the progress
     inequality ``progress_k >= g_{k+1}^2 / (2 beta_k)``, and the step-length
-    bound ``||x_{k+1} - x_k|| <= g_k / beta_k`` (both vacuous at beta = 0,
-    where the step is exact and the new subgradient must vanish instead).
+    bound ``||x_{k+1} - x_k|| <= g_k / beta_k``.  Both are vacuous at
+    beta = 0, a pure Newton step, which is checked instead as exact:
+    ``g_{k+1} <= slack (1 + g_0)``, its margin counted in the worst progress
+    slack.  A pure Newton step is exact only when M = 0, so a pure-Newton
+    trace on any other objective fails this check by construction.
     """
     monotone = True
     progress_bad = 0
@@ -453,7 +462,9 @@ def check_primal_trace(trace, slack: float = 1e-8) -> PerStepReport:
             if row.step_length > bound + slack:
                 step_bad += 1
         else:
-            if g_next > slack * (1.0 + trace[0].grad_norm):
+            exact = slack * (1.0 + trace[0].grad_norm)
+            worst_progress = min(worst_progress, exact - g_next)
+            if g_next > exact:
                 progress_bad += 1
     return PerStepReport(
         passed=monotone and progress_bad == 0 and step_bad == 0,
@@ -599,8 +610,8 @@ def _build_instance(config: dict):
 def _config_reference(config: dict, oracle, psi, x0) -> tuple[ReferenceSolution, str]:
     """The cached reference solve for a config, and its cache key."""
     reference_cfg = config.get("reference", {})
-    ref_tol = reference_cfg.get("grad_tol", 1e-12)
-    ref_iters = reference_cfg.get("max_iters", 10_000)
+    ref_tol = reference_cfg.get("grad_tol", _REFERENCE_DEFAULTS["grad_tol"])
+    ref_iters = reference_cfg.get("max_iters", _REFERENCE_DEFAULTS["max_iters"])
     key = reference_cache_key(
         config["problem"], config.get("composite"), config.get("x0"), ref_tol, ref_iters
     )
@@ -827,8 +838,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "auto": {"type": "boolean"},
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 1},
+                # the reference solve is a primal solve
+                **{key: config_params(primal_mod.PrimalConfig)[key] for key in ("grad_tol", "max_iters")},
             },
         },
         "verify": {

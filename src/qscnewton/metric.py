@@ -161,33 +161,46 @@ class Metric:
         require_finite(s, "vector")
         return _cho_solve(self._factor, s)
 
-    def primal_norm(self, h: np.ndarray) -> float:
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.dim,):
-            raise ValueError(f"vector of shape {h.shape} does not match metric dim {self.dim}")
-        q = float(h @ self._matrix @ h)
-        return np.sqrt(max(q, 0.0))
+    def _vectors(self, v) -> np.ndarray:
+        """v as a vector or a (k, n) stack of them.  The norms run numpy's
+        vecmat and vecdot, which run the gemv or dot of a vector once per
+        row, so each row's norm is bitwise its vector's."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise ValueError(f"vector of shape {v.shape} does not match metric dim {self.dim}")
+        return v
 
-    def dual_norm(self, s: np.ndarray) -> float:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.dim,):
-            raise ValueError(f"vector of shape {s.shape} does not match metric dim {self.dim}")
-        q = float(s @ self.solve(s))
-        return np.sqrt(max(q, 0.0))
+    def primal_norm(self, h: np.ndarray):
+        """||h|| = <Bh, h>^{1/2}, of a vector or of each row of a stack."""
+        h = self._vectors(h)
+        return _root(np.vecdot(np.vecmat(h, self._matrix), h))
+
+    def dual_norm(self, s: np.ndarray):
+        """||s||_* = <s, B^{-1}s>^{1/2}, of a vector or of each row of a stack."""
+        s = self._vectors(s)
+        return _root(np.vecdot(s, self.solve(s.T).T))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Metric(dim={self.dim})"
 
 
-def local_norm(h: np.ndarray, hessian: np.ndarray) -> float:
-    """Hessian-induced seminorm <Hh, h>^{1/2}; defined (possibly 0) for PSD H."""
+def _root(q):
+    # quadratic forms of PSD operators, up to roundoff: tiny negative values
+    # are clamped to zero
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def local_norm(h: np.ndarray, hessian: np.ndarray):
+    """Hessian-induced seminorm <Hh, h>^{1/2}; defined (possibly 0) for PSD H.
+
+    Of a vector h with H = hessian, or of each row h_i of a (k, n) stack with
+    H_i = hessian[i].
+    """
     h = np.asarray(h, dtype=float)
     hess = np.asarray(hessian, dtype=float)
-    if hess.shape != (h.shape[0], h.shape[0]):
-        raise ValueError(f"hessian shape {hess.shape} does not match vector length {h.shape[0]}")
-    q = float(h @ hess @ h)
-    # PSD up to roundoff: tiny negative quadratic forms are clamped to zero.
-    return np.sqrt(max(q, 0.0))
+    if h.ndim not in (1, 2) or hess.shape != h.shape + h.shape[-1:]:
+        raise ValueError(f"hessian shape {hess.shape} does not match vector shape {h.shape}")
+    return _root(np.vecdot(np.vecmat(h, hess), h))
 
 
 def regularized_solve(

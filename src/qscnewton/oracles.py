@@ -7,9 +7,9 @@ bound M on its quasi-self-concordance, i.e. a constant with
     D^3 f(x)[u, u, v]  <=  M * <H(x)u, u> * ||v||        for all u, v.
 
 The checkers in this module certify such declarations by sampling, with the
-third derivative in closed form where the oracle provides it and by finite
-differences otherwise: the declared M is validated as an upper bound, not as
-the minimal constant.
+third derivative in closed form where the oracle overrides `qsc_forms` and by
+finite differences otherwise: the declared M is validated as an upper bound,
+not as the minimal constant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .metric import Metric, _pencil_eigh, symmetrize
+from .metric import Metric, _pencil_eigh, local_norm, symmetrize
 
 _PHI_SERIES_CUTOFF = 1e-4
 
@@ -32,20 +32,8 @@ def phi(t):
     Convex, positive, and monotone increasing, with phi(0) = 1/2 by the
     removable singularity.  Below |t| = 1e-4 the direct formula cancels
     catastrophically, so a 4-term series 1/2 + t/6 + t^2/24 + t^3/120 is used.
-    Accepts scalars or arrays.
-
-    A Python or numpy float (or int) takes a scalar branch that skips the
-    0-d array round trip; the certifiers call phi once per pair check.  It
-    applies the same numpy ufuncs (``expm1``, ``square``, ``power``) to an
-    ``np.float64``, so its result is bitwise that of the array path.
-    ``math.expm1`` and ``t * t`` are not: they can differ from numpy's loops
-    in the last bit.
+    Accepts scalars, which give a float, or arrays.
     """
-    if isinstance(t, (int, float)):
-        t = np.float64(t)
-        if abs(t) < _PHI_SERIES_CUTOFF:
-            return float(0.5 + t / 6.0 + np.square(t) / 24.0 + np.power(t, 3) / 120.0)
-        return float((np.expm1(t) - t) / np.square(t))
     arr = np.asarray(t, dtype=float)
     small = np.abs(arr) < _PHI_SERIES_CUTOFF
     safe = np.where(small, 1.0, arr)
@@ -108,13 +96,11 @@ class SmoothOracle(abc.ABC):
     sets `stacks` to True.  The certifier then evaluates a chunk of points in
     one call; for an oracle that does not, it calls them point by point.
 
-    An oracle that sets `third_order` to True provides `qsc_forms`, the two
-    forms the qsc bound compares, in closed form; the certifier then needs no
-    finite differences of Hessian-vector products to sample the bound.
+    `hessian_vector` and `qsc_forms` have defaults built on `hessian`; an
+    oracle with cheaper or closed forms overrides them.
     """
 
     stacks = False
-    third_order = False
 
     def __init__(self, metric: Metric, qsc_constant: float) -> None:
         if qsc_constant < 0:
@@ -163,11 +149,19 @@ class SmoothOracle(abc.ABC):
 
     def qsc_forms(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """(u^T H(x) u, D^3 f(x)[u, u, v]) for each row of (k, n) stacks x,
-        u and v, as two arrays of length k.
+        u and v, as two arrays of length k: the two forms the qsc bound
+        compares.
 
-        Only an oracle with `third_order` set provides it.
+        This default, the reference, gets the forms u^T H u at x + tv, x - tv
+        and x from one `hessian_vector` call and estimates D^3 f by their
+        central difference along v.  The zoo overrides it with closed forms.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not provide qsc_forms")
+        t = _fd_step(self, x)
+        step = t[:, None] * v
+        points = np.concatenate([x + step, x - step, x])
+        vecs = np.concatenate([u] * 3)
+        forms = np.sum(self.hessian_vector(points, vecs) * vecs, axis=-1).reshape(3, -1)
+        return forms[2], (forms[0] - forms[1]) / (2.0 * t)
 
 
 class _TransformedOracle(SmoothOracle):
@@ -195,10 +189,6 @@ class _TransformedOracle(SmoothOracle):
     @property
     def stacks(self):
         return self._base.stacks
-
-    @property
-    def third_order(self):
-        return self._base.third_order
 
     def _inner(self, x):
         if self._matrix is not None:
@@ -315,10 +305,6 @@ class _SumOracle(SmoothOracle):
     def stacks(self):
         return self._first.stacks and self._second.stacks
 
-    @property
-    def third_order(self):
-        return self._first.third_order and self._second.third_order
-
     def value(self, x):
         return self._first.value(x) + self._second.value(x)
 
@@ -414,42 +400,10 @@ def check_hessian(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> fl
     return float(np.max(np.abs(fd - hess) / (1.0 + np.abs(hess))))
 
 
-# The stacked norms below give each row bitwise what the Metric methods and
-# `local_norm` give its vector: numpy's vecmat, matvec and vecdot run the
-# gemv or dot of the 1-d product once per row.
-
-
-def _primal_norms(metric: Metric, h: np.ndarray):
-    """||h|| of a vector, or of each row of a stack of them."""
-    q = np.vecdot(np.vecmat(h, metric.matrix), h)
-    return np.sqrt(np.maximum(q, 0.0))
-
-
-def _dual_norms(metric: Metric, s: np.ndarray):
-    """||s||_* of each row of a (k, n) stack."""
-    q = np.vecdot(s, metric.solve(s.T).T)
-    return np.sqrt(np.maximum(q, 0.0))
-
-
-def _local_norms(d: np.ndarray, hessians: np.ndarray):
-    """<H_i d_i, d_i>^{1/2} of each row of a (k, n) stack d, H_i = hessians[i]."""
-    q = np.vecdot(np.vecmat(d, hessians), d)
-    return np.sqrt(np.maximum(q, 0.0))
-
-
 def _fd_step(oracle: SmoothOracle, x: np.ndarray):
     # balances truncation against roundoff at double precision; one step per
     # row of a stack of points
-    return 1e-4 * (1.0 + _primal_norms(oracle.metric, x))
-
-
-def third_derivative_estimate(
-    oracle: SmoothOracle, x: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> float:
-    """Central-difference estimate of D^3 f(x)[u, u, v] from two Hessian-vector products."""
-    t = _fd_step(oracle, x)
-    hu = oracle.hessian_vector(np.stack([x + t * v, x - t * v]), np.stack([u, u]))
-    return float(u @ (hu[0] - hu[1])) / (2.0 * t)
+    return 1e-4 * (1.0 + oracle.metric.primal_norm(x))
 
 
 def _third_derivative_slice(oracle, x, u):
@@ -477,33 +431,16 @@ class QscCheckReport:
         )
 
 
-def _fd_forms(oracle: SmoothOracle, x, u, v):
-    """(u^T H(x) u, estimate of D^3 f(x)[u, u, v]) for each triple row, the
-    estimate the central difference of u^T H u along v.  The three forms
-    u^T H u at x + tv, x - tv and x come from one hessian_vector call."""
-    t = _fd_step(oracle, x)
-    step = t[:, None] * v
-    points = np.concatenate([x + step, x - step, x])
-    vecs = np.concatenate([u] * 3)
-    forms = np.sum(oracle.hessian_vector(points, vecs) * vecs, axis=-1).reshape(3, -1)
-    return forms[2], (forms[0] - forms[1]) / (2.0 * t)
-
-
 def _qsc_violations(oracle: SmoothOracle, x, u, v):
-    """Violation of the qsc bound and its tolerance for each triple row.
-
-    u^T H(x) u and D^3 f(x)[u, u, v] come from `qsc_forms` when the oracle
-    provides it, else from `_fd_forms`, for at most `chunk_size(n, 3)`
-    triples per call.
-    """
+    """Violation of the qsc bound and its tolerance for each triple row,
+    from `qsc_forms` calls of at most `chunk_size(n, 3)` triples each."""
     m_const = oracle.qsc_constant
-    forms = oracle.qsc_forms if oracle.third_order else functools.partial(_fd_forms, oracle)
     unorm2 = np.empty(len(x))
     third = np.empty(len(x))
     chunk = chunk_size(oracle.dim, 3)
     for lo in range(0, len(x), chunk):
         rows = slice(lo, lo + chunk)
-        unorm2[rows], third[rows] = forms(x[rows], u[rows], v[rows])
+        unorm2[rows], third[rows] = oracle.qsc_forms(x[rows], u[rows], v[rows])
     unorm2 = np.maximum(unorm2, 0.0)  # PSD up to roundoff
     return third - m_const * unorm2, 1e-4 * (1.0 + m_const * unorm2)
 
@@ -544,9 +481,8 @@ def check_qsc(
 
     Each sample draws (x, u, v) with v normalized to unit primal norm.  Over
     a chunk of samples at a time, D^3 f(x)[u,u,v] and u^T H(x) u come from
-    the oracle's `qsc_forms` when it sets `third_order`, else D^3 f is
-    estimated by central differences of u^T H u along v, from
-    Hessian-vector products.
+    the oracle's `qsc_forms`: closed forms where the oracle overrides it,
+    else the default's central differences of u^T H u along v.
     The sample violates if the estimate exceeds ``M ||u||_x^2`` by more than
     ``1e-4 * (1 + M ||u||_x^2)``.  A handful of the worst triples are refined
     by alternately choosing v as the steepest direction of the tensor slice
@@ -566,7 +502,7 @@ def check_qsc(
         draws = rng.standard_normal((min(chunk, num_samples - lo), 3, n))
         x = x_scale * draws[:, 0]
         u = draws[:, 1]
-        v = draws[:, 2] / np.maximum(_primal_norms(oracle.metric, draws[:, 2]), 1e-300)[:, None]
+        v = draws[:, 2] / np.maximum(oracle.metric.primal_norm(draws[:, 2]), 1e-300)[:, None]
         violation, tol = _qsc_violations(oracle, x, u, v)
         excess = violation - tol
         order = np.argsort(-excess, kind="stable")[:keep]
@@ -671,7 +607,7 @@ def check_hessian_stability(oracle: SmoothOracle, x, y, *, hx=None, hy=None):
     hx = symmetrize(_given(oracle, hx, "hessian", x, n, n))
     hy = symmetrize(_given(oracle, hy, "hessian", y, n, n))
     scale = np.maximum(np.maximum(np.abs(hx).max(axis=(1, 2)), np.abs(hy).max(axis=(1, 2))), 1.0)
-    bound = oracle.qsc_constant * _primal_norms(oracle.metric, d)
+    bound = oracle.qsc_constant * oracle.metric.primal_norm(d)
     slack = 1e-7 * (1.0 + bound)
     roundoff = n * np.finfo(float).eps * scale
     passed = np.empty(len(d), dtype=bool)
@@ -693,10 +629,10 @@ def check_gradient_bound(oracle: SmoothOracle, x, y, slack: float = 1e-8, *, hx=
     x, y, d = _pairs(oracle, x, y)
     hx = _given(oracle, hx, "hessian", x, n, n)
     residual = _given(oracle, gy, "gradient", y, n) - _given(oracle, gx, "gradient", x, n) - np.matvec(hx, d)
-    lhs = _dual_norms(oracle.metric, residual)
+    lhs = oracle.metric.dual_norm(residual)
     m = oracle.qsc_constant
-    r = _primal_norms(oracle.metric, d)
-    rhs = m * _local_norms(d, hx) ** 2 * phi(m * r) + slack
+    r = oracle.metric.primal_norm(d)
+    rhs = m * local_norm(d, hx) ** 2 * phi(m * r) + slack
     return _per_pair(x, lhs <= rhs, rhs - lhs)
 
 
@@ -713,8 +649,8 @@ def check_function_bounds(
     gx = _given(oracle, gx, "gradient", x, n)
     gap = _given(oracle, fy, "value", y) - _given(oracle, fx, "value", x) - np.vecdot(gx, d)
     m = oracle.qsc_constant
-    r = _primal_norms(oracle.metric, d)
-    rx2 = _local_norms(d, _given(oracle, hx, "hessian", x, n, n)) ** 2
+    r = oracle.metric.primal_norm(d)
+    rx2 = local_norm(d, _given(oracle, hx, "hessian", x, n, n)) ** 2
     lower = rx2 * phi(-m * r) - slack
     upper = rx2 * phi(m * r) + slack
     return _per_pair(x, (lower <= gap) & (gap <= upper), np.minimum(gap - lower, upper - gap))

@@ -320,11 +320,12 @@ def check_local_quadratic(
     passed = True
     worst = math.inf
     checked = 0
+    phi_one = phi(1.0)
     for i in range(entry, len(rows) - 1):
         row, nxt = rows[i], rows[i + 1]
         if math.isnan(row.sigma):
             continue
-        bound = math.e * (phi(1.0) * qsc_constant + row.sigma) * row.eta**2 + slack
+        bound = math.e * (phi_one * qsc_constant + row.sigma) * row.eta**2 + slack
         checked += 1
         gap = bound - nxt.eta
         worst = min(worst, gap)

@@ -10,9 +10,9 @@ The zoo covers the four families the solvers are exercised on:
 Soft-max and separable objectives default to the Gram metric sum_i a_i a_i^T
 of their rows; the declared constants are only valid under these metrics.
 
-Every family gives its qsc forms u^T H(x) u and D^3 f(x)[u, u, v] in closed
-form (`SmoothOracle.third_order`), from one pass over the design or the
-weight matrix per stack of triples.
+Every family overrides `SmoothOracle.qsc_forms` with its qsc forms
+u^T H(x) u and D^3 f(x)[u, u, v] in closed form, from one pass over the
+design or the weight matrix per stack of triples.
 
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
@@ -94,7 +94,6 @@ class QuadraticObjective(SmoothOracle):
     """f(x) = 1/2 <Ax, x> - <b, x> with PSD A; qsc constant 0."""
 
     stacks = True
-    third_order = True
 
     def __init__(self, quad, offset, metric: Metric | None = None) -> None:
         a = symmetrize(np.asarray(quad, dtype=float))
@@ -137,7 +136,6 @@ class SoftMaxObjective(SmoothOracle):
     """
 
     stacks = True
-    third_order = True
 
     def __init__(self, rows, offsets, smoothing: float, metric: Metric | None = None):
         rows = np.asarray(rows, dtype=float)
@@ -221,7 +219,6 @@ class SeparableObjective(SmoothOracle):
     """
 
     stacks = True
-    third_order = True
 
     LOSSES = ("logistic", "exponential")
 
@@ -352,7 +349,6 @@ class MatrixScalingObjective(SmoothOracle):
     """
 
     stacks = True
-    third_order = True
 
     def __init__(self, matrix) -> None:
         a = _square_nonnegative(matrix, "scaling")
@@ -407,7 +403,6 @@ class MatrixBalancingObjective(SmoothOracle):
     """
 
     stacks = True
-    third_order = True
 
     def __init__(self, matrix) -> None:
         a = _square_nonnegative(matrix, "balancing")

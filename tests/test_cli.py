@@ -138,8 +138,20 @@ class TestUsageErrors:
             ["solve", "--config", "{config}", "--out", "{out}", "--bogus"],
             ["frobnicate", "--config", "{config}"],
             [],
+            ["solve", "--config", "{config}", "--out", "{out}", "--jobs", "2"],
+            ["verify", "--config", "{config}", "--out", "{out}", "--strict"],
+            ["reference", "--config", "{config}", "--out", "{out}", "--jobs", "2"],
         ],
-        ids=["no-config", "non-integer-seed", "unknown-option", "unknown-command", "no-command"],
+        ids=[
+            "no-config",
+            "non-integer-seed",
+            "unknown-option",
+            "unknown-command",
+            "no-command",
+            "solve-jobs",
+            "verify-strict",
+            "reference-jobs",
+        ],
     )
     def test_exits_three_without_output(self, tmp_path, quad_config, capsys, argv):
         out = tmp_path / "u"

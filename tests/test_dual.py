@@ -74,7 +74,7 @@ class TestSolveDual:
             o,
             ZERO,
             np.full(8, 5.0),
-            DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5, adapt_qsc=False),
+            DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5, max_qsc_doublings=0),
         )
         assert res.status is DualStatus.QSC_PARAMETER_SUSPECT
 

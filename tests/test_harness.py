@@ -74,6 +74,18 @@ class TestComputeReference:
         k3 = reference_cache_key(base, None, None, 1e-10, 10_000)
         assert len({k1, k2, k3}) == 3
 
+    def test_config_cache_key_is_pinned(self, tmp_path):
+        # the defaults of a config without a reference section feed the key,
+        # and a cached reference is only found again if its key is unchanged
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3},
+            "composite": {"kind": "box", "lower": -1.0, "upper": 1.0},
+            "x0": "zeros",
+        }
+        key = harness.run_reference(config, tmp_path)["cache_key"]
+        assert key == "7d5617a4205a62ae512cac99bcf4d43e74776a85c3a015d9bc839d84444d9d2e"
+
     def test_not_converged_raises(self):
         o = generate_synthetic("logistic", n=8, m=40, seed=3)
         with pytest.raises(ReferenceNotConvergedError):
@@ -134,6 +146,25 @@ class TestCheckPrimalTrace:
         assert report.passed
         assert report.steps == res.iterations
         assert report.monotone
+
+    def test_pure_newton_margin_is_the_worst_progress_slack(self, tmp_path):
+        # beta = 0: each step must zero the subgradient within slack (1 + g_0),
+        # which a pure Newton step does only on a quadratic; the margin of
+        # that test is reported, and the verdict counts the steps that miss it
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 5, "m": 40, "seed": 1},
+            "solver": {"name": "pure_newton_local"},
+        }
+        from qscnewton.primal import read_primal_trace
+
+        report = run_solve(config, tmp_path)
+        per_step = report["verification"]["per_step"]
+        g = [row.grad_norm for row in read_primal_trace(tmp_path / "trace.csv")]
+        assert report["status"] == "grad_tol_reached" and per_step["steps"] == 5
+        assert not per_step["passed"] and per_step["progress_violations"] == 4
+        assert per_step["worst_progress_slack"] == min(1e-8 * (1.0 + g[0]) - g_next for g_next in g[1:])
+        assert per_step["worst_progress_slack"] < 0
 
     def test_rate_envelope_advisory(self, logistic_ref, logistic_reference):
         from qscnewton import check_primal_rate_envelope
@@ -353,7 +384,7 @@ class TestConfigFields:
 
     def test_library_only_fields_are_not_config_keys(self):
         solver = harness.CONFIG_SCHEMA["properties"]["solver"]["properties"]
-        assert {"f_star_ref", "strict", "adapt_qsc", "max_qsc_doublings"}.isdisjoint(solver)
+        assert {"f_star_ref", "strict", "max_qsc_doublings"}.isdisjoint(solver)
 
     def test_every_documented_key_is_a_field_of_a_config_type(self):
         fields = {f.name for config_type, *_ in _CONFIG_TYPES for f in dataclasses.fields(config_type)}

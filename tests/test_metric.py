@@ -88,9 +88,18 @@ class TestLocalNorm:
                 direct += v[i] * h[i, j] * v[j]
         assert local_norm(v, h) == pytest.approx(np.sqrt(direct))
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize(
+        "h, hessian",
+        [
+            (np.ones(3), np.eye(2)),
+            (np.ones((2, 2)), np.eye(2)),
+            (np.ones(2), np.ones((1, 2, 2))),
+            (np.ones((3, 2)), np.ones((2, 2, 2))),
+        ],
+    )
+    def test_dimension_mismatch(self, h, hessian):
         with pytest.raises(ValueError):
-            local_norm(np.ones(3), np.eye(2))
+            local_norm(h, hessian)
 
 
 class TestRegularizedSolve:
@@ -204,6 +213,38 @@ def test_dual_norm_of_bh_is_primal_norm(seed):
     metric = Metric(random_spd(rng, n))
     h = rng.standard_normal(n)
     assert metric.dual_norm(metric.apply(h)) == pytest.approx(metric.primal_norm(h), rel=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=12),
+)
+def test_stacked_norms_are_bitwise_each_vectors_norm(seed, n, k):
+    # rows of a strided view, as the certifier passes them, over ten decades
+    rng = np.random.default_rng(seed)
+    metric = Metric(random_spd(rng, n))
+    h = rng.standard_normal((k, 3, n))[:, 1] * 10.0 ** rng.uniform(-5, 5, (k, 1))
+    hessians = np.stack([random_spd(rng, n) for _ in range(k)])
+    for norm, rows in (
+        (metric.primal_norm, [metric.primal_norm(row) for row in h]),
+        (metric.dual_norm, [metric.dual_norm(row) for row in h]),
+        (lambda stack: local_norm(stack, hessians), [local_norm(row, hess) for row, hess in zip(h, hessians)]),
+    ):
+        stacked = norm(h)
+        assert stacked.shape == (k,)
+        assert np.array_equal(stacked, rows)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 2)])
+def test_norms_reject_a_wrong_shape(shape):
+    metric = Metric.identity(2)
+    for norm in (metric.primal_norm, metric.dual_norm):
+        with pytest.raises(ValueError):
+            norm(np.ones(shape))
+    with pytest.raises(ValueError):
+        local_norm(np.ones(shape), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

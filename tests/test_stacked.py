@@ -47,7 +47,6 @@ class _PointByPoint(SmoothOracle):
     def __init__(self, base):
         super().__init__(base.metric, base.qsc_constant)
         self._base = base
-        self.third_order = base.third_order
 
     def value(self, x):
         assert np.ndim(x) == 1

@@ -1,8 +1,9 @@
 """The closed-form qsc forms against the certifier's finite-difference path.
 
 `qsc_forms(x, u, v)` gives u^T H(x) u and D^3 f(x)[u, u, v] in closed form;
-`oracles._fd_forms`, the reference, takes u^T H(x) u from a Hessian-vector
-product and estimates D^3 f by central differences of u^T H u along v.
+`SmoothOracle.qsc_forms`, the default and the reference, takes u^T H(x) u
+from a Hessian-vector product and estimates D^3 f by central differences of
+u^T H u along v.
 Over every family, bare and through `scale_oracle`, `affine_substitute` and
 `add_oracles`:
 
@@ -32,7 +33,7 @@ from qscnewton import (
     generate_synthetic,
     scale_oracle,
 )
-from qscnewton.oracles import _fd_forms, _primal_norms
+from qscnewton.oracles import SmoothOracle
 from qscnewton.problems import (
     KINDS,
     MatrixBalancingObjective,
@@ -125,15 +126,15 @@ def _extrapolated_fd(oracle, x, u, v):
     cancelled: the step along 2v is twice as long, so E(2v)/2 carries four
     times the truncation error of E(v), and (4 E(v) - E(2v)/2) / 3 none of
     it up to O(t^4)."""
-    _, fine = _fd_forms(oracle, x, u, v)
-    _, coarse = _fd_forms(oracle, x, u, 2.0 * v)
+    _, fine = SmoothOracle.qsc_forms(oracle, x, u, v)
+    _, coarse = SmoothOracle.qsc_forms(oracle, x, u, 2.0 * v)
     return (4.0 * fine - 0.5 * coarse) / 3.0
 
 
 def _triples(oracle, rows, seed):
     """(x, u, v) as the certifier draws them: v of unit primal norm."""
     x, u, v = np.random.default_rng(seed).standard_normal((3, rows, oracle.dim))
-    return x, u, v / _primal_norms(oracle.metric, v)[:, None]
+    return x, u, v / oracle.metric.primal_norm(v)[:, None]
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,10 +147,10 @@ def _triples(oracle, rows, seed):
 def test_qsc_forms_match_the_finite_difference_path(kind, n, extra_rows, seed):
     base = generate_synthetic(kind, n=n, m=n + extra_rows, seed=seed)
     for name, (oracle, bound) in _cases(base, np.random.default_rng(seed)).items():
-        assert oracle.third_order, name
+        assert type(oracle).qsc_forms is not SmoothOracle.qsc_forms, name
         x, u, v = _triples(oracle, 4, seed + 1)
         form, third = oracle.qsc_forms(x, u, v)
-        fd_form, _ = _fd_forms(oracle, x, u, v)
+        fd_form, _ = SmoothOracle.qsc_forms(oracle, x, u, v)
         assert form.shape == third.shape == (4,), name
         assert np.all(np.abs(form - fd_form) <= bound(x, u)), name
         tolerance = 1e-4 * (1.0 + oracle.qsc_constant * np.maximum(form, 0.0))
