@@ -26,7 +26,7 @@ import numpy as np
 
 from .composite import CompositeTerm
 from .dual import DualConfig, DualStatus, solve_dual
-from .oracles import SmoothOracle, check_bounds, contract_oracle, param
+from .oracles import SmoothOracle, check_bounds, contract_oracle, param, verdict
 
 
 class ParameterError(ValueError):
@@ -261,22 +261,17 @@ def verify_accel_potential(
     dist0 = metric.primal_norm(np.asarray(first.x, float) - x_star)
     rhs = 0.5 * (dist0 + math.sqrt(max(2.0 * result.a0 * gap0, 0.0)) + 4.0 * result.distance_bound) ** 2
     rule_rhs = 0.5 * (5.0 + result.c) ** 2 * result.distance_bound**2
-    passed = True
-    rule_passed = True
-    worst = math.inf
+    lhs = []
     cum_steps = 0.0
     for row in result.trace:
         cum_steps += row.v_step_sq
-        lhs = (
+        lhs.append(
             row.a_cumulative * (row.f_value - f_star)
             + 0.5 * metric.primal_norm(np.asarray(row.v, float) - x_star) ** 2
             + 0.5 * cum_steps
         )
-        worst = min(worst, rhs * (1.0 + 1e-6) - lhs)
-        if lhs > rhs * (1.0 + 1e-6):
-            passed = False
-        if lhs > rule_rhs * (1.0 + 1e-6):
-            rule_passed = False
+    passed, worst = verdict([rhs * (1.0 + 1e-6) - value for value in lhs])
+    rule_passed = verdict([rule_rhs * (1.0 + 1e-6) - value for value in lhs])[0]
     return AccelPotentialReport(
         passed=passed, worst_slack=worst, rhs=rhs, rule_rhs=rule_rhs, rule_passed=rule_passed
     )
@@ -301,24 +296,22 @@ def verify_accel_rate(
     """
     gap0 = result.trace[0].f_value - f_star
     prefactor = (1.0 + 5.0 / result.c) ** 2
-    passed = True
-    worst = math.inf
-    for row in result.trace[1:]:
-        bound = math.exp(-result.gamma * row.k) * prefactor * gap0 * (1.0 + 1e-6)
-        slack = bound - (row.f_value - f_star)
-        worst = min(worst, slack)
-        if slack < 0:
-            passed = False
-    bounded_v = bounded_x = True
+    passed, worst = verdict(
+        [
+            math.exp(-result.gamma * row.k) * prefactor * gap0 * (1.0 + 1e-6) - (row.f_value - f_star)
+            for row in result.trace[1:]
+        ]
+    )
+    v_margins = x_margins = []
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
         radius = (5.0 + result.c) * result.distance_bound * (1.0 + 1e-6)
-        metric = result.metric
-        for row in result.trace:
-            if metric.primal_norm(np.asarray(row.v, float) - x_star) > radius:
-                bounded_v = False
-            if metric.primal_norm(np.asarray(row.x, float) - x_star) > radius:
-                bounded_x = False
+        norm = result.metric.primal_norm
+        v_margins = [radius - norm(np.asarray(row.v, float) - x_star) for row in result.trace]
+        x_margins = [radius - norm(np.asarray(row.x, float) - x_star) for row in result.trace]
     return AccelRateReport(
-        passed=passed, worst_slack=worst, bounded_v_passed=bounded_v, bounded_x_passed=bounded_x
+        passed=passed,
+        worst_slack=worst,
+        bounded_v_passed=verdict(v_margins)[0],
+        bounded_x_passed=verdict(x_margins)[0],
     )

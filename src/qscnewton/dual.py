@@ -23,8 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
-from .metric import NonFiniteError, SingularSystemError
-from .oracles import SmoothOracle, check_bounds, param, phi
+from .metric import NonFiniteError, SingularSystemError, require_finite
+from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 from .primal import initial_subgradient
 
 
@@ -112,7 +112,8 @@ def solve_dual(
     inner step's `grad_plus`, including into the next outer iteration (which
     starts at the last inner point): one gradient and one Hessian per inner
     step.  A gradient or Hessian holding NaN or inf ends the run in
-    `NON_FINITE` at that evaluation, at x0 as well.
+    `NON_FINITE` at that evaluation, at x0 as well, and so does a non-finite
+    F(x_{k+1}), which leaves no row for outer iteration k.
     """
     metric = oracle.metric
     x = psi.project(np.asarray(x0, dtype=float))
@@ -166,6 +167,7 @@ def solve_dual(
             # F'(z) is s without the prox term's gradient
             g_next = metric.dual_norm(step.subgradient - 2.0 * weight * metric.apply(z - x))
             f_next = oracle.value(z) + psi.value(z, metric)
+            require_finite(f_next, "F(x_{k+1})")
             trace.append(
                 DualTraceRow(
                     k=k,
@@ -266,17 +268,14 @@ def verify_dual_rate(
     nu = result.grad_tol
     dist = result.metric.primal_norm(result.x0 - np.asarray(x_star, dtype=float))
     burn_in = 2.0 * m**2 * (dist + 2.0 * nu) ** 2
-    envelope_ok = True
-    worst = math.inf
+    margins = []
     log_g = []
     inner_total = 0
     calls_ok = True
     for idx, row in enumerate(result.trace):
         k = idx + 1
         bound = math.exp(min(burn_in - 0.5 * k, 700.0)) * result.g0 * (1.0 + 1e-6)
-        worst = min(worst, bound - row.g_next)
-        if row.g_next > bound:
-            envelope_ok = False
+        margins.append(bound - row.g_next)
         if row.g_next > 0:
             log_g.append((k, math.log(row.g_next)))
         inner_total += row.inner_iterations
@@ -287,8 +286,9 @@ def verify_dual_rate(
     ks = np.array([k for k, _ in log_g], dtype=float)
     ys = np.array([y for _, y in log_g])
     slope = float(np.polyfit(ks, ys, 1)[0]) if len(ks) >= 2 else math.nan
+    envelope_passed, worst = verdict(margins)
     return DualRateReport(
-        envelope_passed=envelope_ok,
+        envelope_passed=envelope_passed,
         oracle_calls_passed=calls_ok,
         fitted_decay=slope,
         worst_envelope_slack=worst,
@@ -310,24 +310,19 @@ def check_inner_quadratic(result: DualResult, slack: float = 1e-10) -> InnerQuad
     most g_k (the quadratic-convergence region), the next one must satisfy
     ``r_{t+1} <= (M phi(1/2) / (2 M g_k)) r_t^2 + slack``.  The entering point
     sits exactly on the region boundary (its residual is g_k by construction),
-    so the first inner step is checked as well.
+    so the first inner step is checked as well.  A NaN residual is not outside
+    the region, so its pair is checked and fails.
     """
     m = result.qsc_used
-    passed = True
-    worst = math.inf
-    checked = 0
     phi_half = phi(0.5)
+    margins = []
     for row in result.trace:
-        mu = 2.0 * m * row.g_k
-        region = row.g_k
-        factor = m * phi_half / mu
+        factor = m * phi_half / (2.0 * m * row.g_k)
         residuals = (row.g_k,) + row.inner_residuals
-        for r_now, r_next in zip(residuals, residuals[1:]):
-            if r_now > region:
-                continue
-            bound = factor * r_now**2 + slack
-            checked += 1
-            worst = min(worst, bound - r_next)
-            if r_next > bound:
-                passed = False
-    return InnerQuadraticReport(passed=passed, checked_pairs=checked, worst_slack=worst)
+        margins += [
+            factor * r_now**2 + slack - r_next
+            for r_now, r_next in zip(residuals, residuals[1:])
+            if not r_now > row.g_k
+        ]
+    passed, worst = verdict(margins)
+    return InnerQuadraticReport(passed=passed, checked_pairs=len(margins), worst_slack=worst)

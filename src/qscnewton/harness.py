@@ -41,6 +41,7 @@ from .metric import Metric
 from .oracles import (
     SmoothOracle,
     add_oracles,
+    check_bounds,
     check_gradient,
     check_hessian,
     check_function_bounds,
@@ -50,6 +51,8 @@ from .oracles import (
     chunk_size,
     config_params,
     evaluate,
+    param,
+    verdict,
     with_qsc_constant,
 )
 from .problems import (
@@ -400,18 +403,15 @@ def check_primal_rate_envelope(
 ) -> RateEnvelopeReport:
     """Check ``gap_k <= exp(-k/(8 M D^)) gap_0 + exp(-k/4) g_0 D^`` per iterate."""
     gap0 = trace[0].f_value - f_star
-    holds = True
-    worst = math.inf
+    margins = []
     for k, row in enumerate(trace):
         if qsc_constant > 0 and diameter > 0:
             first = math.exp(-k / (8.0 * qsc_constant * diameter)) * gap0
         else:
             first = gap0
         bound = first + math.exp(-k / 4.0) * g0 * diameter
-        slack = bound * (1.0 + 1e-9) - (row.f_value - f_star)
-        worst = min(worst, slack)
-        if slack < 0:
-            holds = False
+        margins.append(bound * (1.0 + 1e-9) - (row.f_value - f_star))
+    holds, worst = verdict(margins)
     return RateEnvelopeReport(
         holds=holds, advisory=True, worst_slack=worst, diameter_estimate=diameter
     )
@@ -431,47 +431,26 @@ class PerStepReport:
 def check_primal_trace(trace, slack: float = 1e-8) -> PerStepReport:
     """Scalar per-step guarantee checks on a primal trace (recomputable from CSV).
 
-    Checks, for every completed step k: monotone F (1e-10 slack), the progress
-    inequality ``progress_k >= g_{k+1}^2 / (2 beta_k)``, and the step-length
-    bound ``||x_{k+1} - x_k|| <= g_k / beta_k``.  Both are vacuous at
-    beta = 0, a pure Newton step, which is checked instead as exact:
-    ``g_{k+1} <= slack (1 + g_0)``, its margin counted in the worst progress
-    slack.  A pure Newton step is exact only when M = 0, so a pure-Newton
-    trace on any other objective fails this check by construction.
+    Checks, for every step k with beta_k > 0: monotone F (1e-10 slack), the
+    progress inequality ``progress_k >= g_{k+1}^2 / (2 beta_k)``, and the
+    step-length bound ``||x_{k+1} - x_k|| <= g_k / beta_k``.  A pure Newton
+    step (beta = 0) has none of these guarantees and is not checked here:
+    `check_local_quadratic` is its check.  The final row, whose beta is NaN,
+    is no step.  Each of the three is judged by `verdict`.
     """
-    monotone = True
-    progress_bad = 0
-    step_bad = 0
-    worst_progress = math.inf
-    worst_step = math.inf
-    steps = 0
-    for row, nxt in zip(trace, trace[1:]):
-        if math.isnan(row.sigma):
-            continue
-        steps += 1
-        if nxt.f_value > row.f_value + 1e-10:
-            monotone = False
-        g_next = nxt.grad_norm
-        if row.beta > 0:
-            rhs = g_next**2 / (2.0 * row.beta)
-            worst_progress = min(worst_progress, row.progress - rhs + slack)
-            if row.progress < rhs - slack:
-                progress_bad += 1
-            bound = row.grad_norm / row.beta
-            worst_step = min(worst_step, bound - row.step_length + slack)
-            if row.step_length > bound + slack:
-                step_bad += 1
-        else:
-            exact = slack * (1.0 + trace[0].grad_norm)
-            worst_progress = min(worst_progress, exact - g_next)
-            if g_next > exact:
-                progress_bad += 1
+    steps = [(row, nxt) for row, nxt in zip(trace, trace[1:]) if row.beta > 0]
+    descent = [row.f_value + 1e-10 - nxt.f_value for row, nxt in steps]
+    progress = [row.progress - nxt.grad_norm**2 / (2.0 * row.beta) + slack for row, nxt in steps]
+    length = [row.grad_norm / row.beta - row.step_length + slack for row, _ in steps]
+    monotone = verdict(descent)[0]
+    progress_ok, worst_progress = verdict(progress)
+    length_ok, worst_step = verdict(length)
     return PerStepReport(
-        passed=monotone and progress_bad == 0 and step_bad == 0,
-        steps=steps,
+        passed=monotone and progress_ok and length_ok,
+        steps=len(steps),
         monotone=monotone,
-        progress_violations=progress_bad,
-        step_bound_violations=step_bad,
+        progress_violations=sum(not margin >= 0 for margin in progress),
+        step_bound_violations=sum(not margin >= 0 for margin in length),
         worst_progress_slack=worst_progress,
         worst_step_slack=worst_step,
     )
@@ -491,30 +470,40 @@ def sample_pairs(oracle: SmoothOracle, rng, radius: float, x_scale: float = 1.0)
     return x, y
 
 
-def run_instance_checks(
-    oracle: SmoothOracle,
-    seed: int = 0,
-    samples: int = 1000,
-    pairs: int = 200,
-    x_scale: float = 1.0,
-    pair_radius: float = 2.0,
-) -> dict:
+@dataclass
+class InstanceChecksConfig:
+    """The sampling of `run_instance_checks`: the config's `instance_checks`
+    section."""
+
+    seed: int = param("integer", 0)
+    samples: int = param("integer", 1000, minimum=1)
+    pairs: int = param("integer", 200, minimum=1)
+    x_scale: float = param("number", 1.0, exclusiveMinimum=0)
+    pair_radius: float = param("number", 2.0, exclusiveMinimum=0)
+
+    __post_init__ = check_bounds
+
+
+def run_instance_checks(oracle: SmoothOracle, **sampling) -> dict:
     """Full oracle verification: FD derivative checks, the sampled
     third-derivative certificate, and the three smoothness-bound checks.
 
-    Returns a dict of named results, each with a ``passed`` flag and details.
+    `sampling` holds `InstanceChecksConfig`'s fields by name; a value
+    outside its bound is a `ValueError`.  Returns a dict of named results,
+    each with a ``passed`` flag and details.
     """
-    rng = np.random.default_rng(seed)
+    config = InstanceChecksConfig(**sampling)
+    rng = np.random.default_rng(config.seed)
     results: dict[str, dict] = {}
 
     # NaN propagates: a NaN error fails its check
-    fd_points = [x_scale * rng.standard_normal(oracle.dim) for _ in range(5)]
+    fd_points = [config.x_scale * rng.standard_normal(oracle.dim) for _ in range(5)]
     grad_err = float(np.max([check_gradient(oracle, x) for x in fd_points]))
     hess_err = float(np.max([check_hessian(oracle, x) for x in fd_points]))
     results["gradient_fd"] = {"passed": grad_err <= 1e-6, "max_rel_error": grad_err}
     results["hessian_fd"] = {"passed": hess_err <= 1e-5, "max_rel_error": hess_err}
 
-    report = check_qsc(oracle, seed=seed, num_samples=samples, x_scale=x_scale)
+    report = check_qsc(oracle, seed=config.seed, num_samples=config.samples, x_scale=config.x_scale)
     results["qsc"] = {
         "passed": report.passed,
         "samples": report.samples,
@@ -532,9 +521,12 @@ def run_instance_checks(
     passed = dict.fromkeys(pair_checks, True)
     worst = dict.fromkeys(pair_checks, math.inf)
     chunk = chunk_size(oracle.dim, 2)
-    for lo in range(0, pairs, chunk):
+    for lo in range(0, config.pairs, chunk):
         # chunk by chunk, the same stream as drawing each pair in turn
-        drawn = [sample_pairs(oracle, rng, pair_radius, x_scale) for _ in range(min(chunk, pairs - lo))]
+        drawn = [
+            sample_pairs(oracle, rng, config.pair_radius, config.x_scale)
+            for _ in range(min(chunk, config.pairs - lo))
+        ]
         x, y = np.array(drawn).transpose(1, 0, 2)
         k = len(x)
         # each point is evaluated once for all three checks, the chunk's
@@ -547,7 +539,7 @@ def run_instance_checks(
             passed[name] &= bool(ok.all())
             worst[name] = float(np.minimum(worst[name], margin.min()))  # NaN propagates
     for name in pair_checks:
-        results[name] = {"passed": bool(passed[name]), "pairs": pairs, "worst_margin": worst[name]}
+        results[name] = {"passed": bool(passed[name]), "pairs": config.pairs, "worst_margin": worst[name]}
     return results
 
 
@@ -852,13 +844,7 @@ CONFIG_SCHEMA = {
         "instance_checks": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer"},
-                "samples": {"type": "integer", "minimum": 1},
-                "pairs": {"type": "integer", "minimum": 1},
-                "x_scale": {"type": "number", "exclusiveMinimum": 0},
-                "pair_radius": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": config_params(InstanceChecksConfig),
         },
         "output": {
             "type": "object",
@@ -988,7 +974,6 @@ def run_verify(config: dict, out_dir) -> dict:
     oracle = _build_instance(config)[0]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the schema allows exactly run_instance_checks' keyword parameters
     results = run_instance_checks(oracle, **config.get("instance_checks", {}))
     failing = sorted(name for name, res in results.items() if not res["passed"])
     report = {

@@ -43,6 +43,14 @@ def phi(t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+def verdict(margins) -> tuple[bool, float]:
+    """(passed, worst) of a trace check, from its margins: the slack left in
+    each inequality it checks.  The worst margin decides: NaN propagates into
+    it and fails, -0.0 passes, and no margins pass with +inf."""
+    worst = float(np.min(margins, initial=np.inf))
+    return worst >= 0, worst
+
+
 # the test a value within each JSON-schema bound keyword's limit passes
 _BOUND_TESTS = {
     "minimum": operator.ge,

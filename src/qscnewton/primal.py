@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
-from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, symmetrize
-from .oracles import SmoothOracle, check_bounds, param, phi
+from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite, symmetrize
+from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
 
 class PrimalStatus(Enum):
@@ -190,8 +190,9 @@ def solve_primal(
     The smooth gradient is evaluated once at x0; every later one comes from
     the previous step's `grad_plus`, so a step costs one gradient and one
     Hessian (shared with the eta diagnostics when they are recorded).  A
-    gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at
-    that evaluation, at x0 as well.
+    value, gradient or Hessian holding NaN or inf ends the run in
+    `NON_FINITE` at that evaluation, at x0 as well; a non-finite F(x_k)
+    leaves no row for x_k.
     """
     x = psi.project(np.asarray(x0, dtype=float))
     if not psi.contains(x0):
@@ -228,6 +229,7 @@ def solve_primal(
         # one) keeps NaN step fields
         for k in range(config.max_iters + 1):
             f_val = oracle.value(x) + psi.value(x, metric)
+            require_finite(f_val, "F(x)")
             row = PrimalTraceRow(k, f_val, g, x=x.copy())
             trace.append(row)
             hess = diagnostic_hessian(x)
@@ -305,30 +307,18 @@ def check_local_quadratic(
     local region eta <= 1/(18 M).
 
     Each consecutive pair after entry must satisfy
-    ``eta_{k+1} <= e * (phi(1) * M + sigma_k) * eta_k^2 + slack``.  A trace
-    that never enters the region passes vacuously with `entered` False.
+    ``eta_{k+1} <= e * (phi(1) * M + sigma_k) * eta_k^2 + slack``, judged by
+    `verdict`.  A trace that never enters the region (one recorded without
+    diagnostics, whose eta is NaN) passes vacuously with `entered` False.
     """
     threshold = math.inf if qsc_constant == 0 else 1.0 / (18.0 * qsc_constant)
-    rows = [r for r in trace if not math.isnan(r.eta)]
-    entry = None
-    for i, row in enumerate(rows):
-        if row.eta <= threshold:
-            entry = i
-            break
+    entry = next((i for i, row in enumerate(trace) if row.eta <= threshold), None)
     if entry is None:
         return LocalQuadraticReport(False, None, True, math.inf)
-    passed = True
-    worst = math.inf
-    checked = 0
     phi_one = phi(1.0)
-    for i in range(entry, len(rows) - 1):
-        row, nxt = rows[i], rows[i + 1]
-        if math.isnan(row.sigma):
-            continue
-        bound = math.e * (phi_one * qsc_constant + row.sigma) * row.eta**2 + slack
-        checked += 1
-        gap = bound - nxt.eta
-        worst = min(worst, gap)
-        if nxt.eta > bound:
-            passed = False
-    return LocalQuadraticReport(True, entry, passed, worst, checked)
+    margins = [
+        math.e * (phi_one * qsc_constant + row.sigma) * row.eta**2 + slack - nxt.eta
+        for row, nxt in zip(trace[entry:], trace[entry + 1 :])
+    ]
+    passed, worst = verdict(margins)
+    return LocalQuadraticReport(True, entry, passed, worst, len(margins))

@@ -147,24 +147,29 @@ class TestCheckPrimalTrace:
         assert report.steps == res.iterations
         assert report.monotone
 
-    def test_pure_newton_margin_is_the_worst_progress_slack(self, tmp_path):
-        # beta = 0: each step must zero the subgradient within slack (1 + g_0),
-        # which a pure Newton step does only on a quadratic; the margin of
-        # that test is reported, and the verdict counts the steps that miss it
+    def test_pure_newton_steps_are_left_to_local_quadratic(self, tmp_path):
+        # beta = 0 steps carry none of the per-step guarantees, so per_step
+        # checks none of them; the local quadratic contraction is their check
         config = {
             "schema_version": 1,
             "problem": {"kind": "logistic", "n": 5, "m": 40, "seed": 1},
             "solver": {"name": "pure_newton_local"},
+            "verify": {"local_quadratic": True},
         }
-        from qscnewton.primal import read_primal_trace
-
         report = run_solve(config, tmp_path)
-        per_step = report["verification"]["per_step"]
-        g = [row.grad_norm for row in read_primal_trace(tmp_path / "trace.csv")]
-        assert report["status"] == "grad_tol_reached" and per_step["steps"] == 5
-        assert not per_step["passed"] and per_step["progress_violations"] == 4
-        assert per_step["worst_progress_slack"] == min(1e-8 * (1.0 + g[0]) - g_next for g_next in g[1:])
-        assert per_step["worst_progress_slack"] < 0
+        verification = report["verification"]
+        assert report["status"] == "grad_tol_reached" and report["iterations"] == 5
+        assert verification["per_step"] == {
+            "passed": True,
+            "steps": 0,
+            "monotone": True,
+            "progress_violations": 0,
+            "step_bound_violations": 0,
+            "worst_progress_slack": "inf",
+            "worst_step_slack": "inf",
+        }
+        assert verification["local_quadratic"]["passed"]
+        assert verification["local_quadratic"]["checked_pairs"] > 0
 
     def test_rate_envelope_advisory(self, logistic_ref, logistic_reference):
         from qscnewton import check_primal_rate_envelope
@@ -199,6 +204,14 @@ class TestInstanceChecks:
             "gradient_bound",
             "function_bounds",
         }
+
+    @pytest.mark.parametrize(
+        "sampling", [{"samples": 0}, {"pairs": 0}, {"x_scale": 0.0}, {"pair_radius": -1.0}]
+    )
+    def test_sampling_outside_its_bound_is_a_value_error(self, sampling):
+        # the schema's bounds, which a run config meets, hold for library calls too
+        with pytest.raises(ValueError, match="outside its bound"):
+            run_instance_checks(generate_synthetic("quadratic", n=3, seed=0), **sampling)
 
     def test_matrix_scaling_close_pair_accepts_declared_constant(self):
         # a sampled pair at distance 6e-6 once failed Hessian stability on
