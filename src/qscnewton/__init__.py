@@ -21,6 +21,7 @@ from .accelerated import (
 from .composite import (
     CompositeTerm,
     MaxInnerIterationsError,
+    Preconditioner,
     StepResult,
     newton_step,
     selected_subgradient,

@@ -38,6 +38,7 @@ class AccelStatus(Enum):
     MAX_OUTER = "max_outer"
     INNER_FAILURE = "inner_failure"
     ALREADY_CONVERGED = "already_converged"
+    NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -115,7 +116,12 @@ def solve_accelerated(
     x0: np.ndarray,
     config: AccelConfig,
 ) -> AccelResult:
-    """Run the contracting proximal-point scheme from x0."""
+    """Run the contracting proximal-point scheme from x0.
+
+    A non-finite F(x_k), or an inner dual solve that ends in `non_finite`,
+    ends the run in `NON_FINITE` at that evaluation.  A non-finite F(x_k)
+    leaves no row for x_k, so a non-finite F(x_0) leaves the trace empty.
+    """
     metric = oracle.metric
     x0 = np.asarray(x0, dtype=float)
     if not psi.contains(x0):
@@ -161,11 +167,13 @@ def solve_accelerated(
     v = x0.copy()
     trace = [AccelTraceRow(0, a_cum, math.nan, math.nan, 0, 0, f0, 0.0, v.copy(), x.copy())]
     status = AccelStatus.ALREADY_CONVERGED if converged else AccelStatus.MAX_OUTER
+    if not math.isfinite(f0):
+        trace, status = [], AccelStatus.NON_FINITE
     total_dual_outer = 0
     total_dual_inner = 0
 
     f_now = f0  # F(x_k), evaluated once per iterate
-    for k in range(0 if converged else config.max_outer):
+    for k in range(config.max_outer if status is AccelStatus.MAX_OUTER else 0):
         if gap0 is not None and f_now - config.f_star_ref <= config.rel_accuracy * gap0:
             status = AccelStatus.TARGET_GAP_REACHED
             break
@@ -189,7 +197,8 @@ def solve_accelerated(
         total_dual_outer += inner.outer_iterations
         total_dual_inner += inner.total_inner
         if inner.status is not DualStatus.GRAD_TOL_REACHED:
-            status = AccelStatus.INNER_FAILURE
+            non_finite = inner.status is DualStatus.NON_FINITE
+            status = AccelStatus.NON_FINITE if non_finite else AccelStatus.INNER_FAILURE
             break
         v_next = inner.x
         x = gamma * v_next + (1.0 - gamma) * x
@@ -197,6 +206,9 @@ def solve_accelerated(
         v = v_next
         a_cum = a_next_cum
         f_now = full_value(x)
+        if not math.isfinite(f_now):
+            status = AccelStatus.NON_FINITE
+            break
         trace.append(
             AccelTraceRow(
                 k=k + 1,
@@ -222,7 +234,7 @@ def solve_accelerated(
         distance_bound=r,
         c=config.c,
         f_star_ref=config.f_star_ref,
-        outer_iterations=len(trace) - 1,
+        outer_iterations=max(len(trace) - 1, 0),  # no row at all after a non-finite F(x_0)
         total_dual_outer=total_dual_outer,
         total_dual_inner=total_dual_inner,
         metric=metric,

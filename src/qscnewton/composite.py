@@ -11,6 +11,16 @@ symmetric solve; with a box the model is a strongly convex box QP, solved
 exactly by a primal-dual active-set method that starts from that solve.
 Every step also selects the canonical subgradient of F = f + psi at the new
 point from the step's own optimality condition.
+
+A solver that keeps a `Preconditioner` takes Hessian-free steps where they
+pay: with no box, above `_CG_MIN_DIM`, the solve is preconditioned CG on
+Hessian-vector products, preconditioned by the Cholesky factor of the last
+dense system.  Under quasi-self-concordance H(y) stays within
+exp(+-M ||y - x||) of H(x), so that stale factor keeps the preconditioned
+spectrum near 1 (the lazy-Hessian idea of Doikov, Chayti and Jaggi,
+*Second-order optimization with lazy Hessians*, ICML 2023, used here only as
+a preconditioner: the model, and so the step, is the exact one up to the CG
+tolerance).
 """
 
 from __future__ import annotations
@@ -30,6 +40,23 @@ from .metric import (
     symmetrize,
 )
 from .oracles import SmoothOracle
+
+# Hessian-free steps.  Below this dimension a dense step costs less than
+# CG: per dual step on logistic instances with m = 20n (one BLAS thread),
+# dense against CG took 0.25 against 0.32 ms at n = 30, 0.58 against 0.44 ms
+# at n = 50 and 2.45 against 1.52 ms at n = 100.
+_CG_MIN_DIM = 50
+# A solve that needs more products than this ends in a dense step, which
+# refreshes the factor.  With the stale factor the solvers' steps took 5
+# products on average (logistic and soft-max, n = 100, m = 2000).
+_CG_MAX_ITERS = 8
+# Stop once the preconditioned residual r^T P^-1 r has fallen by this factor
+# squared.  The residual enters the selected subgradient as it is, so the
+# tolerance is relative to the step's own right-hand side, the gradient it
+# is meant to cancel (Dembo, Eisenstat and Steihaug, *Inexact Newton
+# methods*, SIAM J. Numer. Anal. 1982): iterates move from the dense
+# step's within this tolerance.
+_CG_TOL = 1e-12
 
 
 class MaxInnerIterationsError(RuntimeError):
@@ -142,6 +169,53 @@ class StepResult:
     grad_plus: np.ndarray  # smooth gradient g(x+) of f alone
 
 
+class Preconditioner:
+    """What a solve keeps between its Hessian-free steps: the Cholesky factor
+    of the last dense system H + coeff*B, None before the first dense step
+    and after a system that did not factor without jitter."""
+
+    def __init__(self) -> None:
+        self.factor: np.ndarray | None = None
+
+
+def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
+    """u -> (H(x) + coeff*B) u, from the oracle's products at x."""
+    product = oracle.hessian_operator(x)
+    metric = oracle.metric
+    return lambda u: product(u) + coeff * metric.apply(u)
+
+
+def _preconditioned_cg(system, factor: np.ndarray, rhs: np.ndarray):
+    """Solve S d = rhs by CG from d = 0, preconditioned by `factor`, the
+    Cholesky factor of a nearby system; `system` is u -> S u.
+
+    Returns (d, S d), with S d = rhs - r read off the recurrence rather than
+    from one more product, once r^T P^-1 r has fallen to _CG_TOL^2 times its
+    initial value.  Returns None on breakdown (p^T S p not positive and
+    finite, which a singular or non-finite system gives) and after
+    _CG_MAX_ITERS products."""
+    d = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = z = _cho_solve(factor, r)
+    rz = r @ z
+    stop = _CG_TOL**2 * rz
+    for _ in range(_CG_MAX_ITERS):
+        q = system(p)
+        curvature = p @ q
+        if not 0.0 < curvature < np.inf:
+            return None
+        alpha = rz / curvature
+        d += alpha * p
+        r -= alpha * q
+        z = _cho_solve(factor, r)
+        rz_next = r @ z
+        if rz_next <= stop:
+            return d, rhs - r
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return None
+
+
 def _box_step(system, rhs, lower, upper, d, max_inner):
     """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``, by
     a primal-dual active-set method (Hintermueller-Ito-Kunisch, SIAM J.
@@ -183,6 +257,7 @@ def newton_step(
     max_inner: int = 100,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
+    precond: Preconditioner | None = None,
 ) -> StepResult:
     """Minimize the regularized quadratic model of f + psi around x.
 
@@ -198,6 +273,20 @@ def newton_step(
     evaluated here.  A step then costs one gradient (at x+) and one Hessian
     at most, and passing the values changes no bit of the result.
 
+    `precond` is the solve's `Preconditioner`, kept from step to step.  With
+    it, a step with no box, no `hess` and an oracle of dimension
+    `_CG_MIN_DIM` or more is Hessian-free: it solves
+    ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_operator(x)`,
+    preconditioned by the factor, and forms no Hessian.  Its selected
+    subgradient and local step length take H(x)d from the CG recurrence,
+    and its result moves from the dense step's within the CG tolerance.
+    The dense step runs instead, and refreshes the factor, on the first such
+    step (no factor yet), on a CG breakdown (a singular or non-finite
+    system) and after `_CG_MAX_ITERS` products, so a singular system still
+    goes through the jitter ladder and a non-finite one still raises.
+    Without `precond`, with a box, with `hess` or below `_CG_MIN_DIM`, the
+    step is the dense one, bit for bit.
+
     NaN or inf in g(x) or H(x) raises `NonFiniteError` from
     `regularized_solve`'s entry check, and in g(x+) right after it is
     evaluated.
@@ -208,8 +297,6 @@ def newton_step(
     metric = oracle.metric
     if grad is None:
         grad = oracle.gradient(x)
-    if hess is None:
-        hess = symmetrize(oracle.hessian(x))
 
     coeff = beta + 2.0 * psi.quad_weight()  # total multiple of B added to the Hessian
 
@@ -222,7 +309,33 @@ def newton_step(
         raise ValueError("step origin must be feasible for the box")
     if psi.is_box and coeff <= 0:
         raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
+
+    hessian_free = precond is not None and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
+    if hessian_free and precond.factor is not None:
+        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), precond.factor, rhs)
+        if solved is not None:
+            d, system_d = solved
+            bd = metric.apply(d)
+            hess_d = system_d - coeff * bd
+            x_plus = x + d
+            grad_plus = oracle.gradient(x_plus)
+            require_finite(grad_plus, "g(x+)")
+            return StepResult(
+                x_plus=x_plus,
+                subgradient=grad_plus - grad - hess_d - beta * bd,
+                beta=beta,
+                inner_iterations=0,
+                step_length=metric.primal_norm(d),
+                step_length_local=float(np.sqrt(max(d @ hess_d, 0.0))),
+                grad_plus=grad_plus,
+            )
+
+    if hess is None:
+        hess = symmetrize(oracle.hessian(x))
     d = regularized_solve(hess, metric, coeff, rhs)
+    if hessian_free:
+        # regularized_solve has checked that the system is finite
+        precond.factor = _cholesky(hess + coeff * metric.matrix)
     x_plus, inner_iterations = x + d, 0
     if psi.is_box:
         lower, upper = psi.bounds

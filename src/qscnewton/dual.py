@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, Preconditioner, newton_step
 from .metric import NonFiniteError, SingularSystemError, require_finite
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 from .primal import initial_subgradient
@@ -111,9 +111,12 @@ def solve_dual(
     The smooth gradient is evaluated once at x0 and then carried from each
     inner step's `grad_plus`, including into the next outer iteration (which
     starts at the last inner point): one gradient and one Hessian per inner
-    step.  A gradient or Hessian holding NaN or inf ends the run in
-    `NON_FINITE` at that evaluation, at x0 as well, and so does a non-finite
-    F(x_{k+1}), which leaves no row for outer iteration k.
+    step.  Above the Hessian-free size most steps take a few Hessian-vector
+    products in place of the Hessian, with one `Preconditioner` shared by
+    the whole solve (see `newton_step`).  A gradient or Hessian holding NaN
+    or inf ends the run in `NON_FINITE` at that evaluation, at x0 as well,
+    and so does a non-finite F(x_{k+1}), which leaves no row for outer
+    iteration k.
     """
     metric = oracle.metric
     x = psi.project(np.asarray(x0, dtype=float))
@@ -125,6 +128,7 @@ def solve_dual(
     status = DualStatus.MAX_OUTER
     total_inner = 0
     doublings = 0
+    precond = Preconditioner()
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
@@ -148,7 +152,7 @@ def solve_dual(
             grad_z = grad
             residuals = []
             for _ in range(config.max_inner):
-                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z)
+                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z, precond=precond)
                 z = step.x_plus
                 grad_z = step.grad_plus
                 residuals.append(metric.dual_norm(step.subgradient))

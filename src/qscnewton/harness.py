@@ -191,7 +191,8 @@ class CountingOracle(SmoothOracle):
     gradient or hessian call counts one per point, so the counts do not
     depend on how the points were stacked; a stacked hessian_vector or
     qsc_forms call counts once, and is passed on whole: the products the
-    default makes inside it are not counted."""
+    default makes inside it are not counted.  Each product of a
+    `hessian_operator` counts as one hessian_vector call."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
@@ -217,6 +218,15 @@ class CountingOracle(SmoothOracle):
     def hessian_vector(self, x, u):
         self.calls["hessian_vector"] += 1
         return self._base.hessian_vector(x, u)
+
+    def hessian_operator(self, x):
+        product = self._base.hessian_operator(x)
+
+        def counted(u):
+            self.calls["hessian_vector"] += 1
+            return product(u)
+
+        return counted
 
     def qsc_forms(self, x, u, v):
         self.calls["third_order"] += 1
@@ -753,7 +763,7 @@ _SOLVERS = {
         solve=lambda *args: accel_mod.solve_accelerated(*args),
         row_type=accel_mod.AccelTraceRow,
         success=(accel_mod.AccelStatus.TARGET_GAP_REACHED, accel_mod.AccelStatus.ALREADY_CONVERGED),
-        summary=lambda r: (r.outer_iterations, r.trace[-1].f_value, math.nan),
+        summary=lambda r: (r.outer_iterations, r.trace[-1].f_value if r.trace else None, math.nan),
         extras=lambda r, *_: {
             "gamma": r.gamma,
             "gamma_clamped": r.gamma_clamped,
@@ -764,8 +774,12 @@ _SOLVERS = {
             "parameter_warning": r.parameter_warning,
         },
         verifiers={
-            "accel_potential": lambda r, o, ref, _: vars(accel_mod.verify_accel_potential(r, ref.x, ref.f_value)),
-            "accel_rate": lambda r, o, ref, _: vars(accel_mod.verify_accel_rate(r, ref.f_value, ref.x)),
+            "accel_potential": lambda r, o, ref, _: (
+                vars(accel_mod.verify_accel_potential(r, ref.x, ref.f_value)) if r.trace else None
+            ),
+            "accel_rate": lambda r, o, ref, _: (
+                vars(accel_mod.verify_accel_rate(r, ref.f_value, ref.x)) if r.trace else None
+            ),
         },
     ),
 }

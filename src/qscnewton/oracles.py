@@ -104,8 +104,9 @@ class SmoothOracle(abc.ABC):
     sets `stacks` to True.  The certifier then evaluates a chunk of points in
     one call; for an oracle that does not, it calls them point by point.
 
-    `hessian_vector` and `qsc_forms` have defaults built on `hessian`; an
-    oracle with cheaper or closed forms overrides them.
+    `hessian_vector`, `hessian_operator` and `qsc_forms` have defaults
+    built on `hessian`; an oracle with cheaper or closed forms overrides
+    them.
     """
 
     stacks = False
@@ -154,6 +155,16 @@ class SmoothOracle(abc.ABC):
             return self.hessian(x) @ u
         flat = zip(x.reshape(-1, x.shape[-1]), u.reshape(-1, u.shape[-1]))
         return np.array([self.hessian(xi) @ ui for xi, ui in flat]).reshape(u.shape)
+
+    def hessian_operator(self, x: np.ndarray):
+        """The product u -> H(x) u at one point x of shape (n,), for many u.
+
+        What a product needs from x alone (the zoo's per-point weights) is
+        computed once, when the operator is made, not once per product.  This
+        default calls `hessian_vector(x, u)` per product.
+        """
+        x = np.asarray(x, dtype=float)
+        return functools.partial(self.hessian_vector, x)
 
     def qsc_forms(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """(u^T H(x) u, D^3 f(x)[u, u, v]) for each row of (k, n) stacks x,
@@ -220,13 +231,20 @@ class _TransformedOracle(SmoothOracle):
             h = self._matrix.T @ h @ self._matrix  # one product per matrix of a stack
         return h if self._hess_factor == 1.0 else self._hess_factor * h
 
-    def hessian_vector(self, x, u):
+    def _pull_back(self, product, u):
+        """This oracle's H u, from `product`, the base Hessian's product at
+        the inner point."""
         if self._matrix is None:
-            hu = self._base.hessian_vector(self._inner(x), u)
+            hu = product(u)
         else:
-            inner_u = np.matvec(self._matrix, u)
-            hu = np.matvec(self._matrix.T, self._base.hessian_vector(self._inner(x), inner_u))
+            hu = np.matvec(self._matrix.T, product(np.matvec(self._matrix, u)))
         return hu if self._hess_factor == 1.0 else self._hess_factor * hu
+
+    def hessian_vector(self, x, u):
+        return self._pull_back(functools.partial(self._base.hessian_vector, self._inner(x)), u)
+
+    def hessian_operator(self, x):
+        return functools.partial(self._pull_back, self._base.hessian_operator(self._inner(x)))
 
     def qsc_forms(self, x, u, v):
         if self._matrix is not None:
@@ -324,6 +342,10 @@ class _SumOracle(SmoothOracle):
 
     def hessian_vector(self, x, u):
         return self._first.hessian_vector(x, u) + self._second.hessian_vector(x, u)
+
+    def hessian_operator(self, x):
+        first, second = self._first.hessian_operator(x), self._second.hessian_operator(x)
+        return lambda u: first(u) + second(u)
 
     def qsc_forms(self, x, u, v):
         (form, third), (form2, third2) = self._first.qsc_forms(x, u, v), self._second.qsc_forms(x, u, v)

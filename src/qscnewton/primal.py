@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, Preconditioner, newton_step
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite, symmetrize
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
@@ -189,7 +189,10 @@ def solve_primal(
 
     The smooth gradient is evaluated once at x0; every later one comes from
     the previous step's `grad_plus`, so a step costs one gradient and one
-    Hessian (shared with the eta diagnostics when they are recorded).  A
+    Hessian (shared with the eta diagnostics when they are recorded), and F
+    is evaluated once per iterate.  With a constant sigma and no
+    diagnostics, the steps share one `Preconditioner`, so above the
+    Hessian-free size most of them form no Hessian (see `newton_step`).  A
     value, gradient or Hessian holding NaN or inf ends the run in
     `NON_FINITE` at that evaluation, at x0 as well; a non-finite F(x_k)
     leaves no row for x_k.
@@ -203,6 +206,7 @@ def solve_primal(
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
     g = math.nan  # kept when g(x0) itself is not finite
+    precond = Preconditioner()
 
     def diagnostic_hessian(point):
         # the diagnostics and the step from `point` share one evaluation
@@ -221,9 +225,7 @@ def solve_primal(
         grad = oracle.gradient(x)
         g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
 
-        gap0 = None
-        if config.f_star_ref is not None and config.rel_accuracy is not None:
-            gap0 = oracle.value(x) + psi.value(x, metric) - config.f_star_ref
+        gap0 = None  # F(x0) - F*, from the first row's F when the stop needs it
 
         # every iterate gets a row; a row whose step is never taken (the last
         # one) keeps NaN step fields
@@ -232,6 +234,8 @@ def solve_primal(
             require_finite(f_val, "F(x)")
             row = PrimalTraceRow(k, f_val, g, x=x.copy())
             trace.append(row)
+            if k == 0 and config.f_star_ref is not None and config.rel_accuracy is not None:
+                gap0 = f_val - config.f_star_ref
             hess = diagnostic_hessian(x)
             row.lam, row.eta = diagnostics(hess, g)
             if k == config.max_iters:  # the budget is spent: status stays MAX_ITERS
@@ -250,7 +254,7 @@ def solve_primal(
                 sigma_next = max(sigma_k / 2.0, config.sigma_min)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
-                step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess)
+                step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess, precond=precond)
                 retries = 0
             step_computations += retries + 1
 

@@ -12,7 +12,10 @@ of their rows; the declared constants are only valid under these metrics.
 
 Every family overrides `SmoothOracle.qsc_forms` with its qsc forms
 u^T H(x) u and D^3 f(x)[u, u, v] in closed form, from one pass over the
-design or the weight matrix per stack of triples.
+design or the weight matrix per stack of triples.  The soft-max and
+separable families also override `SmoothOracle.hessian_operator`: the
+per-point weights (the margins' loss'' or the soft-max pi) are computed once
+per point, and each product is two passes over the design rows.
 
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
@@ -23,6 +26,7 @@ one matrix product, which differs from a product per point in roundoff.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -193,12 +197,22 @@ class SoftMaxObjective(SmoothOracle):
         g = matvec(self._rows.T, pi)
         return (_weighted_gram(self._rows, pi) - g[..., :, None] * g[..., None, :]) / self._mu
 
-    def hessian_vector(self, x, u):
+    def _moments(self, x):
+        """The weights pi and the gradient g, all a Hessian product needs of x."""
         pi = self._weights(x)
+        return pi, pi @ self._rows
+
+    def _product(self, moments, u):
+        pi, g = moments
         u = np.asarray(u, dtype=float)
-        g = pi @ self._rows
         curvature = (pi * matvec(self._rows, u)) @ self._rows
         return (curvature - g * np.sum(g * u, axis=-1, keepdims=True)) / self._mu
+
+    def hessian_vector(self, x, u):
+        return self._product(self._moments(x), u)
+
+    def hessian_operator(self, x):
+        return functools.partial(self._product, self._moments(x))
 
     def qsc_forms(self, x, u, v):
         # the second and third cumulants of (<a, u>, <a, v>) under pi
@@ -280,12 +294,20 @@ class SeparableObjective(SmoothOracle):
         return matvec(self._rows.T, first) / self._rows.shape[0]
 
     def hessian(self, x):
-        t = self._margins(x)
-        return _weighted_gram(self._rows, self._second(t) / self._rows.shape[0])
+        return _weighted_gram(self._rows, self._curvature(x))
+
+    def _curvature(self, x):
+        """The weights loss''(t_i) / m, all a Hessian product needs of x."""
+        return self._second(self._margins(x)) / self._rows.shape[0]
+
+    def _product(self, weights, u):
+        return (weights * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
 
     def hessian_vector(self, x, u):
-        weights = self._second(self._margins(x)) / self._rows.shape[0]
-        return (weights * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
+        return self._product(self._curvature(x), u)
+
+    def hessian_operator(self, x):
+        return functools.partial(self._product, self._curvature(x))
 
     def qsc_forms(self, x, u, v):
         t = self._margins(x)

@@ -98,8 +98,8 @@ EXPECTED = {
     "adaptive": PrimalStatus.NON_FINITE,
     "diagnostics": PrimalStatus.NON_FINITE,
     "dual": DualStatus.NON_FINITE,
-    # the scheme reports its inner dual solve's failure as a whole
-    "accelerated": AccelStatus.INNER_FAILURE,
+    # an inner dual solve's non_finite, or a non-finite F(x_k) of its own
+    "accelerated": AccelStatus.NON_FINITE,
 }
 
 PROBES = [
@@ -111,17 +111,7 @@ PROBES = [
 ]
 
 
-# the accelerated scheme has no non_finite status, and its own outer loop
-# does not check F(x_k), so it is probed through g and H only
-@pytest.mark.parametrize(
-    "solver, method, first_bad, fill",
-    [
-        (solver, *probe)
-        for solver in EXPECTED
-        for probe in PROBES
-        if not (solver == "accelerated" and probe[0] == "value")
-    ],
-)
+@pytest.mark.parametrize("solver, method, first_bad, fill", [(solver, *probe) for solver in EXPECTED for probe in PROBES])
 def test_stops_at_the_first_bad_evaluation(events, solver, method, first_bad, fill):
     base = generate_synthetic("logistic", n=6, m=40, seed=2)
     counting = CountingOracle(NonFiniteAfter(base, method, first_bad, fill, events))
@@ -177,4 +167,41 @@ def test_cli_reports_non_finite_and_exits_two(tmp_path, monkeypatch, capsys, sol
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "non_finite"
     assert report["success"] is False
+    assert "status=non_finite" in capsys.readouterr().err
+
+
+def test_accelerated_stops_at_its_own_non_finite_value():
+    base = generate_synthetic("logistic", n=6, m=40, seed=2)
+    config = AccelConfig(distance_bound=3.0, a0=1.0, rel_accuracy=1e-12, max_outer=1)
+    clean = solve_accelerated(base, ZERO, np.full(6, 0.5), config)
+    # F(x_0), one F per outer iteration of the first dual solve, then F(x_1)
+    first_bad = 2 + clean.trace[1].dual_outer
+    events = []
+    result = _run("accelerated", NonFiniteAfter(base, "value", first_bad, np.nan, events))
+    assert result.status is AccelStatus.NON_FINITE
+    assert len(result.trace) == 1  # x_1 gets no row
+    assert events[-1] == ("value", True)
+
+
+def test_cli_reports_a_non_finite_accelerated_start(tmp_path, monkeypatch, capsys):
+    config = {
+        "schema_version": 1,
+        "problem": {"kind": "logistic", "n": 6, "m": 40, "seed": 2},
+        "solver": {"name": "accelerated"},
+    }
+    # the reference is cached from the clean problem; the solve then sees
+    # F(x_0) = NaN, and its empty trace still makes a report
+    harness.run_reference(config, tmp_path / "ref")
+    real_build = harness.build_problem
+    monkeypatch.setattr(
+        harness, "build_problem", lambda cfg: NonFiniteAfter(real_build(cfg), "value", 1, np.nan, [])
+    )
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**config, "verify": {"accel_potential": True, "accel_rate": True}}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "non_finite"
+    assert report["iterations"] == 0
+    assert report["verification"] == {}
     assert "status=non_finite" in capsys.readouterr().err

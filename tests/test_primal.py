@@ -140,6 +140,15 @@ class TestOracleCalls:
         assert o.calls["gradient"] == res.iterations + 1
         assert o.calls["hessian"] == res.iterations
 
+    def test_relative_stop_values_each_iterate_once(self, logistic_ref):
+        # F(x_0) gives both the first row and the gap the stop is relative to
+        reference = compute_reference(logistic_ref, ZERO, np.zeros(20))
+        o = CountingOracle(logistic_ref)
+        config = PrimalConfig(sigma=1.0, f_star_ref=reference.f_value, rel_accuracy=1e-6)
+        res = solve_primal(o, ZERO, np.zeros(20), config)
+        assert res.status is PrimalStatus.TARGET_GAP_REACHED
+        assert o.calls["value"] == len(res.trace)
+
     def test_diagnostics_share_the_step_hessian(self, logistic_ref):
         o = CountingOracle(logistic_ref)
         res = solve_primal(
