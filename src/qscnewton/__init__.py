@@ -21,7 +21,6 @@ from .accelerated import (
 from .composite import (
     CompositeTerm,
     MaxInnerIterationsError,
-    Preconditioner,
     StepResult,
     newton_step,
     selected_subgradient,

@@ -12,15 +12,15 @@ exactly by a primal-dual active-set method that starts from that solve.
 Every step also selects the canonical subgradient of F = f + psi at the new
 point from the step's own optimality condition.
 
-A solver that keeps a `Preconditioner` takes Hessian-free steps where they
-pay: with no box, above `_CG_MIN_DIM`, the solve is preconditioned CG on
-Hessian-vector products, preconditioned by the Cholesky factor of the last
-dense system.  Under quasi-self-concordance H(y) stays within
-exp(+-M ||y - x||) of H(x), so that stale factor keeps the preconditioned
-spectrum near 1 (the lazy-Hessian idea of Doikov, Chayti and Jaggi,
-*Second-order optimization with lazy Hessians*, ICML 2023, used here only as
-a preconditioner: the model, and so the step, is the exact one up to the CG
-tolerance).
+A solver that passes each step's Cholesky factor on to the next step takes
+Hessian-free steps where they pay: with no box, on an oracle with cheap
+products, above `_CG_MIN_DIM`, the solve is CG on Hessian-vector products,
+preconditioned by the factor of the last dense system.  Under
+quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x), so
+that stale factor keeps the preconditioned spectrum near 1 (the
+lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
+with lazy Hessians*, ICML 2023, used here only as a preconditioner: the
+model, and so the step, is the exact one up to the CG tolerance).
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from .metric import (
 from .oracles import SmoothOracle
 
 # Hessian-free steps.  Below this dimension a dense step costs less than
-# CG: per dual step on logistic instances with m = 20n (one BLAS thread),
-# dense against CG took 0.25 against 0.32 ms at n = 30, 0.58 against 0.44 ms
-# at n = 50 and 2.45 against 1.52 ms at n = 100.
+# CG, even on an oracle with cheap products: per dual step on logistic
+# instances with m = 20n (one BLAS thread), dense against CG took 0.25
+# against 0.32 ms at n = 30, 0.58 against 0.44 ms at n = 50 and 2.45 against
+# 1.52 ms at n = 100.
 _CG_MIN_DIM = 50
 # A solve that needs more products than this ends in a dense step, which
 # refreshes the factor.  With the stale factor the solvers' steps took 5
@@ -157,7 +158,10 @@ class StepResult:
     evaluated; a caller stepping on from x+ passes it back as `grad=` instead
     of evaluating the oracle at x+ a second time.  `inner_iterations` is the
     number of linear solves of a box step (the unconstrained solve and one
-    per active-set update); it is 0 without a box.
+    per active-set update); it is 0 without a box.  `factor` is the Cholesky
+    factor of the last dense system H + coeff*B a Hessian-free step may use
+    (see `newton_step`), which the caller passes on as `factor=`; it is None
+    where steps cannot be Hessian-free.
     """
 
     x_plus: np.ndarray
@@ -167,15 +171,7 @@ class StepResult:
     step_length: float  # ||x+ - x|| in the metric norm
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
     grad_plus: np.ndarray  # smooth gradient g(x+) of f alone
-
-
-class Preconditioner:
-    """What a solve keeps between its Hessian-free steps: the Cholesky factor
-    of the last dense system H + coeff*B, None before the first dense step
-    and after a system that did not factor without jitter."""
-
-    def __init__(self) -> None:
-        self.factor: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
 
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
@@ -257,7 +253,7 @@ def newton_step(
     max_inner: int = 100,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
-    precond: Preconditioner | None = None,
+    factor: np.ndarray | None = None,
 ) -> StepResult:
     """Minimize the regularized quadratic model of f + psi around x.
 
@@ -273,19 +269,19 @@ def newton_step(
     evaluated here.  A step then costs one gradient (at x+) and one Hessian
     at most, and passing the values changes no bit of the result.
 
-    `precond` is the solve's `Preconditioner`, kept from step to step.  With
-    it, a step with no box, no `hess` and an oracle of dimension
-    `_CG_MIN_DIM` or more is Hessian-free: it solves
+    A step with no box and no `hess`, on an oracle with `cheap_products`
+    and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  Handed
+    `factor`, the previous step's `StepResult.factor`, it solves
     ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_operator(x)`,
-    preconditioned by the factor, and forms no Hessian.  Its selected
-    subgradient and local step length take H(x)d from the CG recurrence,
-    and its result moves from the dense step's within the CG tolerance.
-    The dense step runs instead, and refreshes the factor, on the first such
-    step (no factor yet), on a CG breakdown (a singular or non-finite
-    system) and after `_CG_MAX_ITERS` products, so a singular system still
-    goes through the jitter ladder and a non-finite one still raises.
-    Without `precond`, with a box, with `hess` or below `_CG_MIN_DIM`, the
-    step is the dense one, bit for bit.
+    preconditioned by that Cholesky factor of an earlier system, and forms
+    no Hessian.  Its selected subgradient and local step length take H(x)d
+    from the CG recurrence, and its result moves from the dense step's
+    within the CG tolerance; it hands the same factor on.  The dense step
+    runs instead, and hands on the factor of its own system, when no factor
+    is given, on a CG breakdown (a singular or non-finite system) and after
+    `_CG_MAX_ITERS` products, so a singular system still goes through the
+    jitter ladder and a non-finite one still raises.  Every dense step is
+    the same, bit for bit, with or without `factor`.
 
     NaN or inf in g(x) or H(x) raises `NonFiniteError` from
     `regularized_solve`'s entry check, and in g(x+) right after it is
@@ -310,53 +306,46 @@ def newton_step(
     if psi.is_box and coeff <= 0:
         raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
 
-    hessian_free = precond is not None and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
-    if hessian_free and precond.factor is not None:
-        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), precond.factor, rhs)
-        if solved is not None:
-            d, system_d = solved
-            bd = metric.apply(d)
-            hess_d = system_d - coeff * bd
-            x_plus = x + d
-            grad_plus = oracle.gradient(x_plus)
-            require_finite(grad_plus, "g(x+)")
-            return StepResult(
-                x_plus=x_plus,
-                subgradient=grad_plus - grad - hess_d - beta * bd,
-                beta=beta,
-                inner_iterations=0,
-                step_length=metric.primal_norm(d),
-                step_length_local=float(np.sqrt(max(d @ hess_d, 0.0))),
-                grad_plus=grad_plus,
+    hessian_free = oracle.cheap_products and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
+    solved = None
+    if hessian_free and factor is not None:
+        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), factor, rhs)
+    inner_iterations = 0
+    if solved is not None:
+        d, system_d = solved
+        x_plus = x + d
+        hess_d = system_d - coeff * metric.apply(d)
+        local = np.sqrt(max(d @ hess_d, 0.0))
+    else:
+        if hess is None:
+            hess = symmetrize(oracle.hessian(x))
+        if hessian_free:
+            d, factor = regularized_solve(hess, metric, coeff, rhs, with_factor=True)
+        else:
+            d, factor = regularized_solve(hess, metric, coeff, rhs), None
+        x_plus = x + d
+        if psi.is_box:
+            lower, upper = psi.bounds
+            d, at_lower, at_upper, inner_iterations = _box_step(
+                hess + coeff * metric.matrix, rhs, lower - x, upper - x, d, max_inner
             )
-
-    if hess is None:
-        hess = symmetrize(oracle.hessian(x))
-    d = regularized_solve(hess, metric, coeff, rhs)
-    if hessian_free:
-        # regularized_solve has checked that the system is finite
-        precond.factor = _cholesky(hess + coeff * metric.matrix)
-    x_plus, inner_iterations = x + d, 0
-    if psi.is_box:
-        lower, upper = psi.bounds
-        d, at_lower, at_upper, inner_iterations = _box_step(
-            hess + coeff * metric.matrix, rhs, lower - x, upper - x, d, max_inner
-        )
-        # active coordinates sit exactly on their bound
-        x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
-        d = x_plus - x
+            # active coordinates sit exactly on their bound
+            x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
+            d = x_plus - x
+        hess_d = hess @ (x_plus - x)
+        local = local_norm(d, hess)
 
     grad_plus = oracle.gradient(x_plus)
     require_finite(grad_plus, "g(x+)")
-    subgradient = selected_subgradient(oracle, x, x_plus, beta, grad=grad, hess=hess, grad_plus=grad_plus)
     return StepResult(
         x_plus=x_plus,
-        subgradient=subgradient,
+        subgradient=selected_subgradient(oracle, x, x_plus, beta, grad=grad, grad_plus=grad_plus, hess_d=hess_d),
         beta=beta,
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),
-        step_length_local=local_norm(d, hess),
+        step_length_local=float(local),
         grad_plus=grad_plus,
+        factor=factor,
     )
 
 
@@ -368,6 +357,7 @@ def selected_subgradient(
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
     grad_plus: np.ndarray | None = None,
+    hess_d: np.ndarray | None = None,
 ) -> np.ndarray:
     """Canonical subgradient of F = f + psi at x_plus from the step's optimality.
 
@@ -377,19 +367,22 @@ def selected_subgradient(
     composite this equals the plain gradient at x_plus up to the
     linear-solver residual.  `grad` = g(x), `hess` = the
     symmetrized H(x) and `grad_plus` = g(x+) are used when given and
-    evaluated otherwise.
+    evaluated otherwise; `hess_d` = H(x)(x+ - x), when given, stands in for
+    `hess`.
     """
     x = np.asarray(x, dtype=float)
     x_plus = np.asarray(x_plus, dtype=float)
     metric = oracle.metric
     if grad is None:
         grad = oracle.gradient(x)
-    if hess is None:
-        hess = symmetrize(oracle.hessian(x))
+    d = x_plus - x
+    if hess_d is None:
+        if hess is None:
+            hess = symmetrize(oracle.hessian(x))
+        hess_d = hess @ d
     if grad_plus is None:
         grad_plus = oracle.gradient(x_plus)
-    d = x_plus - x
-    return grad_plus - grad - hess @ d - beta * metric.apply(d)
+    return grad_plus - grad - hess_d - beta * metric.apply(d)
 
 
 def verify_step_bound(

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, Preconditioner, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
 from .metric import NonFiniteError, SingularSystemError, require_finite
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 from .primal import initial_subgradient
@@ -112,11 +112,11 @@ def solve_dual(
     inner step's `grad_plus`, including into the next outer iteration (which
     starts at the last inner point): one gradient and one Hessian per inner
     step.  Above the Hessian-free size most steps take a few Hessian-vector
-    products in place of the Hessian, with one `Preconditioner` shared by
-    the whole solve (see `newton_step`).  A gradient or Hessian holding NaN
-    or inf ends the run in `NON_FINITE` at that evaluation, at x0 as well,
-    and so does a non-finite F(x_{k+1}), which leaves no row for outer
-    iteration k.
+    products in place of the Hessian, each step handing its Cholesky factor
+    on to the next, across outer iterations too (see `newton_step`).  A
+    gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at
+    that evaluation, at x0 as well, and so does a non-finite F(x_{k+1}),
+    which leaves no row for outer iteration k.
     """
     metric = oracle.metric
     x = psi.project(np.asarray(x0, dtype=float))
@@ -128,7 +128,7 @@ def solve_dual(
     status = DualStatus.MAX_OUTER
     total_inner = 0
     doublings = 0
-    precond = Preconditioner()
+    factor = None  # the last dense system's Cholesky factor, for Hessian-free steps
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
@@ -152,9 +152,10 @@ def solve_dual(
             grad_z = grad
             residuals = []
             for _ in range(config.max_inner):
-                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z, precond=precond)
+                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z, factor=factor)
                 z = step.x_plus
                 grad_z = step.grad_plus
+                factor = step.factor
                 residuals.append(metric.dual_norm(step.subgradient))
                 total_inner += 1
                 if residuals[-1] <= threshold:

@@ -203,6 +203,10 @@ class CountingOracle(SmoothOracle):
     def stacks(self):
         return self._base.stacks
 
+    @property
+    def cheap_products(self):
+        return self._base.cheap_products
+
     def value(self, x):
         self.calls["value"] += _points(x)
         return self._base.value(x)

@@ -209,7 +209,9 @@ def regularized_solve(
     beta: float,
     rhs: np.ndarray,
     max_jitter_retries: int = 6,
-) -> np.ndarray:
+    *,
+    with_factor: bool = False,
+):
     """Solve (H + beta*B) d = rhs by symmetric factorization.
 
     H is symmetrized first.  If the factorization fails, or the residual of
@@ -219,6 +221,10 @@ def regularized_solve(
     One step of iterative refinement is applied after each solve.  NaN or
     inf in ``H + beta*B`` or in rhs raises `NonFiniteError` before any
     factorization.
+
+    With `with_factor`, returns ``(d, factor)``: `factor` is `_cholesky`'s
+    factor of the unjittered H + beta*B, or None when that system is not
+    positive definite.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -234,6 +240,8 @@ def regularized_solve(
     for _ in range(max_jitter_retries + 1):
         shifted = system if delta == 0.0 else system + delta * metric.matrix
         factor = _cholesky(shifted)
+        if delta == 0.0:
+            unjittered = factor
         if factor is None:
             delta = 1e-12 if delta == 0.0 else delta * 10.0
             continue
@@ -242,7 +250,7 @@ def regularized_solve(
         # residual of the system we are contracted to solve
         d += _cho_solve(factor, rhs - shifted @ d)
         if np.linalg.norm(system @ d - rhs) <= tol:
-            return d
+            return (d, unjittered) if with_factor else d
         delta = 1e-12 if delta == 0.0 else delta * 10.0
     raise SingularSystemError(
         f"system H + {beta:g}*B not solvable to tolerance after jitter ladder"

@@ -106,10 +106,16 @@ class SmoothOracle(abc.ABC):
 
     `hessian_vector`, `hessian_operator` and `qsc_forms` have defaults
     built on `hessian`; an oracle with cheaper or closed forms overrides
-    them.
+    them.  An oracle whose `hessian_operator` products cost far less than
+    its Hessian (the Gram families: O(mn) a product against O(mn^2))
+    sets `cheap_products` to True, and the solvers then take Hessian-free
+    steps above a size (see `composite.newton_step`); an oracle whose
+    Hessian costs about as much as a few products keeps the dense step,
+    which is then the cheaper one.
     """
 
     stacks = False
+    cheap_products = False
 
     def __init__(self, metric: Metric, qsc_constant: float) -> None:
         if qsc_constant < 0:
@@ -161,10 +167,10 @@ class SmoothOracle(abc.ABC):
 
         What a product needs from x alone (the zoo's per-point weights) is
         computed once, when the operator is made, not once per product.  This
-        default calls `hessian_vector(x, u)` per product.
+        default forms the symmetrized Hessian once and multiplies by it, so
+        an oracle with only `hessian` pays one Hessian per operator.
         """
-        x = np.asarray(x, dtype=float)
-        return functools.partial(self.hessian_vector, x)
+        return functools.partial(np.matmul, symmetrize(self.hessian(np.asarray(x, dtype=float))))
 
     def qsc_forms(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """(u^T H(x) u, D^3 f(x)[u, u, v]) for each row of (k, n) stacks x,
@@ -208,6 +214,10 @@ class _TransformedOracle(SmoothOracle):
     @property
     def stacks(self):
         return self._base.stacks
+
+    @property
+    def cheap_products(self):
+        return self._base.cheap_products
 
     def _inner(self, x):
         if self._matrix is not None:
@@ -330,6 +340,12 @@ class _SumOracle(SmoothOracle):
     @property
     def stacks(self):
         return self._first.stacks and self._second.stacks
+
+    @property
+    def cheap_products(self):
+        # an operator costs at most one Hessian of its summand, so the sum's
+        # products stay cheap when one summand's are
+        return self._first.cheap_products or self._second.cheap_products
 
     def value(self, x):
         return self._first.value(x) + self._second.value(x)

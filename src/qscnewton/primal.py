@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, Preconditioner, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite, symmetrize
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
@@ -191,8 +191,9 @@ def solve_primal(
     the previous step's `grad_plus`, so a step costs one gradient and one
     Hessian (shared with the eta diagnostics when they are recorded), and F
     is evaluated once per iterate.  With a constant sigma and no
-    diagnostics, the steps share one `Preconditioner`, so above the
-    Hessian-free size most of them form no Hessian (see `newton_step`).  A
+    diagnostics, each step hands its Cholesky factor on to the next, so
+    above the Hessian-free size most of them form no Hessian (see
+    `newton_step`).  A
     value, gradient or Hessian holding NaN or inf ends the run in
     `NON_FINITE` at that evaluation, at x0 as well; a non-finite F(x_k)
     leaves no row for x_k.
@@ -206,7 +207,7 @@ def solve_primal(
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
     g = math.nan  # kept when g(x0) itself is not finite
-    precond = Preconditioner()
+    factor = None  # the last dense system's Cholesky factor, for Hessian-free steps
 
     def diagnostic_hessian(point):
         # the diagnostics and the step from `point` share one evaluation
@@ -254,7 +255,8 @@ def solve_primal(
                 sigma_next = max(sigma_k / 2.0, config.sigma_min)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
-                step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess, precond=precond)
+                step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess, factor=factor)
+                factor = step.factor
                 retries = 0
             step_computations += retries + 1
 

@@ -13,9 +13,13 @@ of their rows; the declared constants are only valid under these metrics.
 Every family overrides `SmoothOracle.qsc_forms` with its qsc forms
 u^T H(x) u and D^3 f(x)[u, u, v] in closed form, from one pass over the
 design or the weight matrix per stack of triples.  The soft-max and
-separable families also override `SmoothOracle.hessian_operator`: the
-per-point weights (the margins' loss'' or the soft-max pi) are computed once
-per point, and each product is two passes over the design rows.
+separable families also declare `cheap_products`, since their Hessian
+costs m n^2 against 2mn a product, and override
+`SmoothOracle.hessian_operator`: the per-point weights (the margins' loss''
+or the soft-max pi) are computed once per point, with the code
+`hessian_vector` runs, and each product is two passes over the design rows.
+A quadratic's Hessian is stored and a matrix family's costs about two
+products, so they keep the default operator, which forms the Hessian.
 
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
@@ -140,6 +144,7 @@ class SoftMaxObjective(SmoothOracle):
     """
 
     stacks = True
+    cheap_products = True
 
     def __init__(self, rows, offsets, smoothing: float, metric: Metric | None = None):
         rows = np.asarray(rows, dtype=float)
@@ -233,6 +238,7 @@ class SeparableObjective(SmoothOracle):
     """
 
     stacks = True
+    cheap_products = True
 
     LOSSES = ("logistic", "exponential")
 

@@ -21,7 +21,6 @@ from qscnewton import (
     CompositeTerm,
     CountingOracle,
     DualConfig,
-    Preconditioner,
     PrimalConfig,
     QuadraticObjective,
     SingularSystemError,
@@ -32,6 +31,7 @@ from qscnewton import (
     solve_primal,
 )
 from qscnewton import composite
+from qscnewton.metric import symmetrize
 
 ZERO = CompositeTerm.zero()
 N = composite._CG_MIN_DIM  # just at the size where the steps turn Hessian-free
@@ -107,7 +107,14 @@ class _Delegating(SmoothOracle):
         return self._base.hessian(x)
 
 
-class _StaleProduct(_Delegating):
+class _Planted(_Delegating):
+    """Declares cheap products, so that its Hessian-free steps run the
+    products a subclass plants (by default, its Hessian's)."""
+
+    cheap_products = True
+
+
+class _StaleProduct(_Planted):
     """Planted mutation: its products use the Hessian of the last `hessian`
     call, the one the stale factor was built from, not H(x)."""
 
@@ -140,32 +147,63 @@ def _assert_same_step(got, expected):
 
 
 def _warm(oracle, psi, x, beta):
-    """A preconditioner holding a factor from a dense step at x."""
-    precond = Preconditioner()
-    newton_step(oracle, psi, x, beta, precond=precond)
-    return precond
+    """The factor a dense step at x hands on."""
+    return newton_step(oracle, psi, x, beta).factor
 
 
-@pytest.mark.parametrize(
-    "case", ["below the size constant", "box", "hessian passed", "first step"]
-)
+DENSE_CASES = ["below the size constant", "box", "hessian passed", "no cheap products", "first step"]
+
+
+@pytest.mark.parametrize("case", DENSE_CASES)
 def test_dense_steps_are_bitwise_unchanged(case):
     n = N - 1 if case == "below the size constant" else N
     base = _instance("logistic", n=n)
+    if case == "no cheap products":
+        base = _Delegating(base)
     rng = np.random.default_rng(3)
     x = 0.1 * rng.standard_normal(n)
     psi = CompositeTerm.box(-np.ones(n), np.ones(n)) if case == "box" else ZERO.with_quadratic(0.2 * x, 0.3)
-    precond = Preconditioner() if case == "first step" else _warm(base, psi, 0.5 * x, 0.4)
+    factor = None if case == "first step" else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
     hess = base.hessian(x) if case == "hessian passed" else None
     counting = CountingOracle(base)
-    got = newton_step(counting, psi, x, 0.7, hess=hess, precond=precond)
+    got = newton_step(counting, psi, x, 0.7, hess=hess, factor=factor)
     _assert_same_step(got, newton_step(base, psi, x, 0.7, hess=hess))
     assert counting.calls["hessian_vector"] == 0
-    # the dense steps that could have been Hessian-free refresh the factor
-    assert (precond.factor is None) == (case in ("below the size constant", "box"))
+    # the dense steps that could have been Hessian-free hand on their own
+    # factor, the one regularized_solve solved with
+    if case != "first step":
+        assert got.factor is None
+    else:
+        system = symmetrize(base.hessian(x)) + (0.7 + 2 * 0.3) * base.metric.matrix
+        lower = np.tril(got.factor)
+        np.testing.assert_allclose(lower @ lower.T, system, rtol=0, atol=1e-12 * np.abs(system).max())
 
 
-class _NonFiniteProducts(_Delegating):
+def test_a_hessian_free_step_hands_its_factor_on():
+    base = _instance("logistic")
+    x = 0.1 * np.random.default_rng(4).standard_normal(N)
+    factor = _warm(base, ZERO, 0.5 * x, 0.4)
+    counting = CountingOracle(base)
+    step = newton_step(counting, ZERO, x, 0.7, factor=factor)
+    assert counting.calls["hessian"] == 0 and counting.calls["hessian_vector"] > 0
+    assert step.factor is factor
+
+
+@pytest.mark.parametrize("solver", ["primal", "dual"])
+@pytest.mark.parametrize("kind", ["matrix_scaling", "matrix_balancing", "hessian only"])
+def test_oracles_without_cheap_products_keep_dense_steps(kind, solver):
+    # their Hessian costs about as much as a few products, so CG would not pay
+    if kind == "hessian only":
+        base = _Delegating(_instance("logistic"))
+    else:
+        base = generate_synthetic(kind, n=N if kind == "matrix_balancing" else N // 2, seed=2)
+    assert base.dim >= N and not base.cheap_products
+    counting = CountingOracle(base)
+    _solve(counting, solver)
+    assert counting.calls["hessian_vector"] == 0 and counting.calls["hessian"] > 0
+
+
+class _NonFiniteProducts(_Planted):
     """Finite values, gradients and Hessians, but NaN products."""
 
     def hessian_operator(self, x):
@@ -191,10 +229,10 @@ def test_breakdown_and_the_cap_fall_back_to_dense_steps(monkeypatch, solver):
 def test_singular_system_still_reaches_the_jitter_ladder():
     # f is linear, so H = 0: with beta = 0 the system is 0, CG breaks down
     # at its first product, and the dense step's jitter ladder gives up
-    base = QuadraticObjective(np.zeros((N, N)), np.ones(N))
+    base = _Planted(QuadraticObjective(np.zeros((N, N)), np.ones(N)))
     x = np.zeros(N)
-    precond = _warm(base, ZERO, x, 1.0)
-    assert precond.factor is not None
-    for given in (None, precond):
+    factor = _warm(base, ZERO, x, 1.0)
+    assert factor is not None
+    for given in (None, factor):
         with pytest.raises(SingularSystemError):
-            newton_step(base, ZERO, x, 0.0, precond=given)
+            newton_step(base, ZERO, x, 0.0, factor=given)
