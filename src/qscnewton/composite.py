@@ -12,12 +12,12 @@ exactly by a primal-dual active-set method that starts from that solve.
 Every step also selects the canonical subgradient of F = f + psi at the new
 point from the step's own optimality condition.
 
-A solver that passes each step's Cholesky factor on to the next step takes
+A solver that passes each step's preconditioner on to the next step takes
 Hessian-free steps where they pay: with no box, on an oracle with cheap
-products, above `_CG_MIN_DIM`, the solve is CG on Hessian-vector products,
-preconditioned by the factor of the last dense system.  Under
+products, above `_CG_MIN_DIM`, the solve is CG on the products of
+``H + coeff*B``, preconditioned by the inverse of the last dense system.  Under
 quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x), so
-that stale factor keeps the preconditioned spectrum near 1 (the
+that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
 with lazy Hessians*, ICML 2023, used here only as a preconditioner: the
 model, and so the step, is the exact one up to the CG tolerance).
@@ -32,6 +32,7 @@ import numpy as np
 from .metric import (
     Metric,
     SingularSystemError,
+    _cho_inverse,
     _cho_solve,
     _cholesky,
     local_norm,
@@ -48,10 +49,10 @@ from .oracles import SmoothOracle
 # 1.52 ms at n = 100.
 _CG_MIN_DIM = 50
 # A solve that needs more products than this ends in a dense step, which
-# refreshes the factor.  With the stale factor the solvers' steps took 5
+# refreshes the preconditioner.  With a stale one the solvers' steps took 5
 # products on average (logistic and soft-max, n = 100, m = 2000).
 _CG_MAX_ITERS = 8
-# Stop once the preconditioned residual r^T P^-1 r has fallen by this factor
+# Stop once the preconditioned residual r^T P r has fallen by this factor
 # squared.  The residual enters the selected subgradient as it is, so the
 # tolerance is relative to the step's own right-hand side, the gradient it
 # is meant to cancel (Dembo, Eisenstat and Steihaug, *Inexact Newton
@@ -158,10 +159,10 @@ class StepResult:
     evaluated; a caller stepping on from x+ passes it back as `grad=` instead
     of evaluating the oracle at x+ a second time.  `inner_iterations` is the
     number of linear solves of a box step (the unconstrained solve and one
-    per active-set update); it is 0 without a box.  `factor` is the Cholesky
-    factor of the last dense system H + coeff*B a Hessian-free step may use
-    (see `newton_step`), which the caller passes on as `factor=`; it is None
-    where steps cannot be Hessian-free.
+    per active-set update); it is 0 without a box.  `preconditioner` is
+    the explicit inverse of the last dense system H + coeff*B, which a
+    Hessian-free step applies (see `newton_step`) and the caller passes on
+    as `preconditioner=`; it is None where steps cannot be Hessian-free.
     """
 
     x_plus: np.ndarray
@@ -171,28 +172,23 @@ class StepResult:
     step_length: float  # ||x+ - x|| in the metric norm
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
     grad_plus: np.ndarray  # smooth gradient g(x+) of f alone
-    factor: np.ndarray | None = None
+    preconditioner: np.ndarray | None = None
 
 
-def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
-    """u -> (H(x) + coeff*B) u, from the oracle's products at x."""
-    product = oracle.hessian_operator(x)
-    metric = oracle.metric
-    return lambda u: product(u) + coeff * metric.apply(u)
-
-
-def _preconditioned_cg(system, factor: np.ndarray, rhs: np.ndarray):
-    """Solve S d = rhs by CG from d = 0, preconditioned by `factor`, the
-    Cholesky factor of a nearby system; `system` is u -> S u.
+def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray):
+    """Solve S d = rhs by CG from d = 0, preconditioned by `inverse`, the
+    explicit inverse of a nearby system; `system` is u -> S u.
 
     Returns (d, S d), with S d = rhs - r read off the recurrence rather than
-    from one more product, once r^T P^-1 r has fallen to _CG_TOL^2 times its
-    initial value.  Returns None on breakdown (p^T S p not positive and
-    finite, which a singular or non-finite system gives) and after
-    _CG_MAX_ITERS products."""
+    from one more product, once r^T P r (P the inverse) has fallen to
+    _CG_TOL^2 times its initial value.  Returns None on breakdown (p^T S p
+    not positive and finite, which a singular or non-finite system gives)
+    and after _CG_MAX_ITERS products.  The preconditioner is one
+    matrix-vector product, and the vectors are updated in place."""
     d = np.zeros_like(rhs)
     r = rhs.copy()
-    p = z = _cho_solve(factor, r)
+    z = inverse @ r
+    p = z.copy()
     rz = r @ z
     stop = _CG_TOL**2 * rz
     for _ in range(_CG_MAX_ITERS):
@@ -203,11 +199,12 @@ def _preconditioned_cg(system, factor: np.ndarray, rhs: np.ndarray):
         alpha = rz / curvature
         d += alpha * p
         r -= alpha * q
-        z = _cho_solve(factor, r)
+        np.matmul(inverse, r, out=z)
         rz_next = r @ z
         if rz_next <= stop:
             return d, rhs - r
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return None
 
@@ -253,7 +250,7 @@ def newton_step(
     max_inner: int = 100,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
-    factor: np.ndarray | None = None,
+    preconditioner: np.ndarray | None = None,
 ) -> StepResult:
     """Minimize the regularized quadratic model of f + psi around x.
 
@@ -271,17 +268,19 @@ def newton_step(
 
     A step with no box and no `hess`, on an oracle with `cheap_products`
     and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  Handed
-    `factor`, the previous step's `StepResult.factor`, it solves
-    ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_operator(x)`,
-    preconditioned by that Cholesky factor of an earlier system, and forms
-    no Hessian.  Its selected subgradient and local step length take H(x)d
-    from the CG recurrence, and its result moves from the dense step's
-    within the CG tolerance; it hands the same factor on.  The dense step
-    runs instead, and hands on the factor of its own system, when no factor
-    is given, on a CG breakdown (a singular or non-finite system) and after
-    `_CG_MAX_ITERS` products, so a singular system still goes through the
-    jitter ladder and a non-finite one still raises.  Every dense step is
-    the same, bit for bit, with or without `factor`.
+    `preconditioner`, the previous step's `StepResult.preconditioner`, it
+    solves ``(H + coeff*B) d = rhs`` by CG on the products of
+    `oracle.hessian_operator(x, coeff)`, preconditioned by that inverse of
+    an earlier system, and forms no Hessian.  Its selected subgradient and
+    local step length take H(x)d from the CG recurrence, and its result
+    moves from the dense step's within the CG tolerance; it hands the same
+    preconditioner on.  The dense step runs instead, and hands on the
+    inverse of its own system, built from the Cholesky factor it solved
+    with, when no preconditioner is given, on a CG breakdown (a singular or
+    non-finite system) and after `_CG_MAX_ITERS` products, so a singular
+    system still goes through the jitter ladder and a non-finite one still
+    raises.  Every dense step is the same, bit for bit, with or without
+    `preconditioner`.
 
     NaN or inf in g(x) or H(x) raises `NonFiniteError` from
     `regularized_solve`'s entry check, and in g(x+) right after it is
@@ -308,8 +307,8 @@ def newton_step(
 
     hessian_free = oracle.cheap_products and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
     solved = None
-    if hessian_free and factor is not None:
-        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), factor, rhs)
+    if hessian_free and preconditioner is not None:
+        solved = _preconditioned_cg(oracle.hessian_operator(x, coeff), preconditioner, rhs)
     inner_iterations = 0
     if solved is not None:
         d, system_d = solved
@@ -321,8 +320,9 @@ def newton_step(
             hess = symmetrize(oracle.hessian(x))
         if hessian_free:
             d, factor = regularized_solve(hess, metric, coeff, rhs, with_factor=True)
+            preconditioner = None if factor is None else _cho_inverse(factor)
         else:
-            d, factor = regularized_solve(hess, metric, coeff, rhs), None
+            d, preconditioner = regularized_solve(hess, metric, coeff, rhs), None
         x_plus = x + d
         if psi.is_box:
             lower, upper = psi.bounds
@@ -345,7 +345,7 @@ def newton_step(
         step_length=metric.primal_norm(d),
         step_length_local=float(local),
         grad_plus=grad_plus,
-        factor=factor,
+        preconditioner=preconditioner,
     )
 
 

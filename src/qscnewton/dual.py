@@ -112,7 +112,7 @@ def solve_dual(
     inner step's `grad_plus`, including into the next outer iteration (which
     starts at the last inner point): one gradient and one Hessian per inner
     step.  Above the Hessian-free size most steps take a few Hessian-vector
-    products in place of the Hessian, each step handing its Cholesky factor
+    products in place of the Hessian, each step handing its preconditioner
     on to the next, across outer iterations too (see `newton_step`).  A
     gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at
     that evaluation, at x0 as well, and so does a non-finite F(x_{k+1}),
@@ -128,7 +128,7 @@ def solve_dual(
     status = DualStatus.MAX_OUTER
     total_inner = 0
     doublings = 0
-    factor = None  # the last dense system's Cholesky factor, for Hessian-free steps
+    preconditioner = None  # the inverse of the last dense system, for Hessian-free steps
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
@@ -152,10 +152,10 @@ def solve_dual(
             grad_z = grad
             residuals = []
             for _ in range(config.max_inner):
-                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z, factor=factor)
+                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z, preconditioner=preconditioner)
                 z = step.x_plus
                 grad_z = step.grad_plus
-                factor = step.factor
+                preconditioner = step.preconditioner
                 residuals.append(metric.dual_norm(step.subgradient))
                 total_inner += 1
                 if residuals[-1] <= threshold:

@@ -31,7 +31,7 @@ what an indefinite pencil means.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsygvd, dsygvx, dsygvx_lwork
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dsygvd, dsygvx, dsygvx_lwork
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -65,6 +65,16 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     return x
+
+
+def _cho_inverse(factor: np.ndarray) -> np.ndarray:
+    """The inverse of A, exactly symmetric, given `_cholesky`'s factor of A."""
+    inverse, info = dpotri(factor, lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK potri failed with info {info}")
+    lower = np.tril(inverse)
+    lower += np.tril(inverse, -1).T
+    return lower
 
 
 def _pencil_eigh(a: np.ndarray, b: np.ndarray, *, vectors: bool = False, index: int | None = None):

@@ -191,7 +191,7 @@ def solve_primal(
     the previous step's `grad_plus`, so a step costs one gradient and one
     Hessian (shared with the eta diagnostics when they are recorded), and F
     is evaluated once per iterate.  With a constant sigma and no
-    diagnostics, each step hands its Cholesky factor on to the next, so
+    diagnostics, each step hands its preconditioner on to the next, so
     above the Hessian-free size most of them form no Hessian (see
     `newton_step`).  A
     value, gradient or Hessian holding NaN or inf ends the run in
@@ -207,7 +207,7 @@ def solve_primal(
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
     g = math.nan  # kept when g(x0) itself is not finite
-    factor = None  # the last dense system's Cholesky factor, for Hessian-free steps
+    preconditioner = None  # the inverse of the last dense system, for Hessian-free steps
 
     def diagnostic_hessian(point):
         # the diagnostics and the step from `point` share one evaluation
@@ -255,8 +255,10 @@ def solve_primal(
                 sigma_next = max(sigma_k / 2.0, config.sigma_min)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
-                step = newton_step(oracle, psi, x, sigma_k * g, grad=grad, hess=hess, factor=factor)
-                factor = step.factor
+                step = newton_step(
+                    oracle, psi, x, sigma_k * g, grad=grad, hess=hess, preconditioner=preconditioner
+                )
+                preconditioner = step.preconditioner
                 retries = 0
             step_computations += retries + 1
 

@@ -18,8 +18,21 @@ costs m n^2 against 2mn a product, and override
 `SmoothOracle.hessian_operator`: the per-point weights (the margins' loss''
 or the soft-max pi) are computed once per point, with the code
 `hessian_vector` runs, and each product is two passes over the design rows.
-A quadratic's Hessian is stored and a matrix family's costs about two
-products, so they keep the default operator, which forms the Hessian.
+Under their own rows' Gram metric B = A^T A (no ridge, no metric of the
+caller's) the operator's shift s folds into those weights, since
+A^T diag(w) A + s B = A^T diag(w + s) A.  A quadratic's Hessian is stored
+and a matrix family's costs about two products, so they keep the default
+operator, which forms the Hessian.
+
+The two Gram families keep a one-entry memo of the last single point's
+derived quantities: the margins and the loss derivatives, or pi, g and the
+value.  `value`, `gradient`, `hessian`, `hessian_vector` and
+`hessian_operator` at that point reuse them, so a Newton step's gradient at
+x+ also serves the next step's products and the solver's value there.  The
+memo is keyed by the point's bytes, not its identity, holds read-only
+arrays and is one tuple replaced whole, never mutated, so a caller that
+writes into its point or into a returned gradient, or an oracle shared
+between callers, gets the results a fresh oracle gives.  Stacks bypass it.
 
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
@@ -37,7 +50,7 @@ import numpy as np
 import scipy.special
 
 from .metric import Metric, matvec, symmetrize
-from .oracles import SmoothOracle
+from .oracles import SmoothOracle, _shifted
 
 _EXP_CLAMP = 700.0  # exp argument above which float64 overflows
 
@@ -75,6 +88,31 @@ def gram_metric(rows: np.ndarray) -> tuple[Metric, float]:
 def _per_point(values):
     """A float for one point, the array of values for a stack."""
     return float(values) if values.ndim == 0 else values
+
+
+def _memoized(oracle, x, compute):
+    """compute(x) at the single point x, from `oracle._memo`: the last
+    point's bytes and its results, read-only, replaced whole on a miss."""
+    x = np.asarray(x, dtype=float)
+    key = x.tobytes()
+    memo = oracle._memo
+    if memo[0] != key:
+        results = compute(x)
+        for value in results:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        memo = oracle._memo = (key, results)
+    return memo[1]
+
+
+def _own_gram(rows, metric):
+    """(metric, ridge, folds): the metric, the caller's or else the rows'
+    Gram from `gram_metric`; the ridge `gram_metric` added; and whether the
+    metric is A^T A itself, into whose product weights a shift folds."""
+    if metric is not None:
+        return metric, 0.0, False
+    metric, ridge = gram_metric(rows)
+    return metric, ridge, ridge == 0.0
 
 
 def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -153,15 +191,14 @@ class SoftMaxObjective(SmoothOracle):
             raise DimensionError("rows must be (m, n) with one offset per row")
         if smoothing <= 0:
             raise ValueError("smoothing parameter must be positive")
-        self.metric_ridge = 0.0
-        if metric is None:
-            metric, self.metric_ridge = gram_metric(rows)
+        metric, self.metric_ridge, self._folds_shift = _own_gram(rows, metric)
         super().__init__(metric, 2.0 / smoothing)
         rows.setflags(write=False)
         offsets.setflags(write=False)
         self._rows = rows
         self._offsets = offsets
         self._mu = float(smoothing)
+        self._memo = (None, None)
 
     @property
     def rows(self):
@@ -190,22 +227,37 @@ class SoftMaxObjective(SmoothOracle):
         w /= total
         return w
 
-    def value(self, x):
-        _, total, top = self._shifted_exp(x)
+    def _value(self, total, top):
         return _per_point(self._mu * (top + np.log(total[..., 0])))
 
-    def gradient(self, x):
-        return matvec(self._rows.T, self._weights(x))
-
-    def hessian(self, x):
-        pi = self._weights(x)
-        g = matvec(self._rows.T, pi)
-        return (_weighted_gram(self._rows, pi) - g[..., :, None] * g[..., None, :]) / self._mu
+    def _point(self, x):
+        """pi, g and the value at one point, from one pass."""
+        w, total, top = self._shifted_exp(x)
+        value = self._value(total, top)
+        w /= total
+        return w, matvec(self._rows.T, w), value
 
     def _moments(self, x):
-        """The weights pi and the gradient g, all a Hessian product needs of x."""
+        """The weights pi and the gradient g, all a Hessian product needs of
+        x: a single point's from the memo."""
+        if np.ndim(x) == 1:
+            return _memoized(self, x, self._point)[:2]
         pi = self._weights(x)
-        return pi, pi @ self._rows
+        return pi, matvec(self._rows.T, pi)
+
+    def value(self, x):
+        if np.ndim(x) == 1:
+            return _memoized(self, x, self._point)[2]
+        _, total, top = self._shifted_exp(x)
+        return self._value(total, top)
+
+    def gradient(self, x):
+        g = self._moments(x)[1]
+        return g.copy() if np.ndim(x) == 1 else g
+
+    def hessian(self, x):
+        pi, g = self._moments(x)
+        return (_weighted_gram(self._rows, pi) - g[..., :, None] * g[..., None, :]) / self._mu
 
     def _product(self, moments, u):
         pi, g = moments
@@ -216,8 +268,12 @@ class SoftMaxObjective(SmoothOracle):
     def hessian_vector(self, x, u):
         return self._product(self._moments(x), u)
 
-    def hessian_operator(self, x):
-        return functools.partial(self._product, self._moments(x))
+    def hessian_operator(self, x, shift=0.0):
+        pi, g = self._moments(x)
+        if self._folds_shift:
+            # H + s B = (A^T diag(pi + s mu) A - g g^T) / mu
+            return functools.partial(self._product, (pi + shift * self._mu, g))
+        return _shifted(functools.partial(self._product, (pi, g)), shift, self.metric)
 
     def qsc_forms(self, x, u, v):
         # the second and third cumulants of (<a, u>, <a, v>) under pi
@@ -249,15 +305,14 @@ class SeparableObjective(SmoothOracle):
             raise DimensionError("rows must be (m, n) with one offset per row")
         if loss not in self.LOSSES:
             raise ValueError(f"unknown loss {loss!r}; expected one of {self.LOSSES}")
-        self.metric_ridge = 0.0
-        if metric is None:
-            metric, self.metric_ridge = gram_metric(rows)
+        metric, self.metric_ridge, self._folds_shift = _own_gram(rows, metric)
         super().__init__(metric, 1.0)
         rows.setflags(write=False)
         offsets.setflags(write=False)
         self._rows = rows
         self._offsets = offsets
         self._loss = loss
+        self._memo = (None, None)
 
     @property
     def rows(self):
@@ -268,55 +323,66 @@ class SeparableObjective(SmoothOracle):
         return self._loss
 
     def _margins(self, x):
+        """The margins t = Ax - b, the exponential loss's clamped at 700, and
+        whether the clamp engaged."""
         t = matvec(self._rows, x)
         t -= self._offsets
         if self._loss == "exponential" and np.any(t > _EXP_CLAMP):
-            warnings.warn(
-                "exponential loss argument clamped at 700",
-                EvaluationOverflowWarning,
-                stacklevel=3,
-            )
-            t = np.minimum(t, _EXP_CLAMP)
-        return t
+            return np.minimum(t, _EXP_CLAMP), True
+        return t, False
+
+    def _derivatives(self, t):
+        """loss'(t) and the weights loss''(t) / m, from one pass of exp."""
+        if self._loss == "logistic":
+            p = scipy.special.expit(t)
+            return p, p * (1.0 - p) / self._rows.shape[0]
+        e = np.exp(t)
+        return e, e / self._rows.shape[0]
+
+    def _point(self, x):
+        t, clamped = self._margins(x)
+        return (t, clamped, *self._derivatives(t))
+
+    def _terms(self, x, derivatives=True):
+        """(t, loss'(t), loss''(t) / m) at x: a single point's from the memo,
+        a stack's afresh, its derivatives (else None) only when asked for.
+        Warns, memo hit or miss, where the exponential loss's clamp engaged."""
+        if np.ndim(x) == 1:
+            t, clamped, first, weights = _memoized(self, x, self._point)
+        else:
+            t, clamped = self._margins(x)
+            first, weights = self._derivatives(t) if derivatives else (None, None)
+        if clamped:
+            warnings.warn("exponential loss argument clamped at 700", EvaluationOverflowWarning, stacklevel=3)
+        return t, first, weights
 
     def value(self, x):
-        t = self._margins(x)
+        t = self._terms(x, derivatives=False)[0]
         if self._loss == "logistic":
             return _per_point(np.logaddexp(0.0, t).mean(axis=-1))
         return _per_point(np.exp(t).mean(axis=-1))
 
-    def _second(self, t):
-        if self._loss == "logistic":
-            p = scipy.special.expit(t)
-            return p * (1.0 - p)
-        return np.exp(t)
-
     def gradient(self, x):
-        t = self._margins(x)
-        if self._loss == "logistic":
-            first = scipy.special.expit(t)
-        else:
-            first = np.exp(t)
-        return matvec(self._rows.T, first) / self._rows.shape[0]
+        return matvec(self._rows.T, self._terms(x)[1]) / self._rows.shape[0]
 
     def hessian(self, x):
-        return _weighted_gram(self._rows, self._curvature(x))
-
-    def _curvature(self, x):
-        """The weights loss''(t_i) / m, all a Hessian product needs of x."""
-        return self._second(self._margins(x)) / self._rows.shape[0]
+        return _weighted_gram(self._rows, self._terms(x)[2])
 
     def _product(self, weights, u):
         return (weights * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
 
     def hessian_vector(self, x, u):
-        return self._product(self._curvature(x), u)
+        return self._product(self._terms(x)[2], u)
 
-    def hessian_operator(self, x):
-        return functools.partial(self._product, self._curvature(x))
+    def hessian_operator(self, x, shift=0.0):
+        weights = self._terms(x)[2]
+        if self._folds_shift:
+            # H + s B = A^T diag(w + s) A
+            return functools.partial(self._product, weights + shift)
+        return _shifted(functools.partial(self._product, weights), shift, self.metric)
 
     def qsc_forms(self, x, u, v):
-        t = self._margins(x)
+        t = self._terms(x, derivatives=False)[0]
         if self._loss == "logistic":
             p = scipy.special.expit(t)
             second = p * (1.0 - p)
@@ -566,7 +632,8 @@ def generate_synthetic(
         b = rng.standard_normal(n)
         return QuadraticObjective(a, b)
     if kind in ("softmax", "logistic", "exponential"):
-        # redraw until the Gram metric factorizes without a ridge
+        # redraw until the Gram metric factorizes without a ridge; the
+        # objective builds that metric itself, so it is its own rows' Gram
         for _ in range(10):
             rows = rng.standard_normal((m, n)) / np.sqrt(n)
             if separable:
@@ -576,19 +643,16 @@ def generate_synthetic(
             planted = rng.standard_normal(n)
             noise = rng.standard_normal(m)
             try:
-                metric, ridge = gram_metric(rows)
+                if kind == "softmax":
+                    oracle = SoftMaxObjective(rows, noise, smoothing)
+                else:
+                    loss = "logistic" if kind == "logistic" else "exponential"
+                    oracle = SeparableObjective(rows, rows @ planted + noise, loss)
             except np.linalg.LinAlgError:  # pragma: no cover - extremely unlikely
                 continue
-            if ridge == 0.0:
-                break
-        else:  # pragma: no cover
-            raise np.linalg.LinAlgError("could not draw rows with a PD Gram matrix")
-        if kind == "softmax":
-            offsets = noise
-            return SoftMaxObjective(rows, offsets, smoothing, metric=metric)
-        offsets = rows @ planted + noise
-        loss = "logistic" if kind == "logistic" else "exponential"
-        return SeparableObjective(rows, offsets, loss, metric=metric)
+            if oracle.metric_ridge == 0.0:
+                return oracle
+        raise np.linalg.LinAlgError("could not draw rows with a PD Gram matrix")  # pragma: no cover
     if kind in ("matrix_scaling", "matrix_balancing"):
         a = rng.uniform(0.1, 1.0, size=(n, n))
         if spread != 0.0:

@@ -1,8 +1,8 @@
 """Hessian-free Newton steps against the dense Cholesky steps they replace.
 
 Above `composite._CG_MIN_DIM` the primal (constant sigma) and dual solvers
-solve each step's system by CG on Hessian-vector products, preconditioned by
-the Cholesky factor of the last dense system.  The reference is the same
+solve each step's system by CG on the products of H + coeff*B,
+preconditioned by the explicit inverse of the last dense system.  The reference is the same
 solve with the size constant raised above the instance, where every step is
 the dense one.  The two must end in the same status after the same number
 of steps, with every iterate within the CG tolerance's reach: each step
@@ -32,6 +32,8 @@ from qscnewton import (
 )
 from qscnewton import composite
 from qscnewton.metric import symmetrize
+
+from roundoff import roundoff_bound
 
 ZERO = CompositeTerm.zero()
 N = composite._CG_MIN_DIM  # just at the size where the steps turn Hessian-free
@@ -116,22 +118,28 @@ class _Planted(_Delegating):
 
 class _StaleProduct(_Planted):
     """Planted mutation: its products use the Hessian of the last `hessian`
-    call, the one the stale factor was built from, not H(x)."""
+    call, the one the stale preconditioner was built from, not H(x)."""
 
     def hessian(self, x):
         self._last = self._base.hessian(x)
         return self._last
 
-    def hessian_operator(self, x):
+    def hessian_operator(self, x, shift=0.0):
         stale = self._last
-        return lambda u: stale @ u
+        return lambda u: stale @ u + shift * self.metric.apply(u)
+
+
+class _DropsShift(_Planted):
+    """Planted mutation: its products leave out the step's shift coeff*B."""
+
+    def hessian_operator(self, x, shift=0.0):
+        return self._base.hessian_operator(x)
 
 
 @pytest.mark.parametrize("kind, solver", MUTATION_CASES)
 def test_product_without_the_regularization_is_caught(monkeypatch, kind, solver):
     base = _instance(kind)
-    monkeypatch.setattr(composite, "_system_operator", lambda oracle, x, coeff: oracle.hessian_operator(x))
-    assert _disagreements(base, solver, monkeypatch) != []
+    assert _disagreements(base, solver, monkeypatch, oracle=_DropsShift(base)) != []
 
 
 @pytest.mark.parametrize("kind, solver", MUTATION_CASES)
@@ -147,8 +155,8 @@ def _assert_same_step(got, expected):
 
 
 def _warm(oracle, psi, x, beta):
-    """The factor a dense step at x hands on."""
-    return newton_step(oracle, psi, x, beta).factor
+    """The preconditioner a dense step at x hands on."""
+    return newton_step(oracle, psi, x, beta).preconditioner
 
 
 DENSE_CASES = ["below the size constant", "box", "hessian passed", "no cheap products", "first step"]
@@ -163,30 +171,35 @@ def test_dense_steps_are_bitwise_unchanged(case):
     rng = np.random.default_rng(3)
     x = 0.1 * rng.standard_normal(n)
     psi = CompositeTerm.box(-np.ones(n), np.ones(n)) if case == "box" else ZERO.with_quadratic(0.2 * x, 0.3)
-    factor = None if case == "first step" else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
+    given = None if case == "first step" else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
     hess = base.hessian(x) if case == "hessian passed" else None
     counting = CountingOracle(base)
-    got = newton_step(counting, psi, x, 0.7, hess=hess, factor=factor)
+    got = newton_step(counting, psi, x, 0.7, hess=hess, preconditioner=given)
     _assert_same_step(got, newton_step(base, psi, x, 0.7, hess=hess))
     assert counting.calls["hessian_vector"] == 0
-    # the dense steps that could have been Hessian-free hand on their own
-    # factor, the one regularized_solve solved with
+    # the dense steps that could have been Hessian-free hand on the inverse
+    # of their own system, from the factor regularized_solve solved with
     if case != "first step":
-        assert got.factor is None
+        assert got.preconditioner is None
     else:
         system = symmetrize(base.hessian(x)) + (0.7 + 2 * 0.3) * base.metric.matrix
-        lower = np.tril(got.factor)
-        np.testing.assert_allclose(lower @ lower.T, system, rtol=0, atol=1e-12 * np.abs(system).max())
+        inverse = got.preconditioner
+        np.testing.assert_array_equal(inverse, inverse.T)
+        # Cholesky, the triangular inversions and their product each round
+        # a sum of at most n products, and so does the check's own product
+        terms = np.abs(inverse)[:, :, None] * np.abs(system)[None, :, :]
+        bound = roundoff_bound(4 * n, terms.transpose(0, 2, 1))
+        assert np.all(np.abs(inverse @ system - np.eye(n)) <= bound)
 
 
-def test_a_hessian_free_step_hands_its_factor_on():
+def test_a_hessian_free_step_hands_its_preconditioner_on():
     base = _instance("logistic")
     x = 0.1 * np.random.default_rng(4).standard_normal(N)
-    factor = _warm(base, ZERO, 0.5 * x, 0.4)
+    inverse = _warm(base, ZERO, 0.5 * x, 0.4)
     counting = CountingOracle(base)
-    step = newton_step(counting, ZERO, x, 0.7, factor=factor)
+    step = newton_step(counting, ZERO, x, 0.7, preconditioner=inverse)
     assert counting.calls["hessian"] == 0 and counting.calls["hessian_vector"] > 0
-    assert step.factor is factor
+    assert step.preconditioner is inverse
 
 
 @pytest.mark.parametrize("solver", ["primal", "dual"])
@@ -206,7 +219,7 @@ def test_oracles_without_cheap_products_keep_dense_steps(kind, solver):
 class _NonFiniteProducts(_Planted):
     """Finite values, gradients and Hessians, but NaN products."""
 
-    def hessian_operator(self, x):
+    def hessian_operator(self, x, shift=0.0):
         return lambda u: np.full_like(u, np.nan)
 
 
@@ -231,8 +244,8 @@ def test_singular_system_still_reaches_the_jitter_ladder():
     # at its first product, and the dense step's jitter ladder gives up
     base = _Planted(QuadraticObjective(np.zeros((N, N)), np.ones(N)))
     x = np.zeros(N)
-    factor = _warm(base, ZERO, x, 1.0)
-    assert factor is not None
-    for given in (None, factor):
+    inverse = _warm(base, ZERO, x, 1.0)
+    assert inverse is not None
+    for given in (None, inverse):
         with pytest.raises(SingularSystemError):
-            newton_step(base, ZERO, x, 0.0, factor=given)
+            newton_step(base, ZERO, x, 0.0, preconditioner=given)

@@ -119,7 +119,7 @@ def _general_product_hessian(oracle, x):
         gram = (rows.T * pi) @ rows
         return (gram - np.outer(g, g)) / oracle.smoothing, np.abs(gram).max() / oracle.smoothing
     t = rows @ x - oracle._offsets
-    h = (rows.T * (oracle._second(t) / t.size)) @ rows
+    h = (rows.T * oracle._derivatives(t)[1]) @ rows
     return h, np.abs(h).max()
 
 
