@@ -15,9 +15,9 @@ point from the step's own optimality condition.
 A solver that passes each step's preconditioner on to the next step takes
 Hessian-free steps where they pay: with no box, on an oracle with cheap
 products, above `_CG_MIN_DIM`, the solve is CG on the products of
-``H + coeff*B``, preconditioned by the inverse of the last dense system.  Under
-quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x), so
-that stale inverse keeps the preconditioned spectrum near 1 (the
+``H + coeff*B``, preconditioned by the inverse of the last dense system.
+Under quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x),
+so that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
 with lazy Hessians*, ICML 2023, used here only as a preconditioner: the
 model, and so the step, is the exact one up to the CG tolerance).
@@ -42,11 +42,11 @@ from .metric import (
 )
 from .oracles import SmoothOracle
 
-# Hessian-free steps.  Below this dimension a dense step costs less than
-# CG, even on an oracle with cheap products: per dual step on logistic
-# instances with m = 20n (one BLAS thread), dense against CG took 0.25
-# against 0.32 ms at n = 30, 0.58 against 0.44 ms at n = 50 and 2.45 against
-# 1.52 ms at n = 100.
+# Hessian-free steps.  Below this dimension a dense step costs about what
+# CG does, even on an oracle with cheap products: per dual step on logistic
+# instances with m = 20n (one BLAS thread, seeds 1-3), dense against CG
+# took 0.204 against 0.200 ms at n = 30, 0.66 against 0.46 ms at n = 50 and
+# 1.70 against 0.80 ms at n = 100.
 _CG_MIN_DIM = 50
 # A solve that needs more products than this ends in a dense step, which
 # refreshes the preconditioner.  With a stale one the solvers' steps took 5
@@ -183,8 +183,7 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray):
     from one more product, once r^T P r (P the inverse) has fallen to
     _CG_TOL^2 times its initial value.  Returns None on breakdown (p^T S p
     not positive and finite, which a singular or non-finite system gives)
-    and after _CG_MAX_ITERS products.  The preconditioner is one
-    matrix-vector product, and the vectors are updated in place."""
+    and after _CG_MAX_ITERS products."""
     d = np.zeros_like(rhs)
     r = rhs.copy()
     z = inverse @ r

@@ -109,9 +109,11 @@ class SmoothOracle(abc.ABC):
     them.  An oracle whose `hessian_operator` products cost far less than
     its Hessian (the Gram families: O(mn) a product against O(mn^2))
     sets `cheap_products` to True, and the solvers then take Hessian-free
-    steps above a size (see `composite.newton_step`); an oracle whose
-    Hessian costs about as much as a few products keeps the dense step,
-    which is then the cheaper one.
+    steps above a size (see `composite.newton_step`), whose products are
+    those of ``hessian_operator(x, shift)``, H(x) + shift*B with the
+    step's regularization as the shift; an oracle whose Hessian costs about
+    as much as a few products keeps the dense step, which is then the
+    cheaper one.
     """
 
     stacks = False

@@ -2,9 +2,9 @@
 
 Above `composite._CG_MIN_DIM` the primal (constant sigma) and dual solvers
 solve each step's system by CG on the products of H + coeff*B,
-preconditioned by the explicit inverse of the last dense system.  The reference is the same
-solve with the size constant raised above the instance, where every step is
-the dense one.  The two must end in the same status after the same number
+preconditioned by the explicit inverse of the last dense system.  The
+reference is the same solve with the size constant raised above the
+instance, where every step is the dense one.  The two must end in the same status after the same number
 of steps, with every iterate within the CG tolerance's reach: each step
 stops once its preconditioned residual has fallen by `_CG_TOL`, so its
 error is about `_CG_TOL` times its length, and the errors add up along the
