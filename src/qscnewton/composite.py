@@ -42,11 +42,12 @@ from .metric import (
 )
 from .oracles import SmoothOracle
 
-# Hessian-free steps.  Below this dimension a dense step costs about what
-# CG does, even on an oracle with cheap products: per dual step on logistic
+# Hessian-free steps from this dimension up.  Per dual step on logistic
 # instances with m = 20n (one BLAS thread, seeds 1-3), dense against CG
-# took 0.204 against 0.200 ms at n = 30, 0.66 against 0.46 ms at n = 50 and
-# 1.70 against 0.80 ms at n = 100.
+# took 0.221 against 0.192 ms at n = 30, 0.379 against 0.253 ms at n = 50
+# and 1.48 against 0.69 ms at n = 100.  Lowering the constant would move
+# the accelerated scheme's inner solves at n = 30 onto CG, which no
+# end-to-end measurement has covered yet.
 _CG_MIN_DIM = 50
 # A solve that needs more products than this ends in a dense step, which
 # refreshes the preconditioner.  With a stale one the solvers' steps took 5
@@ -175,6 +176,13 @@ class StepResult:
     preconditioner: np.ndarray | None = None
 
 
+def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
+    """u -> (H(x) + coeff*B) u, from the oracle's products at x."""
+    product = oracle.hessian_operator(x)
+    metric = oracle.metric
+    return lambda u: product(u) + coeff * metric.apply(u)
+
+
 def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray):
     """Solve S d = rhs by CG from d = 0, preconditioned by `inverse`, the
     explicit inverse of a nearby system; `system` is u -> S u.
@@ -268,9 +276,9 @@ def newton_step(
     A step with no box and no `hess`, on an oracle with `cheap_products`
     and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  Handed
     `preconditioner`, the previous step's `StepResult.preconditioner`, it
-    solves ``(H + coeff*B) d = rhs`` by CG on the products of
-    `oracle.hessian_operator(x, coeff)`, preconditioned by that inverse of
-    an earlier system, and forms no Hessian.  Its selected subgradient and
+    solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_operator(x)`
+    products plus coeff*B u, preconditioned by that inverse of an earlier
+    system, and forms no Hessian.  Its selected subgradient and
     local step length take H(x)d from the CG recurrence, and its result
     moves from the dense step's within the CG tolerance; it hands the same
     preconditioner on.  The dense step runs instead, and hands on the
@@ -307,7 +315,7 @@ def newton_step(
     hessian_free = oracle.cheap_products and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
     solved = None
     if hessian_free and preconditioner is not None:
-        solved = _preconditioned_cg(oracle.hessian_operator(x, coeff), preconditioner, rhs)
+        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), preconditioner, rhs)
     inner_iterations = 0
     if solved is not None:
         d, system_d = solved

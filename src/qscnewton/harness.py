@@ -192,8 +192,7 @@ class CountingOracle(SmoothOracle):
     depend on how the points were stacked; a stacked hessian_vector or
     qsc_forms call counts once, and is passed on whole: the products the
     default makes inside it are not counted.  Each product of a
-    `hessian_operator` counts as one hessian_vector call; the operator's
-    shift goes on to the base, whose metric this wrapper shares."""
+    `hessian_operator` counts as one hessian_vector call."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
@@ -224,8 +223,8 @@ class CountingOracle(SmoothOracle):
         self.calls["hessian_vector"] += 1
         return self._base.hessian_vector(x, u)
 
-    def hessian_operator(self, x, shift=0.0):
-        product = self._base.hessian_operator(x, shift)
+    def hessian_operator(self, x):
+        product = self._base.hessian_operator(x)
 
         def counted(u):
             self.calls["hessian_vector"] += 1

@@ -109,11 +109,9 @@ class SmoothOracle(abc.ABC):
     them.  An oracle whose `hessian_operator` products cost far less than
     its Hessian (the Gram families: O(mn) a product against O(mn^2))
     sets `cheap_products` to True, and the solvers then take Hessian-free
-    steps above a size (see `composite.newton_step`), whose products are
-    those of ``hessian_operator(x, shift)``, H(x) + shift*B with the
-    step's regularization as the shift; an oracle whose Hessian costs about
-    as much as a few products keeps the dense step, which is then the
-    cheaper one.
+    steps above a size (see `composite.newton_step`); an oracle whose
+    Hessian costs about as much as a few products keeps the dense step,
+    which is then the cheaper one.
     """
 
     stacks = False
@@ -164,20 +162,15 @@ class SmoothOracle(abc.ABC):
         flat = zip(x.reshape(-1, x.shape[-1]), u.reshape(-1, u.shape[-1]))
         return np.array([self.hessian(xi) @ ui for xi, ui in flat]).reshape(u.shape)
 
-    def hessian_operator(self, x: np.ndarray, shift: float = 0.0):
-        """The product u -> (H(x) + shift*B) u at one point x of shape (n,),
-        for many u; B is the metric, and a Newton step's system takes its
-        regularization as the shift.
+    def hessian_operator(self, x: np.ndarray):
+        """The product u -> H(x) u at one point x of shape (n,), for many u.
 
         What a product needs from x alone (the zoo's per-point weights) is
         computed once, when the operator is made, not once per product.  This
-        default forms the symmetrized H(x) + shift*B once and multiplies by
-        it, so an oracle with only `hessian` pays one Hessian per operator.
+        default forms the symmetrized Hessian once and multiplies by it, so
+        an oracle with only `hessian` pays one Hessian per operator.
         """
-        system = symmetrize(self.hessian(np.asarray(x, dtype=float)))
-        if shift != 0.0:
-            system += shift * self.metric.matrix
-        return functools.partial(np.matmul, system)
+        return functools.partial(np.matmul, symmetrize(self.hessian(np.asarray(x, dtype=float))))
 
     def qsc_forms(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """(u^T H(x) u, D^3 f(x)[u, u, v]) for each row of (k, n) stacks x,
@@ -196,40 +189,21 @@ class SmoothOracle(abc.ABC):
         return forms[2], (forms[0] - forms[1]) / (2.0 * t)
 
 
-def _shifted(product, shift: float, metric: Metric):
-    """u -> product(u) + shift * B u, for an operator that cannot take the
-    shift into its own product; `product` itself when the shift is 0."""
-    if shift == 0.0:
-        return product
-    return lambda u: product(u) + shift * metric.apply(u)
-
-
 class _TransformedOracle(SmoothOracle):
-    """scale * f(T x + shift) with a declared qsc constant.
+    """scale * f(T x + shift) over a given metric with a declared qsc constant.
 
     T is None (the identity), a scalar or a matrix.  A scalar T folds into the
     derivative factors scale * T, scale * T**2 and scale * T**3.  A derivative factor of
     exactly 1 is not applied, so pass-through derivatives are not copied.
     Products with a matrix T go through numpy's matvec, which runs the gemv
     of a point once per row of a stack, so stacking changes no bit.
-
-    `metric` None is the base's metric pulled back through T: the base's
-    own under a scalar T, T^T B T under a matrix.  Then
-    H + s B = hess_factor * T^T (H_base + (s / hess_factor) B_base) T, so
-    `hessian_operator` hands its shift on to the base's operator; under a
-    metric of the caller's it adds s B u to each product.
     """
 
-    def __init__(self, base, qsc_constant, scale=1.0, transform=None, shift=None, metric=None):
-        self._matrix = transform if np.ndim(transform) == 2 else None
-        self._pulled_back = metric is None
-        if metric is None:
-            metric = base.metric
-            if self._matrix is not None:
-                metric = Metric(self._matrix.T @ metric.matrix @ self._matrix)
+    def __init__(self, base, metric, qsc_constant, scale=1.0, transform=None, shift=None):
         super().__init__(metric, qsc_constant)
         self._base = base
         self._scale = float(scale)
+        self._matrix = transform if np.ndim(transform) == 2 else None
         self._t = None if self._matrix is not None else transform
         t = 1.0 if self._t is None else self._t
         self._grad_factor = self._scale * t
@@ -279,13 +253,8 @@ class _TransformedOracle(SmoothOracle):
     def hessian_vector(self, x, u):
         return self._pull_back(functools.partial(self._base.hessian_vector, self._inner(x)), u)
 
-    def hessian_operator(self, x, shift=0.0):
-        inner = self._inner(x)
-        if self._pulled_back:
-            product = self._base.hessian_operator(inner, shift / self._hess_factor)
-            return functools.partial(self._pull_back, product)
-        product = self._base.hessian_operator(inner)
-        return _shifted(functools.partial(self._pull_back, product), shift, self.metric)
+    def hessian_operator(self, x):
+        return functools.partial(self._pull_back, self._base.hessian_operator(self._inner(x)))
 
     def qsc_forms(self, x, u, v):
         if self._matrix is not None:
@@ -302,7 +271,7 @@ def scale_oracle(oracle: SmoothOracle, factor: float) -> SmoothOracle:
     """Multiply an oracle by a positive constant; the qsc constant is unchanged."""
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return _TransformedOracle(oracle, oracle.qsc_constant, scale=factor)
+    return _TransformedOracle(oracle, oracle.metric, oracle.qsc_constant, scale=factor)
 
 
 def affine_substitute(
@@ -327,15 +296,16 @@ def affine_substitute(
     b = np.zeros(oracle.dim) if offset is None else np.asarray(offset, dtype=float)
     if b.shape != (oracle.dim,):
         raise ValueError("offset dimension does not match oracle dimension")
-    qsc_constant = oracle.qsc_constant
-    if new_metric is not None:
-        if new_metric.dim != a.shape[1]:
-            raise ValueError("new metric dimension does not match transform domain")
-        if norm_bound is None:
-            raise ValueError("norm_bound is required when overriding the induced metric")
-        qsc_constant *= norm_bound
+    if new_metric is None:
+        metric, qsc_constant = Metric(a.T @ oracle.metric.matrix @ a), oracle.qsc_constant
+    elif new_metric.dim != a.shape[1]:
+        raise ValueError("new metric dimension does not match transform domain")
+    elif norm_bound is None:
+        raise ValueError("norm_bound is required when overriding the induced metric")
+    else:
+        metric, qsc_constant = new_metric, oracle.qsc_constant * norm_bound
     # Ax - b and Ax + (-b) are the same floating-point operation
-    return _TransformedOracle(oracle, qsc_constant, transform=a, shift=-b, metric=new_metric)
+    return _TransformedOracle(oracle, metric, qsc_constant, transform=a, shift=-b)
 
 
 def contract_oracle(
@@ -352,7 +322,9 @@ def contract_oracle(
         raise ValueError(f"scale must be positive, got {scale}")
     gamma = float(gamma)
     shift = (1.0 - gamma) * np.array(anchor, dtype=float)
-    return _TransformedOracle(oracle, gamma * oracle.qsc_constant, scale=scale, transform=gamma, shift=shift)
+    return _TransformedOracle(
+        oracle, oracle.metric, gamma * oracle.qsc_constant, scale=scale, transform=gamma, shift=shift
+    )
 
 
 class _SumOracle(SmoothOracle):
@@ -387,9 +359,8 @@ class _SumOracle(SmoothOracle):
     def hessian_vector(self, x, u):
         return self._first.hessian_vector(x, u) + self._second.hessian_vector(x, u)
 
-    def hessian_operator(self, x, shift=0.0):
-        # the sum's metric is its first term's, whose operator takes the shift
-        first, second = self._first.hessian_operator(x, shift), self._second.hessian_operator(x)
+    def hessian_operator(self, x):
+        first, second = self._first.hessian_operator(x), self._second.hessian_operator(x)
         return lambda u: first(u) + second(u)
 
     def qsc_forms(self, x, u, v):
@@ -405,7 +376,7 @@ def add_oracles(first: SmoothOracle, second: SmoothOracle) -> SmoothOracle:
 def with_qsc_constant(oracle: SmoothOracle, qsc_constant: float) -> SmoothOracle:
     """Same oracle with a different declared constant (e.g. to probe the
     checkers with a deliberately undersized bound)."""
-    return _TransformedOracle(oracle, qsc_constant)
+    return _TransformedOracle(oracle, oracle.metric, qsc_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,8 @@ costs m n^2 against 2mn a product, and override
 `SmoothOracle.hessian_operator`: the per-point weights (the margins' loss''
 or the soft-max pi) are computed once per point, with the code
 `hessian_vector` runs, and each product is two passes over the design rows.
-Under their own rows' Gram metric B = A^T A (no ridge, no metric of the
-caller's) the operator's shift s folds into those weights, since
-A^T diag(w) A + s B = A^T diag(w + s) A.  A quadratic's Hessian is stored
-and a matrix family's costs about two products, so they keep the default
-operator, which forms the Hessian.
+A quadratic's Hessian is stored and a matrix family's costs about two
+products, so they keep the default operator, which forms the Hessian.
 
 The two Gram families keep a one-entry memo of the last single point's
 derived quantities: the margins and the loss derivatives, or pi, g and the
@@ -50,7 +47,7 @@ import numpy as np
 import scipy.special
 
 from .metric import Metric, matvec, symmetrize
-from .oracles import SmoothOracle, _shifted
+from .oracles import SmoothOracle
 
 _EXP_CLAMP = 700.0  # exp argument above which float64 overflows
 
@@ -103,16 +100,6 @@ def _memoized(oracle, x, compute):
                 value.setflags(write=False)
         memo = oracle._memo = (key, results)
     return memo[1]
-
-
-def _own_gram(rows, metric):
-    """(metric, ridge, folds): the metric, the caller's or else the rows'
-    Gram from `gram_metric`; the ridge `gram_metric` added; and whether the
-    metric is A^T A itself, into whose product weights a shift folds."""
-    if metric is not None:
-        return metric, 0.0, False
-    metric, ridge = gram_metric(rows)
-    return metric, ridge, ridge == 0.0
 
 
 def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -191,7 +178,9 @@ class SoftMaxObjective(SmoothOracle):
             raise DimensionError("rows must be (m, n) with one offset per row")
         if smoothing <= 0:
             raise ValueError("smoothing parameter must be positive")
-        metric, self.metric_ridge, self._folds_shift = _own_gram(rows, metric)
+        self.metric_ridge = 0.0
+        if metric is None:
+            metric, self.metric_ridge = gram_metric(rows)
         super().__init__(metric, 2.0 / smoothing)
         rows.setflags(write=False)
         offsets.setflags(write=False)
@@ -268,12 +257,8 @@ class SoftMaxObjective(SmoothOracle):
     def hessian_vector(self, x, u):
         return self._product(self._moments(x), u)
 
-    def hessian_operator(self, x, shift=0.0):
-        pi, g = self._moments(x)
-        if self._folds_shift:
-            # H + s B = (A^T diag(pi + s mu) A - g g^T) / mu
-            return functools.partial(self._product, (pi + shift * self._mu, g))
-        return _shifted(functools.partial(self._product, (pi, g)), shift, self.metric)
+    def hessian_operator(self, x):
+        return functools.partial(self._product, self._moments(x))
 
     def qsc_forms(self, x, u, v):
         # the second and third cumulants of (<a, u>, <a, v>) under pi
@@ -305,7 +290,9 @@ class SeparableObjective(SmoothOracle):
             raise DimensionError("rows must be (m, n) with one offset per row")
         if loss not in self.LOSSES:
             raise ValueError(f"unknown loss {loss!r}; expected one of {self.LOSSES}")
-        metric, self.metric_ridge, self._folds_shift = _own_gram(rows, metric)
+        self.metric_ridge = 0.0
+        if metric is None:
+            metric, self.metric_ridge = gram_metric(rows)
         super().__init__(metric, 1.0)
         rows.setflags(write=False)
         offsets.setflags(write=False)
@@ -374,12 +361,8 @@ class SeparableObjective(SmoothOracle):
     def hessian_vector(self, x, u):
         return self._product(self._terms(x)[2], u)
 
-    def hessian_operator(self, x, shift=0.0):
-        weights = self._terms(x)[2]
-        if self._folds_shift:
-            # H + s B = A^T diag(w + s) A
-            return functools.partial(self._product, weights + shift)
-        return _shifted(functools.partial(self._product, weights), shift, self.metric)
+    def hessian_operator(self, x):
+        return functools.partial(self._product, self._terms(x)[2])
 
     def qsc_forms(self, x, u, v):
         t = self._terms(x, derivatives=False)[0]
@@ -632,8 +615,7 @@ def generate_synthetic(
         b = rng.standard_normal(n)
         return QuadraticObjective(a, b)
     if kind in ("softmax", "logistic", "exponential"):
-        # redraw until the Gram metric factorizes without a ridge; the
-        # objective builds that metric itself, so it is its own rows' Gram
+        # redraw until the Gram metric factorizes without a ridge
         for _ in range(10):
             rows = rng.standard_normal((m, n)) / np.sqrt(n)
             if separable:
@@ -643,16 +625,19 @@ def generate_synthetic(
             planted = rng.standard_normal(n)
             noise = rng.standard_normal(m)
             try:
-                if kind == "softmax":
-                    oracle = SoftMaxObjective(rows, noise, smoothing)
-                else:
-                    loss = "logistic" if kind == "logistic" else "exponential"
-                    oracle = SeparableObjective(rows, rows @ planted + noise, loss)
+                metric, ridge = gram_metric(rows)
             except np.linalg.LinAlgError:  # pragma: no cover - extremely unlikely
                 continue
-            if oracle.metric_ridge == 0.0:
-                return oracle
-        raise np.linalg.LinAlgError("could not draw rows with a PD Gram matrix")  # pragma: no cover
+            if ridge == 0.0:
+                break
+        else:  # pragma: no cover
+            raise np.linalg.LinAlgError("could not draw rows with a PD Gram matrix")
+        if kind == "softmax":
+            offsets = noise
+            return SoftMaxObjective(rows, offsets, smoothing, metric=metric)
+        offsets = rows @ planted + noise
+        loss = "logistic" if kind == "logistic" else "exponential"
+        return SeparableObjective(rows, offsets, loss, metric=metric)
     if kind in ("matrix_scaling", "matrix_balancing"):
         a = rng.uniform(0.1, 1.0, size=(n, n))
         if spread != 0.0:

@@ -1,8 +1,6 @@
 """The broadcasting Hessian-vector oracle and the per-point product operator:
 zoo, combinators and the defaults."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 
 from qscnewton import (
     CountingOracle,
-    Metric,
     QuadraticObjective,
     SeparableObjective,
     SoftMaxObjective,
@@ -21,12 +18,9 @@ from qscnewton import (
     scale_oracle,
     with_qsc_constant,
 )
-from qscnewton import problems
 from qscnewton.metric import symmetrize
 from qscnewton.problems import KINDS
 from qscnewton.oracles import SmoothOracle
-
-from roundoff import gamma
 
 
 class _HessianOnly(SmoothOracle):
@@ -217,155 +211,3 @@ def test_matrix_products_keep_the_kernel(kind):
     products = oracle.hessian_vector(x, np.ones_like(x))
     for xi, pi in zip(x, products):
         assert np.abs(pi).max() <= 1e-13 * np.abs(oracle.hessian(xi)).max()
-
-
-# The operator's shift: hessian_operator(x, s) is u -> (H(x) + s B) u.  The
-# Gram families under their own rows' Gram metric fold s into their product
-# weights, and the wrappers hand it on to their base where they share its
-# metric, so the shifted product and H(x) u + s B u are two computations of
-# one quantity.  Each entry of either is a sum of products that passes
-# through at most m + 4n + 16 rounded operations (m design rows, two passes
-# over them, the metric's own Gram sum, and a transform's matvec on each
-# side), so by Higham's model the two differ by at most twice gamma of that
-# count times the entry's sum of absolute terms, which `_magnitude` bounds.
-
-SHIFTS = (0.3, 5.0)
-
-
-def _leaf_magnitude(oracle, x, u, shift):
-    """Sum of the absolute terms of each entry of (H(x) + shift*B) u, for
-    |u| (entries >= 0), whether or not the shift is folded."""
-    s = abs(shift)
-    metric_terms = s * (np.abs(oracle.metric.matrix) @ u)
-    if isinstance(oracle, SeparableObjective):
-        rows = np.abs(oracle.rows)
-        return rows.T @ ((oracle._terms(x)[2] + s) * (rows @ u)) + metric_terms
-    if isinstance(oracle, SoftMaxObjective):
-        pi, g = oracle._moments(x)
-        mu = oracle.smoothing
-        rows = np.abs(oracle.rows)
-        return (rows.T @ ((pi + s * mu) * (rows @ u)) + np.abs(g) * (np.abs(g) @ u)) / mu + metric_terms
-    return np.abs(symmetrize(oracle.hessian(x))) @ u + metric_terms
-
-
-def _transformed(leaf, metric, inner, factor=1.0, matrix=None):
-    """The magnitude of factor * P^T (H_base + (s / factor) B_base) P + s B,
-    P the matrix (else the identity), at the inner point inner(x)."""
-    pull = np.eye(len(metric.matrix)) if matrix is None else np.abs(matrix)
-
-    def magnitude(x, u, shift):
-        base = factor * pull.T @ leaf(inner(x), pull @ u, shift / factor)
-        return base + abs(shift) * (np.abs(metric.matrix) @ u)
-
-    return magnitude
-
-
-def _shift_cases(base, rng):
-    """{name: (oracle, magnitude)} for the zoo oracle `base`, every combinator
-    of it and CountingOracle; magnitude(x, |u|, s) as `_leaf_magnitude`."""
-    n = base.dim
-    leaf = functools.partial(_leaf_magnitude, base)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    a = q * rng.uniform(0.5, 2.0, n)
-    offset = 0.1 * rng.standard_normal(n)
-    anchor = rng.standard_normal(n)
-    bump = QuadraticObjective(0.2 * base.metric.matrix, np.zeros(n), metric=base.metric)
-    bump_terms = functools.partial(_leaf_magnitude, bump)
-    own = Metric(np.diag(rng.uniform(0.5, 2.0, n)))  # a metric of the caller's
-    cases = {
-        "zoo": (base, leaf),
-        "scale": (scale_oracle(base, 3.5), _transformed(leaf, base.metric, lambda x: x, 3.5)),
-        "contract": (
-            contract_oracle(base, 0.3, anchor, 7.5),
-            _transformed(leaf, base.metric, lambda x: 0.3 * x + 0.7 * anchor, 7.5 * 0.09),
-        ),
-        "declared": (with_qsc_constant(base, 0.125), leaf),
-        "sum": (add_oracles(base, bump), lambda x, u, s: leaf(x, u, s) + bump_terms(x, u, s)),
-        "sum-reversed": (add_oracles(bump, base), lambda x, u, s: leaf(x, u, s) + bump_terms(x, u, s)),
-        "counting": (CountingOracle(base), leaf),
-    }
-    for name, metric in (("affine", None), ("affine-own-metric", own)):
-        oracle = affine_substitute(base, a, offset, new_metric=metric, norm_bound=None if metric is None else 3.0)
-        cases[name] = (oracle, _transformed(leaf, oracle.metric, lambda x: a @ x - offset, matrix=a))
-    return cases
-
-
-def _shift_excess(oracle, magnitude, x, u, shift) -> float:
-    """How far hessian_operator(x, shift)(u) is from H(x) u + shift B u
-    beyond the roundoff bound; <= 0 when within it."""
-    got = oracle.hessian_operator(x, shift)(u)
-    expected = oracle.hessian_operator(x)(u) + shift * oracle.metric.apply(u)
-    rows = oracle.rows.shape[0] if isinstance(oracle, (SeparableObjective, SoftMaxObjective)) else 0
-    bound = 2.0 * gamma(rows + 4 * len(u) + 16) * magnitude(x, np.abs(u), shift)
-    return float(np.max(np.abs(got - expected) - bound))
-
-
-def _assert_shift_matches(cases, x, u):
-    for name, (oracle, magnitude) in cases.items():
-        for shift in SHIFTS:
-            assert _shift_excess(oracle, magnitude, x, u, shift) <= 0, (name, shift)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    kind=st.sampled_from(KINDS),
-    n=st.integers(min_value=1, max_value=8),
-    extra_rows=st.integers(min_value=0, max_value=30),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_the_shift_matches_the_metric_product(kind, n, extra_rows, seed):
-    base = _instance(kind, n, extra_rows, seed)
-    x, u = _points(base.dim, (), seed + 1)
-    _assert_shift_matches(_shift_cases(base, np.random.default_rng(seed)), x, u)
-
-
-def _unfolding(loss_or_softmax, metric_kind):
-    """A Gram family whose metric is not its rows' own Gram: a caller's
-    metric, or the rows' Gram with a ridge (a zero column of the design)."""
-    rng = np.random.default_rng(7)
-    n, m = 5, 12
-    rows = rng.standard_normal((m, n))
-    metric = None
-    if metric_kind == "ridge":
-        rows[:, -1] = 0.0
-    else:
-        metric = Metric(2.0 * rows.T @ rows + np.eye(n))
-    offsets = rng.standard_normal(m)
-    if loss_or_softmax == "softmax":
-        oracle = SoftMaxObjective(rows, offsets, 0.5, metric=metric)
-    else:
-        oracle = SeparableObjective(rows, offsets, loss_or_softmax, metric=metric)
-    assert bool(oracle.metric_ridge > 0) is (metric_kind == "ridge")
-    return oracle
-
-
-UNFOLDING = [(family, metric) for family in ("logistic", "softmax") for metric in ("caller", "ridge")]
-
-
-@pytest.mark.parametrize("family, metric_kind", UNFOLDING)
-def test_a_metric_other_than_the_rows_gram_is_not_folded(family, metric_kind):
-    oracle = _unfolding(family, metric_kind)
-    assert not oracle._folds_shift
-    # the last coordinate is the ridge's own direction
-    x, u = _points(oracle.dim, (), 3)
-    _assert_shift_matches({"gram": (oracle, functools.partial(_leaf_magnitude, oracle))}, x, u)
-    assert generate_synthetic(family, n=5, m=12, seed=1)._folds_shift
-
-
-@pytest.mark.parametrize("family, metric_kind", UNFOLDING)
-def test_a_fold_regardless_of_the_metric_is_caught(monkeypatch, family, metric_kind):
-    own_gram = problems._own_gram
-    monkeypatch.setattr(problems, "_own_gram", lambda rows, metric: (*own_gram(rows, metric)[:2], True))
-    oracle = _unfolding(family, metric_kind)
-    x, u = _points(oracle.dim, (), 3)
-    magnitude = functools.partial(_leaf_magnitude, oracle)
-    assert max(_shift_excess(oracle, magnitude, x, u, shift) for shift in SHIFTS) > 0
-
-
-def test_a_transform_that_hands_on_the_shift_regardless_of_the_metric_is_caught():
-    base = generate_synthetic("logistic", n=5, m=12, seed=2)
-    oracle, magnitude = _shift_cases(base, np.random.default_rng(3))["affine-own-metric"]
-    x, u = _points(5, (), 4)
-    assert _shift_excess(oracle, magnitude, x, u, 5.0) <= 0
-    oracle._pulled_back = True  # planted: the caller's metric taken for the pulled-back one
-    assert _shift_excess(oracle, magnitude, x, u, 5.0) > 0

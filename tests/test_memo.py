@@ -31,7 +31,7 @@ def _points(seed=0):
 
 def _call(oracle, method, x, u):
     if method == "product":
-        return oracle.hessian_operator(x, 0.7)(u)
+        return oracle.hessian_operator(x)(u)
     return getattr(oracle, method)(x)
 
 
