@@ -15,7 +15,9 @@ point from the step's own optimality condition.
 A solver that passes each step's preconditioner on to the next step takes
 Hessian-free steps where they pay: with no box, on an oracle with cheap
 products, above `_CG_MIN_DIM`, the solve is CG on the products of
-``H + coeff*B``, preconditioned by the inverse of the last dense system.
+``H + coeff*B``, each one single-point `hessian_vector` call (the Gram
+families' one-point memo computes what they share from x once),
+preconditioned by the inverse of the last dense system.
 Under quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x),
 so that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
@@ -178,9 +180,8 @@ class StepResult:
 
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
     """u -> (H(x) + coeff*B) u, from the oracle's products at x."""
-    product = oracle.hessian_operator(x)
     metric = oracle.metric
-    return lambda u: product(u) + coeff * metric.apply(u)
+    return lambda u: oracle.hessian_vector(x, u) + coeff * metric.apply(u)
 
 
 def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray):
@@ -276,7 +277,7 @@ def newton_step(
     A step with no box and no `hess`, on an oracle with `cheap_products`
     and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  Handed
     `preconditioner`, the previous step's `StepResult.preconditioner`, it
-    solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_operator(x)`
+    solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
     products plus coeff*B u, preconditioned by that inverse of an earlier
     system, and forms no Hessian.  Its selected subgradient and
     local step length take H(x)d from the CG recurrence, and its result

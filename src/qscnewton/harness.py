@@ -192,7 +192,8 @@ class CountingOracle(SmoothOracle):
     depend on how the points were stacked; a stacked hessian_vector or
     qsc_forms call counts once, and is passed on whole: the products the
     default makes inside it are not counted.  Each product of a
-    `hessian_operator` counts as one hessian_vector call."""
+    Hessian-free step is a single-point hessian_vector call, so it counts
+    one."""
 
     def __init__(self, base: SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
@@ -222,15 +223,6 @@ class CountingOracle(SmoothOracle):
     def hessian_vector(self, x, u):
         self.calls["hessian_vector"] += 1
         return self._base.hessian_vector(x, u)
-
-    def hessian_operator(self, x):
-        product = self._base.hessian_operator(x)
-
-        def counted(u):
-            self.calls["hessian_vector"] += 1
-            return product(u)
-
-        return counted
 
     def qsc_forms(self, x, u, v):
         self.calls["third_order"] += 1

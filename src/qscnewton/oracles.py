@@ -104,10 +104,10 @@ class SmoothOracle(abc.ABC):
     sets `stacks` to True.  The certifier then evaluates a chunk of points in
     one call; for an oracle that does not, it calls them point by point.
 
-    `hessian_vector`, `hessian_operator` and `qsc_forms` have defaults
-    built on `hessian`; an oracle with cheaper or closed forms overrides
-    them.  An oracle whose `hessian_operator` products cost far less than
-    its Hessian (the Gram families: O(mn) a product against O(mn^2))
+    `hessian_vector` and `qsc_forms` have defaults built on `hessian`; an
+    oracle with cheaper or closed forms overrides them.  An oracle whose
+    `hessian_vector` products cost far less than its Hessian (the Gram
+    families: O(mn) a product against O(mn^2))
     sets `cheap_products` to True, and the solvers then take Hessian-free
     steps above a size (see `composite.newton_step`); an oracle whose
     Hessian costs about as much as a few products keeps the dense step,
@@ -161,16 +161,6 @@ class SmoothOracle(abc.ABC):
             return self.hessian(x) @ u
         flat = zip(x.reshape(-1, x.shape[-1]), u.reshape(-1, u.shape[-1]))
         return np.array([self.hessian(xi) @ ui for xi, ui in flat]).reshape(u.shape)
-
-    def hessian_operator(self, x: np.ndarray):
-        """The product u -> H(x) u at one point x of shape (n,), for many u.
-
-        What a product needs from x alone (the zoo's per-point weights) is
-        computed once, when the operator is made, not once per product.  This
-        default forms the symmetrized Hessian once and multiplies by it, so
-        an oracle with only `hessian` pays one Hessian per operator.
-        """
-        return functools.partial(np.matmul, symmetrize(self.hessian(np.asarray(x, dtype=float))))
 
     def qsc_forms(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """(u^T H(x) u, D^3 f(x)[u, u, v]) for each row of (k, n) stacks x,
@@ -241,20 +231,13 @@ class _TransformedOracle(SmoothOracle):
             h = self._matrix.T @ h @ self._matrix  # one product per matrix of a stack
         return h if self._hess_factor == 1.0 else self._hess_factor * h
 
-    def _pull_back(self, product, u):
-        """This oracle's H u, from `product`, the base Hessian's product at
-        the inner point."""
-        if self._matrix is None:
-            hu = product(u)
-        else:
-            hu = np.matvec(self._matrix.T, product(np.matvec(self._matrix, u)))
-        return hu if self._hess_factor == 1.0 else self._hess_factor * hu
-
     def hessian_vector(self, x, u):
-        return self._pull_back(functools.partial(self._base.hessian_vector, self._inner(x)), u)
-
-    def hessian_operator(self, x):
-        return functools.partial(self._pull_back, self._base.hessian_operator(self._inner(x)))
+        if self._matrix is not None:
+            u = np.matvec(self._matrix, u)
+        hu = self._base.hessian_vector(self._inner(x), u)
+        if self._matrix is not None:
+            hu = np.matvec(self._matrix.T, hu)
+        return hu if self._hess_factor == 1.0 else self._hess_factor * hu
 
     def qsc_forms(self, x, u, v):
         if self._matrix is not None:
@@ -343,8 +326,10 @@ class _SumOracle(SmoothOracle):
 
     @property
     def cheap_products(self):
-        # an operator costs at most one Hessian of its summand, so the sum's
-        # products stay cheap when one summand's are
+        # a product of the sum is one product of each summand.  The sum the
+        # harness builds adds a stored quadratic, whose product is u @ A, to
+        # a family, so its products are cheap when the family's are; a
+        # summand with the default product would form its Hessian in each
         return self._first.cheap_products or self._second.cheap_products
 
     def value(self, x):
@@ -358,10 +343,6 @@ class _SumOracle(SmoothOracle):
 
     def hessian_vector(self, x, u):
         return self._first.hessian_vector(x, u) + self._second.hessian_vector(x, u)
-
-    def hessian_operator(self, x):
-        first, second = self._first.hessian_operator(x), self._second.hessian_operator(x)
-        return lambda u: first(u) + second(u)
 
     def qsc_forms(self, x, u, v):
         (form, third), (form2, third2) = self._first.qsc_forms(x, u, v), self._second.qsc_forms(x, u, v)

@@ -14,22 +14,20 @@ Every family overrides `SmoothOracle.qsc_forms` with its qsc forms
 u^T H(x) u and D^3 f(x)[u, u, v] in closed form, from one pass over the
 design or the weight matrix per stack of triples.  The soft-max and
 separable families also declare `cheap_products`, since their Hessian
-costs m n^2 against 2mn a product, and override
-`SmoothOracle.hessian_operator`: the per-point weights (the margins' loss''
-or the soft-max pi) are computed once per point, with the code
-`hessian_vector` runs, and each product is two passes over the design rows.
-A quadratic's Hessian is stored and a matrix family's costs about two
-products, so they keep the default operator, which forms the Hessian.
+costs m n^2 against 2mn a product: a product is two passes over the design
+rows, with the per-point weights (the margins' loss'' or the soft-max pi)
+from the memo below.  A quadratic's Hessian is stored and a matrix family's
+costs about two products, so they do not.
 
 The two Gram families keep a one-entry memo of the last single point's
 derived quantities: the margins and the loss derivatives, or pi, g and the
-value.  `value`, `gradient`, `hessian`, `hessian_vector` and
-`hessian_operator` at that point reuse them, so a Newton step's gradient at
-x+ also serves the next step's products and the solver's value there.  The
-memo is keyed by the point's bytes, not its identity, holds read-only
-arrays and is one tuple replaced whole, never mutated, so a caller that
-writes into its point or into a returned gradient, or an oracle shared
-between callers, gets the results a fresh oracle gives.  Stacks bypass it.
+value.  `value`, `gradient`, `hessian` and `hessian_vector` at that point
+reuse them, call by call, so a Newton step's gradient at x+ also serves the
+next step's products and the solver's value there.  The memo is keyed by
+the point's bytes, not its identity, holds read-only arrays and is one
+tuple replaced whole, never mutated, so a caller that writes into its point
+or into a returned gradient, or an oracle shared between callers, gets the
+results a fresh oracle gives.  Stacks bypass it.
 
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
@@ -40,7 +38,6 @@ one matrix product, which differs from a product per point in roundoff.
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -248,17 +245,11 @@ class SoftMaxObjective(SmoothOracle):
         pi, g = self._moments(x)
         return (_weighted_gram(self._rows, pi) - g[..., :, None] * g[..., None, :]) / self._mu
 
-    def _product(self, moments, u):
-        pi, g = moments
+    def hessian_vector(self, x, u):
+        pi, g = self._moments(x)
         u = np.asarray(u, dtype=float)
         curvature = (pi * matvec(self._rows, u)) @ self._rows
         return (curvature - g * np.sum(g * u, axis=-1, keepdims=True)) / self._mu
-
-    def hessian_vector(self, x, u):
-        return self._product(self._moments(x), u)
-
-    def hessian_operator(self, x):
-        return functools.partial(self._product, self._moments(x))
 
     def qsc_forms(self, x, u, v):
         # the second and third cumulants of (<a, u>, <a, v>) under pi
@@ -355,14 +346,8 @@ class SeparableObjective(SmoothOracle):
     def hessian(self, x):
         return _weighted_gram(self._rows, self._terms(x)[2])
 
-    def _product(self, weights, u):
-        return (weights * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
-
     def hessian_vector(self, x, u):
-        return self._product(self._terms(x)[2], u)
-
-    def hessian_operator(self, x):
-        return functools.partial(self._product, self._terms(x)[2])
+        return (self._terms(x)[2] * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
 
     def qsc_forms(self, x, u, v):
         t = self._terms(x, derivatives=False)[0]

@@ -31,6 +31,7 @@ from qscnewton import (
     solve_primal,
 )
 from qscnewton import composite
+from qscnewton.harness import build_problem
 from qscnewton.metric import symmetrize
 
 from roundoff import roundoff_bound
@@ -73,8 +74,11 @@ def _disagreements(base, solver, monkeypatch, oracle=None) -> list[str]:
         found.append(f"status {status} against {ref_status}")
     if counts != ref_counts:
         found.append(f"step counts {counts} against {ref_counts}")
-    if not 2 * counting.calls["hessian"] < steps:
-        found.append(f"{counting.calls['hessian']} Hessians in {steps} steps: the steps were not Hessian-free")
+    if not 2 * counting.calls["hessian"] < steps or counting.calls["hessian_vector"] == 0:
+        found.append(
+            f"{counting.calls['hessian']} Hessians and {counting.calls['hessian_vector']} products"
+            f" in {steps} steps: the steps were not Hessian-free"
+        )
     norm = base.metric.primal_norm
     path = np.cumsum([0.0] + [norm(b - a) for a, b in zip(ref_iterates, ref_iterates[1:])])
     for k, (x, ref, length) in enumerate(zip(iterates, ref_iterates, path)):
@@ -92,6 +96,15 @@ MUTATION_CASES = [("logistic", "primal"), ("softmax", "dual")]
 @pytest.mark.parametrize("kind, solver", CASES)
 def test_cg_steps_match_cholesky_steps(monkeypatch, kind, solver):
     assert _disagreements(_instance(kind), solver, monkeypatch) == []
+
+
+@pytest.mark.parametrize("solver", ["primal", "dual"])
+def test_a_quad_regularization_sum_takes_hessian_free_steps(monkeypatch, solver):
+    # the one sum the program builds adds a stored quadratic, whose product
+    # is u @ A, to the family; its steps stay on products
+    oracle = build_problem({"kind": "logistic", "n": N, "m": 4 * N, "seed": 1, "quad_regularization": 0.1})
+    assert oracle.cheap_products
+    assert _disagreements(oracle, solver, monkeypatch) == []
 
 
 class _Delegating(SmoothOracle):
@@ -124,15 +137,14 @@ class _StaleProduct(_Planted):
         self._last = self._base.hessian(x)
         return self._last
 
-    def hessian_operator(self, x):
-        stale = self._last
-        return lambda u: stale @ u
+    def hessian_vector(self, x, u):
+        return self._last @ u
 
 
 @pytest.mark.parametrize("kind, solver", MUTATION_CASES)
 def test_product_without_the_regularization_is_caught(monkeypatch, kind, solver):
     base = _instance(kind)
-    monkeypatch.setattr(composite, "_system_operator", lambda oracle, x, coeff: oracle.hessian_operator(x))
+    monkeypatch.setattr(composite, "_system_operator", lambda oracle, x, coeff: lambda u: oracle.hessian_vector(x, u))
     assert _disagreements(base, solver, monkeypatch) != []
 
 
@@ -213,8 +225,8 @@ def test_oracles_without_cheap_products_keep_dense_steps(kind, solver):
 class _NonFiniteProducts(_Planted):
     """Finite values, gradients and Hessians, but NaN products."""
 
-    def hessian_operator(self, x):
-        return lambda u: np.full_like(u, np.nan)
+    def hessian_vector(self, x, u):
+        return np.full_like(u, np.nan)
 
 
 @pytest.mark.parametrize("solver", ["primal", "dual"])

@@ -1,5 +1,4 @@
-"""The broadcasting Hessian-vector oracle and the per-point product operator:
-zoo, combinators and the defaults."""
+"""The broadcasting Hessian-vector oracle: zoo, combinators and the default."""
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from qscnewton import (
     scale_oracle,
     with_qsc_constant,
 )
-from qscnewton.metric import symmetrize
 from qscnewton.problems import KINDS
 from qscnewton.oracles import SmoothOracle
 
@@ -116,19 +114,22 @@ def test_combinators_forward_hessian_vector(kind, n, stack, seed):
     # scale of the transformed Hessians (the zoo test covers the cancelling
     # soft-max with its own scale)
     base = generate_synthetic(kind, n=n, m=n + 10, seed=seed, smoothing=4.0)
+    assert base.cheap_products is isinstance(base, (SoftMaxObjective, SeparableObjective))
     for name, oracle in _combinators(base, np.random.default_rng(seed)).items():
         _assert_matches_hessian(oracle, *_points(oracle.dim, stack, seed + 1))
+        # the wrappers declare their base's cheap products; a sum, either summand's
+        assert oracle.cheap_products is (name != "default" and base.cheap_products), name
 
 
-def _assert_operator_matches_hessian(oracle, x, u):
-    """hessian_operator(x_i) applied to u_i and to -2 u_i equals
+def _assert_products_at_one_point_match_hessian(oracle, x, u):
+    """hessian_vector(x_i, .) applied to u_i and then to -2 u_i equals
     hessian(x_i) times each, within the bound of `_assert_matches_hessian`
-    scaled by the direction's size: one operator serves several products."""
+    scaled by the direction's size: the products a Hessian-free step makes,
+    several at one point, the later ones from the Gram families' memo."""
     for xi, ui in zip(x.reshape(-1, x.shape[-1]), u.reshape(-1, u.shape[-1])):
-        product = oracle.hessian_operator(xi)
         hess = oracle.hessian(xi)
         for scale, v in ((1.0, ui), (2.0, -2.0 * ui)):
-            got = product(v)
+            got = oracle.hessian_vector(xi, v)
             assert got.shape == v.shape
             assert np.abs(got - hess @ v).max() <= scale * 1e-13 * _roundoff_scale(oracle, xi)
 
@@ -140,48 +141,23 @@ def _assert_operator_matches_hessian(oracle, x, u):
     extra_rows=st.integers(min_value=0, max_value=40),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_zoo_operator_matches_hessian(kind, n, extra_rows, seed):
+def test_zoo_products_at_one_point_match_hessian(kind, n, extra_rows, seed):
     oracle = _instance(kind, n, extra_rows, seed)
-    x, u = _points(oracle.dim, (3,), seed)
-    _assert_operator_matches_hessian(oracle, x, u)
-    # an operator of its own shares one code path with hessian_vector
-    if type(oracle).hessian_operator is not SmoothOracle.hessian_operator:
-        np.testing.assert_array_equal(oracle.hessian_operator(x[0])(u[0]), oracle.hessian_vector(x[0], u[0]))
+    _assert_products_at_one_point_match_hessian(oracle, *_points(oracle.dim, (3,), seed))
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    kind=st.sampled_from(KINDS),
-    n=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_combinators_forward_the_operator(kind, n, seed):
-    base = generate_synthetic(kind, n=n, m=n + 10, seed=seed, smoothing=4.0)
-    assert base.cheap_products is isinstance(base, (SoftMaxObjective, SeparableObjective))
-    for name, oracle in _combinators(base, np.random.default_rng(seed)).items():
-        _assert_operator_matches_hessian(oracle, *_points(oracle.dim, (2,), seed + 1))
-        # the wrappers declare their base's cheap products; a sum, either summand's
-        assert oracle.cheap_products is (name != "default" and base.cheap_products), name
-
-
-def test_operator_products_are_counted_where_they_run():
-    # each wrapper over a CountingOracle reaches its operator, which counts
-    # every product as a hessian_vector call and none when it is made; the
-    # wrapper without its own products forms one Hessian when it is made,
-    # and its products make no oracle call
+def test_wrapper_products_are_counted_where_they_run():
+    # each wrapper over a CountingOracle counts one hessian_vector call per
+    # single-point product and forms no Hessian; the wrapper without
+    # products of its own forms one Hessian per product instead
     counting = CountingOracle(generate_synthetic("logistic", n=5, m=20, seed=4))
     x, u = _points(5, (2,), 6)
     for name, oracle in _combinators(counting, np.random.default_rng(0)).items():
         before = dict(counting.calls)
-        product = oracle.hessian_operator(x[0])
-        made = dict(counting.calls)
-        product(u[0])
-        product(u[1])
-        delta = {key: counting.calls[key] - made[key] for key in made if counting.calls[key] != made[key]}
-        if name == "default":
-            assert made == {**before, "hessian": before["hessian"] + 1} and delta == {}
-        else:
-            assert made == before and delta == {"hessian_vector": 2}, name
+        oracle.hessian_vector(x[0], u[0])
+        oracle.hessian_vector(x[0], u[1])
+        delta = {key: counting.calls[key] - before[key] for key in before if counting.calls[key] != before[key]}
+        assert delta == ({"hessian": 2} if name == "default" else {"hessian_vector": 2}), name
 
 
 def test_default_is_the_hessian_product_bitwise():
@@ -192,7 +168,6 @@ def test_default_is_the_hessian_product_bitwise():
     stacked = oracle.hessian_vector(x, u)
     for i in range(3):
         np.testing.assert_array_equal(stacked[i], base.hessian(x[i]) @ u[i])
-        np.testing.assert_array_equal(oracle.hessian_operator(x[i])(u[i]), symmetrize(base.hessian(x[i])) @ u[i])
 
 
 def test_counting_oracle_counts_one_call_per_stack():

@@ -5,7 +5,9 @@ single point they were called at (the margins and loss derivatives, or pi,
 g and the value) and reuse them at that point.  A memo hit must give, bit
 for bit, what a fresh oracle gives at that point, in any call order, and a
 caller that writes into its point or into a returned gradient must not see
-stale results.  Stacked calls neither read nor write the memo.
+stale results.  Stacked calls neither read nor write the memo.  A
+Hessian-free Newton step computes them once, at x+, and takes every product
+at x from the memo.
 """
 
 import itertools
@@ -13,7 +15,16 @@ import itertools
 import numpy as np
 import pytest
 
-from qscnewton import generate_synthetic, problems
+from qscnewton import (
+    CompositeTerm,
+    CountingOracle,
+    composite,
+    contract_oracle,
+    generate_synthetic,
+    newton_step,
+    problems,
+    with_qsc_constant,
+)
 from qscnewton.problems import EvaluationOverflowWarning
 
 KINDS = ("logistic", "exponential", "softmax")
@@ -31,7 +42,7 @@ def _points(seed=0):
 
 def _call(oracle, method, x, u):
     if method == "product":
-        return oracle.hessian_operator(x)(u)
+        return oracle.hessian_vector(x, u)
     return getattr(oracle, method)(x)
 
 
@@ -115,3 +126,58 @@ def test_the_clamp_warns_on_every_call_at_a_clamped_point():
     for method in ("value", "gradient", "value", "hessian", "product", "gradient"):
         with pytest.warns(EvaluationOverflowWarning):
             _call(oracle, method, x, np.ones(N))
+
+
+STEP_KINDS = ("logistic", "softmax")
+WRAPPERS = ("counting", "declared", "contract")
+
+
+def _memo_misses(kind, wrapper, monkeypatch) -> list[str]:
+    """Where one Hessian-free step from x, taken through `wrapper` once the
+    memo holds x, computes the family's per-point quantities (`_point`)
+    other than once, at the base point of x+; empty when the memo serves
+    every product."""
+    n = composite._CG_MIN_DIM
+    counting = CountingOracle(generate_synthetic(kind, n=n, m=4 * n, seed=2, smoothing=1.0))
+    rng = np.random.default_rng(5)
+    oracle = {
+        "counting": counting,
+        "declared": with_qsc_constant(counting, 0.5),
+        "contract": contract_oracle(counting, 0.6, rng.standard_normal(n), 2.0),
+    }[wrapper]
+    x = 0.1 * rng.standard_normal(n)
+    psi = CompositeTerm.zero()
+    inverse = newton_step(oracle, psi, 0.5 * x, 0.4).preconditioner
+    oracle.gradient(x)
+    before = dict(counting.calls)
+    computed = []
+    compute = type(counting._base)._point
+
+    def recorded(self, point):
+        computed.append(point.copy())
+        return compute(self, point)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(counting._base), "_point", recorded)
+        step = newton_step(oracle, psi, x, 0.7, preconditioner=inverse)
+    x_plus = step.x_plus if wrapper == "counting" else oracle._inner(step.x_plus)
+    calls = {key: counting.calls[key] - before[key] for key in before}
+    found = []
+    if calls["hessian"] != 0 or calls["hessian_vector"] == 0:
+        found.append(f"not a Hessian-free step: {calls}")
+    if len(computed) != 1 or not np.array_equal(computed[0], x_plus):
+        found.append(f"{len(computed)} evaluations for {calls['hessian_vector']} products")
+    return found
+
+
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_the_memo_serves_every_product_of_a_hessian_free_step(kind, wrapper, monkeypatch):
+    assert _memo_misses(kind, wrapper, monkeypatch) == []
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_a_memo_that_always_recomputes_is_caught(kind, monkeypatch):
+    # planted mutation: every call at a single point recomputes
+    monkeypatch.setattr(problems, "_memoized", lambda oracle, x, compute: compute(np.asarray(x, dtype=float)))
+    assert _memo_misses(kind, "counting", monkeypatch) != []
