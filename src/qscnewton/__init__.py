@@ -22,6 +22,7 @@ from .composite import (
     CompositeTerm,
     MaxInnerIterationsError,
     StepResult,
+    StepState,
     newton_step,
     selected_subgradient,
     verify_step_bound,

@@ -12,7 +12,7 @@ exactly by a primal-dual active-set method that starts from that solve.
 Every step also selects the canonical subgradient of F = f + psi at the new
 point from the step's own optimality condition.
 
-A solver that passes each step's preconditioner on to the next step takes
+A solver that carries each step's `StepState` on to the next step takes
 Hessian-free steps where they pay: with no box, on an oracle with cheap
 products, above `_CG_MIN_DIM`, the solve is CG on the products of
 ``H + coeff*B``, each one single-point `hessian_vector` call (the Gram
@@ -154,28 +154,45 @@ class CompositeTerm:
         return sum(w for _, w in self._quads)
 
 
+@dataclass(frozen=True)
+class StepState:
+    """What a regularized Newton step reads at its origin, carried from one
+    step to the next.
+
+    `grad` is the smooth gradient g(x) of f alone.  `preconditioner` is the
+    explicit inverse of the last dense system H + coeff*B, which a
+    Hessian-free step applies (see `newton_step`); it is None where steps
+    cannot be Hessian-free.  A step never writes into the state it is
+    given, so a solver can restart from one it kept.
+    """
+
+    x: np.ndarray
+    grad: np.ndarray
+    preconditioner: np.ndarray | None = None
+
+    @classmethod
+    def at(cls, oracle: SmoothOracle, x) -> "StepState":
+        """The state at x with no preconditioner yet: one gradient."""
+        x = np.asarray(x, dtype=float)
+        return cls(x, oracle.gradient(x))
+
+
 @dataclass
 class StepResult:
     """One completed regularized Newton step.
 
-    `grad_plus` is the smooth gradient g(x+) that the subgradient selection
-    evaluated; a caller stepping on from x+ passes it back as `grad=` instead
-    of evaluating the oracle at x+ a second time.  `inner_iterations` is the
-    number of linear solves of a box step (the unconstrained solve and one
-    per active-set update); it is 0 without a box.  `preconditioner` is
-    the explicit inverse of the last dense system H + coeff*B, which a
-    Hessian-free step applies (see `newton_step`) and the caller passes on
-    as `preconditioner=`; it is None where steps cannot be Hessian-free.
+    `state` is the state at x+, its gradient the one the subgradient
+    selection evaluated, for the next step to start from.
+    `inner_iterations` is the number of linear solves of a box step (the
+    unconstrained solve and one per active-set update); it is 0 without a
+    box.
     """
 
-    x_plus: np.ndarray
+    state: StepState
     subgradient: np.ndarray  # selected F'(x+) in the subdifferential of f + psi
-    beta: float
     inner_iterations: int
     step_length: float  # ||x+ - x|| in the metric norm
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
-    grad_plus: np.ndarray  # smooth gradient g(x+) of f alone
-    preconditioner: np.ndarray | None = None
 
 
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
@@ -253,14 +270,12 @@ def _box_step(system, rhs, lower, upper, d, max_inner):
 def newton_step(
     oracle: SmoothOracle,
     psi: CompositeTerm,
-    x: np.ndarray,
+    state: StepState,
     beta: float,
     max_inner: int = 100,
-    grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
-    preconditioner: np.ndarray | None = None,
 ) -> StepResult:
-    """Minimize the regularized quadratic model of f + psi around x.
+    """Minimize the regularized quadratic model of f + psi around state.x.
 
     psi's quadratics enter the model exactly, and the selected subgradient
     is one of f + psi, so it includes their gradient at x+.  The
@@ -268,27 +283,26 @@ def newton_step(
     that solve and solves the box QP exactly by at most `max_inner`
     active-set updates (`MaxInnerIterationsError` past that).
 
-    `grad` and `hess` are g(x) and the symmetrized H(x) when the caller
-    already holds them (the previous step's `grad_plus`, or the Hessian kept
-    across adaptive-sigma retries at the same x); each one left None is
+    The step reads x and g(x) from `state`, and takes `hess`, the
+    symmetrized H(x), when the caller already holds it (the Hessian kept
+    across adaptive-sigma retries at the same x); left None, it is
     evaluated here.  A step then costs one gradient (at x+) and one Hessian
-    at most, and passing the values changes no bit of the result.
+    at most, and passing `hess` changes no bit of the result.
 
     A step with no box and no `hess`, on an oracle with `cheap_products`
-    and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  Handed
-    `preconditioner`, the previous step's `StepResult.preconditioner`, it
-    solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
-    products plus coeff*B u, preconditioned by that inverse of an earlier
-    system, and forms no Hessian.  Its selected subgradient and
-    local step length take H(x)d from the CG recurrence, and its result
-    moves from the dense step's within the CG tolerance; it hands the same
-    preconditioner on.  The dense step runs instead, and hands on the
-    inverse of its own system, built from the Cholesky factor it solved
-    with, when no preconditioner is given, on a CG breakdown (a singular or
-    non-finite system) and after `_CG_MAX_ITERS` products, so a singular
-    system still goes through the jitter ladder and a non-finite one still
-    raises.  Every dense step is the same, bit for bit, with or without
-    `preconditioner`.
+    and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  With a
+    preconditioner in `state` it solves ``(H + coeff*B) d = rhs`` by CG on
+    `oracle.hessian_vector(x, u)` products plus coeff*B u, preconditioned by
+    that inverse of an earlier system, and forms no Hessian.  Its selected
+    subgradient and local step length take H(x)d from the CG recurrence,
+    and its result moves from the dense step's within the CG tolerance; its
+    state at x+ keeps the same preconditioner.  The dense step runs instead,
+    and hands on the inverse of its own system, built from the Cholesky
+    factor it solved with, when there is no preconditioner, on a CG
+    breakdown (a singular or non-finite system) and after `_CG_MAX_ITERS`
+    products, so a singular system still goes through the jitter ladder and
+    a non-finite one still raises.  Every dense step is the same, bit for
+    bit, with or without a preconditioner.
 
     NaN or inf in g(x) or H(x) raises `NonFiniteError` from
     `regularized_solve`'s entry check, and in g(x+) right after it is
@@ -296,10 +310,8 @@ def newton_step(
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    x, grad, preconditioner = state.x, state.grad, state.preconditioner
     metric = oracle.metric
-    if grad is None:
-        grad = oracle.gradient(x)
 
     coeff = beta + 2.0 * psi.quad_weight()  # total multiple of B added to the Hessian
 
@@ -326,11 +338,9 @@ def newton_step(
     else:
         if hess is None:
             hess = symmetrize(oracle.hessian(x))
-        if hessian_free:
-            d, factor = regularized_solve(hess, metric, coeff, rhs, with_factor=True)
-            preconditioner = None if factor is None else _cho_inverse(factor)
-        else:
-            d, preconditioner = regularized_solve(hess, metric, coeff, rhs), None
+        d, factor = regularized_solve(hess, metric, coeff, rhs)
+        # the inverse is built only where a Hessian-free step can follow
+        preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
         x_plus = x + d
         if psi.is_box:
             lower, upper = psi.bounds
@@ -346,14 +356,11 @@ def newton_step(
     grad_plus = oracle.gradient(x_plus)
     require_finite(grad_plus, "g(x+)")
     return StepResult(
-        x_plus=x_plus,
+        state=StepState(x_plus, grad_plus, preconditioner),
         subgradient=selected_subgradient(oracle, x, x_plus, beta, grad=grad, grad_plus=grad_plus, hess_d=hess_d),
-        beta=beta,
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),
         step_length_local=float(local),
-        grad_plus=grad_plus,
-        preconditioner=preconditioner,
     )
 
 

@@ -17,15 +17,14 @@ doubles the constant and retries the same outer iteration, at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, StepState, newton_step
 from .metric import NonFiniteError, SingularSystemError, require_finite
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
-from .primal import initial_subgradient
 
 
 class DualStatus(Enum):
@@ -108,15 +107,17 @@ def solve_dual(
 ) -> DualResult:
     """Run the dual Newton method until ||F'(x)||_* <= grad_tol.
 
-    The smooth gradient is evaluated once at x0 and then carried from each
-    inner step's `grad_plus`, including into the next outer iteration (which
-    starts at the last inner point): one gradient and one Hessian per inner
-    step.  Above the Hessian-free size most steps take a few Hessian-vector
-    products in place of the Hessian, each step handing its preconditioner
-    on to the next, across outer iterations too (see `newton_step`).  A
-    gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at
-    that evaluation, at x0 as well, and so does a non-finite F(x_{k+1}),
-    which leaves no row for outer iteration k.
+    One `StepState` is carried through the inner steps, and on into the next
+    outer iteration, which starts at the last inner point: the smooth
+    gradient is evaluated once at x0 and then once per inner step, with one
+    Hessian.  Above the Hessian-free size most steps take a few
+    Hessian-vector products in place of the Hessian, the state carrying
+    each step's preconditioner on to the next, across outer iterations too
+    (see `newton_step`).  A retry after a doubling restarts from the outer
+    iterate's state, with the latest preconditioner.  A gradient or Hessian
+    holding NaN or inf ends the run in `NON_FINITE` at that evaluation, at
+    x0 as well, and so does a non-finite F(x_{k+1}), which leaves no row for
+    outer iteration k.
     """
     metric = oracle.metric
     x = psi.project(np.asarray(x0, dtype=float))
@@ -128,12 +129,12 @@ def solve_dual(
     status = DualStatus.MAX_OUTER
     total_inner = 0
     doublings = 0
-    preconditioner = None  # the inverse of the last dense system, for Hessian-free steps
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
-        grad = oracle.gradient(x)
-        g = g0 = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
+        anchor = state = StepState.at(oracle, x)  # the outer iterate's state, and the inner one
+        # the box normal cone always holds 0, so this is a subgradient of F
+        g = g0 = metric.dual_norm(state.grad + psi.quad_gradient(x, metric))
         k = 0
         # "not g <= tol" rather than "g > tol": a NaN norm goes on to the Newton
         # step instead of ending the run with the max_outer status
@@ -148,14 +149,10 @@ def solve_dual(
                 2.0 * m_const * g * config.grad_tol / (k + 1) ** 2,
                 1e-14 * (1.0 + g),
             )
-            z = x
-            grad_z = grad
             residuals = []
             for _ in range(config.max_inner):
-                step = newton_step(oracle, augmented, z, 0.0, grad=grad_z, preconditioner=preconditioner)
-                z = step.x_plus
-                grad_z = step.grad_plus
-                preconditioner = step.preconditioner
+                step = newton_step(oracle, augmented, state, 0.0)
+                state = step.state
                 residuals.append(metric.dual_norm(step.subgradient))
                 total_inner += 1
                 if residuals[-1] <= threshold:
@@ -166,9 +163,11 @@ def solve_dual(
                     # to bite; double it and retry this outer iteration
                     m_const *= 2.0
                     doublings += 1
+                    state = replace(anchor, preconditioner=state.preconditioner)
                     continue
                 status = DualStatus.QSC_PARAMETER_SUSPECT
                 break
+            z = state.x
             # F'(z) is s without the prox term's gradient
             g_next = metric.dual_norm(step.subgradient - 2.0 * weight * metric.apply(z - x))
             f_next = oracle.value(z) + psi.value(z, metric)
@@ -186,8 +185,8 @@ def solve_dual(
                     x_next=z.copy(),
                 )
             )
+            anchor = state
             x = z
-            grad = grad_z
             g = g_next
             k += 1
     except tuple(_FAILURE_STATUS) as exc:

@@ -148,20 +148,22 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
     return oracle
 
 
-def _box_bound(bound, dim: int) -> np.ndarray:
+def _box_bound(composite_cfg: dict, name: str, default: float, dim: int) -> np.ndarray:
     """A box bound as an array: a number for every coordinate, or one entry
-    per coordinate, where an array may hold +-inf for a one-sided box."""
-    try:
-        return np.full(dim, bound, dtype=float) if np.isscalar(bound) else np.asarray(bound, float)
-    except (TypeError, ValueError) as exc:
-        raise RunConfigError(f"box bound {bound!r} is not numeric: {exc}") from exc
+    per coordinate, where an array may hold +-inf for a one-sided box.  A
+    bool or null entry is not a number (numpy would read true as 1.0)."""
+    bound = composite_cfg.get(name, default)
+    entries = bound if isinstance(bound, list) else [bound]
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+        raise RunConfigError(f"box bound {name!r} holds a non-number: {bound!r}")
+    return np.full(dim, bound, dtype=float) if np.isscalar(bound) else np.asarray(bound, float)
 
 
 def build_composite(composite_cfg: dict | None, dim: int) -> CompositeTerm:
     if composite_cfg is None or composite_cfg["kind"] == "zero":
         return CompositeTerm.zero()
-    lower = _box_bound(composite_cfg.get("lower", -np.inf), dim)
-    upper = _box_bound(composite_cfg.get("upper", np.inf), dim)
+    lower = _box_bound(composite_cfg, "lower", -np.inf, dim)
+    upper = _box_bound(composite_cfg, "upper", np.inf, dim)
     if lower.shape != (dim,) or upper.shape != (dim,):
         raise RunConfigError(f"box bounds have shapes {lower.shape} and {upper.shape}, problem has {dim}")
     try:

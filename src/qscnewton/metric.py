@@ -219,8 +219,6 @@ def regularized_solve(
     beta: float,
     rhs: np.ndarray,
     max_jitter_retries: int = 6,
-    *,
-    with_factor: bool = False,
 ):
     """Solve (H + beta*B) d = rhs by symmetric factorization.
 
@@ -232,9 +230,9 @@ def regularized_solve(
     inf in ``H + beta*B`` or in rhs raises `NonFiniteError` before any
     factorization.
 
-    With `with_factor`, returns ``(d, factor)``: `factor` is `_cholesky`'s
-    factor of the unjittered H + beta*B, or None when that system is not
-    positive definite.
+    Returns ``(d, factor)``: `factor` is `_cholesky`'s factor of the
+    unjittered H + beta*B, or None when that system is not positive
+    definite.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -260,7 +258,7 @@ def regularized_solve(
         # residual of the system we are contracted to solve
         d += _cho_solve(factor, rhs - shifted @ d)
         if np.linalg.norm(system @ d - rhs) <= tol:
-            return (d, unjittered) if with_factor else d
+            return d, unjittered
         delta = 1e-12 if delta == 0.0 else delta * 10.0
     raise SingularSystemError(
         f"system H + {beta:g}*B not solvable to tolerance after jitter ladder"

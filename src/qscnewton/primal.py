@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, StepState, newton_step
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite, symmetrize
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
@@ -129,15 +129,6 @@ def read_primal_trace(path) -> list[PrimalTraceRow]:
         ]
 
 
-def initial_subgradient(
-    oracle: SmoothOracle, psi: CompositeTerm, x: np.ndarray, grad: np.ndarray
-) -> np.ndarray:
-    """A valid subgradient of F at a feasible x: the smooth gradient `grad`
-    = g(x) plus the gradient of psi's quadratic part (0 is always in the box
-    normal cone)."""
-    return grad + psi.quad_gradient(x, oracle.metric)
-
-
 def _progress_condition(progress, g_next, sigma, g) -> bool:
     rhs = g_next**2 / (2.0 * sigma * g)
     return progress >= rhs - 1e-12 * (1.0 + abs(rhs))
@@ -146,31 +137,28 @@ def _progress_condition(progress, g_next, sigma, g) -> bool:
 def adaptive_sigma_search(
     oracle: SmoothOracle,
     psi: CompositeTerm,
-    x: np.ndarray,
+    state: StepState,
     grad_norm: float,
     sigma_start: float,
     max_doublings: int = 60,
-    grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
 ):
     """Double sigma from `sigma_start` until the progress condition holds.
 
     Returns (accepted sigma, StepResult, retries).  The caller should start
-    the next iteration from half the accepted value.  g(x) and H(x) are
-    evaluated once (or taken from `grad` / `hess`) and shared by every
-    retry: only the regularization, and so the factorization, changes.
+    the next iteration from half the accepted value.  Every retry steps
+    from `state` and shares one H(x), evaluated here or taken from `hess`:
+    only the regularization, and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
-    if grad is None:
-        grad = oracle.gradient(x)
     if hess is None:
-        hess = symmetrize(oracle.hessian(x))
+        hess = symmetrize(oracle.hessian(state.x))
     sigma = sigma_start
     for retries in range(max_doublings + 1):
-        step = newton_step(oracle, psi, x, sigma * grad_norm, grad=grad, hess=hess)
+        step = newton_step(oracle, psi, state, sigma * grad_norm, hess=hess)
         g_next = oracle.metric.dual_norm(step.subgradient)
-        progress = float(step.subgradient @ (x - step.x_plus))
+        progress = float(step.subgradient @ (state.x - step.state.x))
         if _progress_condition(progress, g_next, sigma, grad_norm):
             return sigma, step, retries
         sigma *= 2.0
@@ -187,16 +175,15 @@ def solve_primal(
 ) -> PrimalResult:
     """Run the gradient-regularized Newton iteration from x0.
 
-    The smooth gradient is evaluated once at x0; every later one comes from
-    the previous step's `grad_plus`, so a step costs one gradient and one
-    Hessian (shared with the eta diagnostics when they are recorded), and F
-    is evaluated once per iterate.  With a constant sigma and no
-    diagnostics, each step hands its preconditioner on to the next, so
-    above the Hessian-free size most of them form no Hessian (see
-    `newton_step`).  A
-    value, gradient or Hessian holding NaN or inf ends the run in
-    `NON_FINITE` at that evaluation, at x0 as well; a non-finite F(x_k)
-    leaves no row for x_k.
+    One `StepState` is carried from step to step: the smooth gradient is
+    evaluated once at x0, and every later one is the previous step's, so a
+    step costs one gradient and one Hessian (shared with the eta
+    diagnostics when they are recorded), and F is evaluated once per
+    iterate.  With a constant sigma and no diagnostics, the state carries
+    each step's preconditioner on to the next, so above the Hessian-free
+    size most steps form no Hessian (see `newton_step`).  A value, gradient
+    or Hessian holding NaN or inf ends the run in `NON_FINITE` at that
+    evaluation, at x0 as well; a non-finite F(x_k) leaves no row for x_k.
     """
     x = psi.project(np.asarray(x0, dtype=float))
     if not psi.contains(x0):
@@ -207,7 +194,6 @@ def solve_primal(
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
     g = math.nan  # kept when g(x0) itself is not finite
-    preconditioner = None  # the inverse of the last dense system, for Hessian-free steps
 
     def diagnostic_hessian(point):
         # the diagnostics and the step from `point` share one evaluation
@@ -223,14 +209,16 @@ def solve_primal(
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
-        grad = oracle.gradient(x)
-        g = metric.dual_norm(initial_subgradient(oracle, psi, x, grad))
+        state = StepState.at(oracle, x)
+        # the box normal cone always holds 0, so this is a subgradient of F
+        g = metric.dual_norm(state.grad + psi.quad_gradient(x, metric))
 
         gap0 = None  # F(x0) - F*, from the first row's F when the stop needs it
 
         # every iterate gets a row; a row whose step is never taken (the last
         # one) keeps NaN step fields
         for k in range(config.max_iters + 1):
+            x = state.x
             f_val = oracle.value(x) + psi.value(x, metric)
             require_finite(f_val, "F(x)")
             row = PrimalTraceRow(k, f_val, g, x=x.copy())
@@ -250,22 +238,18 @@ def solve_primal(
 
             if config.adaptive:
                 sigma_k, step, retries = adaptive_sigma_search(
-                    oracle, psi, x, g, max(sigma_next, config.sigma_min), grad=grad, hess=hess
+                    oracle, psi, state, g, max(sigma_next, config.sigma_min), hess=hess
                 )
                 sigma_next = max(sigma_k / 2.0, config.sigma_min)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
-                step = newton_step(
-                    oracle, psi, x, sigma_k * g, grad=grad, hess=hess, preconditioner=preconditioner
-                )
-                preconditioner = step.preconditioner
+                step = newton_step(oracle, psi, state, sigma_k * g, hess=hess)
                 retries = 0
             step_computations += retries + 1
 
-            row.sigma, row.beta, row.step_length, row.retries = sigma_k, step.beta, step.step_length, retries
-            row.progress = float(step.subgradient @ (x - step.x_plus))
-            x = step.x_plus
-            grad = step.grad_plus
+            row.sigma, row.beta, row.step_length, row.retries = sigma_k, sigma_k * g, step.step_length, retries
+            state = step.state
+            row.progress = float(step.subgradient @ (x - state.x))
             g = metric.dual_norm(step.subgradient)
     except tuple(_FAILURE_STATUS) as exc:
         status = next(status for error, status in _FAILURE_STATUS.items() if isinstance(exc, error))

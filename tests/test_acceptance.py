@@ -19,6 +19,7 @@ from qscnewton import (
     PrimalConfig,
     PrimalStatus,
     QuadraticObjective,
+    StepState,
     add_oracles,
     check_function_bounds,
     check_gradient_bound,
@@ -320,7 +321,7 @@ def test_ac9_box_step_oracle_equivalence():
         psi = CompositeTerm.box(lower, upper)
         for _ in range(5):
             x = psi.project(rng.standard_normal(n) * 0.3)
-            step = newton_step(oracle, psi, x, 1.0)
+            step = newton_step(oracle, psi, StepState.at(oracle, x), 1.0)
             # independent brute-force minimizer: projected gradient to 1e-12
             h = 0.5 * (oracle.hessian(x) + oracle.hessian(x).T)
             system = h + np.array(oracle.metric.matrix)
@@ -333,5 +334,5 @@ def test_ac9_box_step_oracle_equivalence():
                     y = y_next
                     break
                 y = y_next
-            worst = max(worst, oracle.metric.primal_norm(step.x_plus - y))
+            worst = max(worst, oracle.metric.primal_norm(step.state.x - y))
     report("AC9 box-step oracle equivalence", worst <= 1e-8, f"worst deviation {worst:.2e}")

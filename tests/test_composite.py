@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qscnewton import (
     CompositeTerm,
     Metric,
+    StepState,
     generate_synthetic,
     min_generalized_eigenvalue,
     newton_step,
@@ -13,6 +14,7 @@ from qscnewton import (
     solve_primal,
     verify_step_bound,
 )
+from qscnewton import composite
 from qscnewton.metric import symmetrize
 from qscnewton.oracles import affine_substitute
 from qscnewton.primal import PrimalConfig
@@ -73,16 +75,16 @@ class TestNewtonStepZeroComposite:
     def test_pure_newton_solves_quadratic_in_one_step(self):
         o = generate_synthetic("quadratic", n=5, seed=0)
         x = np.ones(5)
-        step = newton_step(o, CompositeTerm.zero(), x, 0.0)
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), 0.0)
         # exact minimizer of the quadratic
         np.testing.assert_allclose(
-            o.gradient(step.x_plus), np.zeros(5), atol=1e-10
+            o.gradient(step.state.x), np.zeros(5), atol=1e-10
         )
 
     def test_stationary_input_stays(self):
         o = generate_synthetic("quadratic", n=4, seed=1)
         x_star = np.linalg.solve(o.hessian(np.zeros(4)), -o.gradient(np.zeros(4)))
-        step = newton_step(o, CompositeTerm.zero(), x_star, 0.0)
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x_star), 0.0)
         assert step.step_length <= 1e-9
 
     def test_matches_closed_form(self):
@@ -92,29 +94,29 @@ class TestNewtonStepZeroComposite:
         beta = 0.8
         h = 0.5 * (o.hessian(x) + o.hessian(x).T)
         expected = x - np.linalg.solve(h + beta * np.array(o.metric.matrix), g)
-        step = newton_step(o, CompositeTerm.zero(), x, beta)
-        np.testing.assert_allclose(step.x_plus, expected, atol=1e-10)
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), beta)
+        np.testing.assert_allclose(step.state.x, expected, atol=1e-10)
 
     def test_subgradient_equals_new_gradient(self):
         o = generate_synthetic("logistic", n=6, m=24, seed=3)
         x = np.full(6, -0.2)
-        step = newton_step(o, CompositeTerm.zero(), x, 0.5)
-        drift = o.metric.dual_norm(step.subgradient - o.gradient(step.x_plus))
-        assert drift <= 1e-9 * (1.0 + o.metric.dual_norm(o.gradient(step.x_plus)))
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), 0.5)
+        drift = o.metric.dual_norm(step.subgradient - o.gradient(step.state.x))
+        assert drift <= 1e-9 * (1.0 + o.metric.dual_norm(o.gradient(step.state.x)))
 
     def test_quadratic_term_shifts_solution(self):
         o = generate_synthetic("quadratic", n=4, seed=4)
         x = np.ones(4)
         center = np.full(4, 2.0)
         weight = 1.5
-        step = newton_step(o, CompositeTerm.zero().with_quadratic(center, weight), x, 0.0)
+        step = newton_step(o, CompositeTerm.zero().with_quadratic(center, weight), StepState.at(o, x), 0.0)
         h = o.hessian(x)
         bmat = np.array(o.metric.matrix)
         # stationarity of the model with the prox term folded in
         resid = (
             o.gradient(x)
-            + h @ (step.x_plus - x)
-            + 2 * weight * bmat @ (step.x_plus - center)
+            + h @ (step.state.x - x)
+            + 2 * weight * bmat @ (step.state.x - center)
         )
         assert np.linalg.norm(resid) <= 1e-9
 
@@ -127,9 +129,9 @@ class TestNewtonStepBox:
         rng = np.random.default_rng(5)
         for trial in range(5):
             x = psi.project(rng.standard_normal(3) * 0.3)
-            step = newton_step(o, psi, x, 1.0)
+            step = newton_step(o, psi, StepState.at(o, x), 1.0)
             expected = brute_force_box_step(o, lower, upper, x, 1.0)
-            assert o.metric.primal_norm(step.x_plus - expected) <= 1e-8
+            assert o.metric.primal_norm(step.state.x - expected) <= 1e-8
 
     def test_matches_brute_force_with_prox_term(self):
         o = generate_synthetic("logistic", n=2, m=8, seed=10)
@@ -137,23 +139,23 @@ class TestNewtonStepBox:
         psi = CompositeTerm.box(lower, upper)
         x = np.zeros(2)
         center = np.full(2, 0.05)
-        step = newton_step(o, psi.with_quadratic(center, 2.0), x, 0.0)
+        step = newton_step(o, psi.with_quadratic(center, 2.0), StepState.at(o, x), 0.0)
         expected = brute_force_box_step(o, lower, upper, x, 0.0, quads=((center, 2.0),))
-        assert o.metric.primal_norm(step.x_plus - expected) <= 1e-8
+        assert o.metric.primal_norm(step.state.x - expected) <= 1e-8
 
     def test_interior_solution_equals_unconstrained(self):
         o = generate_synthetic("quadratic", n=3, seed=6)
         psi = CompositeTerm.box(np.full(3, -100.0), np.full(3, 100.0))
         x = np.zeros(3)
-        constrained = newton_step(o, psi, x, 1.0)
-        unconstrained = newton_step(o, CompositeTerm.zero(), x, 1.0)
-        assert np.linalg.norm(constrained.x_plus - unconstrained.x_plus) <= 1e-8
+        constrained = newton_step(o, psi, StepState.at(o, x), 1.0)
+        unconstrained = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), 1.0)
+        assert np.linalg.norm(constrained.state.x - unconstrained.state.x) <= 1e-8
 
     def test_subgradient_interior_equals_gradient(self):
         o = generate_synthetic("quadratic", n=3, seed=7)
         psi = CompositeTerm.box(np.full(3, -100.0), np.full(3, 100.0))
-        step = newton_step(o, psi, np.zeros(3), 1.0)
-        assert np.linalg.norm(step.subgradient - o.gradient(step.x_plus)) <= 1e-6
+        step = newton_step(o, psi, StepState.at(o, np.zeros(3)), 1.0)
+        assert np.linalg.norm(step.subgradient - o.gradient(step.state.x)) <= 1e-6
 
     def test_subgradient_active_face_normal_cone(self):
         # tight box forces active constraints; -(F' - grad) must point into
@@ -161,12 +163,12 @@ class TestNewtonStepBox:
         o = generate_synthetic("quadratic", n=3, seed=8)
         lower, upper = np.full(3, -0.01), np.full(3, 0.01)
         psi = CompositeTerm.box(lower, upper)
-        step = newton_step(o, psi, np.zeros(3), 1.0)
-        normal = step.subgradient - o.gradient(step.x_plus)
+        step = newton_step(o, psi, StepState.at(o, np.zeros(3)), 1.0)
+        normal = step.subgradient - o.gradient(step.state.x)
         for i in range(3):
-            if np.isclose(step.x_plus[i], upper[i]):
+            if np.isclose(step.state.x[i], upper[i]):
                 assert normal[i] >= -1e-7
-            elif np.isclose(step.x_plus[i], lower[i]):
+            elif np.isclose(step.state.x[i], lower[i]):
                 assert normal[i] <= 1e-7
             else:
                 assert abs(normal[i]) <= 1e-6
@@ -175,13 +177,13 @@ class TestNewtonStepBox:
         o = generate_synthetic("logistic", n=2, m=8, seed=11)
         psi = CompositeTerm.box(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
-            newton_step(o, psi, np.zeros(2), 0.0)
+            newton_step(o, psi, StepState.at(o, np.zeros(2)), 0.0)
 
     def test_infeasible_origin_rejected(self):
         o = generate_synthetic("quadratic", n=2, seed=12)
         psi = CompositeTerm.box(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
-            newton_step(o, psi, np.full(2, 5.0), 1.0)
+            newton_step(o, psi, StepState.at(o, np.full(2, 5.0)), 1.0)
 
 
 class TestModelOptimality:
@@ -192,25 +194,26 @@ class TestModelOptimality:
         psi = CompositeTerm.box(lower, upper)
         x = np.zeros(3)
         beta = 1.0
-        step = newton_step(o, psi, x, beta)
+        step = newton_step(o, psi, StepState.at(o, x), beta)
         h = 0.5 * (o.hessian(x) + o.hessian(x).T)
         bmat = np.array(o.metric.matrix)
-        model_grad = o.gradient(x) + (h + beta * bmat) @ (step.x_plus - x)
+        model_grad = o.gradient(x) + (h + beta * bmat) @ (step.state.x - x)
         rng = np.random.default_rng(14)
         for _ in range(100):
             y = rng.uniform(lower, upper)
-            assert model_grad @ (y - step.x_plus) >= -1e-6
+            assert model_grad @ (y - step.state.x) >= -1e-6
 
     def test_selected_subgradient_recompute(self):
         o = generate_synthetic("logistic", n=5, m=20, seed=15)
         x = np.full(5, 0.1)
-        step = newton_step(o, CompositeTerm.zero(), x, 0.7)
-        recomputed = selected_subgradient(o, x, step.x_plus, 0.7)
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), 0.7)
+        recomputed = selected_subgradient(o, x, step.state.x, 0.7)
         np.testing.assert_allclose(recomputed, step.subgradient, atol=1e-12)
 
 
 class TestSuppliedEvaluations:
-    """Passing g(x) and H(x) that the caller already holds changes no bit."""
+    """Passing a state the caller built and an H(x) it already holds
+    changes no bit."""
 
     @pytest.mark.parametrize("box", [False, True])
     @pytest.mark.parametrize("prox", [False, True])
@@ -220,11 +223,12 @@ class TestSuppliedEvaluations:
         x = np.linspace(-0.15, 0.2, 6)
         if prox:
             psi = psi.with_quadratic(np.full(6, 0.05), 0.8)
-        plain = newton_step(o, psi, x, 0.6)
-        reused = newton_step(o, psi, x, 0.6, grad=o.gradient(x), hess=symmetrize(o.hessian(x)))
-        for name in ("x_plus", "subgradient", "grad_plus"):
-            assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
-        for name in ("beta", "inner_iterations", "step_length", "step_length_local"):
+        plain = newton_step(o, psi, StepState.at(o, x), 0.6)
+        reused = newton_step(o, psi, StepState(x, o.gradient(x)), 0.6, hess=symmetrize(o.hessian(x)))
+        for name in ("x", "grad"):
+            assert np.array_equal(getattr(plain.state, name), getattr(reused.state, name)), name
+        assert np.array_equal(plain.subgradient, reused.subgradient)
+        for name in ("inner_iterations", "step_length", "step_length_local"):
             assert getattr(plain, name) == getattr(reused, name), name
         if box:
             assert plain.inner_iterations > 0
@@ -233,8 +237,47 @@ class TestSuppliedEvaluations:
     def test_grad_plus_is_the_gradient_at_x_plus(self, box):
         o = generate_synthetic("softmax", n=5, m=25, seed=20)
         psi = CompositeTerm.box(np.full(5, -0.1), np.full(5, 0.1)) if box else CompositeTerm.zero()
-        step = newton_step(o, psi, np.zeros(5), 0.4)
-        assert np.array_equal(step.grad_plus, o.gradient(step.x_plus))
+        step = newton_step(o, psi, StepState.at(o, np.zeros(5)), 0.4)
+        assert np.array_equal(step.state.grad, o.gradient(step.state.x))
+
+
+def _state_writes(step_fn) -> list[str]:
+    """The fields of its given state that `step_fn` writes into, over a
+    dense step with a prox term, a box step and a Hessian-free step; empty
+    when it writes none (the dual restarts a retry from a state it kept)."""
+    n = composite._CG_MIN_DIM
+    oracle = generate_synthetic("logistic", n=n, m=4 * n, seed=3)
+    x = 0.1 * np.random.default_rng(7).standard_normal(n)
+    zero = CompositeTerm.zero()
+    warm = newton_step(oracle, zero, StepState.at(oracle, 0.5 * x), 0.4).state.preconditioner
+    cases = {
+        "dense": (zero.with_quadratic(0.2 * x, 0.3), StepState.at(oracle, x.copy())),
+        "box": (CompositeTerm.box(-np.ones(n), np.ones(n)), StepState.at(oracle, x.copy())),
+        "hessian-free": (zero, StepState(x.copy(), oracle.gradient(x), warm)),
+    }
+    found = []
+    for case, (psi, state) in cases.items():
+        before = {field: np.copy(value) for field, value in vars(state).items()}
+        step_fn(oracle, psi, state, 0.7)
+        found += [
+            f"{case}: {field}" for field, value in before.items() if not np.array_equal(getattr(state, field), value)
+        ]
+    return found
+
+
+def test_a_step_never_writes_into_its_state():
+    assert _state_writes(newton_step) == []
+
+
+def test_a_step_that_moves_its_origin_in_place_is_caught():
+    def aliasing(oracle, psi, state, beta):
+        # planted mutation: x += d on the given state's array
+        step = newton_step(oracle, psi, state, beta)
+        origin = state.x
+        origin += step.state.x - origin
+        return step
+
+    assert _state_writes(aliasing) == ["dense: x", "box: x", "hessian-free: x"]
 
 
 class TestStepBound:
@@ -243,7 +286,7 @@ class TestStepBound:
         x = np.full(5, 0.4)
         g = o.metric.dual_norm(o.gradient(x))
         beta = 1.0 * g
-        step = newton_step(o, CompositeTerm.zero(), x, beta)
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), beta)
         ok, _ = verify_step_bound(step, g, beta, lam=0.0)
         assert ok
 
@@ -253,7 +296,7 @@ class TestStepBound:
         x = np.ones(5)
         g = o.metric.dual_norm(o.gradient(x))
         beta = 0.3
-        step = newton_step(o, CompositeTerm.zero(), x, beta)
+        step = newton_step(o, CompositeTerm.zero(), StepState.at(o, x), beta)
         ok, margin = verify_step_bound(step, g, beta, lam=lam)
         assert ok
         assert margin >= 0
@@ -339,16 +382,16 @@ def test_box_step_is_the_exact_kkt_point(kind, n, seed, beta, weight):
     assume(beta + weight > 0)
     oracle, psi, x, quads = _box_qp(kind, n, seed, beta, weight)
     lower, upper = psi.bounds
-    step = newton_step(oracle, psi, x, beta)
+    step = newton_step(oracle, psi, StepState.at(oracle, x), beta)
 
     bmat = np.array(oracle.metric.matrix)
     system = symmetrize(oracle.hessian(x)) + (beta + 2.0 * weight) * bmat
     rhs = -oracle.gradient(x) - sum(2.0 * w * bmat @ (x - c) for c, w in quads)
-    d = step.x_plus - x
+    d = step.state.x - x
     lam = system @ d - rhs  # the multiplier of the bounds
     tol = 1e-12 * (np.linalg.norm(rhs) + np.linalg.norm(system, 2) * np.linalg.norm(d) + 1e-12)
-    at_lower, at_upper = step.x_plus == lower, step.x_plus == upper
-    assert np.all(lower <= step.x_plus) and np.all(step.x_plus <= upper)
+    at_lower, at_upper = step.state.x == lower, step.state.x == upper
+    assert np.all(lower <= step.state.x) and np.all(step.state.x <= upper)
     assert np.all(lam[at_lower] >= -tol)
     assert np.all(lam[at_upper] <= tol)
     assert np.all(np.abs(lam[~(at_lower | at_upper)]) <= tol)
@@ -359,7 +402,7 @@ def test_box_step_is_the_exact_kkt_point(kind, n, seed, beta, weight):
     # sqrt(dim) * tol, so it lies within sqrt(dim) * tol / mu of it
     mu = np.linalg.eigvalsh(system)[0]
     expected = brute_force_box_step(oracle, lower, upper, x, beta, quads=quads)
-    assert np.linalg.norm(step.x_plus - expected) <= (1e-12 + np.sqrt(x.size) * tol) / mu
+    assert np.linalg.norm(step.state.x - expected) <= (1e-12 + np.sqrt(x.size) * tol) / mu
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,11 +422,12 @@ def test_box_step_commutes_with_diagonal_rescaling(kind, n, seed, beta, weight):
     scaled_psi = CompositeTerm.box(lower / scale, upper / scale)
     for center, w in quads:
         scaled_psi = scaled_psi.with_quadratic(center / scale, w)
-    step = newton_step(oracle, psi, x, beta)
-    scaled = newton_step(affine_substitute(oracle, np.diag(scale)), scaled_psi, x / scale, beta)
+    step = newton_step(oracle, psi, StepState.at(oracle, x), beta)
+    substituted = affine_substitute(oracle, np.diag(scale))
+    scaled = newton_step(substituted, scaled_psi, StepState.at(substituted, x / scale), beta)
     assert scaled.inner_iterations == step.inner_iterations
-    np.testing.assert_array_equal(scaled.x_plus == lower / scale, step.x_plus == lower)
-    np.testing.assert_array_equal(scaled.x_plus == upper / scale, step.x_plus == upper)
-    assert oracle.metric.primal_norm(scaled.x_plus * scale - step.x_plus) <= 1e-9 * (
+    np.testing.assert_array_equal(scaled.state.x == lower / scale, step.state.x == lower)
+    np.testing.assert_array_equal(scaled.state.x == upper / scale, step.state.x == upper)
+    assert oracle.metric.primal_norm(scaled.state.x * scale - step.state.x) <= 1e-9 * (
         1.0 + step.step_length
     )

@@ -88,14 +88,15 @@ class TestSolveDual:
         assert o.calls["hessian"] == res.total_inner
 
     def test_doubling_retry_restarts_from_the_carried_gradient(self, monkeypatch):
-        # the retried outer iteration starts again at x_k, whose gradient is
-        # kept: every carried gradient must be the one at the step's origin
+        # the retried outer iteration starts again from x_k's kept state:
+        # every carried gradient must be, bit for bit, the one at the
+        # step's origin
         base = generate_synthetic("exponential", n=8, m=40, seed=9)
         real_step = dual_mod.newton_step
 
-        def checked_step(oracle, psi, x, beta, **kwargs):
-            assert np.array_equal(kwargs["grad"], base.gradient(x))
-            return real_step(oracle, psi, x, beta, **kwargs)
+        def checked_step(oracle, psi, state, beta, **kwargs):
+            assert np.array_equal(state.grad, base.gradient(state.x))
+            return real_step(oracle, psi, state, beta, **kwargs)
 
         monkeypatch.setattr(dual_mod, "newton_step", checked_step)
         o = CountingOracle(base)

@@ -333,6 +333,21 @@ class TestConfigValidation:
         with pytest.raises(RunConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "name, bound",
+        [("lower", [True, True, True, True]), ("lower", [-1, None, -1, -1]), ("upper", [1, 1, False, 1])],
+        ids=["lower-bools", "lower-null", "upper-bool"],
+    )
+    def test_a_box_bound_entry_that_is_not_a_number_is_named(self, tmp_path, name, bound):
+        # numpy reads true as 1.0 and null as NaN, which the box then
+        # reported as "lower <= upper"
+        box = {"kind": "box", "lower": -1, "upper": 1, name: bound}
+        config = {"schema_version": 1, "problem": {"kind": "logistic", "n": 4, "m": 20, "seed": 3}}
+        config.update(composite=box, solver={"name": "primal"})
+        with pytest.raises(RunConfigError, match=f"box bound '{name}' holds a non-number"):
+            run_solve(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 # every run-config solver key with its JSON type and bound, as documented;
 # the schema and the config dataclasses must each enforce exactly these

@@ -25,6 +25,7 @@ from qscnewton import (
     QuadraticObjective,
     SingularSystemError,
     SmoothOracle,
+    StepState,
     generate_synthetic,
     newton_step,
     solve_dual,
@@ -155,14 +156,15 @@ def test_product_with_the_stale_hessian_is_caught(monkeypatch, kind, solver):
 
 
 def _assert_same_step(got, expected):
-    for field in ("x_plus", "subgradient", "grad_plus"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
+    np.testing.assert_array_equal(got.state.x, expected.state.x)
+    np.testing.assert_array_equal(got.state.grad, expected.state.grad)
+    np.testing.assert_array_equal(got.subgradient, expected.subgradient)
     assert (got.step_length, got.step_length_local) == (expected.step_length, expected.step_length_local)
 
 
 def _warm(oracle, psi, x, beta):
     """The preconditioner a dense step at x hands on."""
-    return newton_step(oracle, psi, x, beta).preconditioner
+    return newton_step(oracle, psi, StepState.at(oracle, x), beta).state.preconditioner
 
 
 DENSE_CASES = ["below the size constant", "box", "hessian passed", "no cheap products", "first step"]
@@ -180,16 +182,16 @@ def test_dense_steps_are_bitwise_unchanged(case):
     given = None if case == "first step" else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
     hess = base.hessian(x) if case == "hessian passed" else None
     counting = CountingOracle(base)
-    got = newton_step(counting, psi, x, 0.7, hess=hess, preconditioner=given)
-    _assert_same_step(got, newton_step(base, psi, x, 0.7, hess=hess))
+    got = newton_step(counting, psi, StepState(x, base.gradient(x), given), 0.7, hess=hess)
+    _assert_same_step(got, newton_step(base, psi, StepState.at(base, x), 0.7, hess=hess))
     assert counting.calls["hessian_vector"] == 0
     # the dense steps that could have been Hessian-free hand on the inverse
     # of their own system, from the factor regularized_solve solved with
     if case != "first step":
-        assert got.preconditioner is None
+        assert got.state.preconditioner is None
     else:
         system = symmetrize(base.hessian(x)) + (0.7 + 2 * 0.3) * base.metric.matrix
-        inverse = got.preconditioner
+        inverse = got.state.preconditioner
         np.testing.assert_array_equal(inverse, inverse.T)
         # Cholesky, the triangular inversions and their product each round
         # a sum of at most n products, and so does the check's own product
@@ -203,9 +205,9 @@ def test_a_hessian_free_step_hands_its_preconditioner_on():
     x = 0.1 * np.random.default_rng(4).standard_normal(N)
     inverse = _warm(base, ZERO, 0.5 * x, 0.4)
     counting = CountingOracle(base)
-    step = newton_step(counting, ZERO, x, 0.7, preconditioner=inverse)
+    step = newton_step(counting, ZERO, StepState(x, base.gradient(x), inverse), 0.7)
     assert counting.calls["hessian"] == 0 and counting.calls["hessian_vector"] > 0
-    assert step.preconditioner is inverse
+    assert step.state.preconditioner is inverse
 
 
 @pytest.mark.parametrize("solver", ["primal", "dual"])
@@ -254,4 +256,4 @@ def test_singular_system_still_reaches_the_jitter_ladder():
     assert inverse is not None
     for given in (None, inverse):
         with pytest.raises(SingularSystemError):
-            newton_step(base, ZERO, x, 0.0, preconditioner=given)
+            newton_step(base, ZERO, StepState(x, base.gradient(x), given), 0.0)

@@ -18,6 +18,7 @@ import pytest
 from qscnewton import (
     CompositeTerm,
     CountingOracle,
+    StepState,
     composite,
     contract_oracle,
     generate_synthetic,
@@ -147,8 +148,8 @@ def _memo_misses(kind, wrapper, monkeypatch) -> list[str]:
     }[wrapper]
     x = 0.1 * rng.standard_normal(n)
     psi = CompositeTerm.zero()
-    inverse = newton_step(oracle, psi, 0.5 * x, 0.4).preconditioner
-    oracle.gradient(x)
+    inverse = newton_step(oracle, psi, StepState.at(oracle, 0.5 * x), 0.4).state.preconditioner
+    state = StepState(x, oracle.gradient(x), inverse)
     before = dict(counting.calls)
     computed = []
     compute = type(counting._base)._point
@@ -159,8 +160,8 @@ def _memo_misses(kind, wrapper, monkeypatch) -> list[str]:
 
     with monkeypatch.context() as patch:
         patch.setattr(type(counting._base), "_point", recorded)
-        step = newton_step(oracle, psi, x, 0.7, preconditioner=inverse)
-    x_plus = step.x_plus if wrapper == "counting" else oracle._inner(step.x_plus)
+        step = newton_step(oracle, psi, state, 0.7)
+    x_plus = step.state.x if wrapper == "counting" else oracle._inner(step.state.x)
     calls = {key: counting.calls[key] - before[key] for key in before}
     found = []
     if calls["hessian"] != 0 or calls["hessian_vector"] == 0:

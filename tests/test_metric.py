@@ -104,11 +104,11 @@ class TestLocalNorm:
 
 class TestRegularizedSolve:
     def test_identity_case(self):
-        d = regularized_solve(np.eye(2), Metric.identity(2), 1.0, np.array([2.0, 2.0]))
+        d, _ = regularized_solve(np.eye(2), Metric.identity(2), 1.0, np.array([2.0, 2.0]))
         np.testing.assert_allclose(d, [1.0, 1.0])
 
     def test_diagonal_case(self):
-        d = regularized_solve(np.diag([2.0, 0.0]), Metric.identity(2), 1.0, np.array([3.0, 1.0]))
+        d, _ = regularized_solve(np.diag([2.0, 0.0]), Metric.identity(2), 1.0, np.array([3.0, 1.0]))
         np.testing.assert_allclose(d, [1.0, 1.0])
 
     def test_matches_dense_inverse(self):
@@ -119,7 +119,7 @@ class TestRegularizedSolve:
         rhs = rng.standard_normal(n)
         beta = 0.7
         expected = np.linalg.inv(h + beta * bmat) @ rhs
-        got = regularized_solve(h, Metric(bmat), beta, rhs)
+        got, _ = regularized_solve(h, Metric(bmat), beta, rhs)
         assert np.linalg.norm(got - expected) <= 1e-9 * (1 + np.linalg.norm(expected))
 
     def test_residual_contract(self):
@@ -128,15 +128,16 @@ class TestRegularizedSolve:
         h = random_spd(rng, n, scale=100.0)
         metric = Metric(random_spd(rng, n))
         rhs = rng.standard_normal(n) * 10
-        d = regularized_solve(h, metric, 0.3, rhs)
+        d, _ = regularized_solve(h, metric, 0.3, rhs)
         res = np.linalg.norm((0.5 * (h + h.T) + 0.3 * metric.matrix) @ d - rhs)
         assert res <= 1e-10 * (np.linalg.norm(rhs) + 1)
 
     def test_jitter_ladder_solves_compatible_singular(self):
         # singular Hessian, rhs in its range: the ladder must succeed
         h = np.diag([1.0, 0.0])
-        d = regularized_solve(h, Metric.identity(2), 0.0, np.array([1.0, 0.0]))
+        d, factor = regularized_solve(h, Metric.identity(2), 0.0, np.array([1.0, 0.0]))
         np.testing.assert_allclose(d, [1.0, 0.0], atol=1e-9)
+        assert factor is None  # the unjittered system is not positive definite
 
     def test_singular_incompatible_raises(self):
         h = np.zeros((2, 2))
@@ -254,11 +255,14 @@ def test_norms_reject_a_wrong_shape(shape):
 
 def reference_regularized_solve(hessian, bmat, beta, rhs, max_jitter_retries=6):
     """`regularized_solve` written over scipy.linalg.cho_factor/cho_solve:
-    the same jitter ladder, refinement step and residual contract."""
+    the same jitter ladder, refinement step and residual contract.  Returns
+    d and the lower triangle of the unjittered system's factor (None when
+    that system is not positive definite)."""
     h = 0.5 * (hessian + hessian.T)
     system = h + beta * bmat
     tol = 1e-10 * (np.linalg.norm(rhs) + 1.0)
     delta = 0.0
+    unjittered = None
     for _ in range(max_jitter_retries + 1):
         shifted = system if delta == 0.0 else system + delta * bmat
         try:
@@ -266,10 +270,12 @@ def reference_regularized_solve(hessian, bmat, beta, rhs, max_jitter_retries=6):
         except scipy.linalg.LinAlgError:
             delta = 1e-12 if delta == 0.0 else delta * 10.0
             continue
+        if delta == 0.0:
+            unjittered = np.tril(factor[0])
         d = scipy.linalg.cho_solve(factor, rhs)
         d += scipy.linalg.cho_solve(factor, rhs - shifted @ d)
         if np.linalg.norm(system @ d - rhs) <= tol:
-            return d
+            return d, unjittered
         delta = 1e-12 if delta == 0.0 else delta * 10.0
     raise SingularSystemError("reference ladder exhausted")
 
@@ -305,12 +311,17 @@ def test_lapack_route_is_bitwise_equal_to_cho_factor(n, kind, columns, seed):
     h, bmat, beta, rhs = _draw_system(rng, n, kind)
     metric = Metric(bmat)
     try:
-        expected = reference_regularized_solve(h, metric.matrix, beta, rhs)
+        expected, expected_factor = reference_regularized_solve(h, metric.matrix, beta, rhs)
     except SingularSystemError:
         with pytest.raises(SingularSystemError):
             regularized_solve(h, metric, beta, rhs)
     else:
-        assert np.array_equal(regularized_solve(h, metric, beta, rhs), expected)
+        d, factor = regularized_solve(h, metric, beta, rhs)
+        assert np.array_equal(d, expected)
+        if expected_factor is None:
+            assert factor is None
+        else:
+            assert np.array_equal(np.tril(factor), expected_factor)
     if kind == "indefinite":
         with pytest.raises(SingularSystemError):
             regularized_solve(h, metric, beta, rhs)

@@ -8,6 +8,7 @@ from qscnewton import (
     PrimalConfig,
     PrimalStatus,
     QuadraticObjective,
+    StepState,
     adaptive_sigma_search,
     add_oracles,
     check_local_quadratic,
@@ -103,7 +104,7 @@ class TestAdaptiveSearch:
     def test_accepts_immediately_at_declared_constant(self, logistic_ref):
         x = np.full(20, 0.1)
         g = logistic_ref.metric.dual_norm(logistic_ref.gradient(x))
-        sigma, _, retries = adaptive_sigma_search(logistic_ref, ZERO, x, g, sigma_start=1.0)
+        sigma, _, retries = adaptive_sigma_search(logistic_ref, ZERO, StepState.at(logistic_ref, x), g, sigma_start=1.0)
         assert sigma == 1.0
         assert retries == 0
 
@@ -111,7 +112,7 @@ class TestAdaptiveSearch:
         o = generate_synthetic("quadratic", n=5, seed=2)
         x = np.ones(5)
         g = o.metric.dual_norm(o.gradient(x))
-        sigma, _, retries = adaptive_sigma_search(o, ZERO, x, g, sigma_start=1e-10)
+        sigma, _, retries = adaptive_sigma_search(o, ZERO, StepState.at(o, x), g, sigma_start=1e-10)
         assert sigma == 1e-10
         assert retries == 0
 
@@ -162,10 +163,10 @@ class TestOracleCalls:
         base = generate_synthetic("matrix_scaling", n=10, seed=1)
         real_step = primal_mod.newton_step
 
-        def checked_step(oracle, psi, x, beta, **kwargs):
-            assert np.array_equal(kwargs["grad"], base.gradient(x))
-            assert np.array_equal(kwargs["hess"], symmetrize(base.hessian(x)))
-            return real_step(oracle, psi, x, beta, **kwargs)
+        def checked_step(oracle, psi, state, beta, **kwargs):
+            assert np.array_equal(state.grad, base.gradient(state.x))
+            assert np.array_equal(kwargs["hess"], symmetrize(base.hessian(state.x)))
+            return real_step(oracle, psi, state, beta, **kwargs)
 
         monkeypatch.setattr(primal_mod, "newton_step", checked_step)
         config = PrimalConfig(adaptive=adaptive, grad_tol=1e-8, record_diagnostics=True)
@@ -198,11 +199,11 @@ class TestFailureStatuses:
         real = getattr(primal_mod, patched)
         origins = []
 
-        def failing(oracle, psi, x, *args, **kwargs):
-            origins.append(np.array(x))
+        def failing(oracle, psi, state, *args, **kwargs):
+            origins.append(np.array(state.x))
             if len(origins) == fail_at:
                 raise error("injected failure")
-            return real(oracle, psi, x, *args, **kwargs)
+            return real(oracle, psi, state, *args, **kwargs)
 
         monkeypatch.setattr(primal_mod, patched, failing)
         config = PrimalConfig(adaptive=patched == "adaptive_sigma_search", grad_tol=1e-12)
