@@ -9,8 +9,8 @@ penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
 through `CompositeTerm.with_quadratic`).  With no box the step is a single
 symmetric solve; with a box the model is a strongly convex box QP, solved
 exactly by a primal-dual active-set method that starts from that solve.
-Every step also selects the canonical subgradient of F = f + psi at the new
-point from the step's own optimality condition.
+Every step also selects a subgradient of F = f + psi at the new point: a
+dense step the canonical one, from its own optimality condition.
 
 A solver that carries each step's `StepState` on to the next step takes
 Hessian-free steps where they pay: with no box, on an oracle with cheap
@@ -21,12 +21,18 @@ preconditioned by the inverse of the last dense system.
 Under quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x),
 so that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
-with lazy Hessians*, ICML 2023, used here only as a preconditioner: the
-model, and so the step, is the exact one up to the CG tolerance).
+with lazy Hessians*, ICML 2023, used here only as a preconditioner).
+Such a step is inexact: CG stops at a relative residual, the forcing term,
+that Eisenstat and Walker's second choice ties to how fast the step's
+right-hand side falls, so the step minimizes the model only as accurately
+as the progress of the next steps needs.  Its selected subgradient is the
+oracle's, g(x+) plus the gradient of psi's quadratics, so the CG residual
+never hides in it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +61,22 @@ _CG_MIN_DIM = 50
 # refreshes the preconditioner.  With a stale one the solvers' steps took 5
 # products on average (logistic and soft-max, n = 100, m = 2000).
 _CG_MAX_ITERS = 8
-# Stop once the preconditioned residual r^T P r has fallen by this factor
-# squared.  The residual enters the selected subgradient as it is, so the
-# tolerance is relative to the step's own right-hand side, the gradient it
-# is meant to cancel (Dembo, Eisenstat and Steihaug, *Inexact Newton
-# methods*, SIAM J. Numer. Anal. 1982): iterates move from the dense
-# step's within this tolerance.
+# CG stops once the preconditioned residual r^T P r has fallen by the
+# square of the forcing term eta_k, relative to the step's own right-hand
+# side, the gradient it is meant to cancel (Dembo, Eisenstat and Steihaug,
+# *Inexact Newton methods*, SIAM J. Numer. Anal. 1982).  eta_k is
+# Eisenstat and Walker's second choice (*Choosing the forcing terms in an
+# inexact Newton method*, SIAM J. Sci. Comput. 1996),
+#     eta_k = min(_FORCING_MAX, max(_CG_TOL, _FORCING_GAMMA * (|rhs_k| / |rhs_k-1|)^_FORCING_POWER)),
+# loose while the right-hand side falls slowly and tight once it falls
+# fast.  _CG_TOL is its floor, used where no earlier right-hand side is
+# known.  A fixed 1e-4 was not enough on its own: it raised a logistic
+# dual solve's steps from 205 to 270 (n = 100, m = 2000), and a fixed 1e-1
+# fails the dual's inner quadratic check.
 _CG_TOL = 1e-12
+_FORCING_MAX = 1e-4
+_FORCING_GAMMA = 0.9
+_FORCING_POWER = 2
 
 
 class MaxInnerIterationsError(RuntimeError):
@@ -162,13 +177,17 @@ class StepState:
     `grad` is the smooth gradient g(x) of f alone.  `preconditioner` is the
     explicit inverse of the last dense system H + coeff*B, which a
     Hessian-free step applies (see `newton_step`); it is None where steps
-    cannot be Hessian-free.  A step never writes into the state it is
-    given, so a solver can restart from one it kept.
+    cannot be Hessian-free.  `rhs_norm` is the Euclidean norm of the
+    right-hand side of the step that led to x, from which the next step's
+    forcing term is set; it is inf where no such step is known or none
+    can be Hessian-free.  A step never writes into the state it is given,
+    so a solver can restart from one it kept.
     """
 
     x: np.ndarray
     grad: np.ndarray
     preconditioner: np.ndarray | None = None
+    rhs_norm: float = math.inf
 
     @classmethod
     def at(cls, oracle: SmoothOracle, x) -> "StepState":
@@ -201,13 +220,22 @@ def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
     return lambda u: oracle.hessian_vector(x, u) + coeff * metric.apply(u)
 
 
-def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray):
+def _forcing_term(rhs_norm: float, previous: float) -> float:
+    """Eisenstat and Walker's second forcing term from the norms of this
+    step's right-hand side and the last one's: _CG_TOL when the last one
+    is unknown (inf), _FORCING_MAX when it was 0."""
+    if previous == 0.0:
+        return _FORCING_MAX
+    return min(_FORCING_MAX, max(_CG_TOL, _FORCING_GAMMA * (rhs_norm / previous) ** _FORCING_POWER))
+
+
+def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float):
     """Solve S d = rhs by CG from d = 0, preconditioned by `inverse`, the
     explicit inverse of a nearby system; `system` is u -> S u.
 
     Returns (d, S d), with S d = rhs - r read off the recurrence rather than
     from one more product, once r^T P r (P the inverse) has fallen to
-    _CG_TOL^2 times its initial value.  Returns None on breakdown (p^T S p
+    tol^2 times its initial value.  Returns None on breakdown (p^T S p
     not positive and finite, which a singular or non-finite system gives)
     and after _CG_MAX_ITERS products."""
     d = np.zeros_like(rhs)
@@ -215,7 +243,7 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray):
     z = inverse @ r
     p = z.copy()
     rz = r @ z
-    stop = _CG_TOL**2 * rz
+    stop = tol**2 * rz
     for _ in range(_CG_MAX_ITERS):
         q = system(p)
         curvature = p @ q
@@ -293,10 +321,15 @@ def newton_step(
     and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  With a
     preconditioner in `state` it solves ``(H + coeff*B) d = rhs`` by CG on
     `oracle.hessian_vector(x, u)` products plus coeff*B u, preconditioned by
-    that inverse of an earlier system, and forms no Hessian.  Its selected
-    subgradient and local step length take H(x)d from the CG recurrence,
-    and its result moves from the dense step's within the CG tolerance; its
-    state at x+ keeps the same preconditioner.  The dense step runs instead,
+    that inverse of an earlier system, and forms no Hessian.  CG stops at
+    the forcing term `_forcing_term(|rhs|, state.rhs_norm)`, so the step is
+    inexact: it moves from the dense step's by up to about `_FORCING_MAX`
+    times its length.  Its local step length takes H(x)d from the CG
+    recurrence, and its selected subgradient is the oracle's,
+    ``g(x+) + psi.quad_gradient(x+)``: the model's would also carry the
+    CG residual.  Its state at x+ keeps the same preconditioner.  Every
+    step that could be Hessian-free hands |rhs| on in its state; the
+    others hand on inf.  The dense step runs instead,
     and hands on the inverse of its own system, built from the Cholesky
     factor it solved with, when there is no preconditioner, on a CG
     breakdown (a singular or non-finite system) and after `_CG_MAX_ITERS`
@@ -326,15 +359,16 @@ def newton_step(
         raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
 
     hessian_free = oracle.cheap_products and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
+    rhs_norm = float(np.linalg.norm(rhs)) if hessian_free else math.inf
     solved = None
     if hessian_free and preconditioner is not None:
-        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), preconditioner, rhs)
+        tol = _forcing_term(rhs_norm, state.rhs_norm)
+        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), preconditioner, rhs, tol)
     inner_iterations = 0
     if solved is not None:
         d, system_d = solved
         x_plus = x + d
-        hess_d = system_d - coeff * metric.apply(d)
-        local = np.sqrt(max(d @ hess_d, 0.0))
+        local = np.sqrt(max(d @ (system_d - coeff * metric.apply(d)), 0.0))
     else:
         if hess is None:
             hess = symmetrize(oracle.hessian(x))
@@ -350,14 +384,17 @@ def newton_step(
             # active coordinates sit exactly on their bound
             x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
             d = x_plus - x
-        hess_d = hess @ (x_plus - x)
         local = local_norm(d, hess)
 
     grad_plus = oracle.gradient(x_plus)
     require_finite(grad_plus, "g(x+)")
+    if solved is None:
+        subgradient = selected_subgradient(oracle, x, x_plus, beta, grad=grad, hess=hess, grad_plus=grad_plus)
+    else:
+        subgradient = grad_plus + psi.quad_gradient(x_plus, metric)
     return StepResult(
-        state=StepState(x_plus, grad_plus, preconditioner),
-        subgradient=selected_subgradient(oracle, x, x_plus, beta, grad=grad, grad_plus=grad_plus, hess_d=hess_d),
+        state=StepState(x_plus, grad_plus, preconditioner, rhs_norm),
+        subgradient=subgradient,
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),
         step_length_local=float(local),
@@ -372,7 +409,6 @@ def selected_subgradient(
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
     grad_plus: np.ndarray | None = None,
-    hess_d: np.ndarray | None = None,
 ) -> np.ndarray:
     """Canonical subgradient of F = f + psi at x_plus from the step's optimality.
 
@@ -382,8 +418,7 @@ def selected_subgradient(
     composite this equals the plain gradient at x_plus up to the
     linear-solver residual.  `grad` = g(x), `hess` = the
     symmetrized H(x) and `grad_plus` = g(x+) are used when given and
-    evaluated otherwise; `hess_d` = H(x)(x+ - x), when given, stands in for
-    `hess`.
+    evaluated otherwise.
     """
     x = np.asarray(x, dtype=float)
     x_plus = np.asarray(x_plus, dtype=float)
@@ -391,13 +426,11 @@ def selected_subgradient(
     if grad is None:
         grad = oracle.gradient(x)
     d = x_plus - x
-    if hess_d is None:
-        if hess is None:
-            hess = symmetrize(oracle.hessian(x))
-        hess_d = hess @ d
+    if hess is None:
+        hess = symmetrize(oracle.hessian(x))
     if grad_plus is None:
         grad_plus = oracle.gradient(x_plus)
-    return grad_plus - grad - hess_d - beta * metric.apply(d)
+    return grad_plus - grad - hess @ d - beta * metric.apply(d)
 
 
 def verify_step_bound(

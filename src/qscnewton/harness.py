@@ -136,7 +136,10 @@ def build_problem(problem_cfg: dict) -> SmoothOracle:
             raise RunConfigError(f"cannot load {data_path}: {exc}") from exc
     else:
         synthetic = {key: value for key, value in problem_cfg.items() if key in _SYNTHETIC_KEYS}
-        oracle = generate_synthetic(kind, **synthetic)
+        try:
+            oracle = generate_synthetic(kind, **synthetic)
+        except ValueError as exc:
+            raise RunConfigError(f"invalid problem: {exc}") from exc
     reg = problem_cfg.get("quad_regularization", 0.0)
     if reg > 0:
         bump = QuadraticObjective(

@@ -42,6 +42,7 @@ import warnings
 
 import numpy as np
 import scipy.special
+from scipy.linalg.lapack import dpstrf
 
 from .metric import Metric, matvec, symmetrize
 from .oracles import SmoothOracle
@@ -64,19 +65,27 @@ class EvaluationOverflowWarning(RuntimeWarning):
 def gram_metric(rows: np.ndarray) -> tuple[Metric, float]:
     """Metric sum_i a_i a_i^T from design rows, ridged if rank deficient.
 
-    Returns the metric and the ridge actually added (0.0 when the raw Gram
-    matrix factorizes).  The ridge is 1e-10 * trace(B)/n and is recorded so
-    reports can surface the perturbation.
+    The ridge is 1e-10 * trace(B)/n.  Fewer rows than columns are rank
+    deficient by construction.  Otherwise the rank is decided by a relative
+    pivot test: Cholesky with complete pivoting (LAPACK ``dpstrf``) stops
+    at the first pivot no larger than the ridge.  The plain factorization
+    is no test, since roundoff can leave every pivot of a singular Gram
+    matrix positive.  Returns the metric and the ridge actually added (0.0
+    at full rank), which is recorded so reports can surface the
+    perturbation.
     """
     rows = np.asarray(rows, dtype=float)
     gram = rows.T @ rows
-    try:
-        return Metric(gram), 0.0
-    except np.linalg.LinAlgError:
-        ridge = 1e-10 * np.trace(gram) / gram.shape[0]
-        if ridge <= 0:
-            ridge = 1e-10
-        return Metric(gram + ridge * np.eye(gram.shape[0])), ridge
+    n = gram.shape[0]
+    ridge = 1e-10 * np.trace(gram) / n
+    if ridge <= 0:
+        ridge = 1e-10
+    if rows.shape[0] >= n and dpstrf(gram, tol=ridge, lower=1)[2] == n:
+        try:
+            return Metric(gram), 0.0
+        except np.linalg.LinAlgError:
+            pass
+    return Metric(gram + np.diag(np.full(n, ridge))), ridge
 
 
 def _per_point(values):
@@ -600,6 +609,8 @@ def generate_synthetic(
         b = rng.standard_normal(n)
         return QuadraticObjective(a, b)
     if kind in ("softmax", "logistic", "exponential"):
+        if m < n:
+            raise ValueError(f"{kind} needs m >= n rows for a full-rank Gram metric, got m={m}, n={n}")
         # redraw until the Gram metric factorizes without a ridge
         for _ in range(10):
             rows = rng.standard_normal((m, n)) / np.sqrt(n)

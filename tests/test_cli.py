@@ -85,6 +85,19 @@ class TestSolveCommand:
         assert not (tmp_path / "o").exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["softmax", "logistic", "exponential"])
+    def test_gram_family_with_fewer_rows_than_columns_exits_three(self, tmp_path, capsys, kind):
+        # its Gram metric is singular; roundoff used to let it factor, and
+        # the dual then ended in singular_system at its first step
+        config = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "problem": {"kind": kind, "n": 6, "m": 3, "seed": 1}, "solver": {"name": "dual"}},
+        )
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "m=3, n=6" in err and "Traceback" not in err
+
     def test_solver_failure_exits_two(self, tmp_path):
         config = write_config(
             tmp_path / "c.json",

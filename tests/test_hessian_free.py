@@ -4,14 +4,20 @@ Above `composite._CG_MIN_DIM` the primal (constant sigma) and dual solvers
 solve each step's system by CG on Hessian-vector products, preconditioned
 by the explicit inverse of the last dense system.  The reference is the
 same solve with the size constant raised above the instance, where every
-step is the dense one.  The two must end in the same status after the
-same number of steps, with every iterate within the CG tolerance's reach:
-each step stops once its preconditioned residual has fallen by `_CG_TOL`,
-so its error is about `_CG_TOL` times its length, and the errors add up
-along the path.  The bound is `_PATH_FACTOR * _CG_TOL` times the dense run's metric
-path length up to the iterate; the factor covers the change between the
-system's norm and the metric's and the propagation through later steps (the
-largest ratio measured on these families was 0.35).
+step is the dense one.  The steps are inexact: each stops once its
+preconditioned residual has fallen by its forcing term, at most
+`_FORCING_MAX`, so its error is at most about `_FORCING_MAX` times its
+length, and the errors add up along the path.  The two solves must end in
+the same status after the same number of outer (dual) or primal
+iterations, with every iterate within `_PATH_FACTOR * _FORCING_MAX` times
+the dense run's metric path length up to it; the factor covers the change
+between the system's norm and the metric's and the propagation through
+later steps (the largest ratio measured on these families was 0.32).  The
+dual's inner steps may differ by `_INNER_SLACK` of the dense run's: an
+inner loop stops on a residual threshold, and a residual that lands within
+roundoff of it (2.81e-13 dense against 2.90e-13 inexact, across a
+threshold of 2.84e-13, on logistic at n = 50) can take one more step or
+one fewer.
 """
 
 import numpy as np
@@ -40,6 +46,7 @@ from roundoff import roundoff_bound
 ZERO = CompositeTerm.zero()
 N = composite._CG_MIN_DIM  # just at the size where the steps turn Hessian-free
 _PATH_FACTOR = 10.0
+_INNER_SLACK = 0.02
 
 
 def _instance(kind, seed=1, n=N):
@@ -69,12 +76,16 @@ def _disagreements(base, solver, monkeypatch, oracle=None) -> list[str]:
     oracle = base if oracle is None else oracle
     counting = CountingOracle(oracle)
     status, counts, iterates, steps = _solve(counting, solver)
-    ref_status, ref_counts, ref_iterates, _ = _dense(oracle, solver, monkeypatch)
+    ref_status, ref_counts, ref_iterates, ref_steps = _dense(oracle, solver, monkeypatch)
     found = []
     if status is not ref_status:
         found.append(f"status {status} against {ref_status}")
-    if counts != ref_counts:
-        found.append(f"step counts {counts} against {ref_counts}")
+    # the dual's counts also list its inner steps per outer iteration
+    iterations, ref_iterations = (counts[0], ref_counts[0]) if solver == "dual" else (counts, ref_counts)
+    if iterations != ref_iterations:
+        found.append(f"{iterations} iterations against {ref_iterations}")
+    if not abs(steps - ref_steps) <= _INNER_SLACK * ref_steps:
+        found.append(f"{steps} steps against {ref_steps}")
     if not 2 * counting.calls["hessian"] < steps or counting.calls["hessian_vector"] == 0:
         found.append(
             f"{counting.calls['hessian']} Hessians and {counting.calls['hessian_vector']} products"
@@ -83,7 +94,7 @@ def _disagreements(base, solver, monkeypatch, oracle=None) -> list[str]:
     norm = base.metric.primal_norm
     path = np.cumsum([0.0] + [norm(b - a) for a, b in zip(ref_iterates, ref_iterates[1:])])
     for k, (x, ref, length) in enumerate(zip(iterates, ref_iterates, path)):
-        if not norm(x - ref) <= _PATH_FACTOR * composite._CG_TOL * length:
+        if not norm(x - ref) <= _PATH_FACTOR * composite._FORCING_MAX * length:
             found.append(f"iterate {k} is {norm(x - ref):.3e} from the dense one, path length {length:.3e}")
             break
     return found

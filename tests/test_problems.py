@@ -19,6 +19,7 @@ from qscnewton import (
     check_gradient,
     check_qsc,
     generate_synthetic,
+    gram_metric,
     load_design_matrix,
     load_matrix,
 )
@@ -339,6 +340,32 @@ class TestGenerators:
         # Cholesky succeeded during construction and no ridge was needed
         assert o.metric_ridge == 0.0
         assert np.linalg.eigvalsh(np.array(o.metric.matrix)).min() > 0
+
+    def _singular_rows_that_factor(self):
+        """Rank-deficient rows whose Gram matrix plain Cholesky factors."""
+        # the eighth draw of soft-max n=6, m=3, seed 1: 3 rows in 6 columns,
+        # a Gram matrix with an eigenvalue of -1.7e-16
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            few = rng.standard_normal((3, 6)) / np.sqrt(6)
+            rng.standard_normal(6), rng.standard_normal(3)
+        # 12 rows whose sixth column is a combination of the other five
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((12, 5))
+        dependent = np.hstack([base, base @ rng.standard_normal(5)[:, None]])
+        return few, dependent
+
+    def test_gram_metric_ridges_rank_deficient_rows(self):
+        for rows in self._singular_rows_that_factor():
+            metric, ridge = gram_metric(rows)
+            assert ridge > 0
+            assert np.linalg.eigvalsh(metric.matrix).min() > 0.5 * ridge
+
+    @pytest.mark.parametrize("kind", ["softmax", "logistic", "exponential"])
+    def test_gram_family_with_fewer_rows_than_columns_is_refused(self, kind):
+        with pytest.raises(ValueError, match="m=3, n=6"):
+            generate_synthetic(kind, n=6, m=3, seed=1)
+        assert generate_synthetic(kind, n=6, m=6, seed=1).metric_ridge == 0.0
 
     def test_quadratic_declares_zero_constant(self):
         assert generate_synthetic("quadratic", n=4, seed=2).qsc_constant == 0.0
