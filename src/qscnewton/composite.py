@@ -12,9 +12,11 @@ exactly by a primal-dual active-set method that starts from that solve.
 Every step also selects a subgradient of F = f + psi at the new point: a
 dense step the canonical one, from its own optimality condition.
 
-A solver that carries each step's `StepState` on to the next step takes
-Hessian-free steps where they pay: with no box, on an oracle with cheap
-products, above `_CG_MIN_DIM`, the solve is CG on the products of
+A solver that carries each step's `StepState` on to the next step, and
+across its own restarts (the adaptive search's retries, the dual's
+doublings, the accelerated scheme's inner solves), takes Hessian-free
+steps where they pay: with no box, on an oracle with cheap products, above
+`_CG_MIN_DIM` (`can_be_hessian_free`), the solve is CG on the products of
 ``H + coeff*B``, each one single-point `hessian_vector` call (the Gram
 families' one-point memo computes what they share from x once),
 preconditioned by the inverse of the last dense system.
@@ -53,9 +55,10 @@ from .oracles import SmoothOracle
 # Hessian-free steps from this dimension up.  Per dual step on logistic
 # instances with m = 20n (one BLAS thread, seeds 1-3), dense against CG
 # took 0.221 against 0.192 ms at n = 30, 0.379 against 0.253 ms at n = 50
-# and 1.48 against 0.69 ms at n = 100.  Lowering the constant would move
-# the accelerated scheme's inner solves at n = 30 onto CG, which no
-# end-to-end measurement has covered yet.
+# and 1.48 against 0.69 ms at n = 100.  Per whole solve the dense path
+# still wins at n = 30: lowering the constant to 30 ran the accelerated
+# jobs of the benchmark's box-accel-cli workload (n = 30) x1.11 slower,
+# and x1.86 slower with the step state carried across outer iterations.
 _CG_MIN_DIM = 50
 # A solve that needs more products than this ends in a dense step, which
 # refreshes the preconditioner.  With a stale one the solvers' steps took 5
@@ -214,6 +217,13 @@ class StepResult:
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
 
 
+def can_be_hessian_free(oracle: SmoothOracle, psi: CompositeTerm) -> bool:
+    """Whether a step of `oracle` on `psi` that is given no Hessian can be
+    Hessian-free: no box, cheap products and `_CG_MIN_DIM` variables or
+    more."""
+    return oracle.cheap_products and not psi.is_box and oracle.dim >= _CG_MIN_DIM
+
+
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
     """u -> (H(x) + coeff*B) u, from the oracle's products at x."""
     metric = oracle.metric
@@ -313,15 +323,17 @@ def newton_step(
 
     The step reads x and g(x) from `state`, and takes `hess`, the
     symmetrized H(x), when the caller already holds it (the Hessian kept
-    across adaptive-sigma retries at the same x); left None, it is
-    evaluated here.  A step then costs one gradient (at x+) and one Hessian
-    at most, and passing `hess` changes no bit of the result.
+    across the dense adaptive-sigma retries at the same x, or the primal's
+    diagnostics); left None, it is evaluated here.  A step then costs one
+    gradient (at x+) and one Hessian at most, and passing `hess` changes no
+    bit of the result.
 
-    A step with no box and no `hess`, on an oracle with `cheap_products`
-    and of dimension `_CG_MIN_DIM` or more, can be Hessian-free.  With a
-    preconditioner in `state` it solves ``(H + coeff*B) d = rhs`` by CG on
-    `oracle.hessian_vector(x, u)` products plus coeff*B u, preconditioned by
-    that inverse of an earlier system, and forms no Hessian.  CG stops at
+    A step with no `hess` can be Hessian-free where `can_be_hessian_free`
+    says so: no box, an oracle with `cheap_products`, `_CG_MIN_DIM`
+    variables or more.  With a preconditioner in `state` it solves
+    ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
+    products plus coeff*B u, preconditioned by that inverse of an earlier
+    system, and forms no Hessian.  CG stops at
     the forcing term `_forcing_term(|rhs|, state.rhs_norm)`, so the step is
     inexact: it moves from the dense step's by up to about `_FORCING_MAX`
     times its length.  Its local step length takes H(x)d from the CG
@@ -358,7 +370,7 @@ def newton_step(
     if psi.is_box and coeff <= 0:
         raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
 
-    hessian_free = oracle.cheap_products and hess is None and not psi.is_box and oracle.dim >= _CG_MIN_DIM
+    hessian_free = hess is None and can_be_hessian_free(oracle, psi)
     rhs_norm = float(np.linalg.norm(rhs)) if hessian_free else math.inf
     solved = None
     if hessian_free and preconditioner is not None:

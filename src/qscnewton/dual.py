@@ -97,6 +97,9 @@ class DualResult:
     x0: np.ndarray
     final_grad_norm: float
     metric: object = None  # the metric the run was measured in
+    # the last inner step's state, for a later solve to start from (see
+    # `solve_dual`'s `start`); None when g(x0) could not be evaluated
+    state: StepState | None = None
 
 
 def solve_dual(
@@ -104,6 +107,7 @@ def solve_dual(
     psi: CompositeTerm,
     x0: np.ndarray,
     config: DualConfig,
+    start: StepState | None = None,
 ) -> DualResult:
     """Run the dual Newton method until ||F'(x)||_* <= grad_tol.
 
@@ -114,7 +118,11 @@ def solve_dual(
     Hessian-vector products in place of the Hessian, the state carrying
     each step's preconditioner on to the next, across outer iterations too
     (see `newton_step`).  A retry after a doubling restarts from the outer
-    iterate's state, with the latest preconditioner.  A gradient or Hessian
+    iterate's state, with the latest preconditioner.  `start`, a state an
+    earlier solve ended in (`DualResult.state`), lends the first step its
+    preconditioner and `rhs_norm`; its x and g are never read, since g(x0)
+    is evaluated here, so `oracle` may differ from the one it came from (as
+    the accelerated scheme's contracted oracles do).  A gradient or Hessian
     holding NaN or inf ends the run in `NON_FINITE` at that evaluation, at
     x0 as well, and so does a non-finite F(x_{k+1}), which leaves no row for
     outer iteration k.
@@ -129,10 +137,14 @@ def solve_dual(
     status = DualStatus.MAX_OUTER
     total_inner = 0
     doublings = 0
+    state = None
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
-        anchor = state = StepState.at(oracle, x)  # the outer iterate's state, and the inner one
+        state = StepState.at(oracle, x)
+        if start is not None:
+            state = replace(state, preconditioner=start.preconditioner, rhs_norm=start.rhs_norm)
+        anchor = state  # the outer iterate's state; `state` is the inner one
         # the box normal cone always holds 0, so this is a subgradient of F
         g = g0 = metric.dual_norm(state.grad + psi.quad_gradient(x, metric))
         k = 0
@@ -207,6 +219,7 @@ def solve_dual(
         x0=np.array(x0, dtype=float),
         final_grad_norm=g,
         metric=metric,
+        state=state,
     )
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, StepState, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, StepState, can_be_hessian_free, newton_step
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite, symmetrize
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
@@ -147,12 +147,17 @@ def adaptive_sigma_search(
 
     Returns (accepted sigma, StepResult, retries).  The caller should start
     the next iteration from half the accepted value.  Every retry steps
-    from `state` and shares one H(x), evaluated here or taken from `hess`:
-    only the regularization, and so the factorization, changes.
+    from x = `state.x` with the same g(x) and forcing-term history.  Where
+    the steps can be Hessian-free (`can_be_hessian_free`, and no `hess`
+    given) each retry restarts from `state` with the latest preconditioner,
+    so a retry after a dense try solves on products preconditioned by the
+    inverse that try just built, and no H(x) is formed up front.
+    Otherwise the retries share one H(x), evaluated here or taken from
+    `hess`: only the regularization, and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
-    if hess is None:
+    if hess is None and not can_be_hessian_free(oracle, psi):
         hess = symmetrize(oracle.hessian(state.x))
     sigma = sigma_start
     for retries in range(max_doublings + 1):
@@ -162,6 +167,7 @@ def adaptive_sigma_search(
         if _progress_condition(progress, g_next, sigma, grad_norm):
             return sigma, step, retries
         sigma *= 2.0
+        state = replace(state, preconditioner=step.state.preconditioner)
     raise AdaptiveSearchError(
         f"progress condition still failing after {max_doublings} doublings"
     )
@@ -179,9 +185,10 @@ def solve_primal(
     evaluated once at x0, and every later one is the previous step's, so a
     step costs one gradient and one Hessian (shared with the eta
     diagnostics when they are recorded), and F is evaluated once per
-    iterate.  With a constant sigma and no diagnostics, the state carries
-    each step's preconditioner on to the next, so above the Hessian-free
-    size most steps form no Hessian (see `newton_step`).  A value, gradient
+    iterate.  Without diagnostics the state carries each step's
+    preconditioner on to the next, and through the adaptive search's
+    retries, so above the Hessian-free size most steps form no Hessian (see
+    `newton_step` and `adaptive_sigma_search`).  A value, gradient
     or Hessian holding NaN or inf ends the run in `NON_FINITE` at that
     evaluation, at x0 as well; a non-finite F(x_k) leaves no row for x_k.
     """

@@ -14,6 +14,7 @@ from qscnewton import (
     compute_reference,
     contract_oracle,
     generate_synthetic,
+    run_solve,
     solve_accelerated,
     verify_accel_potential,
     verify_accel_rate,
@@ -103,6 +104,23 @@ class TestSolveAccelerated:
         config = AccelConfig(distance_bound=4.0, f_star_ref=logistic_reference.f_value)
         run = solve_accelerated(logistic_ref, ZERO, logistic_reference.x, config)
         assert run.status is AccelStatus.ALREADY_CONVERGED
+
+    def test_already_converged_passes_its_checks_with_no_step_checked(self, tmp_path):
+        # a box that pins x0 at F*: the A_0 rule is undefined (NaN), no step
+        # is taken, and the potential check has nothing to check
+        config = {
+            "schema_version": 1,
+            "problem": {"kind": "logistic", "n": 1, "m": 4, "seed": 1},
+            "composite": {"kind": "box", "lower": -1e-9, "upper": 0.0},
+            "solver": {"name": "accelerated"},
+            "verify": {"accel_potential": True, "accel_rate": True},
+        }
+        report = run_solve(config, tmp_path)
+        assert report["status"] == "already_converged" and report["a0"] == "nan"
+        potential = report["verification"]["accel_potential"]
+        assert potential["passed"] and potential["rule_passed"] and potential["worst_slack"] == "inf"
+        assert math.isfinite(potential["rhs"])
+        assert report["verification"]["accel_rate"]["passed"]
 
     def test_strict_mode_rejects_small_distance_bound(self, logistic_ref, logistic_reference):
         config = AccelConfig(
