@@ -9,8 +9,9 @@ penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
 through `CompositeTerm.with_quadratic`).  With no box the step is a single
 symmetric solve; with a box the model is a strongly convex box QP, solved
 exactly by a primal-dual active-set method that starts from that solve.
-Every step also selects a subgradient of F = f + psi at the new point: a
-dense step the canonical one, from its own optimality condition.
+Every step, dense, box or Hessian-free, selects the same subgradient of
+F = f + psi at x+: g(x+) plus the gradient of psi's quadratics, less the
+box multiplier of its active-set solve (none without a box).
 
 A solver that carries each step's `StepState` on to the next step, and
 across its own restarts (the adaptive search's retries, the dual's
@@ -27,9 +28,7 @@ with lazy Hessians*, ICML 2023, used here only as a preconditioner).
 Such a step is inexact: CG stops at a relative residual, the forcing term,
 that Eisenstat and Walker's second choice ties to how fast the step's
 right-hand side falls, so the step minimizes the model only as accurately
-as the progress of the next steps needs.  Its selected subgradient is the
-oracle's, g(x+) plus the gradient of psi's quadratics, so the CG residual
-never hides in it.
+as the progress of the next steps needs.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .metric import (
     _cho_inverse,
     _cho_solve,
     _cholesky,
-    local_norm,
     regularized_solve,
     require_finite,
     symmetrize,
@@ -80,6 +78,7 @@ _CG_TOL = 1e-12
 _FORCING_MAX = 1e-4
 _FORCING_GAMMA = 0.9
 _FORCING_POWER = 2
+_BOX_MAX_INNER = 100  # active-set updates of a box step, then MaxInnerIterationsError
 
 
 class MaxInnerIterationsError(RuntimeError):
@@ -183,14 +182,17 @@ class StepState:
     cannot be Hessian-free.  `rhs_norm` is the Euclidean norm of the
     right-hand side of the step that led to x, from which the next step's
     forcing term is set; it is inf where no such step is known or none
-    can be Hessian-free.  A step never writes into the state it is given,
-    so a solver can restart from one it kept.
+    can be Hessian-free.  `hessian` is the symmetrized H(x) where a caller
+    already formed it, else None: a step from it is dense, since its system
+    then costs one factorization.  A step never writes into the state it
+    is given, so a solver can restart from one it kept.
     """
 
     x: np.ndarray
     grad: np.ndarray
     preconditioner: np.ndarray | None = None
     rhs_norm: float = math.inf
+    hessian: np.ndarray | None = None
 
     @classmethod
     def at(cls, oracle: SmoothOracle, x) -> "StepState":
@@ -218,8 +220,8 @@ class StepResult:
 
 
 def can_be_hessian_free(oracle: SmoothOracle, psi: CompositeTerm) -> bool:
-    """Whether a step of `oracle` on `psi` that is given no Hessian can be
-    Hessian-free: no box, cheap products and `_CG_MIN_DIM` variables or
+    """Whether a step of `oracle` on `psi` from a state with no Hessian can
+    be Hessian-free: no box, cheap products and `_CG_MIN_DIM` variables or
     more."""
     return oracle.cheap_products and not psi.is_box and oracle.dim >= _CG_MIN_DIM
 
@@ -272,7 +274,7 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float)
     return None
 
 
-def _box_step(system, rhs, lower, upper, d, max_inner):
+def _box_step(system, rhs, lower, upper, d):
     """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``, by
     a primal-dual active-set method (Hintermueller-Ito-Kunisch, SIAM J.
     Optim. 2002) from the unconstrained minimizer `d`.
@@ -280,16 +282,17 @@ def _box_step(system, rhs, lower, upper, d, max_inner):
     Each update bounds the coordinates that the scaled step
     ``d - lam / diag(S)`` along the multiplier ``lam = Sd - r`` takes past a
     bound, and solves the free block exactly.  Sets that repeat satisfy the
-    KKT conditions.  Returns d, the two active sets and the number of solves,
-    the unconstrained one included."""
+    KKT conditions.  Returns d, the two active sets, lam (0 on the free
+    coordinates; -lam is in the box's normal cone) and the number of
+    solves, the unconstrained one included."""
     scale = np.diag(system)
     lam = np.zeros_like(d)
     at_lower = at_upper = np.zeros(d.shape, dtype=bool)
-    for solves in range(1, max_inner + 1):
+    for solves in range(1, _BOX_MAX_INNER + 1):
         trial = d - lam / scale
         new_lower, new_upper = trial < lower, trial > upper
         if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
-            return d, at_lower, at_upper, solves
+            return d, at_lower, at_upper, lam, solves
         at_lower, at_upper = new_lower, new_upper
         free = ~(at_lower | at_upper)
         d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
@@ -302,7 +305,7 @@ def _box_step(system, rhs, lower, upper, d, max_inner):
             d[free] = _cho_solve(factor, reduced)
         lam = system @ d - rhs
         lam[free] = 0.0
-    raise MaxInnerIterationsError(f"box active set still changing after {max_inner} updates")
+    raise MaxInnerIterationsError(f"box active set still changing after {_BOX_MAX_INNER} updates")
 
 
 def newton_step(
@@ -310,36 +313,31 @@ def newton_step(
     psi: CompositeTerm,
     state: StepState,
     beta: float,
-    max_inner: int = 100,
-    hess: np.ndarray | None = None,
 ) -> StepResult:
     """Minimize the regularized quadratic model of f + psi around state.x.
 
     psi's quadratics enter the model exactly, and the selected subgradient
     is one of f + psi, so it includes their gradient at x+.  The
     zero-composite case is one regularized solve; the box case starts from
-    that solve and solves the box QP exactly by at most `max_inner`
+    that solve and solves the box QP exactly by at most `_BOX_MAX_INNER`
     active-set updates (`MaxInnerIterationsError` past that).
 
-    The step reads x and g(x) from `state`, and takes `hess`, the
-    symmetrized H(x), when the caller already holds it (the Hessian kept
-    across the dense adaptive-sigma retries at the same x, or the primal's
-    diagnostics); left None, it is evaluated here.  A step then costs one
-    gradient (at x+) and one Hessian at most, and passing `hess` changes no
-    bit of the result.
+    The step reads x, g(x) and, where a caller already formed it (the
+    adaptive-sigma retries at one x share it, as do the primal's
+    diagnostics), the symmetrized H(x) from `state`; elsewhere H(x) is
+    evaluated here when the step needs it.  A step then costs one gradient
+    (at x+) and one Hessian at most; a state's H(x) changes no bit of x+,
+    of the subgradient or of the step lengths.
 
-    A step with no `hess` can be Hessian-free where `can_be_hessian_free`
-    says so: no box, an oracle with `cheap_products`, `_CG_MIN_DIM`
-    variables or more.  With a preconditioner in `state` it solves
-    ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
+    A step from a state with no Hessian can be Hessian-free where
+    `can_be_hessian_free` says so: no box, an oracle with `cheap_products`,
+    `_CG_MIN_DIM` variables or more.  With a preconditioner in `state` it
+    solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
     products plus coeff*B u, preconditioned by that inverse of an earlier
     system, and forms no Hessian.  CG stops at
     the forcing term `_forcing_term(|rhs|, state.rhs_norm)`, so the step is
     inexact: it moves from the dense step's by up to about `_FORCING_MAX`
-    times its length.  Its local step length takes H(x)d from the CG
-    recurrence, and its selected subgradient is the oracle's,
-    ``g(x+) + psi.quad_gradient(x+)``: the model's would also carry the
-    CG residual.  Its state at x+ keeps the same preconditioner.  Every
+    times its length.  Its state at x+ keeps the same preconditioner.  Every
     step that could be Hessian-free hands |rhs| on in its state; the
     others hand on inf.  The dense step runs instead,
     and hands on the inverse of its own system, built from the Cholesky
@@ -349,13 +347,19 @@ def newton_step(
     a non-finite one still raises.  Every dense step is the same, bit for
     bit, with or without a preconditioner.
 
+    Every step ends alike.  S d, its system S = H + coeff*B applied to d,
+    is ``rhs + lam`` (lam the box multiplier, 0 without a box) or CG's
+    ``rhs - r``; the local length is ``sqrt(d . (S d - coeff*B d))`` and the
+    subgradient ``g(x+) + psi.quad_gradient(x+) - lam``, so no solve's
+    residual or jitter hides in it.
+
     NaN or inf in g(x) or H(x) raises `NonFiniteError` from
     `regularized_solve`'s entry check, and in g(x+) right after it is
     evaluated.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    x, grad, preconditioner = state.x, state.grad, state.preconditioner
+    x, grad, preconditioner, hess = state.x, state.grad, state.preconditioner, state.hessian
     metric = oracle.metric
 
     coeff = beta + 2.0 * psi.quad_weight()  # total multiple of B added to the Hessian
@@ -376,11 +380,10 @@ def newton_step(
     if hessian_free and preconditioner is not None:
         tol = _forcing_term(rhs_norm, state.rhs_norm)
         solved = _preconditioned_cg(_system_operator(oracle, x, coeff), preconditioner, rhs, tol)
-    inner_iterations = 0
+    inner_iterations, lam = 0, 0.0
     if solved is not None:
         d, system_d = solved
         x_plus = x + d
-        local = np.sqrt(max(d @ (system_d - coeff * metric.apply(d)), 0.0))
     else:
         if hess is None:
             hess = symmetrize(oracle.hessian(x))
@@ -390,23 +393,20 @@ def newton_step(
         x_plus = x + d
         if psi.is_box:
             lower, upper = psi.bounds
-            d, at_lower, at_upper, inner_iterations = _box_step(
-                hess + coeff * metric.matrix, rhs, lower - x, upper - x, d, max_inner
+            d, at_lower, at_upper, lam, inner_iterations = _box_step(
+                hess + coeff * metric.matrix, rhs, lower - x, upper - x, d
             )
             # active coordinates sit exactly on their bound
             x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
             d = x_plus - x
-        local = local_norm(d, hess)
+        system_d = rhs + lam
+    local = np.sqrt(max(d @ (system_d - coeff * metric.apply(d)), 0.0))
 
     grad_plus = oracle.gradient(x_plus)
     require_finite(grad_plus, "g(x+)")
-    if solved is None:
-        subgradient = selected_subgradient(oracle, x, x_plus, beta, grad=grad, hess=hess, grad_plus=grad_plus)
-    else:
-        subgradient = grad_plus + psi.quad_gradient(x_plus, metric)
     return StepResult(
         state=StepState(x_plus, grad_plus, preconditioner, rhs_norm),
-        subgradient=subgradient,
+        subgradient=grad_plus + psi.quad_gradient(x_plus, metric) - lam,
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),
         step_length_local=float(local),
@@ -422,15 +422,14 @@ def selected_subgradient(
     hess: np.ndarray | None = None,
     grad_plus: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Canonical subgradient of F = f + psi at x_plus from the step's optimality.
+    """Model-form subgradient of F = f + psi at x_plus: the reference that
+    `newton_step`'s selection matches up to its solve's residual.
 
     Evaluates ``g(x+) - g(x) - (H(x) + beta B)(x+ - x)``; by the model
     stationarity this is g(x+) plus the gradient of psi's quadratics at x+
-    plus a box normal vector, with no explicit quadratic term.  For the zero
-    composite this equals the plain gradient at x_plus up to the
-    linear-solver residual.  `grad` = g(x), `hess` = the
-    symmetrized H(x) and `grad_plus` = g(x+) are used when given and
-    evaluated otherwise.
+    plus a box normal vector, and it also absorbs the solve's residual and
+    jitter.  `grad` = g(x), `hess` = the symmetrized H(x) and `grad_plus` =
+    g(x+) are used when given and evaluated otherwise.
     """
     x = np.asarray(x, dtype=float)
     x_plus = np.asarray(x_plus, dtype=float)

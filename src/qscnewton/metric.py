@@ -213,19 +213,21 @@ def local_norm(h: np.ndarray, hessian: np.ndarray):
     return _root(np.vecdot(np.vecmat(h, hess), h))
 
 
+_MAX_JITTER_RETRIES = 6  # of `regularized_solve`, the last at delta = 1e-7
+
+
 def regularized_solve(
     hessian: np.ndarray,
     metric: Metric,
     beta: float,
     rhs: np.ndarray,
-    max_jitter_retries: int = 6,
 ):
     """Solve (H + beta*B) d = rhs by symmetric factorization.
 
     H is symmetrized first.  If the factorization fails, or the residual of
     the *unjittered* system exceeds ``1e-10 * (||rhs|| + 1)``, a jitter ladder
     adds ``delta * B`` with delta = 1e-12, growing tenfold per retry, for at
-    most `max_jitter_retries` retries before raising `SingularSystemError`.
+    most `_MAX_JITTER_RETRIES` retries before raising `SingularSystemError`.
     One step of iterative refinement is applied after each solve.  NaN or
     inf in ``H + beta*B`` or in rhs raises `NonFiniteError` before any
     factorization.
@@ -245,7 +247,7 @@ def regularized_solve(
     require_finite(rhs, "rhs")
     tol = 1e-10 * (np.linalg.norm(rhs) + 1.0)
     delta = 0.0
-    for _ in range(max_jitter_retries + 1):
+    for _ in range(_MAX_JITTER_RETRIES + 1):
         shifted = system if delta == 0.0 else system + delta * metric.matrix
         factor = _cholesky(shifted)
         if delta == 0.0:

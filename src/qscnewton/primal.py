@@ -47,6 +47,8 @@ _FAILURE_STATUS = {
     NonFiniteError: PrimalStatus.NON_FINITE,
 }
 
+_MAX_DOUBLINGS = 60  # of the adaptive search, then AdaptiveSearchError
+
 
 @dataclass
 class PrimalConfig:
@@ -140,28 +142,26 @@ def adaptive_sigma_search(
     state: StepState,
     grad_norm: float,
     sigma_start: float,
-    max_doublings: int = 60,
-    hess: np.ndarray | None = None,
 ):
     """Double sigma from `sigma_start` until the progress condition holds.
 
     Returns (accepted sigma, StepResult, retries).  The caller should start
-    the next iteration from half the accepted value.  Every retry steps
-    from x = `state.x` with the same g(x) and forcing-term history.  Where
-    the steps can be Hessian-free (`can_be_hessian_free`, and no `hess`
-    given) each retry restarts from `state` with the latest preconditioner,
-    so a retry after a dense try solves on products preconditioned by the
-    inverse that try just built, and no H(x) is formed up front.
-    Otherwise the retries share one H(x), evaluated here or taken from
-    `hess`: only the regularization, and so the factorization, changes.
+    the next iteration from half the accepted value.  Every retry restarts
+    from `state`, with the same g(x) and forcing-term history and the
+    latest preconditioner.  Where the steps can be Hessian-free
+    (`can_be_hessian_free`, and no `state.hessian`) a retry after a dense
+    try then solves on products preconditioned by the inverse that try
+    just built, and no H(x) is formed up front.  Otherwise the retries share one
+    `StepState.hessian`, the caller's or evaluated here: only the
+    regularization, and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
-    if hess is None and not can_be_hessian_free(oracle, psi):
-        hess = symmetrize(oracle.hessian(state.x))
+    if state.hessian is None and not can_be_hessian_free(oracle, psi):
+        state = replace(state, hessian=symmetrize(oracle.hessian(state.x)))
     sigma = sigma_start
-    for retries in range(max_doublings + 1):
-        step = newton_step(oracle, psi, state, sigma * grad_norm, hess=hess)
+    for retries in range(_MAX_DOUBLINGS + 1):
+        step = newton_step(oracle, psi, state, sigma * grad_norm)
         g_next = oracle.metric.dual_norm(step.subgradient)
         progress = float(step.subgradient @ (state.x - step.state.x))
         if _progress_condition(progress, g_next, sigma, grad_norm):
@@ -169,7 +169,7 @@ def adaptive_sigma_search(
         sigma *= 2.0
         state = replace(state, preconditioner=step.state.preconditioner)
     raise AdaptiveSearchError(
-        f"progress condition still failing after {max_doublings} doublings"
+        f"progress condition still failing after {_MAX_DOUBLINGS} doublings"
     )
 
 
@@ -184,12 +184,12 @@ def solve_primal(
     One `StepState` is carried from step to step: the smooth gradient is
     evaluated once at x0, and every later one is the previous step's, so a
     step costs one gradient and one Hessian (shared with the eta
-    diagnostics when they are recorded), and F is evaluated once per
-    iterate.  Without diagnostics the state carries each step's
-    preconditioner on to the next, and through the adaptive search's
-    retries, so above the Hessian-free size most steps form no Hessian (see
-    `newton_step` and `adaptive_sigma_search`).  A value, gradient
-    or Hessian holding NaN or inf ends the run in `NON_FINITE` at that
+    diagnostics when they are recorded, through `StepState.hessian`), and
+    F is evaluated once per iterate.  Without diagnostics the state carries
+    each step's preconditioner on to the next, and through the adaptive
+    search's retries, so above the Hessian-free size most steps form no
+    Hessian (see `newton_step` and `adaptive_sigma_search`).  A value,
+    gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at that
     evaluation, at x0 as well; a non-finite F(x_k) leaves no row for x_k.
     """
     x = psi.project(np.asarray(x0, dtype=float))
@@ -201,18 +201,6 @@ def solve_primal(
     sigma_next = config.sigma0
     status = PrimalStatus.MAX_ITERS
     g = math.nan  # kept when g(x0) itself is not finite
-
-    def diagnostic_hessian(point):
-        # the diagnostics and the step from `point` share one evaluation
-        return symmetrize(oracle.hessian(point)) if config.record_diagnostics else None
-
-    def diagnostics(hess, grad_norm):
-        if hess is None:
-            return math.nan, math.nan
-        lam = min_generalized_eigenvalue(hess, metric)
-        if lam > 0:
-            return lam, grad_norm / lam
-        return lam, (0.0 if grad_norm == 0 else math.inf)
 
     # a failure at x0 (a non-finite gradient) leaves the trace empty
     try:
@@ -232,8 +220,11 @@ def solve_primal(
             trace.append(row)
             if k == 0 and config.f_star_ref is not None and config.rel_accuracy is not None:
                 gap0 = f_val - config.f_star_ref
-            hess = diagnostic_hessian(x)
-            row.lam, row.eta = diagnostics(hess, g)
+            if config.record_diagnostics:
+                # the diagnostics and the step from x share one evaluation
+                state = replace(state, hessian=symmetrize(oracle.hessian(x)))
+                row.lam = min_generalized_eigenvalue(state.hessian, metric)
+                row.eta = _eta(g, row.lam)
             if k == config.max_iters:  # the budget is spent: status stays MAX_ITERS
                 break
             if g <= config.grad_tol:
@@ -245,12 +236,12 @@ def solve_primal(
 
             if config.adaptive:
                 sigma_k, step, retries = adaptive_sigma_search(
-                    oracle, psi, state, g, max(sigma_next, config.sigma_min), hess=hess
+                    oracle, psi, state, g, max(sigma_next, config.sigma_min)
                 )
                 sigma_next = max(sigma_k / 2.0, config.sigma_min)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
-                step = newton_step(oracle, psi, state, sigma_k * g, hess=hess)
+                step = newton_step(oracle, psi, state, sigma_k * g)
                 retries = 0
             step_computations += retries + 1
 
@@ -271,6 +262,13 @@ def solve_primal(
     )
 
 
+def _eta(grad_norm: float, lam: float) -> float:
+    """eta = g / lambda: 0 where g = 0, +inf where lambda = 0 < g."""
+    if grad_norm == 0.0:
+        return 0.0
+    return grad_norm / lam if lam > 0 else math.inf
+
+
 def eta_measure(
     oracle: SmoothOracle, psi: CompositeTerm, x: np.ndarray, f_prime: np.ndarray
 ) -> float:
@@ -280,10 +278,7 @@ def eta_measure(
     point is not stationary, and 0 at stationary points.
     """
     g = oracle.metric.dual_norm(f_prime)
-    if g == 0.0:
-        return 0.0
-    lam = min_generalized_eigenvalue(oracle.hessian(x), oracle.metric)
-    return g / lam if lam > 0 else math.inf
+    return _eta(g, min_generalized_eigenvalue(oracle.hessian(x), oracle.metric))
 
 
 @dataclass

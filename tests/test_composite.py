@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qscnewton import (
     CompositeTerm,
+    CountingOracle,
     Metric,
     StepState,
     generate_synthetic,
@@ -18,6 +19,8 @@ from qscnewton import composite
 from qscnewton.metric import symmetrize
 from qscnewton.oracles import affine_substitute
 from qscnewton.primal import PrimalConfig
+
+from roundoff import gamma
 
 
 def brute_force_box_step(oracle, lower, upper, x, beta, quads=(), tol=1e-12, max_iters=500_000):
@@ -224,7 +227,9 @@ class TestSuppliedEvaluations:
         if prox:
             psi = psi.with_quadratic(np.full(6, 0.05), 0.8)
         plain = newton_step(o, psi, StepState.at(o, x), 0.6)
-        reused = newton_step(o, psi, StepState(x, o.gradient(x)), 0.6, hess=symmetrize(o.hessian(x)))
+        counting = CountingOracle(o)
+        reused = newton_step(counting, psi, StepState(x, o.gradient(x), hessian=symmetrize(o.hessian(x))), 0.6)
+        assert counting.calls["hessian"] == 0
         for name in ("x", "grad"):
             assert np.array_equal(getattr(plain.state, name), getattr(reused.state, name)), name
         assert np.array_equal(plain.subgradient, reused.subgradient)
@@ -239,6 +244,110 @@ class TestSuppliedEvaluations:
         psi = CompositeTerm.box(np.full(5, -0.1), np.full(5, 0.1)) if box else CompositeTerm.zero()
         step = newton_step(o, psi, StepState.at(o, np.zeros(5)), 0.4)
         assert np.array_equal(step.state.grad, o.gradient(step.state.x))
+
+
+def _tail_instance(box, prox):
+    """A logistic step origin whose box (when there is one) binds at x+
+    after a step with beta = 0.1: on 2 coordinates, and on 4 with the prox
+    term."""
+    o = generate_synthetic("logistic", n=6, m=30, seed=19)
+    psi = CompositeTerm.box(np.full(6, -0.16), np.full(6, 0.21)) if box else CompositeTerm.zero()
+    if prox:
+        psi = psi.with_quadratic(np.linspace(-0.4, 0.4, 6), 0.2)
+    return o, psi, np.linspace(-0.15, 0.2, 6)
+
+
+def _normal_part(oracle, psi, step):
+    """The step's subgradient less g(x+) and the gradient of psi's
+    quadratics at x+: the box normal vector it selected."""
+    x_plus = step.state.x
+    return step.subgradient - (oracle.gradient(x_plus) + psi.quad_gradient(x_plus, oracle.metric))
+
+
+def _model_disagreement(oracle, psi, state, step, beta):
+    """Entries where the step's subgradient and `selected_subgradient`'s
+    model form differ by more than roundoff.
+
+    In exact arithmetic they differ by S d - rhs - lam (S = H + coeff*B,
+    d = x+ - x), which the exact step makes 0.  The solve leaves a residual
+    within gamma_{3n+1} |L||L^T||d| (Higham, Theorem 10.4), and
+    |L||L^T| <= sqrt(diag S) sqrt(diag S)^T entrywise, each row of L having
+    the 2-norm of the root of its diagonal entry.  Every other rounded sum
+    has at most n + 4 terms, among them the move from the solve's d to
+    x+ - x (|S||x+|)."""
+    x, x_plus = state.x, step.state.x
+    metric = oracle.metric
+    d = np.abs(x_plus - x)
+    hess = symmetrize(oracle.hessian(x))
+    coeff = beta + 2.0 * psi.quad_weight()
+    system = np.abs(hess + coeff * metric.matrix)
+    root = np.sqrt(np.diag(system))
+    terms = (
+        np.abs(step.state.grad) + np.abs(state.grad)
+        + np.abs(psi.quad_gradient(x, metric)) + np.abs(psi.quad_gradient(x_plus, metric))
+        + system @ np.abs(x_plus) + 3.0 * (np.abs(hess) + coeff * np.abs(metric.matrix)) @ d
+        + root * (root @ d)
+    )
+    model = selected_subgradient(oracle, x, x_plus, beta, grad=state.grad, grad_plus=step.state.grad)
+    return np.flatnonzero(np.abs(step.subgradient - model) > gamma(3 * len(x) + 4) * terms)
+
+
+class TestStepTail:
+    """Every step selects g(x+) + psi.quad_gradient(x+) - lam, lam the box
+    multiplier: exactly the oracle's on free coordinates and without a box,
+    and a normal vector of the box on its bounds."""
+
+    def test_a_smooth_step_selects_the_gradient(self):
+        # pure-Newton steps on matrix scaling engage the jitter ladder; the
+        # model form carried its delta*B*d, 5e-13 off g(x+) in each entry
+        o = generate_synthetic("matrix_scaling", n=6, seed=3)
+        state = StepState.at(o, np.zeros(o.dim))
+        for _ in range(8):
+            step = newton_step(o, CompositeTerm.zero(), state, 0.0)
+            state = step.state
+            assert np.array_equal(step.subgradient, o.gradient(state.x))
+
+    @pytest.mark.parametrize("kind", ["dense", "box", "hessian-free"])
+    @pytest.mark.parametrize("prox", [False, True])
+    def test_the_box_multiplier_is_the_only_departure_from_the_oracle(self, monkeypatch, kind, prox):
+        o, psi, x = _tail_instance(kind == "box", prox)
+        state = StepState.at(o, x)
+        if kind == "hessian-free":
+            monkeypatch.setattr(composite, "_CG_MIN_DIM", 1)
+            warm = newton_step(o, CompositeTerm.zero(), StepState.at(o, 0.5 * x), 0.4).state.preconditioner
+            state = StepState(x, state.grad, warm)
+        step = newton_step(o, psi, state, 0.1)
+        normal = _normal_part(o, psi, step)
+        lower, upper = psi.bounds if psi.is_box else (-np.inf, np.inf)
+        x_plus = step.state.x
+        free = (lower < x_plus) & (x_plus < upper)
+        assert np.all(normal[free] == 0.0)
+        assert np.all(normal[x_plus == lower] <= 0.0) and np.all(normal[x_plus == upper] >= 0.0)
+        # the box binds, with a multiplier on every bound coordinate
+        assert np.count_nonzero(normal) == np.count_nonzero(~free) == (2 + 2 * prox if kind == "box" else 0)
+        if kind == "hessian-free":
+            assert step.state.preconditioner is warm  # the step ran on CG
+
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("prox", [False, True])
+    def test_the_model_form_agrees_up_to_roundoff(self, box, prox):
+        o, psi, x = _tail_instance(box, prox)
+        state = StepState.at(o, x)
+        step = newton_step(o, psi, state, 0.1)
+        assert _model_disagreement(o, psi, state, step, 0.1).size == 0
+
+    def test_a_step_that_drops_the_multiplier_is_caught(self, monkeypatch):
+        box_step = composite._box_step
+
+        def dropping(*args):
+            d, at_lower, at_upper, lam, solves = box_step(*args)
+            return d, at_lower, at_upper, np.zeros_like(lam), solves
+
+        monkeypatch.setattr(composite, "_box_step", dropping)
+        o, psi, x = _tail_instance(True, True)
+        state = StepState.at(o, x)
+        step = newton_step(o, psi, state, 0.1)
+        assert _model_disagreement(o, psi, state, step, 0.1).size == 4  # every bound coordinate
 
 
 def _state_writes(step_fn) -> list[str]:

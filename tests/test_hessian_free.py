@@ -193,8 +193,8 @@ def test_dense_steps_are_bitwise_unchanged(case):
     given = None if case == "first step" else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
     hess = base.hessian(x) if case == "hessian passed" else None
     counting = CountingOracle(base)
-    got = newton_step(counting, psi, StepState(x, base.gradient(x), given), 0.7, hess=hess)
-    _assert_same_step(got, newton_step(base, psi, StepState.at(base, x), 0.7, hess=hess))
+    got = newton_step(counting, psi, StepState(x, base.gradient(x), given, hessian=hess), 0.7)
+    _assert_same_step(got, newton_step(base, psi, StepState(x, base.gradient(x), hessian=hess), 0.7))
     assert counting.calls["hessian_vector"] == 0
     # the dense steps that could have been Hessian-free hand on the inverse
     # of their own system, from the factor regularized_solve solved with

@@ -96,8 +96,8 @@ def _oracle_gaps(monkeypatch, kind, solver, step=newton_step) -> list[float]:
     """How far each g the trace records (the primal's g, the dual's inner
     residuals) sits from ||g(x+) + psi.quad_gradient(x+)||_* recomputed from
     the oracle at the step's x+, as a fraction of the norms of g(x) and of
-    psi's quadratic gradient at the step's origin: a dense step's model
-    subgradient cancels terms of that size, and rounds off relative to them."""
+    psi's quadratic gradient at the step's origin: the model subgradient
+    cancels terms of that size, and rounds off relative to them."""
     module = primal if solver == "primal" else dual
     recomputed = []
 
@@ -134,10 +134,10 @@ def _model_subgradient_step(oracle, psi, state, beta, **kwargs):
 @pytest.mark.parametrize("solver", ["primal", "dual"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_trace_g_is_the_oracle_gradient_norm(monkeypatch, kind, solver):
-    # a CG step's g is the recomputed one, bit for bit; a dense step's
-    # carries its solve's residual and roundoff, at most 1.1e-13 here, below
-    # the CG floor that the planted model subgradient exceeds by 1e5 or more
-    assert max(_oracle_gaps(monkeypatch, kind, solver)) <= composite._CG_TOL
+    # every step's g, CG or dense, is the recomputed one, bit for bit (the
+    # dense step's model form was up to 1.1e-13 off here); the planted model
+    # subgradient exceeds the CG floor by 1e5 or more
+    assert max(_oracle_gaps(monkeypatch, kind, solver)) == 0.0
     planted = _oracle_gaps(monkeypatch, kind, solver, step=_model_subgradient_step)
     assert not max(planted) <= composite._CG_TOL
 
@@ -171,7 +171,7 @@ def test_steps_hand_on_their_right_hand_side_norm_only_where_cg_can_follow():
     assert state.rhs_norm == np.inf
     step = newton_step(oracle, ZERO, state, 0.5)
     assert step.state.rhs_norm == np.linalg.norm(state.grad)
-    assert newton_step(oracle, ZERO, state, 0.5, hess=oracle.hessian(x)).state.rhs_norm == np.inf
+    assert newton_step(oracle, ZERO, dataclasses.replace(state, hessian=oracle.hessian(x)), 0.5).state.rhs_norm == np.inf
     box = CompositeTerm.box(-np.ones(N), np.ones(N))
     assert newton_step(oracle, box, state, 0.5).state.rhs_norm == np.inf
 
@@ -266,14 +266,14 @@ def test_the_accelerated_scheme_carries_the_state_and_not_the_gradient(tmp_path,
     assert same is not planted
 
 
-def _shared_hessian_search(oracle, psi, state, grad_norm, sigma_start, max_doublings=60, hess=None):
+def _shared_hessian_search(oracle, psi, state, grad_norm, sigma_start):
     """The adaptive search whose retries share one H(x), formed up front:
     the reference for the dense paths."""
-    if hess is None:
-        hess = primal.symmetrize(oracle.hessian(state.x))
+    if state.hessian is None:
+        state = dataclasses.replace(state, hessian=primal.symmetrize(oracle.hessian(state.x)))
     sigma = sigma_start
-    for retries in range(max_doublings + 1):
-        step = newton_step(oracle, psi, state, sigma * grad_norm, hess=hess)
+    for retries in range(primal._MAX_DOUBLINGS + 1):
+        step = newton_step(oracle, psi, state, sigma * grad_norm)
         g_next = oracle.metric.dual_norm(step.subgradient)
         progress = float(step.subgradient @ (state.x - step.state.x))
         if primal._progress_condition(progress, g_next, sigma, grad_norm):

@@ -163,10 +163,10 @@ class TestOracleCalls:
         base = generate_synthetic("matrix_scaling", n=10, seed=1)
         real_step = primal_mod.newton_step
 
-        def checked_step(oracle, psi, state, beta, **kwargs):
+        def checked_step(oracle, psi, state, beta):
             assert np.array_equal(state.grad, base.gradient(state.x))
-            assert np.array_equal(kwargs["hess"], symmetrize(base.hessian(state.x)))
-            return real_step(oracle, psi, state, beta, **kwargs)
+            assert np.array_equal(state.hessian, symmetrize(base.hessian(state.x)))
+            return real_step(oracle, psi, state, beta)
 
         monkeypatch.setattr(primal_mod, "newton_step", checked_step)
         config = PrimalConfig(adaptive=adaptive, grad_tol=1e-8, record_diagnostics=True)
