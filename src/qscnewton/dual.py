@@ -11,7 +11,7 @@ the augmented subgradient satisfies
 The outer loop stops once the plain subgradient norm drops below nu.  If the
 supplied qsc constant is too small the inner loop stalls; the method then
 doubles the constant and retries the same outer iteration, at most
-`max_qsc_doublings` times (0 never doubles).
+`_MAX_QSC_DOUBLINGS` times in a run.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class DualStatus(Enum):
     NON_FINITE = "non_finite"
 
 
+_MAX_QSC_DOUBLINGS = 40  # a constant 2^40 times the declared one is suspect
+
 # the status each failure ends a run in (matched by isinstance)
 _FAILURE_STATUS = {
     SingularSystemError: DualStatus.SINGULAR_SYSTEM,
@@ -50,7 +52,6 @@ class DualConfig:
     grad_tol: float = param("number", exclusiveMinimum=0)
     max_outer: int = param("integer", 200, minimum=1)
     max_inner: int = param("integer", 50, minimum=1)
-    max_qsc_doublings: int = 40
 
     __post_init__ = check_bounds
 
@@ -170,7 +171,7 @@ def solve_dual(
                 if residuals[-1] <= threshold:
                     break
             else:
-                if doublings < config.max_qsc_doublings:
+                if doublings < _MAX_QSC_DOUBLINGS:
                     # the declared constant is too small for the local theory
                     # to bite; double it and retry this outer iteration
                     m_const *= 2.0

@@ -269,12 +269,19 @@ def reference_cache_key(problem_cfg: dict, composite_cfg, x0_cfg, grad_tol, max_
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# the reference solve's defaults, which `_config_reference` also reads: it
+# calls `compute_reference` through the module, where a replacement (a
+# tracing wrapper) may have none
+_REFERENCE_GRAD_TOL = 1e-12
+_REFERENCE_MAX_ITERS = 10_000
+
+
 def compute_reference(
     oracle: SmoothOracle,
     psi: CompositeTerm,
     x0: np.ndarray,
-    grad_tol: float = 1e-12,
-    max_iters: int = 10_000,
+    grad_tol: float = _REFERENCE_GRAD_TOL,
+    max_iters: int = _REFERENCE_MAX_ITERS,
     cache_key: str | None = None,
 ) -> ReferenceSolution:
     """High-accuracy solve by adaptive primal Newton, cached when keyed.
@@ -320,14 +327,6 @@ def compute_reference(
         )
         os.replace(tmp, directory / f"{cache_key}.npz")
     return reference
-
-
-# the reference solve's defaults, read once here: `_config_reference` calls
-# `compute_reference` through the module, where a replacement (a tracing
-# wrapper) may have none
-_REFERENCE_DEFAULTS = {
-    key: inspect.signature(compute_reference).parameters[key].default for key in ("grad_tol", "max_iters")
-}
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +612,8 @@ def _build_instance(config: dict):
 def _config_reference(config: dict, oracle, psi, x0) -> tuple[ReferenceSolution, str]:
     """The cached reference solve for a config, and its cache key."""
     reference_cfg = config.get("reference", {})
-    ref_tol = reference_cfg.get("grad_tol", _REFERENCE_DEFAULTS["grad_tol"])
-    ref_iters = reference_cfg.get("max_iters", _REFERENCE_DEFAULTS["max_iters"])
+    ref_tol = reference_cfg.get("grad_tol", _REFERENCE_GRAD_TOL)
+    ref_iters = reference_cfg.get("max_iters", _REFERENCE_MAX_ITERS)
     key = reference_cache_key(
         config["problem"], config.get("composite"), config.get("x0"), ref_tol, ref_iters
     )

@@ -95,6 +95,13 @@ def check_bounds(config) -> None:
             raise ValueError(f"{name} = {value!r} is outside its bound {keyword} {limit}")
 
 
+def require_positive(value: float, what: str) -> float:
+    """`value` as a float, raising ValueError unless it is finite and > 0."""
+    if not 0.0 < value < np.inf:  # NaN fails every comparison
+        raise ValueError(f"{what} must be finite and positive, got {value}")
+    return float(value)
+
+
 class SmoothOracle(abc.ABC):
     """Evaluation contract for the smooth component of a composite problem.
 
@@ -118,8 +125,8 @@ class SmoothOracle(abc.ABC):
     cheap_products = False
 
     def __init__(self, metric: Metric, qsc_constant: float) -> None:
-        if qsc_constant < 0:
-            raise ValueError("qsc constant must be nonnegative")
+        if not 0.0 <= qsc_constant < np.inf:  # NaN fails every comparison
+            raise ValueError(f"qsc constant must be finite and nonnegative, got {qsc_constant}")
         self._metric = metric
         self._qsc_constant = float(qsc_constant)
 
@@ -252,9 +259,7 @@ class _TransformedOracle(SmoothOracle):
 
 def scale_oracle(oracle: SmoothOracle, factor: float) -> SmoothOracle:
     """Multiply an oracle by a positive constant; the qsc constant is unchanged."""
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
-    return _TransformedOracle(oracle, oracle.metric, oracle.qsc_constant, scale=factor)
+    return _TransformedOracle(oracle, oracle.metric, oracle.qsc_constant, scale=require_positive(factor, "scale factor"))
 
 
 def affine_substitute(
@@ -286,7 +291,7 @@ def affine_substitute(
     elif norm_bound is None:
         raise ValueError("norm_bound is required when overriding the induced metric")
     else:
-        metric, qsc_constant = new_metric, oracle.qsc_constant * norm_bound
+        metric, qsc_constant = new_metric, oracle.qsc_constant * require_positive(norm_bound, "norm_bound")
     # Ax - b and Ax + (-b) are the same floating-point operation
     return _TransformedOracle(oracle, metric, qsc_constant, transform=a, shift=-b)
 
@@ -301,8 +306,7 @@ def contract_oracle(
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"contraction factor must lie in (0, 1), got {gamma}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    require_positive(scale, "scale")
     gamma = float(gamma)
     shift = (1.0 - gamma) * np.array(anchor, dtype=float)
     return _TransformedOracle(

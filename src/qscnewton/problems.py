@@ -19,15 +19,17 @@ rows, with the per-point weights (the margins' loss'' or the soft-max pi)
 from the memo below.  A quadratic's Hessian is stored and a matrix family's
 costs about two products, so they do not.
 
-The two Gram families keep a one-entry memo of the last single point's
+The two Gram families keep a one-entry memo of the last point's or stack's
 derived quantities: the margins and the loss derivatives, or pi, g and the
-value.  `value`, `gradient`, `hessian` and `hessian_vector` at that point
-reuse them, call by call, so a Newton step's gradient at x+ also serves the
-next step's products and the solver's value there.  The memo is keyed by
-the point's bytes, not its identity, holds read-only arrays and is one
+value.  Every method there reuses them, call by call, so a Newton step's
+gradient at x+ also serves the next step's products and the solver's value
+there, and H, g and f at one stack come from one pass.  The memo is keyed
+by the shape and the bytes, not the identity, so a (1, n) stack and the
+(n,) point with its bytes are different entries.  It holds read-only
+arrays, every array a method returns is the caller's own, and it is one
 tuple replaced whole, never mutated, so a caller that writes into its point
-or into a returned gradient, or an oracle shared between callers, gets the
-results a fresh oracle gives.  Stacks bypass it.
+or into a result, or an oracle shared between callers, gets the results a
+fresh oracle gives.
 
 Every family takes stacks of points (`SmoothOracle.stacks`).  A point runs
 the same operations it always has; a stack runs them once per call, with
@@ -45,7 +47,7 @@ import scipy.special
 from scipy.linalg.lapack import dpstrf
 
 from .metric import Metric, matvec, symmetrize
-from .oracles import SmoothOracle
+from .oracles import SmoothOracle, require_positive
 
 _EXP_CLAMP = 700.0  # exp argument above which float64 overflows
 
@@ -94,18 +96,18 @@ def _per_point(values):
 
 
 def _memoized(oracle, x, compute):
-    """compute(x) at the single point x, from `oracle._memo`: the last
-    point's bytes and its results, read-only, replaced whole on a miss."""
+    """compute(x) at the point or stack x, from `oracle._memo`: the last
+    call's shape, bytes and results, read-only, replaced whole on a miss."""
     x = np.asarray(x, dtype=float)
-    key = x.tobytes()
-    memo = oracle._memo
-    if memo[0] != key:
+    key = (x.shape, x.tobytes())
+    if oracle._memo[0] != key:
+        oracle._memo = (None, None)  # the old entry is freed before the new one is derived
         results = compute(x)
         for value in results:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-        memo = oracle._memo = (key, results)
-    return memo[1]
+        oracle._memo = (key, results)
+    return oracle._memo[1]
 
 
 def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -167,45 +169,60 @@ class QuadraticObjective(SmoothOracle):
         return np.vecdot(np.vecmat(u, self._a), u), np.zeros(len(u))
 
 
-class SoftMaxObjective(SmoothOracle):
-    """Smoothed maximum mu * log sum_i exp((<a_i, x> - b_i)/mu); qsc constant 2/mu.
+class _GramObjective(SmoothOracle):
+    """The frame the two Gram families share: design rows a_i with offsets
+    b_i, both read-only, the Gram metric sum_i a_i a_i^T unless a metric is
+    given (`metric_ridge` records its ridge), and the memo.
 
-    Computed with the max-subtraction trick, so evaluation never overflows for
-    finite inputs.  The default metric is the Gram matrix of the rows.
+    A family defines `_point`, its derived quantities at a point or a stack,
+    and its methods read them through `_derived`: the memo's when the call's
+    point or stack is the last one's, else derived afresh.
     """
 
     stacks = True
     cheap_products = True
 
-    def __init__(self, rows, offsets, smoothing: float, metric: Metric | None = None):
+    def __init__(self, rows, offsets, qsc_constant: float, metric: Metric | None) -> None:
         rows = np.asarray(rows, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
         if rows.ndim != 2 or offsets.shape != (rows.shape[0],):
             raise DimensionError("rows must be (m, n) with one offset per row")
-        if smoothing <= 0:
-            raise ValueError("smoothing parameter must be positive")
         self.metric_ridge = 0.0
         if metric is None:
             metric, self.metric_ridge = gram_metric(rows)
-        super().__init__(metric, 2.0 / smoothing)
+        super().__init__(metric, qsc_constant)
         rows.setflags(write=False)
         offsets.setflags(write=False)
         self._rows = rows
         self._offsets = offsets
-        self._mu = float(smoothing)
         self._memo = (None, None)
 
     @property
     def rows(self):
         return self._rows
 
+    def _derived(self, x):
+        return _memoized(self, x, self._point)
+
+
+class SoftMaxObjective(_GramObjective):
+    """Smoothed maximum mu * log sum_i exp((<a_i, x> - b_i)/mu); qsc constant 2/mu.
+
+    Computed with the max-subtraction trick, so evaluation never overflows for
+    finite inputs.  The default metric is the Gram matrix of the rows.
+    """
+
+    def __init__(self, rows, offsets, smoothing: float, metric: Metric | None = None):
+        self._mu = require_positive(smoothing, "smoothing parameter")
+        super().__init__(rows, offsets, 2.0 / self._mu, metric)
+
     @property
     def smoothing(self):
         return self._mu
 
-    def _shifted_exp(self, x):
-        """exp(m_i - top) for the margins m_i = (<a_i, x> - b_i)/mu and
-        top = max_i m_i, their sum (keeping the summed axis), and top."""
+    def _point(self, x):
+        """pi, g and the value from one pass; pi_i is exp(m_i - top) over its
+        sum, for the margins m_i = (<a_i, x> - b_i)/mu and top = max_i m_i."""
         # in place, and the ufunc reductions are ndarray.max and .sum
         # without their wrappers: the same operations, fewer allocations
         margins = matvec(self._rows, x)
@@ -213,56 +230,31 @@ class SoftMaxObjective(SmoothOracle):
         margins /= self._mu
         top = np.maximum.reduce(margins, axis=-1)
         margins -= top[..., None]
-        w = np.exp(margins, out=margins)
-        return w, np.add.reduce(w, axis=-1, keepdims=True), top
-
-    def _weights(self, x):
-        """The soft-max weights pi."""
-        w, total, _ = self._shifted_exp(x)
-        w /= total
-        return w
-
-    def _value(self, total, top):
-        return _per_point(self._mu * (top + np.log(total[..., 0])))
-
-    def _point(self, x):
-        """pi, g and the value at one point, from one pass."""
-        w, total, top = self._shifted_exp(x)
-        value = self._value(total, top)
-        w /= total
-        return w, matvec(self._rows.T, w), value
-
-    def _moments(self, x):
-        """The weights pi and the gradient g, all a Hessian product needs of
-        x: a single point's from the memo."""
-        if np.ndim(x) == 1:
-            return _memoized(self, x, self._point)[:2]
-        pi = self._weights(x)
-        return pi, matvec(self._rows.T, pi)
+        pi = np.exp(margins, out=margins)
+        total = np.add.reduce(pi, axis=-1, keepdims=True)
+        value = self._mu * (top + np.log(total[..., 0]))
+        pi /= total
+        return pi, matvec(self._rows.T, pi), value
 
     def value(self, x):
-        if np.ndim(x) == 1:
-            return _memoized(self, x, self._point)[2]
-        _, total, top = self._shifted_exp(x)
-        return self._value(total, top)
+        return _per_point(self._derived(x)[2].copy())
 
     def gradient(self, x):
-        g = self._moments(x)[1]
-        return g.copy() if np.ndim(x) == 1 else g
+        return self._derived(x)[1].copy()
 
     def hessian(self, x):
-        pi, g = self._moments(x)
+        pi, g, _ = self._derived(x)
         return (_weighted_gram(self._rows, pi) - g[..., :, None] * g[..., None, :]) / self._mu
 
     def hessian_vector(self, x, u):
-        pi, g = self._moments(x)
+        pi, g, _ = self._derived(x)
         u = np.asarray(u, dtype=float)
         curvature = (pi * matvec(self._rows, u)) @ self._rows
         return (curvature - g * np.sum(g * u, axis=-1, keepdims=True)) / self._mu
 
     def qsc_forms(self, x, u, v):
         # the second and third cumulants of (<a, u>, <a, v>) under pi
-        pi = self._weights(x)
+        pi = self._derived(x)[0]
         au, av = matvec(self._rows, np.stack([u, v]))
         au -= np.vecdot(pi, au)[:, None]
         av -= np.vecdot(pi, av)[:, None]
@@ -270,7 +262,7 @@ class SoftMaxObjective(SmoothOracle):
         return np.add.reduce(weighted, axis=-1) / self._mu, np.vecdot(weighted, av) / self._mu**2
 
 
-class SeparableObjective(SmoothOracle):
+class SeparableObjective(_GramObjective):
     """(1/m) sum_i loss(<a_i, x> - b_i) for a logistic or exponential loss.
 
     Both shipped losses have |loss'''| <= loss'', hence qsc constant 1 under
@@ -278,45 +270,17 @@ class SeparableObjective(SmoothOracle):
     700 and emits `EvaluationOverflowWarning` when the clamp engages.
     """
 
-    stacks = True
-    cheap_products = True
-
     LOSSES = ("logistic", "exponential")
 
     def __init__(self, rows, offsets, loss: str = "logistic", metric: Metric | None = None):
-        rows = np.asarray(rows, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if rows.ndim != 2 or offsets.shape != (rows.shape[0],):
-            raise DimensionError("rows must be (m, n) with one offset per row")
         if loss not in self.LOSSES:
             raise ValueError(f"unknown loss {loss!r}; expected one of {self.LOSSES}")
-        self.metric_ridge = 0.0
-        if metric is None:
-            metric, self.metric_ridge = gram_metric(rows)
-        super().__init__(metric, 1.0)
-        rows.setflags(write=False)
-        offsets.setflags(write=False)
-        self._rows = rows
-        self._offsets = offsets
+        super().__init__(rows, offsets, 1.0, metric)
         self._loss = loss
-        self._memo = (None, None)
-
-    @property
-    def rows(self):
-        return self._rows
 
     @property
     def loss(self):
         return self._loss
-
-    def _margins(self, x):
-        """The margins t = Ax - b, the exponential loss's clamped at 700, and
-        whether the clamp engaged."""
-        t = matvec(self._rows, x)
-        t -= self._offsets
-        if self._loss == "exponential" and np.any(t > _EXP_CLAMP):
-            return np.minimum(t, _EXP_CLAMP), True
-        return t, False
 
     def _derivatives(self, t):
         """loss'(t) and the weights loss''(t) / m, from one pass of exp."""
@@ -327,24 +291,25 @@ class SeparableObjective(SmoothOracle):
         return e, e / self._rows.shape[0]
 
     def _point(self, x):
-        t, clamped = self._margins(x)
+        """The margins t = Ax - b, the exponential loss's clamped at 700,
+        whether the clamp engaged, loss'(t) and loss''(t) / m."""
+        t = matvec(self._rows, x)
+        t -= self._offsets
+        clamped = self._loss == "exponential" and np.any(t > _EXP_CLAMP)
+        if clamped:
+            t = np.minimum(t, _EXP_CLAMP)
         return (t, clamped, *self._derivatives(t))
 
-    def _terms(self, x, derivatives=True):
-        """(t, loss'(t), loss''(t) / m) at x: a single point's from the memo,
-        a stack's afresh, its derivatives (else None) only when asked for.
-        Warns, memo hit or miss, where the exponential loss's clamp engaged."""
-        if np.ndim(x) == 1:
-            t, clamped, first, weights = _memoized(self, x, self._point)
-        else:
-            t, clamped = self._margins(x)
-            first, weights = self._derivatives(t) if derivatives else (None, None)
+    def _terms(self, x):
+        """(t, loss'(t), loss''(t) / m) at x.  Warns, memo hit or miss,
+        where the exponential loss's clamp engaged."""
+        t, clamped, first, weights = self._derived(x)
         if clamped:
             warnings.warn("exponential loss argument clamped at 700", EvaluationOverflowWarning, stacklevel=3)
         return t, first, weights
 
     def value(self, x):
-        t = self._terms(x, derivatives=False)[0]
+        t = self._terms(x)[0]
         if self._loss == "logistic":
             return _per_point(np.logaddexp(0.0, t).mean(axis=-1))
         return _per_point(np.exp(t).mean(axis=-1))
@@ -359,13 +324,13 @@ class SeparableObjective(SmoothOracle):
         return (self._terms(x)[2] * matvec(self._rows, np.asarray(u, dtype=float))) @ self._rows
 
     def qsc_forms(self, x, u, v):
-        t = self._terms(x, derivatives=False)[0]
+        # loss'(t) is the logistic's sigma(t) and the exponential's e^t
+        _, first, _ = self._terms(x)
         if self._loss == "logistic":
-            p = scipy.special.expit(t)
-            second = p * (1.0 - p)
-            third = second * (1.0 - 2.0 * p)
+            second = first * (1.0 - first)
+            third = second * (1.0 - 2.0 * first)
         else:
-            second = third = np.exp(t)
+            second = third = first
         au, av = matvec(self._rows, np.stack([u, v]))
         au2 = np.square(au)
         m = self._rows.shape[0]

@@ -68,14 +68,10 @@ class TestSolveDual:
         assert res.status is DualStatus.GRAD_TOL_REACHED
         assert res.qsc_used > 1e-8
 
-    def test_adaptation_disabled_reports_suspect_constant(self):
+    def test_adaptation_disabled_reports_suspect_constant(self, monkeypatch):
+        monkeypatch.setattr(dual_mod, "_MAX_QSC_DOUBLINGS", 0)
         o = generate_synthetic("exponential", n=8, m=40, seed=9)
-        res = solve_dual(
-            o,
-            ZERO,
-            np.full(8, 5.0),
-            DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5, max_qsc_doublings=0),
-        )
+        res = solve_dual(o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5))
         assert res.status is DualStatus.QSC_PARAMETER_SUSPECT
 
     @pytest.mark.parametrize("box", [False, True])

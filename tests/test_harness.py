@@ -412,7 +412,7 @@ class TestConfigFields:
 
     def test_library_only_fields_are_not_config_keys(self):
         solver = harness.CONFIG_SCHEMA["properties"]["solver"]["properties"]
-        assert {"f_star_ref", "strict", "max_qsc_doublings"}.isdisjoint(solver)
+        assert {"f_star_ref", "strict"}.isdisjoint(solver)
 
     def test_every_documented_key_is_a_field_of_a_config_type(self):
         fields = {f.name for config_type, *_ in _CONFIG_TYPES for f in dataclasses.fields(config_type)}

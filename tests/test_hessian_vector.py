@@ -53,7 +53,7 @@ def _roundoff_scale(oracle, x):
     except for soft-max, whose H = (G - g g^T)/mu with G = sum_i pi_i a_i a_i^T
     cancels far below G when the rows are few (m = 2, n = 1 at some points)."""
     if isinstance(oracle, SoftMaxObjective):
-        pi = oracle._weights(x)
+        pi = oracle._point(x)[0]
         return np.abs((oracle.rows.T * pi) @ oracle.rows).max() / oracle.smoothing
     return np.abs(oracle.hessian(x)).max()
 

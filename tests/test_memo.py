@@ -1,13 +1,13 @@
-"""The one-point memo of the Gram families against fresh oracles.
+"""The one-entry memo of the Gram families against fresh oracles.
 
 Soft-max and the separable losses keep the derived quantities of the last
-single point they were called at (the margins and loss derivatives, or pi,
-g and the value) and reuse them at that point.  A memo hit must give, bit
-for bit, what a fresh oracle gives at that point, in any call order, and a
-caller that writes into its point or into a returned gradient must not see
-stale results.  Stacked calls neither read nor write the memo.  A
+point or stack they were called at (the margins and loss derivatives, or
+pi, g and the value) and reuse them there.  A memo hit must give, bit for
+bit, what a fresh oracle gives, in any call order; a stack and a point with
+the same bytes are different entries; and a caller that writes into its
+point or into any returned array must not see stale results.  A
 Hessian-free Newton step computes them once, at x+, and takes every product
-at x from the memo.
+at x from the memo; H, g and f at one stack come from one derivation.
 """
 
 import itertools
@@ -99,24 +99,126 @@ def test_a_memo_keyed_on_identity_is_caught(kind, monkeypatch):
     assert _disagreements(kind) != []
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_stacked_calls_bypass_the_memo(kind):
-    oracle = _fresh(kind)
+def _by_bytes_alone(oracle, x, compute):
+    """A planted mutation of `problems._memoized`: keyed by the bytes
+    alone, so a (1, n) stack and the (n,) point with its bytes share an
+    entry."""
+    x = np.asarray(x, dtype=float)
+    if oracle._memo[0] != x.tobytes():
+        results = compute(x)
+        for value in results:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        oracle._memo = (x.tobytes(), results)
+    return oracle._memo[1]
+
+
+def _shape_confusions(kind) -> list[str]:
+    """Where a call at a (1, n) stack after one at the (n,) point with the
+    same bytes, or the other way round, differs from a fresh oracle's."""
+    found = []
+    (x, _), u = _points(2)
+    forms = [(x, u), (x[None], u[None])]
+    for first, second in (forms, forms[::-1]):
+        for method in METHODS:
+            oracle = _fresh(kind)
+            _call(oracle, method, *first)
+            if not _same(_call(oracle, method, *second), _call(_fresh(kind), method, *second)):
+                found.append(f"{method} at {second[0].shape} after {first[0].shape}")
+    return found
+
+
+def _planted_entry_reads(kind) -> list[str]:
+    """Where a stack call reads a planted entry of wrong results for the
+    point x: the stacks (x) and (x, y), after each of which the entry is
+    planted again."""
+    found = []
     (x, y), u = _points(1)
-    stack = np.stack([x, y])
+    oracle = _fresh(kind)
     oracle.gradient(x)
-    entry = oracle._memo
-    # a planted entry for x with wrong results, which a stack must not read
-    key, results = entry
-    oracle._memo = (key, tuple(np.zeros_like(r) if isinstance(r, np.ndarray) else r for r in results))
-    planted = oracle._memo
-    fresh = _fresh(kind)
-    for method in ("value", "gradient", "hessian"):
-        np.testing.assert_array_equal(getattr(oracle, method)(stack), getattr(fresh, method)(stack))
-    directions = np.stack([u, -u])
-    np.testing.assert_array_equal(oracle.hessian_vector(stack, directions), fresh.hessian_vector(stack, directions))
-    oracle.qsc_forms(stack, directions, directions)
-    assert oracle._memo is planted
+    key, results = oracle._memo
+    planted = (key, tuple(np.zeros_like(r) if isinstance(r, np.ndarray) else r for r in results))
+    for stack in (x[None], np.stack([x, y])):
+        directions = np.broadcast_to(u, stack.shape)
+        for method in METHODS:
+            oracle._memo = planted
+            if not _same(_call(oracle, method, stack, directions), _call(_fresh(kind), method, stack, directions)):
+                found.append(f"{method} at {stack.shape}")
+    return found
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_stack_and_its_point_are_different_entries(kind):
+    assert _shape_confusions(kind) == []
+    assert _planted_entry_reads(kind) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_memo_keyed_on_bytes_alone_is_caught(kind, monkeypatch):
+    monkeypatch.setattr(problems, "_memoized", _by_bytes_alone)
+    assert _shape_confusions(kind) != []
+    assert _planted_entry_reads(kind) != []
+
+
+def _stack_derivations(kind, monkeypatch) -> int:
+    """How often H, g, f and a product at one stack derive the family's
+    quantities (`_point`)."""
+    oracle = _fresh(kind)
+    stack = np.stack(_points(3)[0])
+    compute = type(oracle)._point
+    computed = []
+
+    def counted(self, x):
+        computed.append(x)
+        return compute(self, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(oracle), "_point", counted)
+        for method in ("hessian", "gradient", "value", "product"):
+            _call(oracle, method, stack, -stack)
+    return len(computed)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_stack_derives_once(kind, monkeypatch):
+    assert _stack_derivations(kind, monkeypatch) == 1
+
+
+def _shared_arrays(kind) -> list[str]:
+    """Where writing into an array a call returned, at a point or a stack,
+    is refused or changes a later call's result."""
+    found = []
+    (x, y), u = _points(4)
+    for point, direction in ((x, u), (np.stack([x, y]), np.stack([u, -u]))):
+        for method in METHODS:
+            oracle = _fresh(kind)
+            got = _call(oracle, method, point, direction)
+            if not isinstance(got, np.ndarray):
+                continue
+            try:
+                got[...] = 0.0
+            except ValueError:
+                found.append(f"{method} at {point.shape} is read-only")
+                continue
+            for later in METHODS:
+                if not _same(_call(oracle, later, point, direction), _call(_fresh(kind), later, point, direction)):
+                    found.append(f"{later} at {point.shape} after writing into {method}")
+    return found
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_returned_array_is_the_callers_own(kind):
+    assert _shared_arrays(kind) == []
+
+
+@pytest.mark.parametrize("method", ["value", "gradient"])
+def test_handing_out_the_memos_array_is_caught(method, monkeypatch):
+    # planted mutation: soft-max's value or gradient is the memo's own array
+    index = {"value": 2, "gradient": 1}[method]
+    monkeypatch.setattr(
+        problems.SoftMaxObjective, method, lambda self, x: problems._per_point(self._derived(x)[index])
+    )
+    assert _shared_arrays("softmax") != []
 
 
 def test_the_clamp_warns_on_every_call_at_a_clamped_point():
@@ -182,3 +284,4 @@ def test_a_memo_that_always_recomputes_is_caught(kind, monkeypatch):
     # planted mutation: every call at a single point recomputes
     monkeypatch.setattr(problems, "_memoized", lambda oracle, x, compute: compute(np.asarray(x, dtype=float)))
     assert _memo_misses(kind, "counting", monkeypatch) != []
+    assert _stack_derivations(kind, monkeypatch) != 1

@@ -23,6 +23,7 @@ from qscnewton import (
 )
 from qscnewton.metric import local_norm, symmetrize
 from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, _refine_triple, chunk_size
+from qscnewton import problems
 from qscnewton.problems import KINDS, QuadraticObjective, SeparableObjective, generate_synthetic
 
 
@@ -131,6 +132,29 @@ class TestScaleOracle:
     def test_nonpositive_rejected(self, zoo):
         with pytest.raises(ValueError):
             scale_oracle(zoo["quadratic"], 0.0)
+
+
+def _rows(n=3, m=6):
+    return np.random.default_rng(0).standard_normal((m, n)), np.zeros(m)
+
+
+# every constructor of the oracle layer that takes a constant, each with a
+# non-finite one: M >= 0 and the other constants > 0 must all be finite
+_NON_FINITE_CONSTANTS = {
+    "softmax": lambda o, bad: problems.SoftMaxObjective(*_rows(), bad),
+    "generated-softmax": lambda o, bad: generate_synthetic("softmax", n=3, m=6, smoothing=bad),
+    "with_qsc_constant": lambda o, bad: with_qsc_constant(o, bad),
+    "norm_bound": lambda o, bad: affine_substitute(o, np.eye(o.dim), new_metric=o.metric, norm_bound=bad),
+    "scale_oracle": lambda o, bad: scale_oracle(o, bad),
+    "contract_oracle": lambda o, bad: contract_oracle(o, 0.5, np.zeros(o.dim), bad),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", _NON_FINITE_CONSTANTS.values(), ids=_NON_FINITE_CONSTANTS.keys())
+def test_non_finite_constants_are_refused(build, bad):
+    with pytest.raises(ValueError):
+        build(generate_synthetic("logistic", n=3, m=6, seed=0), bad)
 
 
 class TestAffineSubstitute:

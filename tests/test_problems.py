@@ -54,7 +54,7 @@ class TestSoftMax:
         o = generate_synthetic("softmax", n=4, m=10, seed=1, smoothing=0.01)
         x = np.full(4, 300.0)
         assert np.isfinite(o.value(x))
-        weights = o._weights(x)
+        weights = o._point(x)[0]
         assert weights.min() >= 0.0
         assert weights.sum() == pytest.approx(1.0)
 
@@ -115,7 +115,7 @@ def _general_product_hessian(oracle, x):
     far below G when the rows are few."""
     rows = np.asarray(oracle.rows)
     if isinstance(oracle, SoftMaxObjective):
-        pi = oracle._weights(x)
+        pi = oracle._point(x)[0]
         g = rows.T @ pi
         gram = (rows.T * pi) @ rows
         return (gram - np.outer(g, g)) / oracle.smoothing, np.abs(gram).max() / oracle.smoothing

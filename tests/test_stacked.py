@@ -103,7 +103,7 @@ def _gram_bounds(oracle, x):
     t = rows @ x - oracle._offsets
     if isinstance(oracle, SoftMaxObjective):
         mu = oracle.smoothing
-        pi = oracle._weights(x)
+        pi = oracle._point(x)[0]
         s_grad = abs_rows.T @ pi
         s_value = abs(oracle.value(x)) + mu
         s_hess = ((abs_rows.T * pi) @ abs_rows + np.outer(s_grad, s_grad)) / mu
