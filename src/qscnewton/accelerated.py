@@ -123,7 +123,8 @@ def solve_accelerated(
     is preconditioned by the last inverse built, not a dense step: the
     contracted system grows by 1/(1 - gamma) per outer iteration and its
     Hessian moves within the qsc stability factor, and preconditioned CG is
-    invariant under a constant factor on the preconditioner.
+    invariant under a constant factor on the preconditioner.  On a box its
+    first step likewise starts from the active set the last one ended on.
 
     A non-finite F(x_k), or an inner dual solve that ends in `non_finite`,
     ends the run in `NON_FINITE` at that evaluation.  A non-finite F(x_k)

@@ -8,7 +8,11 @@ where psi is zero or a box indicator, optionally carrying exact quadratic
 penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
 through `CompositeTerm.with_quadratic`).  With no box the step is a single
 symmetric solve; with a box the model is a strongly convex box QP, solved
-exactly by a primal-dual active-set method that starts from that solve.
+exactly by a primal-dual active-set method.  That method starts from the
+active set the previous box step ended on, carried in the step state, with
+its free block solved directly, and falls back to starting from the
+unconstrained solve only when that set fails; both starts reach the same
+minimizer, so they differ only by roundoff.
 Every step, dense, box or Hessian-free, selects the same subgradient of
 F = f + psi at x+: g(x+) plus the gradient of psi's quadratics, less the
 box multiplier of its active-set solve (none without a box).
@@ -184,8 +188,11 @@ class StepState:
     forcing term is set; it is inf where no such step is known or none
     can be Hessian-free.  `hessian` is the symmetrized H(x) where a caller
     already formed it, else None: a step from it is dense, since its system
-    then costs one factorization.  A step never writes into the state it
-    is given, so a solver can restart from one it kept.
+    then costs one factorization.  `active_set` is the pair of at-lower and
+    at-upper masks on which the box step that led to x ended, else None; a
+    box step starts its active-set solve from it (see `_box_step`), since
+    consecutive steps mostly end on the same set.  A step never writes into
+    the state it is given, so a solver can restart from one it kept.
     """
 
     x: np.ndarray
@@ -193,6 +200,7 @@ class StepState:
     preconditioner: np.ndarray | None = None
     rhs_norm: float = math.inf
     hessian: np.ndarray | None = None
+    active_set: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def at(cls, oracle: SmoothOracle, x) -> "StepState":
@@ -207,9 +215,10 @@ class StepResult:
 
     `state` is the state at x+, its gradient the one the subgradient
     selection evaluated, for the next step to start from.
-    `inner_iterations` is the number of linear solves of a box step (the
-    unconstrained solve and one per active-set update); it is 0 without a
-    box.
+    `inner_iterations` is the number of linear solves of a box step: one
+    per free block solved from the carried active set, or, on a cold start,
+    the unconstrained solve and one per active-set update (a carried set
+    that failed first is not counted).  It is 0 without a box.
     """
 
     state: StepState
@@ -274,26 +283,21 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float)
     return None
 
 
-def _box_step(system, rhs, lower, upper, d):
+def _active_set_loop(system, rhs, lower, upper, at_lower, at_upper):
     """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``, by
     a primal-dual active-set method (Hintermueller-Ito-Kunisch, SIAM J.
-    Optim. 2002) from the unconstrained minimizer `d`.
+    Optim. 2002) from the active sets `at_lower` and `at_upper`.
 
-    Each update bounds the coordinates that the scaled step
-    ``d - lam / diag(S)`` along the multiplier ``lam = Sd - r`` takes past a
-    bound, and solves the free block exactly.  Sets that repeat satisfy the
-    KKT conditions.  Returns d, the two active sets, lam (0 on the free
-    coordinates; -lam is in the box's normal cone) and the number of
-    solves, the unconstrained one included."""
+    Each pass fixes the active coordinates on their bounds, solves the free
+    block exactly, and takes as the next sets the coordinates that the
+    scaled step ``d - lam / diag(S)`` along the multiplier ``lam = Sd - r``
+    takes past a bound.  Sets that repeat satisfy the KKT conditions.
+    Returns d, the two active sets, lam (0 on the free coordinates; -lam is
+    in the box's normal cone) and the number of free-block solves.  Raises
+    `SingularSystemError` when a free block is not positive definite and
+    `MaxInnerIterationsError` after `_BOX_MAX_INNER` solves."""
     scale = np.diag(system)
-    lam = np.zeros_like(d)
-    at_lower = at_upper = np.zeros(d.shape, dtype=bool)
     for solves in range(1, _BOX_MAX_INNER + 1):
-        trial = d - lam / scale
-        new_lower, new_upper = trial < lower, trial > upper
-        if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
-            return d, at_lower, at_upper, lam, solves
-        at_lower, at_upper = new_lower, new_upper
         free = ~(at_lower | at_upper)
         d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
         if free.any():
@@ -305,7 +309,43 @@ def _box_step(system, rhs, lower, upper, d):
             d[free] = _cho_solve(factor, reduced)
         lam = system @ d - rhs
         lam[free] = 0.0
+        trial = d - lam / scale
+        new_lower, new_upper = trial < lower, trial > upper
+        if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
+            return d, at_lower, at_upper, lam, solves
+        at_lower, at_upper = new_lower, new_upper
     raise MaxInnerIterationsError(f"box active set still changing after {_BOX_MAX_INNER} updates")
+
+
+def _box_step(hess, metric, coeff, rhs, lower, upper, carried):
+    """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``,
+    with S = hess + coeff*B formed once from the symmetrized `hess`.
+
+    From a carried pair of active sets (`StepState.active_set`) the
+    active-set loop starts at once, with that set's free block.  It starts
+    cold instead, from the unconstrained minimizer, when nothing is carried
+    or the carried set fails (a free block that is not positive definite,
+    or `_BOX_MAX_INNER` updates): `regularized_solve`, with its jitter
+    ladder, then the loop from the coordinates that minimizer takes past a
+    bound, if any.  The QP is strongly convex, so either start reaches the
+    same minimizer; only roundoff tells them apart.  Returns d, the two
+    active sets, lam and the number of linear solves that produced d (the
+    cold start's unconstrained one included).  NaN or inf in S or r raises
+    `NonFiniteError` before any factorization."""
+    system = hess + coeff * metric.matrix
+    require_finite(system, "H + beta*B")
+    require_finite(rhs, "rhs")
+    if carried is not None:
+        try:
+            return _active_set_loop(system, rhs, lower, upper, *carried)
+        except (SingularSystemError, MaxInnerIterationsError):
+            pass  # the carried set fails here: start cold
+    d, _ = regularized_solve(hess, metric, coeff, rhs)
+    at_lower, at_upper = d < lower, d > upper
+    if not (at_lower.any() or at_upper.any()):
+        return d, at_lower, at_upper, np.zeros_like(d), 1
+    d, at_lower, at_upper, lam, solves = _active_set_loop(system, rhs, lower, upper, at_lower, at_upper)
+    return d, at_lower, at_upper, lam, solves + 1
 
 
 def newton_step(
@@ -318,9 +358,11 @@ def newton_step(
 
     psi's quadratics enter the model exactly, and the selected subgradient
     is one of f + psi, so it includes their gradient at x+.  The
-    zero-composite case is one regularized solve; the box case starts from
-    that solve and solves the box QP exactly by at most `_BOX_MAX_INNER`
-    active-set updates (`MaxInnerIterationsError` past that).
+    zero-composite case is one regularized solve; the box case solves the
+    box QP exactly by `_box_step`, from the active set in `state` where
+    there is one and from the unconstrained solve otherwise, in at most
+    `_BOX_MAX_INNER` active-set updates (`MaxInnerIterationsError` past
+    that), and hands its final set on in its state.
 
     The step reads x, g(x) and, where a caller already formed it (the
     adaptive-sigma retries at one x share it, as do the primal's
@@ -353,8 +395,8 @@ def newton_step(
     subgradient ``g(x+) + psi.quad_gradient(x+) - lam``, so no solve's
     residual or jitter hides in it.
 
-    NaN or inf in g(x) or H(x) raises `NonFiniteError` from
-    `regularized_solve`'s entry check, and in g(x+) right after it is
+    NaN or inf in g(x) or H(x) raises `NonFiniteError` from the entry check
+    of `regularized_solve` or `_box_step`, and in g(x+) right after it is
     evaluated.
     """
     if beta < 0:
@@ -380,32 +422,35 @@ def newton_step(
     if hessian_free and preconditioner is not None:
         tol = _forcing_term(rhs_norm, state.rhs_norm)
         solved = _preconditioned_cg(_system_operator(oracle, x, coeff), preconditioner, rhs, tol)
-    inner_iterations, lam = 0, 0.0
+    inner_iterations, lam, active_set = 0, 0.0, None
     if solved is not None:
         d, system_d = solved
         x_plus = x + d
     else:
         if hess is None:
             hess = symmetrize(oracle.hessian(x))
-        d, factor = regularized_solve(hess, metric, coeff, rhs)
-        # the inverse is built only where a Hessian-free step can follow
-        preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
-        x_plus = x + d
         if psi.is_box:
             lower, upper = psi.bounds
             d, at_lower, at_upper, lam, inner_iterations = _box_step(
-                hess + coeff * metric.matrix, rhs, lower - x, upper - x, d
+                hess, metric, coeff, rhs, lower - x, upper - x, state.active_set
             )
+            # a box step is never Hessian-free, so it hands on no preconditioner
+            preconditioner, active_set = None, (at_lower, at_upper)
             # active coordinates sit exactly on their bound
             x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
             d = x_plus - x
+        else:
+            d, factor = regularized_solve(hess, metric, coeff, rhs)
+            # the inverse is built only where a Hessian-free step can follow
+            preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
+            x_plus = x + d
         system_d = rhs + lam
     local = np.sqrt(max(d @ (system_d - coeff * metric.apply(d)), 0.0))
 
     grad_plus = oracle.gradient(x_plus)
     require_finite(grad_plus, "g(x+)")
     return StepResult(
-        state=StepState(x_plus, grad_plus, preconditioner, rhs_norm),
+        state=StepState(x_plus, grad_plus, preconditioner, rhs_norm, active_set=active_set),
         subgradient=grad_plus + psi.quad_gradient(x_plus, metric) - lam,
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),

@@ -118,10 +118,12 @@ def solve_dual(
     Hessian.  Above the Hessian-free size most steps take a few
     Hessian-vector products in place of the Hessian, the state carrying
     each step's preconditioner on to the next, across outer iterations too
-    (see `newton_step`).  A retry after a doubling restarts from the outer
-    iterate's state, with the latest preconditioner.  `start`, a state an
-    earlier solve ended in (`DualResult.state`), lends the first step its
-    preconditioner and `rhs_norm`; its x and g are never read, since g(x0)
+    (see `newton_step`).  On a box every step starts its active-set solve
+    from the set the last box step ended on, carried the same way.  A retry
+    after a doubling restarts from the outer iterate's state, with the
+    latest preconditioner and active set.  `start`, a state an earlier solve
+    ended in (`DualResult.state`), lends the first step its preconditioner,
+    `rhs_norm` and active set; its x and g are never read, since g(x0)
     is evaluated here, so `oracle` may differ from the one it came from (as
     the accelerated scheme's contracted oracles do).  A gradient or Hessian
     holding NaN or inf ends the run in `NON_FINITE` at that evaluation, at
@@ -144,7 +146,9 @@ def solve_dual(
     try:
         state = StepState.at(oracle, x)
         if start is not None:
-            state = replace(state, preconditioner=start.preconditioner, rhs_norm=start.rhs_norm)
+            state = replace(
+                state, preconditioner=start.preconditioner, rhs_norm=start.rhs_norm, active_set=start.active_set
+            )
         anchor = state  # the outer iterate's state; `state` is the inner one
         # the box normal cone always holds 0, so this is a subgradient of F
         g = g0 = metric.dual_norm(state.grad + psi.quad_gradient(x, metric))
@@ -176,7 +180,7 @@ def solve_dual(
                     # to bite; double it and retry this outer iteration
                     m_const *= 2.0
                     doublings += 1
-                    state = replace(anchor, preconditioner=state.preconditioner)
+                    state = replace(anchor, preconditioner=state.preconditioner, active_set=state.active_set)
                     continue
                 status = DualStatus.QSC_PARAMETER_SUSPECT
                 break

@@ -147,13 +147,13 @@ def adaptive_sigma_search(
 
     Returns (accepted sigma, StepResult, retries).  The caller should start
     the next iteration from half the accepted value.  Every retry restarts
-    from `state`, with the same g(x) and forcing-term history and the
-    latest preconditioner.  Where the steps can be Hessian-free
-    (`can_be_hessian_free`, and no `state.hessian`) a retry after a dense
-    try then solves on products preconditioned by the inverse that try
-    just built, and no H(x) is formed up front.  Otherwise the retries share one
-    `StepState.hessian`, the caller's or evaluated here: only the
-    regularization, and so the factorization, changes.
+    from `state`, with the same g(x), forcing-term history and carried
+    active set, and the latest preconditioner.  Where the steps can be
+    Hessian-free (`can_be_hessian_free`, and no `state.hessian`) a retry
+    after a dense try then solves on products preconditioned by the inverse
+    that try just built, and no H(x) is formed up front.  Otherwise the
+    retries share one `StepState.hessian`, the caller's or evaluated here:
+    only the regularization, and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +19,7 @@ from qscnewton import (
 )
 from qscnewton import composite
 from qscnewton.metric import symmetrize
+from qscnewton.dual import DualConfig, DualStatus, solve_dual
 from qscnewton.oracles import affine_substitute
 from qscnewton.primal import PrimalConfig
 
@@ -538,3 +541,194 @@ def test_box_step_commutes_with_diagonal_rescaling(kind, n, seed, beta, weight):
     assert oracle.metric.primal_norm(scaled.state.x * scale - step.state.x) <= 1e-9 * (
         1.0 + step.step_length
     )
+
+
+def _binding_box(kind, seed=3):
+    """A step origin x, beta and a box around x that binds at x+ on some
+    coordinates of each side: each half-width is 0.5 to 1.5 times half the
+    median move of the unconstrained step."""
+    sizes = {
+        "logistic": dict(n=12, m=60),
+        "softmax": dict(n=10, m=50),
+        "matrix_scaling": dict(n=6),
+        "quadratic": dict(n=15),
+    }
+    oracle = generate_synthetic(kind, seed=seed, **sizes[kind])
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.standard_normal(oracle.dim)
+    beta = 0.1
+    move = newton_step(oracle, CompositeTerm.zero(), StepState.at(oracle, x), beta).state.x - x
+    width = 0.5 * np.median(np.abs(move))
+    lower = x - width * rng.uniform(0.5, 1.5, oracle.dim)
+    upper = x + width * rng.uniform(0.5, 1.5, oracle.dim)
+    return oracle, CompositeTerm.box(lower, upper), StepState.at(oracle, x), beta
+
+
+def _carried_sets(correct, seed=0):
+    """The carried active sets a warm start is tried from: the one the step
+    ends on, none active, all at the lower bound, and a random pair."""
+    n = correct[0].size
+    draw = np.random.default_rng(seed).integers(0, 3, n)
+    none = np.zeros(n, dtype=bool)
+    return {"correct": correct, "empty": (none, none), "all-lower": (~none, none), "random": (draw == 1, draw == 2)}
+
+
+def _start_disagreements(oracle, psi, state, beta, cold, warm):
+    """What differs between a cold box step and a warm one from the same
+    state beyond roundoff: the active sets handed on, x+ and the subgradient.
+
+    With equal final sets, both d solve the same free block, and each
+    leaves a residual within gamma_{3n+1} |L||L^T||d| (Higham, Theorem 10.4;
+    |L||L^T| <= sqrt(diag S) sqrt(diag S)^T entrywise) after a reduced
+    right-hand side formed within gamma_{n+1} (|r| + |S||d|).  The two d are
+    then at most twice that apart over lambda_min(S), and x + d adds a
+    rounding of each.  The subgradient moves by |S| + |H(x+)| times that
+    (the multiplier is S d - r on the bounds, and g(x+) moves with H along a
+    segment of roundoff length), plus the multiplier's own rounding."""
+    x, metric = state.x, oracle.metric
+    found = [
+        name
+        for name, c, w in zip(("at_lower", "at_upper"), cold.state.active_set, warm.state.active_set)
+        if not np.array_equal(c, w)
+    ]
+    system = symmetrize(oracle.hessian(x)) + (beta + 2.0 * psi.quad_weight()) * metric.matrix
+    rhs = -(state.grad + psi.quad_gradient(x, metric))
+    d = np.abs(cold.state.x - x)
+    root = np.sqrt(np.diag(system))
+    residual = 2.0 * gamma(3 * x.size + 4) * (np.abs(rhs) + np.abs(system) @ d + root * (root @ d))
+    apart = np.linalg.norm(residual) / np.linalg.eigvalsh(system)[0]
+    apart += 2.0 * gamma(1) * np.linalg.norm(cold.state.x)
+    if np.linalg.norm(warm.state.x - cold.state.x) > apart:
+        found.append("x+")
+    hess_plus = symmetrize(oracle.hessian(cold.state.x))
+    moved = (np.abs(system) + np.abs(hess_plus)).sum(axis=1) * apart + residual
+    if np.any(np.abs(warm.subgradient - cold.subgradient) > moved):
+        found.append("subgradient")
+    return found
+
+
+def _free_block_only(system, rhs, lower, upper, at_lower, at_upper):
+    """Planted mutation of `_active_set_loop`: the carried set's free-block
+    solve, returned without the KKT loop that checks it."""
+    free = ~(at_lower | at_upper)
+    d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
+    if free.any():
+        d[free] = np.linalg.solve(system[np.ix_(free, free)], rhs[free] - system[np.ix_(free, ~free)] @ d[~free])
+    lam = system @ d - rhs
+    lam[free] = 0.0
+    return d, at_lower, at_upper, lam, 1
+
+
+_KINDS = ["logistic", "softmax", "matrix_scaling", "quadratic"]
+
+
+class TestCarriedActiveSet:
+    """A box step starts its active-set solve from the set carried in its
+    state, and hands on the set it ends on.  The box QP is strongly convex,
+    so any start reaches the same minimizer: a warm step agrees with the
+    cold one to roundoff."""
+
+    @pytest.mark.parametrize("carried", ["correct", "empty", "all-lower", "random"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_a_warm_step_is_the_cold_step(self, kind, carried):
+        oracle, psi, state, beta = _binding_box(kind)
+        cold = newton_step(oracle, psi, state, beta)
+        lower, upper = psi.bounds
+        assert np.any(cold.state.x == lower) and np.any(cold.state.x == upper)
+        start = _carried_sets(cold.state.active_set)[carried]
+        warm = newton_step(oracle, psi, replace(state, active_set=start), beta)
+        assert _start_disagreements(oracle, psi, state, beta, cold, warm) == []
+        if carried == "correct":
+            assert warm.inner_iterations == 1 < cold.inner_iterations
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_a_warm_start_without_the_kkt_loop_is_caught(self, monkeypatch, kind):
+        oracle, psi, state, beta = _binding_box(kind)
+        cold = newton_step(oracle, psi, state, beta)
+        monkeypatch.setattr(composite, "_active_set_loop", _free_block_only)
+        caught = {
+            name: _start_disagreements(
+                oracle, psi, state, beta, cold, newton_step(oracle, psi, replace(state, active_set=start), beta)
+            )
+            for name, start in _carried_sets(cold.state.active_set).items()
+        }
+        assert caught["correct"] == []
+        # each wrong start is handed on, with the subgradient of a point
+        # that is not the box QP's minimizer
+        for name in ("empty", "all-lower", "random"):
+            assert {"at_lower", "at_upper"} & set(caught[name]) and "subgradient" in caught[name], name
+
+    def test_a_carried_set_that_fails_falls_back_to_the_cold_step(self, monkeypatch):
+        # from all-lower the loop takes 4 free-block solves, from the
+        # unconstrained step 2
+        oracle, psi, state, beta = _binding_box("softmax")
+        all_lower = _carried_sets(np.zeros((2, oracle.dim), dtype=bool))["all-lower"]
+        assert newton_step(oracle, psi, replace(state, active_set=all_lower), beta).inner_iterations == 4
+        monkeypatch.setattr(composite, "_BOX_MAX_INNER", 2)
+        cold = newton_step(oracle, psi, state, beta)
+        assert cold.inner_iterations == 3
+        warm = newton_step(oracle, psi, replace(state, active_set=all_lower), beta)
+        assert np.array_equal(warm.state.x, cold.state.x)
+        assert np.array_equal(warm.subgradient, cold.subgradient)
+        assert all(map(np.array_equal, warm.state.active_set, cold.state.active_set))
+        assert warm.inner_iterations == cold.inner_iterations
+        # with no start that converges under the cap, the step still raises
+        monkeypatch.setattr(composite, "_BOX_MAX_INNER", 1)
+        with pytest.raises(composite.MaxInnerIterationsError):
+            newton_step(oracle, psi, replace(state, active_set=all_lower), beta)
+
+    def test_a_dual_whose_box_steps_cannot_converge_fails_typed(self, monkeypatch):
+        monkeypatch.setattr(composite, "_BOX_MAX_INNER", 1)
+        oracle = generate_synthetic("logistic", n=12, m=60, seed=3)
+        psi = CompositeTerm.box(np.full(12, -0.05), np.full(12, 0.05))
+        result = solve_dual(oracle, psi, np.zeros(12), DualConfig(qsc_constant=1.0, grad_tol=1e-8))
+        assert result.status is DualStatus.INNER_SOLVER_FAILURE
+
+    def test_the_dual_lends_and_hands_on_the_set(self, monkeypatch):
+        oracle, psi, state, beta = _binding_box("logistic")
+        carried = []
+        box_step = composite._box_step
+
+        def recording(*args):
+            carried.append(args[-1])
+            return box_step(*args)
+
+        monkeypatch.setattr(composite, "_box_step", recording)
+        config = DualConfig(qsc_constant=1.0, grad_tol=1e-8)
+        first = solve_dual(oracle, psi, state.x, config)
+        assert first.status is DualStatus.GRAD_TOL_REACHED
+        assert carried[0] is None and all(c is not None for c in carried[1:])
+        carried.clear()
+        solve_dual(oracle, psi, state.x, config, start=first.state)
+        assert carried[0] is first.state.active_set
+
+
+def _box_solves(drop):
+    """Box solves, outer iterations and inner steps per outer iteration of a
+    logistic box dual (n = 100, m = 1000, box +-0.3), the solves counted at
+    `_box_step`; with `drop`, every step's carried set is dropped there."""
+    oracle = generate_synthetic("logistic", n=100, m=1000, seed=1)
+    psi = CompositeTerm.box(np.full(100, -0.3), np.full(100, 0.3))
+    box_step = composite._box_step
+    solves = []
+
+    def counting(*args):
+        if drop:
+            args = args[:-1] + (None,)
+        result = box_step(*args)
+        solves.append(result[-1])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(composite, "_box_step", counting)
+        result = solve_dual(oracle, psi, np.zeros(100), DualConfig(qsc_constant=oracle.qsc_constant, grad_tol=1e-8))
+    assert result.status is DualStatus.GRAD_TOL_REACHED
+    return sum(solves), result.outer_iterations, [row.inner_iterations for row in result.trace]
+
+
+def test_the_carried_set_saves_box_solves():
+    # 92 against 178 solves; the steps themselves are the same
+    warm, *warm_counts = _box_solves(drop=False)
+    cold, *cold_counts = _box_solves(drop=True)
+    assert warm <= 0.6 * cold
+    assert warm_counts == cold_counts
