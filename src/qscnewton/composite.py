@@ -83,6 +83,7 @@ _FORCING_MAX = 1e-4
 _FORCING_GAMMA = 0.9
 _FORCING_POWER = 2
 _BOX_MAX_INNER = 100  # active-set updates of a box step, then MaxInnerIterationsError
+_STEP_BOUND_SLACK = 1e-8  # of `verify_step_bound`
 
 
 class MaxInnerIterationsError(RuntimeError):
@@ -186,9 +187,10 @@ class StepState:
     cannot be Hessian-free.  `rhs_norm` is the Euclidean norm of the
     right-hand side of the step that led to x, from which the next step's
     forcing term is set; it is inf where no such step is known or none
-    can be Hessian-free.  `hessian` is the symmetrized H(x) where a caller
-    already formed it, else None: a step from it is dense, since its system
-    then costs one factorization.  `active_set` is the pair of at-lower and
+    can be Hessian-free.  `hessian` is H(x), as the oracle returned it, where
+    a caller already evaluated it, else None.  A step from it is dense,
+    since its system then costs one factorization, and only its symmetric
+    part enters the step.  `active_set` is the pair of at-lower and
     at-upper masks on which the box step that led to x ended, else None; a
     box step starts its active-set solve from it (see `_box_step`), since
     consecutive steps mostly end on the same set.  A step never writes into
@@ -317,30 +319,29 @@ def _active_set_loop(system, rhs, lower, upper, at_lower, at_upper):
     raise MaxInnerIterationsError(f"box active set still changing after {_BOX_MAX_INNER} updates")
 
 
-def _box_step(hess, metric, coeff, rhs, lower, upper, carried):
+def _box_step(system, metric, rhs, lower, upper, carried):
     """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``,
-    with S = hess + coeff*B formed once from the symmetrized `hess`.
+    for the step's system S = H + coeff*B as `newton_step` formed it.
 
     From a carried pair of active sets (`StepState.active_set`) the
     active-set loop starts at once, with that set's free block.  It starts
     cold instead, from the unconstrained minimizer, when nothing is carried
     or the carried set fails (a free block that is not positive definite,
-    or `_BOX_MAX_INNER` updates): `regularized_solve`, with its jitter
-    ladder, then the loop from the coordinates that minimizer takes past a
-    bound, if any.  The QP is strongly convex, so either start reaches the
-    same minimizer; only roundoff tells them apart.  Returns d, the two
-    active sets, lam and the number of linear solves that produced d (the
-    cold start's unconstrained one included).  NaN or inf in S or r raises
-    `NonFiniteError` before any factorization."""
-    system = hess + coeff * metric.matrix
-    require_finite(system, "H + beta*B")
-    require_finite(rhs, "rhs")
+    or `_BOX_MAX_INNER` updates): `regularized_solve` of the same S, with
+    its jitter ladder, then the loop from the coordinates that minimizer
+    takes past a bound, if any.  The QP is strongly convex, so either start
+    reaches the same minimizer; only roundoff tells them apart.  Returns d,
+    the two active sets, lam and the number of linear solves that produced
+    d (the cold start's unconstrained one included).  NaN or inf in S or r
+    raises `NonFiniteError` before any factorization."""
     if carried is not None:
+        require_finite(system, "H + beta*B")
+        require_finite(rhs, "rhs")
         try:
             return _active_set_loop(system, rhs, lower, upper, *carried)
         except (SingularSystemError, MaxInnerIterationsError):
             pass  # the carried set fails here: start cold
-    d, _ = regularized_solve(hess, metric, coeff, rhs)
+    d, _ = regularized_solve(system, metric, rhs)
     at_lower, at_upper = d < lower, d > upper
     if not (at_lower.any() or at_upper.any()):
         return d, at_lower, at_upper, np.zeros_like(d), 1
@@ -364,12 +365,14 @@ def newton_step(
     `_BOX_MAX_INNER` active-set updates (`MaxInnerIterationsError` past
     that), and hands its final set on in its state.
 
-    The step reads x, g(x) and, where a caller already formed it (the
+    The step reads x, g(x) and, where a caller already evaluated it (the
     adaptive-sigma retries at one x share it, as do the primal's
-    diagnostics), the symmetrized H(x) from `state`; elsewhere H(x) is
-    evaluated here when the step needs it.  A step then costs one gradient
-    (at x+) and one Hessian at most; a state's H(x) changes no bit of x+,
-    of the subgradient or of the step lengths.
+    diagnostics), H(x) from `state`; elsewhere H(x) is evaluated here when
+    the step needs it.  A step then costs one gradient (at x+) and one
+    Hessian at most; a state's H(x) changes no bit of x+, of the subgradient
+    or of the step lengths.  A dense step forms its one system
+    S = symmetrize(H) + coeff*B here, once: `regularized_solve` solves it
+    without a box, and `_box_step` reads the same S from either start.
 
     A step from a state with no Hessian can be Hessian-free where
     `can_be_hessian_free` says so: no box, an oracle with `cheap_products`,
@@ -427,12 +430,11 @@ def newton_step(
         d, system_d = solved
         x_plus = x + d
     else:
-        if hess is None:
-            hess = symmetrize(oracle.hessian(x))
+        system = symmetrize(oracle.hessian(x) if hess is None else hess) + coeff * metric.matrix
         if psi.is_box:
             lower, upper = psi.bounds
             d, at_lower, at_upper, lam, inner_iterations = _box_step(
-                hess, metric, coeff, rhs, lower - x, upper - x, state.active_set
+                system, metric, rhs, lower - x, upper - x, state.active_set
             )
             # a box step is never Hessian-free, so it hands on no preconditioner
             preconditioner, active_set = None, (at_lower, at_upper)
@@ -440,7 +442,7 @@ def newton_step(
             x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
             d = x_plus - x
         else:
-            d, factor = regularized_solve(hess, metric, coeff, rhs)
+            d, factor = regularized_solve(system, metric, rhs)
             # the inverse is built only where a Hessian-free step can follow
             preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
             x_plus = x + d
@@ -489,15 +491,14 @@ def selected_subgradient(
     return grad_plus - grad - hess @ d - beta * metric.apply(d)
 
 
-def verify_step_bound(
-    step: StepResult, grad_norm: float, beta: float, lam: float = 0.0, slack: float = 1e-8
-) -> tuple[bool, float]:
+def verify_step_bound(step: StepResult, grad_norm: float, beta: float, lam: float = 0.0) -> tuple[bool, float]:
     """Check the one-step length bounds.
 
     ``||x+ - x|| <= g / (beta + lam) + slack``  and
     ``||x+ - x||_x^2 <= ||x+ - x|| * g + slack``, with lam >= 0 any lower
     bound on the minimal generalized Hessian eigenvalue (0 is always valid).
     """
+    slack = _STEP_BOUND_SLACK
     denom = beta + lam
     bound = np.inf if denom <= 0 else grad_norm / denom
     ok_global = step.step_length <= bound + slack

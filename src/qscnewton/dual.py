@@ -37,6 +37,7 @@ class DualStatus(Enum):
 
 
 _MAX_QSC_DOUBLINGS = 40  # a constant 2^40 times the declared one is suspect
+_INNER_QUADRATIC_SLACK = 1e-10  # of `check_inner_quadratic`
 
 # the status each failure ends a run in (matched by isinstance)
 _FAILURE_STATUS = {
@@ -324,7 +325,7 @@ class InnerQuadraticReport:
     worst_slack: float
 
 
-def check_inner_quadratic(result: DualResult, slack: float = 1e-10) -> InnerQuadraticReport:
+def check_inner_quadratic(result: DualResult) -> InnerQuadraticReport:
     """Verify the quadratic residual contraction of the inner Newton loops.
 
     The augmented objective at outer step k is 2 M g_k strongly convex while
@@ -342,7 +343,7 @@ def check_inner_quadratic(result: DualResult, slack: float = 1e-10) -> InnerQuad
         factor = m * phi_half / (2.0 * m * row.g_k)
         residuals = (row.g_k,) + row.inner_residuals
         margins += [
-            factor * r_now**2 + slack - r_next
+            factor * r_now**2 + _INNER_QUADRATIC_SLACK - r_next
             for r_now, r_next in zip(residuals, residuals[1:])
             if not r_now > row.g_k
         ]

@@ -333,6 +333,9 @@ def compute_reference(
 # trace analysis
 # ---------------------------------------------------------------------------
 
+_RATE_MIN_POINTS = 10  # iterations `fit_linear_rate` needs in its window
+_PRIMAL_TRACE_SLACK = 1e-8  # of `check_primal_trace`'s progress and length
+
 
 @dataclass
 class RateFit:
@@ -342,7 +345,7 @@ class RateFit:
     window: int
 
 
-def fit_linear_rate(f_values, f_star: float, min_points: int = 10) -> RateFit:
+def fit_linear_rate(f_values, f_star: float) -> RateFit:
     """Least-squares slope of the log-gap over the linear regime.
 
     The final quadratic burst (successive gap ratio below 0.1) and any
@@ -357,9 +360,9 @@ def fit_linear_rate(f_values, f_star: float, min_points: int = 10) -> RateFit:
         if i + 1 < len(gaps) and gaps[i + 1] > 0 and gaps[i + 1] / gaps[i] < 0.1:
             window = i + 1
             break
-    if window < min_points:
+    if window < _RATE_MIN_POINTS:
         raise InsufficientDataError(
-            f"only {window} usable iterations in the linear window, need {min_points}"
+            f"only {window} usable iterations in the linear window, need {_RATE_MIN_POINTS}"
         )
     ks = np.arange(window, dtype=float)
     ys = np.log(gaps[:window])
@@ -438,7 +441,7 @@ class PerStepReport:
     worst_step_slack: float
 
 
-def check_primal_trace(trace, slack: float = 1e-8) -> PerStepReport:
+def check_primal_trace(trace) -> PerStepReport:
     """Scalar per-step guarantee checks on a primal trace (recomputable from CSV).
 
     Checks, for every step k with beta_k > 0: monotone F (1e-10 slack), the
@@ -450,8 +453,8 @@ def check_primal_trace(trace, slack: float = 1e-8) -> PerStepReport:
     """
     steps = [(row, nxt) for row, nxt in zip(trace, trace[1:]) if row.beta > 0]
     descent = [row.f_value + 1e-10 - nxt.f_value for row, nxt in steps]
-    progress = [row.progress - nxt.grad_norm**2 / (2.0 * row.beta) + slack for row, nxt in steps]
-    length = [row.grad_norm / row.beta - row.step_length + slack for row, _ in steps]
+    progress = [row.progress - nxt.grad_norm**2 / (2.0 * row.beta) + _PRIMAL_TRACE_SLACK for row, nxt in steps]
+    length = [row.grad_norm / row.beta - row.step_length + _PRIMAL_TRACE_SLACK for row, _ in steps]
     monotone = verdict(descent)[0]
     progress_ok, worst_progress = verdict(progress)
     length_ok, worst_step = verdict(length)

@@ -4,7 +4,8 @@ The whole library works with a fixed symmetric positive-definite operator B
 that defines the primal norm ``||h|| = <Bh, h>^{1/2}`` and the dual norm
 ``||s||_* = <s, B^{-1}s>^{1/2}``.  Vectors are plain 1-d float ndarrays;
 Hessians are plain symmetric 2-d ndarrays.  Everything here is dense and
-factorization based.
+factorization based.  `regularized_solve` takes a step's system
+S = H + beta*B as the step formed it, once, from the symmetrized H.
 
 Cholesky factor and solve go straight to LAPACK (``dpotrf``/``dpotrs``):
 at the sizes the solvers run, scipy's ``cho_factor``/``cho_solve`` wrappers
@@ -12,8 +13,8 @@ cost more than the factorization itself, mostly in finiteness scans that
 re-read every input, B's cached factor included, on every call.  Both routes
 run the same LAPACK routine, so results are bitwise equal.  Finiteness is
 instead checked once per step, where a value enters: the metric at
-construction, ``H + beta*B`` and the right-hand side on entry to
-`regularized_solve`, and the vector of each `Metric.solve`.  A non-finite
+construction, S and the right-hand side on entry to `regularized_solve` or
+to a warm box step, and the vector of each `Metric.solve`.  A non-finite
 input raises `NonFiniteError`.
 
 Symmetric-definite pencils (A, B) go straight to LAPACK the same way, in
@@ -216,33 +217,24 @@ def local_norm(h: np.ndarray, hessian: np.ndarray):
 _MAX_JITTER_RETRIES = 6  # of `regularized_solve`, the last at delta = 1e-7
 
 
-def regularized_solve(
-    hessian: np.ndarray,
-    metric: Metric,
-    beta: float,
-    rhs: np.ndarray,
-):
-    """Solve (H + beta*B) d = rhs by symmetric factorization.
+def regularized_solve(system: np.ndarray, metric: Metric, rhs: np.ndarray):
+    """Solve S d = rhs by symmetric factorization, for the symmetric system
+    S = H + beta*B a caller formed.
 
-    H is symmetrized first.  If the factorization fails, or the residual of
-    the *unjittered* system exceeds ``1e-10 * (||rhs|| + 1)``, a jitter ladder
-    adds ``delta * B`` with delta = 1e-12, growing tenfold per retry, for at
-    most `_MAX_JITTER_RETRIES` retries before raising `SingularSystemError`.
+    If the factorization fails, or the residual of the *unjittered* system
+    exceeds ``1e-10 * (||rhs|| + 1)``, a jitter ladder adds ``delta * B``
+    with delta = 1e-12, growing tenfold per retry, for at most
+    `_MAX_JITTER_RETRIES` retries before raising `SingularSystemError`.
     One step of iterative refinement is applied after each solve.  NaN or
-    inf in ``H + beta*B`` or in rhs raises `NonFiniteError` before any
-    factorization.
+    inf in S or in rhs raises `NonFiniteError` before any factorization.
 
     Returns ``(d, factor)``: `factor` is `_cholesky`'s factor of the
-    unjittered H + beta*B, or None when that system is not positive
-    definite.
+    unjittered S, or None when S is not positive definite.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
     rhs = np.asarray(rhs, dtype=float)
-    h = symmetrize(np.asarray(hessian, dtype=float))
-    if h.shape != (metric.dim, metric.dim) or rhs.shape != (metric.dim,):
-        raise ValueError("dimension mismatch between hessian, metric, and rhs")
-    system = h + beta * metric.matrix
+    system = np.asarray(system, dtype=float)
+    if system.shape != (metric.dim, metric.dim) or rhs.shape != (metric.dim,):
+        raise ValueError("dimension mismatch between system, metric, and rhs")
     require_finite(system, "H + beta*B")
     require_finite(rhs, "rhs")
     tol = 1e-10 * (np.linalg.norm(rhs) + 1.0)
@@ -262,9 +254,7 @@ def regularized_solve(
         if np.linalg.norm(system @ d - rhs) <= tol:
             return d, unjittered
         delta = 1e-12 if delta == 0.0 else delta * 10.0
-    raise SingularSystemError(
-        f"system H + {beta:g}*B not solvable to tolerance after jitter ladder"
-    )
+    raise SingularSystemError("system H + beta*B not solvable to tolerance after jitter ladder")
 
 
 def min_generalized_eigenvalue(hessian: np.ndarray, metric: Metric) -> float:

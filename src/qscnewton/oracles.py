@@ -386,6 +386,9 @@ def evaluate(oracle: SmoothOracle, method: str, x):
 # 1 MB to the working set; four times as many added 2.4 MB to a
 # certification's peak RSS and ran no faster.
 _QSC_CHUNK_ENTRIES = 1 << 14
+_QSC_REFINE_TOP = 5  # worst samples `check_qsc` refines
+_QSC_REFINE_ROUNDS = 3  # of each refinement
+_MODEL_BOUND_SLACK = 1e-8  # of `check_gradient_bound` and `check_function_bounds`
 
 
 def chunk_size(dim: int, points: int) -> int:
@@ -500,14 +503,7 @@ def _refine_triple(oracle: SmoothOracle, x, u, v, rounds: int):
     return x, u, v
 
 
-def check_qsc(
-    oracle: SmoothOracle,
-    seed: int = 0,
-    num_samples: int = 1000,
-    x_scale: float = 1.0,
-    refine_top: int = 5,
-    refine_rounds: int = 3,
-) -> QscCheckReport:
+def check_qsc(oracle: SmoothOracle, seed: int = 0, num_samples: int = 1000, x_scale: float = 1.0) -> QscCheckReport:
     """Sample-based certificate of the third-derivative bound at the declared M.
 
     Each sample draws (x, u, v) with v normalized to unit primal norm.  Over
@@ -515,15 +511,16 @@ def check_qsc(
     the oracle's `qsc_forms`: closed forms where the oracle overrides it,
     else the default's central differences of u^T H u along v.
     The sample violates if the estimate exceeds ``M ||u||_x^2`` by more than
-    ``1e-4 * (1 + M ||u||_x^2)``.  A handful of the worst triples are refined
-    by alternately choosing v as the steepest direction of the tensor slice
-    D^3 f(x)[u,u,.] and u as the leading eigenvector of the slice along v,
-    which makes undersized declared constants reliably detectable.  Ties
-    between equal excesses go to the earlier sample.
+    ``1e-4 * (1 + M ||u||_x^2)``.  The `_QSC_REFINE_TOP` worst triples are
+    refined, in `_QSC_REFINE_ROUNDS` rounds each, by alternately choosing v
+    as the steepest direction of the tensor slice D^3 f(x)[u,u,.] and u as
+    the leading eigenvector of the slice along v, which makes undersized
+    declared constants reliably detectable.  Ties between equal excesses go
+    to the earlier sample.
     """
     rng = np.random.default_rng(seed)
     n = oracle.dim
-    keep = max(refine_top, 1)
+    keep = _QSC_REFINE_TOP
     chunk = chunk_size(n, 3)
     # (excess, violation, tolerance, triple) of the worst samples, worst
     # first; the stable sorts keep the earlier of equal excesses first
@@ -542,7 +539,7 @@ def check_qsc(
     if not worst:
         return QscCheckReport(0, -np.inf, None, np.nan, False)
 
-    refined = [_refine_triple(oracle, *triple, refine_rounds) for *_, triple in worst]
+    refined = [_refine_triple(oracle, *triple, _QSC_REFINE_ROUNDS) for *_, triple in worst]
     violation, tol = _qsc_violations(oracle, *(np.array(column) for column in zip(*refined)))
     records = [worst[0]] + [(vi - ti, vi, ti, triple) for vi, ti, triple in zip(violation, tol, refined)]
     # max keeps the first of equal excesses: the sampled worst, then refinement order
@@ -650,7 +647,7 @@ def check_hessian_stability(oracle: SmoothOracle, x, y, *, hx=None, hy=None):
     return _per_pair(x, passed, margin)
 
 
-def check_gradient_bound(oracle: SmoothOracle, x, y, slack: float = 1e-8, *, hx=None, gx=None, gy=None):
+def check_gradient_bound(oracle: SmoothOracle, x, y, *, hx=None, gx=None, gy=None):
     """Gradient linearization-error bound between x and y.
 
     Verifies ``||g(y) - g(x) - H(x)(y-x)||_* <= M r_x^2 phi(M r) + slack``
@@ -663,13 +660,11 @@ def check_gradient_bound(oracle: SmoothOracle, x, y, slack: float = 1e-8, *, hx=
     lhs = oracle.metric.dual_norm(residual)
     m = oracle.qsc_constant
     r = oracle.metric.primal_norm(d)
-    rhs = m * local_norm(d, hx) ** 2 * phi(m * r) + slack
+    rhs = m * local_norm(d, hx) ** 2 * phi(m * r) + _MODEL_BOUND_SLACK
     return _per_pair(x, lhs <= rhs, rhs - lhs)
 
 
-def check_function_bounds(
-    oracle: SmoothOracle, x, y, slack: float = 1e-8, *, hx=None, gx=None, fx=None, fy=None
-):
+def check_function_bounds(oracle: SmoothOracle, x, y, *, hx=None, gx=None, fx=None, fy=None):
     """Two-sided second-order model bounds on f(y) around x.
 
     Verifies ``r_x^2 phi(-Mr) - slack <= f(y) - f(x) - <g(x), y-x> <=
@@ -682,6 +677,6 @@ def check_function_bounds(
     m = oracle.qsc_constant
     r = oracle.metric.primal_norm(d)
     rx2 = local_norm(d, _given(oracle, hx, "hessian", x, n, n)) ** 2
-    lower = rx2 * phi(-m * r) - slack
-    upper = rx2 * phi(m * r) + slack
+    lower = rx2 * phi(-m * r) - _MODEL_BOUND_SLACK
+    upper = rx2 * phi(m * r) + _MODEL_BOUND_SLACK
     return _per_pair(x, (lower <= gap) & (gap <= upper), np.minimum(gap - lower, upper - gap))

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm, MaxInnerIterationsError, StepState, can_be_hessian_free, newton_step
-from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite, symmetrize
+from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
 
@@ -48,6 +48,7 @@ _FAILURE_STATUS = {
 }
 
 _MAX_DOUBLINGS = 60  # of the adaptive search, then AdaptiveSearchError
+_LOCAL_QUADRATIC_SLACK = 1e-12  # of `check_local_quadratic`
 
 
 @dataclass
@@ -152,13 +153,13 @@ def adaptive_sigma_search(
     Hessian-free (`can_be_hessian_free`, and no `state.hessian`) a retry
     after a dense try then solves on products preconditioned by the inverse
     that try just built, and no H(x) is formed up front.  Otherwise the
-    retries share one `StepState.hessian`, the caller's or evaluated here:
-    only the regularization, and so the factorization, changes.
+    retries share one `StepState.hessian`, the caller's or evaluated here,
+    unsymmetrized: only the regularization, and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
     if state.hessian is None and not can_be_hessian_free(oracle, psi):
-        state = replace(state, hessian=symmetrize(oracle.hessian(state.x)))
+        state = replace(state, hessian=oracle.hessian(state.x))
     sigma = sigma_start
     for retries in range(_MAX_DOUBLINGS + 1):
         step = newton_step(oracle, psi, state, sigma * grad_norm)
@@ -184,8 +185,9 @@ def solve_primal(
     One `StepState` is carried from step to step: the smooth gradient is
     evaluated once at x0, and every later one is the previous step's, so a
     step costs one gradient and one Hessian (shared with the eta
-    diagnostics when they are recorded, through `StepState.hessian`), and
-    F is evaluated once per iterate.  Without diagnostics the state carries
+    diagnostics when they are recorded, through `StepState.hessian`, which
+    holds H(x_k) as the oracle returned it), and F is evaluated once per
+    iterate.  Without diagnostics the state carries
     each step's preconditioner on to the next, and through the adaptive
     search's retries, so above the Hessian-free size most steps form no
     Hessian (see `newton_step` and `adaptive_sigma_search`).  A value,
@@ -222,7 +224,7 @@ def solve_primal(
                 gap0 = f_val - config.f_star_ref
             if config.record_diagnostics:
                 # the diagnostics and the step from x share one evaluation
-                state = replace(state, hessian=symmetrize(oracle.hessian(x)))
+                state = replace(state, hessian=oracle.hessian(x))
                 row.lam = min_generalized_eigenvalue(state.hessian, metric)
                 row.eta = _eta(g, row.lam)
             if k == config.max_iters:  # the budget is spent: status stays MAX_ITERS
@@ -294,9 +296,7 @@ class LocalQuadraticReport:
         return not self.entered
 
 
-def check_local_quadratic(
-    trace: list[PrimalTraceRow], qsc_constant: float, slack: float = 1e-12
-) -> LocalQuadraticReport:
+def check_local_quadratic(trace: list[PrimalTraceRow], qsc_constant: float) -> LocalQuadraticReport:
     """Verify the per-step quadratic contraction of eta after entering the
     local region eta <= 1/(18 M).
 
@@ -311,7 +311,7 @@ def check_local_quadratic(
         return LocalQuadraticReport(False, None, True, math.inf)
     phi_one = phi(1.0)
     margins = [
-        math.e * (phi_one * qsc_constant + row.sigma) * row.eta**2 + slack - nxt.eta
+        math.e * (phi_one * qsc_constant + row.sigma) * row.eta**2 + _LOCAL_QUADRATIC_SLACK - nxt.eta
         for row, nxt in zip(trace[entry:], trace[entry + 1 :])
     ]
     passed, worst = verdict(margins)

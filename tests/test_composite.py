@@ -17,11 +17,11 @@ from qscnewton import (
     solve_primal,
     verify_step_bound,
 )
-from qscnewton import composite
+from qscnewton import composite, metric
 from qscnewton.metric import symmetrize
 from qscnewton.dual import DualConfig, DualStatus, solve_dual
 from qscnewton.oracles import affine_substitute
-from qscnewton.primal import PrimalConfig
+from qscnewton.primal import PrimalConfig, adaptive_sigma_search
 
 from roundoff import gamma
 
@@ -227,7 +227,7 @@ class TestSuppliedEvaluations:
         o, psi, x = _tail_instance(box, prox)
         plain = newton_step(o, psi, StepState.at(o, x), 0.1)
         counting = CountingOracle(o)
-        reused = newton_step(counting, psi, StepState(x, o.gradient(x), hessian=symmetrize(o.hessian(x))), 0.1)
+        reused = newton_step(counting, psi, StepState(x, o.gradient(x), hessian=o.hessian(x)), 0.1)
         assert counting.calls["hessian"] == 0
         for name in ("x", "grad"):
             assert np.array_equal(getattr(plain.state, name), getattr(reused.state, name)), name
@@ -245,6 +245,57 @@ class TestSuppliedEvaluations:
         psi = CompositeTerm.box(np.full(5, -0.1), np.full(5, 0.1)) if box else CompositeTerm.zero()
         step = newton_step(o, psi, StepState.at(o, np.zeros(5)), 0.4)
         assert np.array_equal(step.state.grad, o.gradient(step.state.x))
+
+
+class TestOneSystemPerStep:
+    """A step forms one system, S = symmetrize(H) + coeff*B, which its dense
+    solve and both starts of its box step read: it symmetrizes H once, and
+    a state's H enters it only through its symmetric part."""
+
+    @staticmethod
+    def _instance():
+        oracle = generate_synthetic("logistic", n=6, m=30, seed=1)
+        x = np.zeros(6)
+        return oracle, CompositeTerm.box(x - 0.02, x + 0.02), StepState.at(oracle, x)
+
+    def test_a_step_symmetrizes_h_once(self, monkeypatch):
+        oracle, box, state = self._instance()
+        zero = CompositeTerm.zero()
+        warm = replace(state, active_set=newton_step(oracle, box, state, 0.5).state.active_set)
+        calls = []
+
+        def counting(a):
+            calls.append(None)
+            return symmetrize(a)
+
+        def symmetrized(step, *args):
+            calls.clear()
+            step(oracle, *args)
+            return len(calls)
+
+        monkeypatch.setattr(composite, "symmetrize", counting)
+        monkeypatch.setattr(metric, "symmetrize", counting)
+        assert symmetrized(newton_step, zero, state, 0.5) == 1
+        assert symmetrized(newton_step, box, state, 0.5) == 1  # cold: no carried set
+        assert symmetrized(newton_step, box, warm, 0.5) == 1
+        # the search takes five retries, each one more step from the same H(x)
+        grad_norm = oracle.metric.dual_norm(state.grad)
+        assert adaptive_sigma_search(oracle, zero, state, grad_norm, 1e-3)[2] == 5
+        assert symmetrized(adaptive_sigma_search, zero, state, grad_norm, 1e-3) == 6
+
+    def test_a_state_h_enters_through_its_symmetric_part(self):
+        oracle, box, state = self._instance()
+        r = np.random.default_rng(1).standard_normal((6, 6))
+        h = oracle.hessian(state.x) + 1e-3 * (r - r.T)
+        cold = newton_step(oracle, box, state, 0.5)
+        warm = replace(state, active_set=cold.state.active_set)
+        assert sum(side.sum() for side in cold.state.active_set) == 3
+        for psi, start in ((CompositeTerm.zero(), state), (box, state), (box, warm)):
+            raw = newton_step(oracle, psi, replace(start, hessian=h), 0.5)
+            symmetric = newton_step(oracle, psi, replace(start, hessian=symmetrize(h)), 0.5)
+            assert np.array_equal(raw.state.x, symmetric.state.x)
+            assert np.array_equal(raw.subgradient, symmetric.subgradient)
+            assert raw.step_length_local == symmetric.step_length_local
 
 
 def _tail_instance(box, prox):

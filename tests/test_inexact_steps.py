@@ -270,7 +270,7 @@ def _shared_hessian_search(oracle, psi, state, grad_norm, sigma_start):
     """The adaptive search whose retries share one H(x), formed up front:
     the reference for the dense paths."""
     if state.hessian is None:
-        state = dataclasses.replace(state, hessian=primal.symmetrize(oracle.hessian(state.x)))
+        state = dataclasses.replace(state, hessian=oracle.hessian(state.x))
     sigma = sigma_start
     for retries in range(primal._MAX_DOUBLINGS + 1):
         step = newton_step(oracle, psi, state, sigma * grad_norm)

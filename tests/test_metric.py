@@ -20,12 +20,18 @@ from qscnewton import (
     solve_dual,
     solve_primal,
 )
-from qscnewton.metric import _pencil_eigh
+from qscnewton.metric import _pencil_eigh, symmetrize
 
 
 def random_spd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T + n * np.eye(n))
+
+
+def solve(hessian, metric, beta, rhs):
+    """`regularized_solve` of the system a Newton step forms from H and beta,
+    symmetrize(H) + beta*B."""
+    return regularized_solve(symmetrize(hessian) + beta * metric.matrix, metric, rhs)
 
 
 class TestPrimalNorm:
@@ -104,11 +110,11 @@ class TestLocalNorm:
 
 class TestRegularizedSolve:
     def test_identity_case(self):
-        d, _ = regularized_solve(np.eye(2), Metric.identity(2), 1.0, np.array([2.0, 2.0]))
+        d, _ = solve(np.eye(2), Metric.identity(2), 1.0, np.array([2.0, 2.0]))
         np.testing.assert_allclose(d, [1.0, 1.0])
 
     def test_diagonal_case(self):
-        d, _ = regularized_solve(np.diag([2.0, 0.0]), Metric.identity(2), 1.0, np.array([3.0, 1.0]))
+        d, _ = solve(np.diag([2.0, 0.0]), Metric.identity(2), 1.0, np.array([3.0, 1.0]))
         np.testing.assert_allclose(d, [1.0, 1.0])
 
     def test_matches_dense_inverse(self):
@@ -119,7 +125,7 @@ class TestRegularizedSolve:
         rhs = rng.standard_normal(n)
         beta = 0.7
         expected = np.linalg.inv(h + beta * bmat) @ rhs
-        got, _ = regularized_solve(h, Metric(bmat), beta, rhs)
+        got, _ = solve(h, Metric(bmat), beta, rhs)
         assert np.linalg.norm(got - expected) <= 1e-9 * (1 + np.linalg.norm(expected))
 
     def test_residual_contract(self):
@@ -128,25 +134,21 @@ class TestRegularizedSolve:
         h = random_spd(rng, n, scale=100.0)
         metric = Metric(random_spd(rng, n))
         rhs = rng.standard_normal(n) * 10
-        d, _ = regularized_solve(h, metric, 0.3, rhs)
+        d, _ = solve(h, metric, 0.3, rhs)
         res = np.linalg.norm((0.5 * (h + h.T) + 0.3 * metric.matrix) @ d - rhs)
         assert res <= 1e-10 * (np.linalg.norm(rhs) + 1)
 
     def test_jitter_ladder_solves_compatible_singular(self):
         # singular Hessian, rhs in its range: the ladder must succeed
         h = np.diag([1.0, 0.0])
-        d, factor = regularized_solve(h, Metric.identity(2), 0.0, np.array([1.0, 0.0]))
+        d, factor = solve(h, Metric.identity(2), 0.0, np.array([1.0, 0.0]))
         np.testing.assert_allclose(d, [1.0, 0.0], atol=1e-9)
         assert factor is None  # the unjittered system is not positive definite
 
     def test_singular_incompatible_raises(self):
         h = np.zeros((2, 2))
         with pytest.raises(SingularSystemError):
-            regularized_solve(h, Metric.identity(2), 0.0, np.array([0.0, 1.0]))
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            regularized_solve(np.eye(2), Metric.identity(2), -1.0, np.ones(2))
+            solve(h, Metric.identity(2), 0.0, np.array([0.0, 1.0]))
 
 
 class TestMinGeneralizedEigenvalue:
@@ -314,9 +316,9 @@ def test_lapack_route_is_bitwise_equal_to_cho_factor(n, kind, columns, seed):
         expected, expected_factor = reference_regularized_solve(h, metric.matrix, beta, rhs)
     except SingularSystemError:
         with pytest.raises(SingularSystemError):
-            regularized_solve(h, metric, beta, rhs)
+            solve(h, metric, beta, rhs)
     else:
-        d, factor = regularized_solve(h, metric, beta, rhs)
+        d, factor = solve(h, metric, beta, rhs)
         assert np.array_equal(d, expected)
         if expected_factor is None:
             assert factor is None
@@ -324,7 +326,7 @@ def test_lapack_route_is_bitwise_equal_to_cho_factor(n, kind, columns, seed):
             assert np.array_equal(np.tril(factor), expected_factor)
     if kind == "indefinite":
         with pytest.raises(SingularSystemError):
-            regularized_solve(h, metric, beta, rhs)
+            solve(h, metric, beta, rhs)
 
     chol = scipy.linalg.cho_factor(metric.matrix, lower=True)
     s = rng.standard_normal(n) if columns == 1 else rng.standard_normal((n, columns))
@@ -344,11 +346,11 @@ class TestNonFinite:
         else:
             rhs[0] = bad
         with pytest.raises(NonFiniteError):
-            regularized_solve(h, Metric.identity(3), 0.5, rhs)
+            solve(h, Metric.identity(3), 0.5, rhs)
 
     def test_non_finite_beta_rejected(self):
         with pytest.raises(NonFiniteError):
-            regularized_solve(np.eye(2), Metric(np.array([[2.0, 1.0], [1.0, 2.0]])), np.inf, np.ones(2))
+            solve(np.eye(2), Metric(np.array([[2.0, 1.0], [1.0, 2.0]])), np.inf, np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("method", ["solve", "dual_norm"])

@@ -23,7 +23,7 @@ from qscnewton import (
 )
 from qscnewton.metric import local_norm, symmetrize
 from qscnewton.oracles import _QSC_CHUNK_ENTRIES, SmoothOracle, _refine_triple, chunk_size
-from qscnewton import problems
+from qscnewton import oracles, problems
 from qscnewton.problems import KINDS, QuadraticObjective, SeparableObjective, generate_synthetic
 
 
@@ -630,7 +630,7 @@ class TestBatchedCheckQsc:
 
     @pytest.mark.parametrize("undersized", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_sampled_phase_makes_no_hessian_vector_calls(self, kind, undersized):
+    def test_sampled_phase_makes_no_hessian_vector_calls(self, monkeypatch, kind, undersized):
         """check_qsc on CountingOracle(base), bare and under an undersized
         declared constant as `certify` composes them: with refinement off it
         calls only qsc_forms, once per chunk and once for the refined
@@ -642,9 +642,10 @@ class TestBatchedCheckQsc:
         calls = {}
         for path, wrap in (("exact", lambda o: o), ("fd", _FdOnly)):
             for rounds in (0, 3):
+                monkeypatch.setattr(oracles, "_QSC_REFINE_ROUNDS", rounds)
                 counting = CountingOracle(wrap(base))
                 oracle = with_qsc_constant(counting, base.qsc_constant / 4) if undersized else counting
-                check_qsc(oracle, seed=2, num_samples=samples, refine_rounds=rounds)
+                check_qsc(oracle, seed=2, num_samples=samples)
                 calls[path, rounds] = counting.calls
         zero = {"value": 0, "gradient": 0, "hessian": 0, "hessian_vector": 0}
         assert calls["exact", 0] == {**zero, "third_order": sampled_calls}

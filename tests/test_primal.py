@@ -20,7 +20,7 @@ from qscnewton import (
 from qscnewton import primal as primal_mod
 from qscnewton.composite import MaxInnerIterationsError
 from qscnewton.harness import CountingOracle, write_trace
-from qscnewton.metric import SingularSystemError, symmetrize
+from qscnewton.metric import SingularSystemError
 from qscnewton.primal import AdaptiveSearchError, PrimalTraceRow, read_primal_trace
 
 ZERO = CompositeTerm.zero()
@@ -165,7 +165,7 @@ class TestOracleCalls:
 
         def checked_step(oracle, psi, state, beta):
             assert np.array_equal(state.grad, base.gradient(state.x))
-            assert np.array_equal(state.hessian, symmetrize(base.hessian(state.x)))
+            assert np.array_equal(state.hessian, base.hessian(state.x))
             return real_step(oracle, psi, state, beta)
 
         monkeypatch.setattr(primal_mod, "newton_step", checked_step)
