@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .composite import CompositeTerm
-from .dual import DualConfig, DualStatus, solve_dual
+from .dual import QSC_FLOOR, DualConfig, DualStatus, solve_dual
 from .oracles import SmoothOracle, check_bounds, contract_oracle, param, verdict
 
 
@@ -48,7 +48,8 @@ class AccelConfig:
     `distance_bound` is the estimate R; `f_star_ref` is required to set the
     initial scale A_0 per the parameter rule unless `a0` overrides it.
     `gamma` None applies the rule (M R)^{-2/3}, clamped at 1/2 (the clamp only
-    engages for degenerate M, e.g. quadratics).
+    engages for degenerate M, e.g. quadratics).  The inner dual solves take
+    `DualConfig`'s budgets.
     """
 
     distance_bound: float = param("number", exclusiveMinimum=0)
@@ -59,8 +60,6 @@ class AccelConfig:
     rel_accuracy: float = param("number", 1e-6, exclusiveMinimum=0)
     max_outer: int = param("integer", 500, minimum=1)
     strict: bool = False
-    dual_max_outer: int = param("integer", 200, minimum=1)
-    dual_max_inner: int = param("integer", 50, minimum=1)
 
     __post_init__ = check_bounds
 
@@ -196,12 +195,7 @@ def solve_accelerated(
             contracted,
             augmented,
             v,
-            DualConfig(
-                qsc_constant=max(gamma * m_const, 1e-12),
-                grad_tol=nu_next,
-                max_outer=config.dual_max_outer,
-                max_inner=config.dual_max_inner,
-            ),
+            DualConfig(qsc_constant=max(gamma * m_const, QSC_FLOOR), grad_tol=nu_next),
             start=carried,
         )
         carried = inner.state

@@ -84,6 +84,7 @@ _FORCING_GAMMA = 0.9
 _FORCING_POWER = 2
 _BOX_MAX_INNER = 100  # active-set updates of a box step, then MaxInnerIterationsError
 _STEP_BOUND_SLACK = 1e-8  # of `verify_step_bound`
+_CONTAINS_TOL = 1e-12  # of `CompositeTerm.contains`, relative to 1 + max |x_i|
 
 
 class MaxInnerIterationsError(RuntimeError):
@@ -150,10 +151,11 @@ class CompositeTerm:
             return np.asarray(x, dtype=float)
         return np.clip(x, self._lower, self._upper)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether x lies in the box, up to `_CONTAINS_TOL` (1 + max |x_i|)."""
         if not self.is_box:
             return True
-        slack = tol * (1.0 + np.abs(x).max())
+        slack = _CONTAINS_TOL * (1.0 + np.abs(x).max())
         return bool(np.all(x >= self._lower - slack) and np.all(x <= self._upper + slack))
 
     def value(self, x: np.ndarray, metric: Metric) -> float:

@@ -37,6 +37,8 @@ class DualStatus(Enum):
 
 
 _MAX_QSC_DOUBLINGS = 40  # a constant 2^40 times the declared one is suspect
+_MAX_INNER = 50  # inner steps per outer iteration, then a doubling
+QSC_FLOOR = 1e-12  # callers' floor on a declared M: M = 0 (a quadratic) would zero the prox weight
 _INNER_QUADRATIC_SLACK = 1e-10  # of `check_inner_quadratic`
 
 # the status each failure ends a run in (matched by isinstance)
@@ -49,10 +51,13 @@ _FAILURE_STATUS = {
 
 @dataclass
 class DualConfig:
+    """Configuration for `solve_dual`: the M of the prox weight M g_k, the
+    tolerance nu and the outer budget.  An outer iteration takes at most
+    `_MAX_INNER` inner steps before M is doubled."""
+
     qsc_constant: float = param("number", exclusiveMinimum=0)
-    grad_tol: float = param("number", exclusiveMinimum=0)
+    grad_tol: float = param("number", 1e-8, exclusiveMinimum=0)
     max_outer: int = param("integer", 200, minimum=1)
-    max_inner: int = param("integer", 50, minimum=1)
 
     __post_init__ = check_bounds
 
@@ -168,7 +173,7 @@ def solve_dual(
                 1e-14 * (1.0 + g),
             )
             residuals = []
-            for _ in range(config.max_inner):
+            for _ in range(_MAX_INNER):
                 step = newton_step(oracle, augmented, state, 0.0)
                 state = step.state
                 residuals.append(metric.dual_norm(step.subgradient))

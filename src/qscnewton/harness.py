@@ -636,11 +636,10 @@ def _reference_summary(reference: ReferenceSolution) -> dict:
 
 
 def _primal_config(params, oracle, x0, reference, verify_cfg, strict):
-    config = primal_mod.PrimalConfig(**params)
+    # the local_quadratic check reads eta per row
+    config = primal_mod.PrimalConfig(**params, record_diagnostics=verify_cfg.get("local_quadratic", False))
     if config.rel_accuracy is not None:
         config.f_star_ref = reference.f_value
-    if verify_cfg.get("local_quadratic", False):
-        config.record_diagnostics = True  # the check needs eta per row
     return config
 
 
@@ -743,7 +742,7 @@ _SOLVERS = {
     "dual": _Solver(
         config_type=dual_mod.DualConfig,
         configure=lambda params, oracle, *_: dual_mod.DualConfig(
-            **{"qsc_constant": max(oracle.qsc_constant, 1e-12), "grad_tol": 1e-8, **params}
+            **{"qsc_constant": max(oracle.qsc_constant, dual_mod.QSC_FLOOR), **params}
         ),
         solve=lambda *args: dual_mod.solve_dual(*args),
         row_type=dual_mod.DualTraceRow,

@@ -389,6 +389,7 @@ _QSC_CHUNK_ENTRIES = 1 << 14
 _QSC_REFINE_TOP = 5  # worst samples `check_qsc` refines
 _QSC_REFINE_ROUNDS = 3  # of each refinement
 _MODEL_BOUND_SLACK = 1e-8  # of `check_gradient_bound` and `check_function_bounds`
+_CHECK_FD_STEP = 1e-5  # central-difference (FD) step of `check_gradient` and `check_hessian`
 
 
 def chunk_size(dim: int, points: int) -> int:
@@ -413,24 +414,20 @@ def _central_differences(oracle: SmoothOracle, method: str, x: np.ndarray, step:
     return np.concatenate(rows)
 
 
-def check_gradient(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> float:
-    """Max per-coordinate relative error of the analytic gradient vs central differences."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def check_gradient(oracle: SmoothOracle, x: np.ndarray) -> float:
+    """Max per-coordinate relative error of the analytic gradient vs FD of step `_CHECK_FD_STEP`."""
     x = np.asarray(x, dtype=float)
     grad = oracle.gradient(x)
-    fd = _central_differences(oracle, "value", x, step)
+    fd = _central_differences(oracle, "value", x, _CHECK_FD_STEP)
     return float(np.max(np.abs(fd - grad) / (1.0 + np.abs(grad))))
 
 
-def check_hessian(oracle: SmoothOracle, x: np.ndarray, step: float = 1e-5) -> float:
-    """Max entrywise relative error of the analytic Hessian vs FD of the gradient."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def check_hessian(oracle: SmoothOracle, x: np.ndarray) -> float:
+    """Max entrywise relative error of the analytic Hessian vs FD of the gradient, step `_CHECK_FD_STEP`."""
     x = np.asarray(x, dtype=float)
     hess = symmetrize(oracle.hessian(x))
     # row i estimates column i of H, which is row i of the symmetric hess
-    fd = _central_differences(oracle, "gradient", x, step)
+    fd = _central_differences(oracle, "gradient", x, _CHECK_FD_STEP)
     return float(np.max(np.abs(fd - hess) / (1.0 + np.abs(hess))))
 
 

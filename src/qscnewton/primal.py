@@ -48,6 +48,7 @@ _FAILURE_STATUS = {
 }
 
 _MAX_DOUBLINGS = 60  # of the adaptive search, then AdaptiveSearchError
+_SIGMA_MIN = 1e-12  # the adaptive search's floor on sigma
 _LOCAL_QUADRATIC_SLACK = 1e-12  # of `check_local_quadratic`
 
 
@@ -56,19 +57,21 @@ class PrimalConfig:
     """Configuration for `solve_primal`.
 
     With `adaptive` False the constant weight `sigma` is used (the oracle's
-    declared qsc constant when None).  The target-gap stop needs an external
-    reference value `f_star_ref`; the solver itself never estimates it.
+    declared qsc constant when None), else a search from `sigma0` floored at
+    `_SIGMA_MIN`.  The target-gap stop needs an external reference value
+    `f_star_ref`; the solver itself never estimates it.  `record_diagnostics`
+    (library-only, as `f_star_ref` is; a run turns it on with `local_quadratic`)
+    fills each row's `lam` and `eta` for `check_local_quadratic`.
     """
 
     sigma: float | None = param("number", None, minimum=0)
     adaptive: bool = param("boolean", False)
     sigma0: float = param("number", 1.0, exclusiveMinimum=0)
-    sigma_min: float = param("number", 1e-12, minimum=0)
     grad_tol: float = param("number", 1e-9, exclusiveMinimum=0)
     max_iters: int = param("integer", 1000, minimum=1)
     f_star_ref: float | None = None
     rel_accuracy: float | None = param("number", None, exclusiveMinimum=0)
-    record_diagnostics: bool = param("boolean", False)
+    record_diagnostics: bool = False
 
     __post_init__ = check_bounds
 
@@ -237,10 +240,8 @@ def solve_primal(
                 break
 
             if config.adaptive:
-                sigma_k, step, retries = adaptive_sigma_search(
-                    oracle, psi, state, g, max(sigma_next, config.sigma_min)
-                )
-                sigma_next = max(sigma_k / 2.0, config.sigma_min)
+                sigma_k, step, retries = adaptive_sigma_search(oracle, psi, state, g, max(sigma_next, _SIGMA_MIN))
+                sigma_next = max(sigma_k / 2.0, _SIGMA_MIN)
             else:
                 sigma_k = config.sigma if config.sigma is not None else oracle.qsc_constant
                 step = newton_step(oracle, psi, state, sigma_k * g)

@@ -58,20 +58,20 @@ class TestSolveDual:
             direct = logistic_ref.metric.dual_norm(logistic_ref.gradient(row.x_next))
             assert abs(row.g_next - direct) <= 1e-9 * (1.0 + direct)
 
-    def test_underestimated_constant_is_doubled(self):
+    def test_underestimated_constant_is_doubled(self, monkeypatch):
         # far start on an exponential instance: the barely-augmented inner
         # Newton loop stalls, so the constant must be grown to finish
+        monkeypatch.setattr(dual_mod, "_MAX_INNER", 5)
         o = generate_synthetic("exponential", n=8, m=40, seed=9)
-        res = solve_dual(
-            o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5)
-        )
+        res = solve_dual(o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8))
         assert res.status is DualStatus.GRAD_TOL_REACHED
         assert res.qsc_used > 1e-8
 
     def test_adaptation_disabled_reports_suspect_constant(self, monkeypatch):
         monkeypatch.setattr(dual_mod, "_MAX_QSC_DOUBLINGS", 0)
+        monkeypatch.setattr(dual_mod, "_MAX_INNER", 5)
         o = generate_synthetic("exponential", n=8, m=40, seed=9)
-        res = solve_dual(o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5))
+        res = solve_dual(o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8))
         assert res.status is DualStatus.QSC_PARAMETER_SUSPECT
 
     @pytest.mark.parametrize("box", [False, True])
@@ -95,10 +95,9 @@ class TestSolveDual:
             return real_step(oracle, psi, state, beta, **kwargs)
 
         monkeypatch.setattr(dual_mod, "newton_step", checked_step)
+        monkeypatch.setattr(dual_mod, "_MAX_INNER", 5)
         o = CountingOracle(base)
-        res = solve_dual(
-            o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8, max_inner=5)
-        )
+        res = solve_dual(o, ZERO, np.full(8, 5.0), DualConfig(qsc_constant=1e-8, grad_tol=1e-8))
         assert res.status is DualStatus.GRAD_TOL_REACHED
         assert res.qsc_used > 1e-8
         assert o.calls["gradient"] == res.total_inner + 1

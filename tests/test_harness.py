@@ -29,6 +29,7 @@ from qscnewton import (
     run_instance_checks,
     solve_primal,
 )
+from qscnewton.cli import main
 from qscnewton.harness import (
     build_problem,
     load_config,
@@ -37,6 +38,7 @@ from qscnewton.harness import (
     sample_pairs,
     validate_config,
 )
+from qscnewton.primal import read_primal_trace
 from qscnewton.problems import KINDS
 
 ZERO = CompositeTerm.zero()
@@ -355,25 +357,20 @@ _SOLVER_KEYS = {
     "sigma": {"type": "number", "minimum": 0},
     "adaptive": {"type": "boolean"},
     "sigma0": {"type": "number", "exclusiveMinimum": 0},
-    "sigma_min": {"type": "number", "minimum": 0},
     "grad_tol": {"type": "number", "exclusiveMinimum": 0},
     "max_iters": {"type": "integer", "minimum": 1},
     "rel_accuracy": {"type": "number", "exclusiveMinimum": 0},
-    "record_diagnostics": {"type": "boolean"},
     "qsc_constant": {"type": "number", "exclusiveMinimum": 0},
     "max_outer": {"type": "integer", "minimum": 1},
-    "max_inner": {"type": "integer", "minimum": 1},
     "distance_bound": {"type": "number", "exclusiveMinimum": 0},
     "c": {"type": "number", "exclusiveMinimum": 0},
     "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     "a0": {"type": "number", "exclusiveMinimum": 0},
-    "dual_max_outer": {"type": "integer", "minimum": 1},
-    "dual_max_inner": {"type": "integer", "minimum": 1},
 }
 # each config type, a solver name that builds it, and its required fields
 _CONFIG_TYPES = (
     (PrimalConfig, "primal", {}),
-    (DualConfig, "dual", {"qsc_constant": 1.0, "grad_tol": 1e-8}),
+    (DualConfig, "dual", {"qsc_constant": 1.0}),
     (AccelConfig, "accelerated", {"distance_bound": 1.0}),
 )
 
@@ -412,7 +409,7 @@ class TestConfigFields:
 
     def test_library_only_fields_are_not_config_keys(self):
         solver = harness.CONFIG_SCHEMA["properties"]["solver"]["properties"]
-        assert {"f_star_ref", "strict"}.isdisjoint(solver)
+        assert {"f_star_ref", "strict", "record_diagnostics"}.isdisjoint(solver)
 
     def test_every_documented_key_is_a_field_of_a_config_type(self):
         fields = {f.name for config_type, *_ in _CONFIG_TYPES for f in dataclasses.fields(config_type)}
@@ -450,6 +447,35 @@ class TestConfigFields:
     def test_none_defaults_are_not_checked(self):
         assert PrimalConfig(sigma=None, rel_accuracy=None).sigma is None
         assert AccelConfig(distance_bound=1.0, gamma=None, a0=None).gamma is None
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("primal", "sigma_min", 1e-12),
+            ("primal", "record_diagnostics", True),
+            ("dual", "max_inner", 50),
+            ("accelerated", "dual_max_outer", 200),
+            ("accelerated", "dual_max_inner", 50),
+        ],
+        ids=["sigma_min", "record_diagnostics", "max_inner", "dual_max_outer", "dual_max_inner"],
+    )
+    def test_a_removed_solver_key_is_refused(self, tmp_path, capsys, name, key, value):
+        # each took one value in every caller and is now a constant;
+        # record_diagnostics is library-only, turned on by local_quadratic
+        config = {"schema_version": 1, "problem": {"kind": "logistic", "n": 6, "m": 30, "seed": 4}}
+        config["solver"] = {"name": name, key: value}
+        with pytest.raises(RunConfigError, match=key):
+            run_solve(config, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "cli")]) == 3
+        assert not (tmp_path / "cli").exists()
+        assert "Traceback" not in capsys.readouterr().err
+        config.update(solver={"name": "primal"}, verify={"local_quadratic": True})
+        run_solve(config, tmp_path / "diagnosed")
+        rows = read_primal_trace(tmp_path / "diagnosed" / "trace.csv")
+        assert len(rows) > 1 and all(np.isfinite(row.lam) and np.isfinite(row.eta) for row in rows)
 
 
 class TestRunSolve:

@@ -20,9 +20,9 @@ one ended in.  Their Hessians per solve fall to a handful; two planted
 mutations show what the tests here watch: a retry that drops the carried
 preconditioner, and an inner solve that starts from the gradient of the
 previous contracted oracle.  Where no step can be Hessian-free (below
-`_CG_MIN_DIM`, with a box, with `record_diagnostics`) both solvers write
-the traces they wrote when the retries shared one Hessian and every inner
-solve started afresh, byte for byte.
+`_CG_MIN_DIM`, with a box, with the diagnostics that `local_quadratic`
+turns on) both solvers write the traces they wrote when the retries shared
+one Hessian and every inner solve started afresh, byte for byte.
 """
 
 import dataclasses
@@ -300,7 +300,7 @@ DENSE_PATHS = [
 def test_dense_paths_write_the_same_trace(tmp_path, monkeypatch, solver, n, box, diagnostics):
     config = _config("softmax", solver, n=n, box=box)
     if diagnostics:
-        config["solver"]["record_diagnostics"] = True
+        config["verify"]["local_quadratic"] = True
     got = run_solve(config, tmp_path / "got")
     monkeypatch.setattr(primal, "adaptive_sigma_search", _shared_hessian_search)
     monkeypatch.setattr(accelerated, "solve_dual", _fresh_start_dual)

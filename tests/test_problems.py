@@ -43,7 +43,7 @@ class TestSoftMax:
 
     def test_gradient_matches_fd(self):
         o = generate_synthetic("softmax", n=6, m=20, seed=2, smoothing=0.5)
-        assert check_gradient(o, np.full(6, 0.3), step=1e-5) <= 1e-6
+        assert check_gradient(o, np.full(6, 0.3)) <= 1e-6
 
     def test_declared_constant(self):
         o = generate_synthetic("softmax", n=4, m=10, seed=1, smoothing=0.25)
@@ -85,7 +85,7 @@ class TestSeparable:
 
     def test_hessian_matches_fd_of_gradient(self):
         o = generate_synthetic("logistic", n=5, m=25, seed=7)
-        assert check_hessian(o, np.full(5, -0.2), step=1e-5) <= 1e-5
+        assert check_hessian(o, np.full(5, -0.2)) <= 1e-5
 
     def test_exponential_overflow_clamps_and_warns(self):
         o = SeparableObjective(np.array([[1.0]]), np.array([0.0]), "exponential")
