@@ -1,7 +1,11 @@
 """Command-line interface: solve, verify, reference, and benchmark subcommands.
 
-Exit codes: 0 on success, 2 when a solver or a verification check failed,
-3 on configuration errors, command-line usage errors included.
+Exit codes: 0 on success; 2 on a failure: a solver status that is not a
+success (`solve` exits on that status alone, so a failed verification check
+shows only in its report), a failed `verify` check, a benchmark cell with
+no report, a reference solve that does not converge or a `--strict`
+parameter error; 3 on configuration errors, command-line usage errors
+included.
 """
 
 from __future__ import annotations

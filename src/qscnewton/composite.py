@@ -9,10 +9,10 @@ penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
 through `CompositeTerm.with_quadratic`).  With no box the step is a single
 symmetric solve; with a box the model is a strongly convex box QP, solved
 exactly by a primal-dual active-set method.  That method starts from the
-active set the previous box step ended on, carried in the step state, with
-its free block solved directly, and falls back to starting from the
-unconstrained solve only when that set fails; both starts reach the same
-minimizer, so they differ only by roundoff.
+active set the previous box step ended on, carried in the step state, and
+from the empty set, every coordinate free, when nothing is carried or that
+set fails; both starts reach the same minimizer, so they differ only by
+roundoff.
 Every step, dense, box or Hessian-free, selects the same subgradient of
 F = f + psi at x+: g(x+) plus the gradient of psi's quadratics, less the
 box multiplier of its active-set solve (none without a box).
@@ -82,7 +82,7 @@ _CG_TOL = 1e-12
 _FORCING_MAX = 1e-4
 _FORCING_GAMMA = 0.9
 _FORCING_POWER = 2
-_BOX_MAX_INNER = 100  # active-set updates of a box step, then MaxInnerIterationsError
+_BOX_MAX_INNER = 100  # linear solves of one active-set start, then MaxInnerIterationsError
 _STEP_BOUND_SLACK = 1e-8  # of `verify_step_bound`
 _CONTAINS_TOL = 1e-12  # of `CompositeTerm.contains`, relative to 1 + max |x_i|
 
@@ -195,8 +195,9 @@ class StepState:
     part enters the step.  `active_set` is the pair of at-lower and
     at-upper masks on which the box step that led to x ended, else None; a
     box step starts its active-set solve from it (see `_box_step`), since
-    consecutive steps mostly end on the same set.  A step never writes into
-    the state it is given, so a solver can restart from one it kept.
+    consecutive steps mostly end on the same set, and from the empty set
+    where there is none.  A step never writes into the state it is given,
+    so a solver can restart from one it kept.
     """
 
     x: np.ndarray
@@ -219,9 +220,8 @@ class StepResult:
 
     `state` is the state at x+, its gradient the one the subgradient
     selection evaluated, for the next step to start from.
-    `inner_iterations` is the number of linear solves of a box step: one
-    per free block solved from the carried active set, or, on a cold start,
-    the unconstrained solve and one per active-set update (a carried set
+    `inner_iterations` is the number of linear solves of a box step, one
+    per free block solved, from the start that produced x+ (a carried set
     that failed first is not counted).  It is 0 without a box.
     """
 
@@ -305,8 +305,7 @@ def _active_set_loop(system, rhs, lower, upper, at_lower, at_upper):
         free = ~(at_lower | at_upper)
         d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
         if free.any():
-            bound = ~free
-            reduced = rhs[free] - system[np.ix_(free, bound)] @ d[bound]
+            reduced = rhs[free] - system[free] @ d  # d is 0 on the free coordinates
             factor = _cholesky(system[np.ix_(free, free)])
             if factor is None:
                 raise SingularSystemError("free block of the box step is not positive definite")
@@ -318,37 +317,29 @@ def _active_set_loop(system, rhs, lower, upper, at_lower, at_upper):
         if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
             return d, at_lower, at_upper, lam, solves
         at_lower, at_upper = new_lower, new_upper
-    raise MaxInnerIterationsError(f"box active set still changing after {_BOX_MAX_INNER} updates")
+    raise MaxInnerIterationsError(f"box active set still changing after {_BOX_MAX_INNER} solves")
 
 
-def _box_step(system, metric, rhs, lower, upper, carried):
+def _box_step(system, rhs, lower, upper, carried):
     """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``,
     for the step's system S = H + coeff*B as `newton_step` formed it.
 
-    From a carried pair of active sets (`StepState.active_set`) the
-    active-set loop starts at once, with that set's free block.  It starts
-    cold instead, from the unconstrained minimizer, when nothing is carried
-    or the carried set fails (a free block that is not positive definite,
-    or `_BOX_MAX_INNER` updates): `regularized_solve` of the same S, with
-    its jitter ladder, then the loop from the coordinates that minimizer
-    takes past a bound, if any.  The QP is strongly convex, so either start
-    reaches the same minimizer; only roundoff tells them apart.  Returns d,
-    the two active sets, lam and the number of linear solves that produced
-    d (the cold start's unconstrained one included).  NaN or inf in S or r
-    raises `NonFiniteError` before any factorization."""
+    The active-set loop starts from the carried pair of active sets
+    (`StepState.active_set`), and from the empty sets, whose first pass
+    solves the whole S, when nothing is carried or the carried sets fail.
+    The QP is strongly convex, so every start reaches the same minimizer;
+    only roundoff tells them apart.  Returns the loop's d, two active sets,
+    lam and number of solves; a failure from the empty sets propagates.
+    NaN or inf in S or r raises `NonFiniteError` before any factorization."""
+    require_finite(system, "H + beta*B")
+    require_finite(rhs, "rhs")
     if carried is not None:
-        require_finite(system, "H + beta*B")
-        require_finite(rhs, "rhs")
         try:
             return _active_set_loop(system, rhs, lower, upper, *carried)
         except (SingularSystemError, MaxInnerIterationsError):
-            pass  # the carried set fails here: start cold
-    d, _ = regularized_solve(system, metric, rhs)
-    at_lower, at_upper = d < lower, d > upper
-    if not (at_lower.any() or at_upper.any()):
-        return d, at_lower, at_upper, np.zeros_like(d), 1
-    d, at_lower, at_upper, lam, solves = _active_set_loop(system, rhs, lower, upper, at_lower, at_upper)
-    return d, at_lower, at_upper, lam, solves + 1
+            pass  # the carried sets fail here: start from the empty ones
+    empty = np.zeros(rhs.shape, dtype=bool)
+    return _active_set_loop(system, rhs, lower, upper, empty, empty)
 
 
 def newton_step(
@@ -363,9 +354,9 @@ def newton_step(
     is one of f + psi, so it includes their gradient at x+.  The
     zero-composite case is one regularized solve; the box case solves the
     box QP exactly by `_box_step`, from the active set in `state` where
-    there is one and from the unconstrained solve otherwise, in at most
-    `_BOX_MAX_INNER` active-set updates (`MaxInnerIterationsError` past
-    that), and hands its final set on in its state.
+    there is one and from the empty set otherwise, in at most
+    `_BOX_MAX_INNER` solves (`MaxInnerIterationsError` past that), and
+    hands its final set on in its state.
 
     The step reads x, g(x) and, where a caller already evaluated it (the
     adaptive-sigma retries at one x share it, as do the primal's
@@ -373,8 +364,10 @@ def newton_step(
     the step needs it.  A step then costs one gradient (at x+) and one
     Hessian at most; a state's H(x) changes no bit of x+, of the subgradient
     or of the step lengths.  A dense step forms its one system
-    S = symmetrize(H) + coeff*B here, once: `regularized_solve` solves it
-    without a box, and `_box_step` reads the same S from either start.
+    S = symmetrize(H) + coeff*B here, once: `regularized_solve`, with its
+    jitter ladder, solves it without a box, and `_box_step` reads the same S
+    from either start, with no jitter: coeff > 0 there, so a block of S
+    that does not factor from the empty set raises `SingularSystemError`.
 
     A step from a state with no Hessian can be Hessian-free where
     `can_be_hessian_free` says so: no box, an oracle with `cheap_products`,
@@ -435,9 +428,7 @@ def newton_step(
         system = symmetrize(oracle.hessian(x) if hess is None else hess) + coeff * metric.matrix
         if psi.is_box:
             lower, upper = psi.bounds
-            d, at_lower, at_upper, lam, inner_iterations = _box_step(
-                system, metric, rhs, lower - x, upper - x, state.active_set
-            )
+            d, at_lower, at_upper, lam, inner_iterations = _box_step(system, rhs, lower - x, upper - x, state.active_set)
             # a box step is never Hessian-free, so it hands on no preconditioner
             preconditioner, active_set = None, (at_lower, at_upper)
             # active coordinates sit exactly on their bound

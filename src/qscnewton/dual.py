@@ -267,14 +267,11 @@ def verify_dual_guarantee(
 
 @dataclass
 class DualRateReport:
+    passed: bool  # envelope_passed and oracle_calls_passed
     envelope_passed: bool
     oracle_calls_passed: bool
     fitted_decay: float  # least-squares slope of ln g_k over k
     worst_envelope_slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.envelope_passed and self.oracle_calls_passed
 
 
 def verify_dual_rate(
@@ -316,6 +313,7 @@ def verify_dual_rate(
     slope = float(np.polyfit(ks, ys, 1)[0]) if len(ks) >= 2 else math.nan
     envelope_passed, worst = verdict(margins)
     return DualRateReport(
+        passed=envelope_passed and calls_ok,
         envelope_passed=envelope_passed,
         oracle_calls_passed=calls_ok,
         fitted_decay=slope,

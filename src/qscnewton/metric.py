@@ -14,7 +14,7 @@ re-read every input, B's cached factor included, on every call.  Both routes
 run the same LAPACK routine, so results are bitwise equal.  Finiteness is
 instead checked once per step, where a value enters: the metric at
 construction, S and the right-hand side on entry to `regularized_solve` or
-to a warm box step, and the vector of each `Metric.solve`.  A non-finite
+to a box step, and the vector of each `Metric.solve`.  A non-finite
 input raises `NonFiniteError`.
 
 Symmetric-definite pencils (A, B) go straight to LAPACK the same way, in
@@ -36,7 +36,8 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dsygvd, dsygvx, dsygvx_l
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """A regularized system stayed unsolvable after the jitter ladder."""
+    """A regularized system stayed unsolvable after the jitter ladder, or a
+    box step's system or a free block of it is not positive definite."""
 
 
 class NonFiniteError(ValueError):

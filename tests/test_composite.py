@@ -710,12 +710,12 @@ class TestCarriedActiveSet:
             assert {"at_lower", "at_upper"} & set(caught[name]) and "subgradient" in caught[name], name
 
     def test_a_carried_set_that_fails_falls_back_to_the_cold_step(self, monkeypatch):
-        # from all-lower the loop takes 4 free-block solves, from the
-        # unconstrained step 2
+        # from all-lower the loop takes 4 solves, from the empty sets 3: the
+        # whole S, then 2 free blocks
         oracle, psi, state, beta = _binding_box("softmax")
         all_lower = _carried_sets(np.zeros((2, oracle.dim), dtype=bool))["all-lower"]
         assert newton_step(oracle, psi, replace(state, active_set=all_lower), beta).inner_iterations == 4
-        monkeypatch.setattr(composite, "_BOX_MAX_INNER", 2)
+        monkeypatch.setattr(composite, "_BOX_MAX_INNER", 3)
         cold = newton_step(oracle, psi, state, beta)
         assert cold.inner_iterations == 3
         warm = newton_step(oracle, psi, replace(state, active_set=all_lower), beta)
@@ -727,6 +727,32 @@ class TestCarriedActiveSet:
         monkeypatch.setattr(composite, "_BOX_MAX_INNER", 1)
         with pytest.raises(composite.MaxInnerIterationsError):
             newton_step(oracle, psi, replace(state, active_set=all_lower), beta)
+
+    def test_a_box_step_never_takes_the_jittered_solve(self, monkeypatch):
+        # every start is the active-set loop; only a step without a box
+        # goes through regularized_solve and its jitter ladder
+        oracle, psi, state, beta = _binding_box("softmax")
+        cold = newton_step(oracle, psi, state, beta)
+        all_lower = _carried_sets(cold.state.active_set)["all-lower"]
+        calls = []
+        solve = composite.regularized_solve
+
+        def spying(*args):
+            calls.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(composite, "regularized_solve", spying)
+        monkeypatch.setattr(composite, "_BOX_MAX_INNER", 3)  # all-lower takes 4: it fails
+        starts = {
+            "none": state,
+            "carried": replace(state, active_set=cold.state.active_set),
+            "failing": replace(state, active_set=all_lower),
+        }
+        for name, start in starts.items():
+            step = newton_step(oracle, psi, start, beta)
+            assert calls == [] and np.array_equal(step.state.x, cold.state.x), name
+        newton_step(oracle, CompositeTerm.zero(), state, beta)
+        assert len(calls) == 1
 
     def test_a_dual_whose_box_steps_cannot_converge_fails_typed(self, monkeypatch):
         monkeypatch.setattr(composite, "_BOX_MAX_INNER", 1)

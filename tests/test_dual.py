@@ -197,6 +197,12 @@ class TestDualVerifiers:
         assert report.envelope_passed
         assert report.oracle_calls_passed
 
+    def test_rate_verdict_fails_with_the_call_budget(self, run, logistic_reference):
+        # a negative slack per outer iteration leaves no call budget
+        report = verify_dual_rate(run, logistic_reference.x, slack_per_outer=-10.0)
+        assert report.envelope_passed and not report.oracle_calls_passed
+        assert vars(report)["passed"] is False
+
     def test_rate_envelope_binding_from_hot_start(self, logistic_ref, logistic_reference):
         # ||x0 - x*|| = 2 makes the burn-in ~8 outer iterations, so the
         # exp(-k/2) decay is actually exercised

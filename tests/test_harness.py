@@ -628,6 +628,9 @@ class TestRunSolve:
         assert report["success"]
         assert report["verification"]["dual_guarantee"]["passed"]
         assert report["verification"]["inner_quadratic"]["passed"]
+        # the rate verdict is written next to the two checks it combines
+        rate = json.loads((tmp_path / "report.json").read_text())["verification"]["dual_rate"]
+        assert rate["passed"] is (rate["envelope_passed"] and rate["oracle_calls_passed"]) is True
 
     def test_report_checks_reproducible_from_trace(self, tmp_path):
         # re-running the per-step checks on the persisted CSV gives the same verdicts
