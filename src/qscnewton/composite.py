@@ -8,7 +8,8 @@ where psi is zero or a box indicator, optionally carrying exact quadratic
 penalties w ||y - c||^2 (a proximal-point scheme adds its prox term this way,
 through `CompositeTerm.with_quadratic`).  With no box the step is a single
 symmetric solve; with a box the model is a strongly convex box QP, solved
-exactly by a primal-dual active-set method.  That method starts from the
+by a primal-dual active-set method, one loop whose free blocks are solved
+by Cholesky or, on a Hessian-free step, by CG.  That method starts from the
 active set the previous box step ended on, carried in the step state, and
 from the empty set, every coordinate free, when nothing is carried or that
 set fails; both starts reach the same minimizer, so they differ only by
@@ -20,11 +21,13 @@ box multiplier of its active-set solve (none without a box).
 A solver that carries each step's `StepState` on to the next step, and
 across its own restarts (the adaptive search's retries, the dual's
 doublings, the accelerated scheme's inner solves), takes Hessian-free
-steps where they pay: with no box, on an oracle with cheap products, above
+steps where they pay: on an oracle with cheap products, above
 `_CG_MIN_DIM` (`can_be_hessian_free`), the solve is CG on the products of
 ``H + coeff*B``, each one single-point `hessian_vector` call (the Gram
 families' one-point memo computes what they share from x once),
-preconditioned by the inverse of the last dense system.
+preconditioned by the inverse of the last dense system; on a box, each free
+block of the active-set loop is solved so, preconditioned by the inverse of
+that block of the last dense system.
 Under quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x),
 so that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
@@ -185,11 +188,12 @@ class StepState:
 
     `grad` is the smooth gradient g(x) of f alone.  `preconditioner` is the
     explicit inverse of the last dense system H + coeff*B, which a
-    Hessian-free step applies (see `newton_step`); it is None where steps
-    cannot be Hessian-free.  `rhs_norm` is the Euclidean norm of the
-    right-hand side of the step that led to x, from which the next step's
-    forcing term is set; it is inf where no such step is known or none
-    can be Hessian-free.  `hessian` is H(x), as the oracle returned it, where
+    Hessian-free step applies, a box step to its free blocks (see
+    `newton_step`); it is None where steps cannot be Hessian-free.
+    `rhs_norm` is the Euclidean norm of the right-hand side of the step
+    that led to x, over the coordinates its carried active set left free on
+    a box, from which the next step's forcing term is set; it is inf where
+    no such step is known or none can be Hessian-free.  `hessian` is H(x), as the oracle returned it, where
     a caller already evaluated it, else None.  A step from it is dense,
     since its system then costs one factorization, and only its symmetric
     part enters the step.  `active_set` is the pair of at-lower and
@@ -232,11 +236,11 @@ class StepResult:
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
 
 
-def can_be_hessian_free(oracle: SmoothOracle, psi: CompositeTerm) -> bool:
-    """Whether a step of `oracle` on `psi` from a state with no Hessian can
-    be Hessian-free: no box, cheap products and `_CG_MIN_DIM` variables or
-    more."""
-    return oracle.cheap_products and not psi.is_box and oracle.dim >= _CG_MIN_DIM
+def can_be_hessian_free(oracle: SmoothOracle) -> bool:
+    """Whether a step of `oracle` from a state with no Hessian can be
+    Hessian-free, with a box or without: cheap products and `_CG_MIN_DIM`
+    variables or more."""
+    return oracle.cheap_products and oracle.dim >= _CG_MIN_DIM
 
 
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
@@ -287,35 +291,42 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float)
     return None
 
 
-def _active_set_loop(system, rhs, lower, upper, at_lower, at_upper):
-    """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``, by
-    a primal-dual active-set method (Hintermueller-Ito-Kunisch, SIAM J.
+class _CGFailure(RuntimeError):
+    """A free block's CG solve broke down or hit `_CG_MAX_ITERS`."""
+
+
+def _active_set_loop(solve, scale, rhs, lower, upper, at_lower, at_upper):
+    """Minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``, by a
+    primal-dual active-set method (Hintermueller-Ito-Kunisch, SIAM J.
     Optim. 2002) from the active sets `at_lower` and `at_upper`.
 
-    Each pass fixes the active coordinates on their bounds, solves the free
-    block exactly, and takes as the next sets the coordinates that the
-    scaled step ``d - lam / diag(S)`` along the multiplier ``lam = Sd - r``
-    takes past a bound.  Sets that repeat satisfy the KKT conditions.
-    Returns d, the two active sets, lam (0 on the free coordinates; -lam is
-    in the box's normal cone) and the number of free-block solves.  Raises
-    `SingularSystemError` when a free block is not positive definite and
-    `MaxInnerIterationsError` after `_BOX_MAX_INNER` solves."""
-    scale = np.diag(system)
+    Each pass fixes the active coordinates on their bounds, has
+    `solve(free, d)` fill in the free ones and return S d, and takes as the
+    next sets the coordinates that the scaled step ``d - lam / scale`` along
+    the multiplier ``lam = Sd - r`` takes past a bound.  Sets that repeat
+    satisfy the KKT conditions, for any positive `scale`.  Returns d, S d,
+    the two active sets, lam (0 on the free coordinates; -lam is in the
+    box's normal cone) and the number of solves.  The method need not
+    converge where S is not an M-matrix, so sets that return to a pair an
+    earlier pass solved are a cycle: that, and `_BOX_MAX_INNER` solves,
+    raise `MaxInnerIterationsError`.  A failure of `solve` propagates."""
+    seen = {}
     for solves in range(1, _BOX_MAX_INNER + 1):
         free = ~(at_lower | at_upper)
         d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
-        if free.any():
-            reduced = rhs[free] - system[free] @ d  # d is 0 on the free coordinates
-            factor = _cholesky(system[np.ix_(free, free)])
-            if factor is None:
-                raise SingularSystemError("free block of the box step is not positive definite")
-            d[free] = _cho_solve(factor, reduced)
-        lam = system @ d - rhs
+        system_d = solve(free, d)
+        lam = system_d - rhs
         lam[free] = 0.0
         trial = d - lam / scale
         new_lower, new_upper = trial < lower, trial > upper
         if np.array_equal(new_lower, at_lower) and np.array_equal(new_upper, at_upper):
-            return d, at_lower, at_upper, lam, solves
+            return d, system_d, at_lower, at_upper, lam, solves
+        seen[at_lower.tobytes() + at_upper.tobytes()] = solves
+        first = seen.get(new_lower.tobytes() + new_upper.tobytes())
+        if first is not None:
+            raise MaxInnerIterationsError(
+                f"box active set cycles: solve {solves} leads back to the sets of solve {first}"
+            )
         at_lower, at_upper = new_lower, new_upper
     raise MaxInnerIterationsError(f"box active set still changing after {_BOX_MAX_INNER} solves")
 
@@ -324,22 +335,93 @@ def _box_step(system, rhs, lower, upper, carried):
     """Exact minimizer of ``1/2 d'Sd - r'd`` over ``lower <= d <= upper``,
     for the step's system S = H + coeff*B as `newton_step` formed it.
 
-    The active-set loop starts from the carried pair of active sets
-    (`StepState.active_set`), and from the empty sets, whose first pass
-    solves the whole S, when nothing is carried or the carried sets fail.
-    The QP is strongly convex, so every start reaches the same minimizer;
-    only roundoff tells them apart.  Returns the loop's d, two active sets,
-    lam and number of solves; a failure from the empty sets propagates.
-    NaN or inf in S or r raises `NonFiniteError` before any factorization."""
+    The active-set loop factors each free block of S.  It starts from the
+    carried pair of active sets (`StepState.active_set`), and from the
+    empty sets, whose first pass solves the whole S, when nothing is
+    carried or the carried sets fail.  The QP is strongly convex, so every
+    start reaches the same minimizer; only roundoff tells them apart.
+    Returns what the loop returns; a failure from the empty sets propagates.  NaN or inf
+    in S or r raises `NonFiniteError` before any factorization."""
     require_finite(system, "H + beta*B")
     require_finite(rhs, "rhs")
+
+    def solve(free, d):
+        if free.any():
+            reduced = rhs[free] - system[free] @ d  # d is 0 on the free coordinates
+            factor = _cholesky(system[np.ix_(free, free)])
+            if factor is None:
+                raise SingularSystemError("free block of the box step is not positive definite")
+            d[free] = _cho_solve(factor, reduced)
+        return system @ d
+
+    scale = np.diag(system)
     if carried is not None:
         try:
-            return _active_set_loop(system, rhs, lower, upper, *carried)
+            return _active_set_loop(solve, scale, rhs, lower, upper, *carried)
         except (SingularSystemError, MaxInnerIterationsError):
             pass  # the carried sets fail here: start from the empty ones
     empty = np.zeros(rhs.shape, dtype=bool)
-    return _active_set_loop(system, rhs, lower, upper, empty, empty)
+    return _active_set_loop(solve, scale, rhs, lower, upper, empty, empty)
+
+
+# the last free block's preconditioner: (P, free mask, block)
+_free_block_memo = (None, None, None)
+
+
+def _free_block_inverse(inverse: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The inverse of the free block of the system whose inverse is P:
+    ``P_FF - P_FA P_AA^-1 P_AF``, the Schur complement of P's active block.
+    The last one is memoized on P and the free set, which a Hessian-free
+    step hands on unchanged and mostly ends on.  Raises
+    `SingularSystemError` where P's active block does not factor."""
+    global _free_block_memo
+    memo_inverse, memo_free, block = _free_block_memo
+    if memo_inverse is inverse and np.array_equal(memo_free, free):
+        return block
+    active = ~free
+    block = inverse
+    if active.any():
+        factor = _cholesky(inverse[np.ix_(active, active)])
+        if factor is None:
+            raise SingularSystemError("active block of the preconditioner is not positive definite")
+        cross = inverse[np.ix_(active, free)]
+        block = inverse[np.ix_(free, free)] - cross.T @ _cho_solve(factor, cross)
+    _free_block_memo = (inverse, free, block)
+    return block
+
+
+def _hessian_free_box_step(operator, inverse, rhs, lower, upper, carried, tol):
+    """The box QP of `_box_step`, solved by the same active-set loop on
+    products: each free block by `_preconditioned_cg` to the relative
+    residual `tol`, preconditioned by `_free_block_inverse` of the stale
+    inverse P, and S d from one more product at d, from which the loop reads
+    lam.  The loop starts from the carried sets, else from the empty ones,
+    and scales its multiplier step by 1/diag(P).  Returns the loop's result,
+    or None on any failure: a block that does not factor, a CG breakdown
+    or cap, a cycle or `_BOX_MAX_INNER` solves."""
+
+    def solve(free, d):
+        base = operator(d) if d.any() else np.zeros_like(d)  # S d on the active coordinates
+        if not free.any():
+            return base
+
+        def block(u):
+            full = np.zeros_like(d)
+            full[free] = u
+            return operator(full)[free]
+
+        solved = _preconditioned_cg(block, _free_block_inverse(inverse, free), rhs[free] - base[free], tol)
+        if solved is None:
+            raise _CGFailure
+        d[free] = solved[0]
+        return operator(d)
+
+    empty = np.zeros(rhs.shape, dtype=bool)
+    at_lower, at_upper = (empty, empty) if carried is None else carried
+    try:
+        return _active_set_loop(solve, 1.0 / np.diag(inverse), rhs, lower, upper, at_lower, at_upper)
+    except (SingularSystemError, MaxInnerIterationsError, _CGFailure):
+        return None
 
 
 def newton_step(
@@ -353,10 +435,10 @@ def newton_step(
     psi's quadratics enter the model exactly, and the selected subgradient
     is one of f + psi, so it includes their gradient at x+.  The
     zero-composite case is one regularized solve; the box case solves the
-    box QP exactly by `_box_step`, from the active set in `state` where
+    box QP by the active-set loop, from the active set in `state` where
     there is one and from the empty set otherwise, in at most
-    `_BOX_MAX_INNER` solves (`MaxInnerIterationsError` past that), and
-    hands its final set on in its state.
+    `_BOX_MAX_INNER` solves (`MaxInnerIterationsError` past that, or at a
+    cycle), and hands its final set on in its state.
 
     The step reads x, g(x) and, where a caller already evaluated it (the
     adaptive-sigma retries at one x share it, as do the primal's
@@ -370,28 +452,32 @@ def newton_step(
     that does not factor from the empty set raises `SingularSystemError`.
 
     A step from a state with no Hessian can be Hessian-free where
-    `can_be_hessian_free` says so: no box, an oracle with `cheap_products`,
+    `can_be_hessian_free` says so: an oracle with `cheap_products`,
     `_CG_MIN_DIM` variables or more.  With a preconditioner in `state` it
     solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
     products plus coeff*B u, preconditioned by that inverse of an earlier
-    system, and forms no Hessian.  CG stops at
+    system, and forms no Hessian; on a box, `_hessian_free_box_step` runs
+    the active-set loop with each free block solved so.  CG stops at
     the forcing term `_forcing_term(|rhs|, state.rhs_norm)`, so the step is
     inexact: it moves from the dense step's by up to about `_FORCING_MAX`
     times its length.  Its state at x+ keeps the same preconditioner.  Every
-    step that could be Hessian-free hands |rhs| on in its state; the
-    others hand on inf.  The dense step runs instead,
-    and hands on the inverse of its own system, built from the Cholesky
-    factor it solved with, when there is no preconditioner, on a CG
-    breakdown (a singular or non-finite system) and after `_CG_MAX_ITERS`
-    products, so a singular system still goes through the jitter ladder and
-    a non-finite one still raises.  Every dense step is the same, bit for
-    bit, with or without a preconditioner.
+    step that could be Hessian-free hands |rhs| on in its state, on a box
+    over the coordinates its carried active set left free (the multipliers
+    balance the others, so the full |rhs| does not fall); the others hand on
+    inf.  The dense step runs instead, and hands on the inverse of its own
+    system, built from a Cholesky factor of it, when there is no
+    preconditioner, on a CG breakdown (a singular or non-finite system),
+    after `_CG_MAX_ITERS` products and, on a box, when the loop on products
+    fails in any way, so a singular system still goes through the jitter
+    ladder and a non-finite one still raises.  Every dense step is the
+    same, bit for bit, with or without a preconditioner.
 
     Every step ends alike.  S d, its system S = H + coeff*B applied to d,
-    is ``rhs + lam`` (lam the box multiplier, 0 without a box) or CG's
-    ``rhs - r``; the local length is ``sqrt(d . (S d - coeff*B d))`` and the
-    subgradient ``g(x+) + psi.quad_gradient(x+) - lam``, so no solve's
-    residual or jitter hides in it.
+    is ``rhs + lam`` (lam the box multiplier, 0 without a box), CG's
+    ``rhs - r``, or on a Hessian-free box step the product at d; the local
+    length is ``sqrt(d . (S d - coeff*B d))`` and the subgradient
+    ``g(x+) + psi.quad_gradient(x+) - lam``, so no solve's residual or
+    jitter hides in it.
 
     NaN or inf in g(x) or H(x) raises `NonFiniteError` from the entry check
     of `regularized_solve` or `_box_step`, and in g(x+) right after it is
@@ -414,32 +500,43 @@ def newton_step(
     if psi.is_box and coeff <= 0:
         raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
 
-    hessian_free = hess is None and can_be_hessian_free(oracle, psi)
-    rhs_norm = float(np.linalg.norm(rhs)) if hessian_free else math.inf
+    hessian_free = hess is None and can_be_hessian_free(oracle)
+    rhs_norm = math.inf
+    if hessian_free:
+        # on a box, the rows its carried active set leaves free
+        free_rhs = rhs if state.active_set is None else rhs[~np.logical_or(*state.active_set)]
+        rhs_norm = float(np.linalg.norm(free_rhs))
+    lower, upper = psi.bounds
     solved = None
     if hessian_free and preconditioner is not None:
         tol = _forcing_term(rhs_norm, state.rhs_norm)
-        solved = _preconditioned_cg(_system_operator(oracle, x, coeff), preconditioner, rhs, tol)
-    inner_iterations, lam, active_set = 0, 0.0, None
-    if solved is not None:
-        d, system_d = solved
-        x_plus = x + d
-    else:
+        operator = _system_operator(oracle, x, coeff)
+        if psi.is_box:
+            solved = _hessian_free_box_step(operator, preconditioner, rhs, lower - x, upper - x, state.active_set, tol)
+        else:
+            solved = _preconditioned_cg(operator, preconditioner, rhs, tol)
+    if solved is None:
         system = symmetrize(oracle.hessian(x) if hess is None else hess) + coeff * metric.matrix
         if psi.is_box:
-            lower, upper = psi.bounds
-            d, at_lower, at_upper, lam, inner_iterations = _box_step(system, rhs, lower - x, upper - x, state.active_set)
-            # a box step is never Hessian-free, so it hands on no preconditioner
-            preconditioner, active_set = None, (at_lower, at_upper)
-            # active coordinates sit exactly on their bound
-            x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
-            d = x_plus - x
+            d, _, at_lower, at_upper, lam, inner_iterations = _box_step(system, rhs, lower - x, upper - x, state.active_set)
+            # an exact solve's S d is rhs + lam
+            solved = d, rhs + lam, at_lower, at_upper, lam, inner_iterations
+            factor = _cholesky(system) if hessian_free else None
         else:
             d, factor = regularized_solve(system, metric, rhs)
-            # the inverse is built only where a Hessian-free step can follow
-            preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
-            x_plus = x + d
-        system_d = rhs + lam
+            solved = d, rhs
+        # the inverse is built only where a Hessian-free step can follow
+        preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
+    inner_iterations, lam, active_set = 0, 0.0, None
+    if psi.is_box:
+        d, system_d, at_lower, at_upper, lam, inner_iterations = solved
+        active_set = (at_lower, at_upper)
+        # active coordinates sit exactly on their bound
+        x_plus = np.where(at_lower, lower, np.where(at_upper, upper, psi.project(x + d)))
+        d = x_plus - x
+    else:
+        d, system_d = solved
+        x_plus = x + d
     local = np.sqrt(max(d @ (system_d - coeff * metric.apply(d)), 0.0))
 
     grad_plus = oracle.gradient(x_plus)

@@ -213,6 +213,10 @@ class CountingOracle(SmoothOracle):
     def cheap_products(self):
         return self._base.cheap_products
 
+    @property
+    def point_entries(self):
+        return self._base.point_entries
+
     def value(self, x):
         self.calls["value"] += _points(x)
         return self._base.value(x)
@@ -533,7 +537,7 @@ def run_instance_checks(oracle: SmoothOracle, **sampling) -> dict:
     }
     passed = dict.fromkeys(pair_checks, True)
     worst = dict.fromkeys(pair_checks, math.inf)
-    chunk = chunk_size(oracle.dim, 2)
+    chunk = chunk_size(oracle, 2)
     for lo in range(0, config.pairs, chunk):
         # chunk by chunk, the same stream as drawing each pair in turn
         drawn = [

@@ -119,6 +119,11 @@ class SmoothOracle(abc.ABC):
     steps above a size (see `composite.newton_step`); an oracle whose
     Hessian costs about as much as a few products keeps the dense step,
     which is then the cheaper one.
+
+    `point_entries` is the number of entries the arrays one point derives
+    take, by which the certifier sizes its stacked calls (`chunk_size`):
+    its Hessian's n^2 by default, and for the Gram families at least one per
+    design row.
     """
 
     stacks = False
@@ -137,6 +142,10 @@ class SmoothOracle(abc.ABC):
     @property
     def dim(self) -> int:
         return self._metric.dim
+
+    @property
+    def point_entries(self) -> int:
+        return self.dim**2
 
     @property
     def qsc_constant(self) -> float:
@@ -215,6 +224,10 @@ class _TransformedOracle(SmoothOracle):
     @property
     def cheap_products(self):
         return self._base.cheap_products
+
+    @property
+    def point_entries(self):
+        return self._base.point_entries
 
     def _inner(self, x):
         if self._matrix is not None:
@@ -336,6 +349,10 @@ class _SumOracle(SmoothOracle):
         # summand with the default product would form its Hessian in each
         return self._first.cheap_products or self._second.cheap_products
 
+    @property
+    def point_entries(self):
+        return max(self._first.point_entries, self._second.point_entries)
+
     def value(self, x):
         return self._first.value(x) + self._second.value(x)
 
@@ -379,8 +396,8 @@ def evaluate(oracle: SmoothOracle, method: str, x):
     return np.array([fn(point) for point in x])
 
 
-# Dense-Hessian entries (points x dim^2) that one stacked call of the
-# certifier may cover: a hessian_vector or qsc_forms call of the qsc check, or an
+# Entries (points x `point_entries`) that one stacked call of the certifier
+# may cover: a hessian_vector or qsc_forms call of the qsc check, or an
 # `evaluate` call of the pair or finite-difference checks.  The zoo holds a
 # few arrays of about this many entries per call, so a check adds well under
 # 1 MB to the working set; four times as many added 2.4 MB to a
@@ -392,20 +409,20 @@ _MODEL_BOUND_SLACK = 1e-8  # of `check_gradient_bound` and `check_function_bound
 _CHECK_FD_STEP = 1e-5  # central-difference (FD) step of `check_gradient` and `check_hessian`
 
 
-def chunk_size(dim: int, points: int) -> int:
-    """Items per stacked call when each item has `points` points: three per
-    triple of the qsc check, two per pair of the pair checks or per
-    coordinate of the finite-difference checks."""
-    return max(1, _QSC_CHUNK_ENTRIES // (points * dim * dim))
+def chunk_size(oracle: SmoothOracle, points: int) -> int:
+    """Items per stacked call of `oracle` when each item has `points`
+    points: three per triple of the qsc check, two per pair of the pair
+    checks or per coordinate of the finite-difference checks."""
+    return max(1, _QSC_CHUNK_ENTRIES // (points * oracle.point_entries))
 
 
 def _central_differences(oracle: SmoothOracle, method: str, x: np.ndarray, step: float):
     """Central differences of `method` along each coordinate, row i along
     e_i.  The points x + step e_i and x - step e_i are bitwise those of
-    perturbing one coordinate at a time; `chunk_size(n, 2)` coordinates go
-    to each `evaluate` call."""
+    perturbing one coordinate at a time; `chunk_size(oracle, 2)` coordinates
+    go to each `evaluate` call."""
     n = x.size
-    chunk = chunk_size(n, 2)
+    chunk = chunk_size(oracle, 2)
     rows = []
     for lo in range(0, n, chunk):
         shifts = step * np.eye(n)[lo : lo + chunk]
@@ -464,11 +481,11 @@ class QscCheckReport:
 
 def _qsc_violations(oracle: SmoothOracle, x, u, v):
     """Violation of the qsc bound and its tolerance for each triple row,
-    from `qsc_forms` calls of at most `chunk_size(n, 3)` triples each."""
+    from `qsc_forms` calls of at most `chunk_size(oracle, 3)` triples each."""
     m_const = oracle.qsc_constant
     unorm2 = np.empty(len(x))
     third = np.empty(len(x))
-    chunk = chunk_size(oracle.dim, 3)
+    chunk = chunk_size(oracle, 3)
     for lo in range(0, len(x), chunk):
         rows = slice(lo, lo + chunk)
         unorm2[rows], third[rows] = oracle.qsc_forms(x[rows], u[rows], v[rows])
@@ -518,7 +535,7 @@ def check_qsc(oracle: SmoothOracle, seed: int = 0, num_samples: int = 1000, x_sc
     rng = np.random.default_rng(seed)
     n = oracle.dim
     keep = _QSC_REFINE_TOP
-    chunk = chunk_size(n, 3)
+    chunk = chunk_size(oracle, 3)
     # (excess, violation, tolerance, triple) of the worst samples, worst
     # first; the stable sorts keep the earlier of equal excesses first
     worst: list[tuple] = []

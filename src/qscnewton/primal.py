@@ -153,15 +153,16 @@ def adaptive_sigma_search(
     the next iteration from half the accepted value.  Every retry restarts
     from `state`, with the same g(x), forcing-term history and carried
     active set, and the latest preconditioner.  Where the steps can be
-    Hessian-free (`can_be_hessian_free`, and no `state.hessian`) a retry
-    after a dense try then solves on products preconditioned by the inverse
-    that try just built, and no H(x) is formed up front.  Otherwise the
-    retries share one `StepState.hessian`, the caller's or evaluated here,
-    unsymmetrized: only the regularization, and so the factorization, changes.
+    Hessian-free (`can_be_hessian_free`, with a box or without, and no
+    `state.hessian`) a retry after a dense try then solves on products
+    preconditioned by the inverse that try just built, and no H(x) is
+    formed up front.  Otherwise the retries share one `StepState.hessian`,
+    the caller's or evaluated here, unsymmetrized: only the regularization,
+    and so the factorization, changes.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
-    if state.hessian is None and not can_be_hessian_free(oracle, psi):
+    if state.hessian is None and not can_be_hessian_free(oracle):
         state = replace(state, hessian=oracle.hessian(state.x))
     sigma = sigma_start
     for retries in range(_MAX_DOUBLINGS + 1):

@@ -201,6 +201,11 @@ class _GramObjective(SmoothOracle):
     def rows(self):
         return self._rows
 
+    @property
+    def point_entries(self):
+        # a point's derived arrays hold one entry per design row
+        return max(self.dim**2, self._rows.shape[0])
+
     def _derived(self, x):
         return _memoized(self, x, self._point)
 

@@ -9,6 +9,7 @@ from qscnewton import (
     CompositeTerm,
     CountingOracle,
     Metric,
+    QuadraticObjective,
     StepState,
     generate_synthetic,
     min_generalized_eigenvalue,
@@ -392,8 +393,8 @@ class TestStepTail:
         box_step = composite._box_step
 
         def dropping(*args):
-            d, at_lower, at_upper, lam, solves = box_step(*args)
-            return d, at_lower, at_upper, np.zeros_like(lam), solves
+            d, system_d, at_lower, at_upper, lam, solves = box_step(*args)
+            return d, system_d, at_lower, at_upper, np.zeros_like(lam), solves
 
         monkeypatch.setattr(composite, "_box_step", dropping)
         o, psi, x = _tail_instance(True, True)
@@ -658,16 +659,15 @@ def _start_disagreements(oracle, psi, state, beta, cold, warm):
     return found
 
 
-def _free_block_only(system, rhs, lower, upper, at_lower, at_upper):
+def _free_block_only(solve, scale, rhs, lower, upper, at_lower, at_upper):
     """Planted mutation of `_active_set_loop`: the carried set's free-block
     solve, returned without the KKT loop that checks it."""
     free = ~(at_lower | at_upper)
     d = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
-    if free.any():
-        d[free] = np.linalg.solve(system[np.ix_(free, free)], rhs[free] - system[np.ix_(free, ~free)] @ d[~free])
-    lam = system @ d - rhs
+    system_d = solve(free, d)
+    lam = system_d - rhs
     lam[free] = 0.0
-    return d, at_lower, at_upper, lam, 1
+    return d, system_d, at_lower, at_upper, lam, 1
 
 
 _KINDS = ["logistic", "softmax", "matrix_scaling", "quadratic"]
@@ -783,21 +783,22 @@ class TestCarriedActiveSet:
 def _box_solves(drop):
     """Box solves, outer iterations and inner steps per outer iteration of a
     logistic box dual (n = 100, m = 1000, box +-0.3), the solves counted at
-    `_box_step`; with `drop`, every step's carried set is dropped there."""
+    `_active_set_loop`, which Hessian-free and dense box steps both run; with
+    `drop`, every loop starts from the empty sets instead of the carried ones."""
     oracle = generate_synthetic("logistic", n=100, m=1000, seed=1)
     psi = CompositeTerm.box(np.full(100, -0.3), np.full(100, 0.3))
-    box_step = composite._box_step
+    loop = composite._active_set_loop
     solves = []
 
-    def counting(*args):
+    def counting(solve, scale, rhs, lower, upper, at_lower, at_upper):
         if drop:
-            args = args[:-1] + (None,)
-        result = box_step(*args)
+            at_lower = at_upper = np.zeros_like(at_lower)
+        result = loop(solve, scale, rhs, lower, upper, at_lower, at_upper)
         solves.append(result[-1])
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(composite, "_box_step", counting)
+        patch.setattr(composite, "_active_set_loop", counting)
         result = solve_dual(oracle, psi, np.zeros(100), DualConfig(qsc_constant=oracle.qsc_constant, grad_tol=1e-8))
     assert result.status is DualStatus.GRAD_TOL_REACHED
     return sum(solves), result.outer_iterations, [row.inner_iterations for row in result.trace]
@@ -809,3 +810,51 @@ def test_the_carried_set_saves_box_solves():
     cold, *cold_counts = _box_solves(drop=True)
     assert warm <= 0.6 * cold
     assert warm_counts == cold_counts
+
+
+def _seeded_box_qp(seed, n=3):
+    """A box QP ``1/2 d'Sd - r'd`` over ``lower <= d <= upper`` with S
+    positive definite but not an M-matrix, as a seeded search drew it."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    system = a @ a.T + 0.05 * np.eye(n)
+    return system, 3.0 * rng.standard_normal(n), -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+
+
+class TestCycleGuard:
+    """The primal-dual active-set loop converges on M-matrices, but can
+    cycle on other positive-definite ones (Ben Gharbia and Gilbert, Math.
+    Program. 2012).  Among the 3 x 3 QPs of `_seeded_box_qp`, seeds 808,
+    3555, 4912 and 7144 are the first on which the dense loop cycles from
+    the empty sets; it stops at the first repeat, not after `_BOX_MAX_INNER`
+    solves."""
+
+    @pytest.mark.parametrize("seed, solves, first", [(808, 5, 2), (3555, 5, 2), (4912, 6, 3), (7144, 3, 1)])
+    def test_a_cycling_dense_loop_names_the_cycle(self, seed, solves, first):
+        system, rhs, lower, upper = _seeded_box_qp(seed)
+        assert np.linalg.eigvalsh(system)[0] > 0
+        cycle = f"cycles: solve {solves} leads back to the sets of solve {first}"
+        with pytest.raises(composite.MaxInnerIterationsError, match=cycle):
+            composite._box_step(system, rhs, lower, upper, None)
+
+    def test_a_cycling_hessian_free_loop_falls_back_at_once(self):
+        # seed 1: with the multiplier step scaled by 1/diag(P), at most
+        # diag(S), the loop on products jumps between bounds and cycles
+        # after 4 solves, where the dense loop converges in 3
+        system, rhs, lower, upper = _seeded_box_qp(1)
+        inverse = np.linalg.inv(system)
+        products = []
+
+        def operator(u):
+            products.append(None)
+            return system @ u
+
+        assert composite._hessian_free_box_step(operator, inverse, rhs, lower, upper, None, 1e-12) is None
+        # one CG product and one at d on the first, free pass; one product
+        # at d on each of the 3 passes with every coordinate active
+        assert len(products) == 5
+        d, _, at_lower, at_upper, lam, solves = composite._box_step(system, rhs, lower, upper, None)
+        assert solves == 3
+        oracle = QuadraticObjective(system, rhs)
+        brute = brute_force_box_step(oracle, lower, upper, np.zeros(3), 0.0)
+        np.testing.assert_allclose(d, brute, atol=1e-9)

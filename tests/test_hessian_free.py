@@ -53,21 +53,21 @@ def _instance(kind, seed=1, n=N):
     return generate_synthetic(kind, n=n, m=4 * n, seed=seed, smoothing=1.0)
 
 
-def _solve(oracle, solver):
+def _solve(oracle, solver, psi=ZERO):
     """(status, step counts, iterates, steps) of a solve from 0 to 1e-8."""
     x0 = np.zeros(oracle.dim)
     if solver == "dual":
-        result = solve_dual(oracle, ZERO, x0, DualConfig(qsc_constant=oracle.qsc_constant, grad_tol=1e-8))
+        result = solve_dual(oracle, psi, x0, DualConfig(qsc_constant=oracle.qsc_constant, grad_tol=1e-8))
         counts = (result.outer_iterations, [row.inner_iterations for row in result.trace])
         return result.status, counts, [x0] + [row.x_next for row in result.trace], result.total_inner
-    result = solve_primal(oracle, ZERO, x0, PrimalConfig(sigma=oracle.qsc_constant, grad_tol=1e-8))
+    result = solve_primal(oracle, psi, x0, PrimalConfig(sigma=oracle.qsc_constant, grad_tol=1e-8))
     return result.status, result.iterations, [row.x for row in result.trace], result.step_computations
 
 
-def _dense(oracle, solver, monkeypatch):
+def _dense(oracle, solver, monkeypatch, psi=ZERO):
     with monkeypatch.context() as patch:
         patch.setattr(composite, "_CG_MIN_DIM", oracle.dim + 1)
-        return _solve(oracle, solver)
+        return _solve(oracle, solver, psi)
 
 
 def _disagreements(base, solver, monkeypatch, oracle=None) -> list[str]:
@@ -178,7 +178,7 @@ def _warm(oracle, psi, x, beta):
     return newton_step(oracle, psi, StepState.at(oracle, x), beta).state.preconditioner
 
 
-DENSE_CASES = ["below the size constant", "box", "hessian passed", "no cheap products", "first step"]
+DENSE_CASES = ["below the size constant", "hessian passed", "no cheap products", "first step", "box, first step"]
 
 
 @pytest.mark.parametrize("case", DENSE_CASES)
@@ -189,19 +189,19 @@ def test_dense_steps_are_bitwise_unchanged(case):
         base = _Delegating(base)
     rng = np.random.default_rng(3)
     x = 0.1 * rng.standard_normal(n)
-    psi = CompositeTerm.box(-np.ones(n), np.ones(n)) if case == "box" else ZERO.with_quadratic(0.2 * x, 0.3)
-    given = None if case == "first step" else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
+    psi = CompositeTerm.box(-np.ones(n), np.ones(n)) if "box" in case else ZERO.with_quadratic(0.2 * x, 0.3)
+    given = None if "first step" in case else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
     hess = base.hessian(x) if case == "hessian passed" else None
     counting = CountingOracle(base)
     got = newton_step(counting, psi, StepState(x, base.gradient(x), given, hessian=hess), 0.7)
     _assert_same_step(got, newton_step(base, psi, StepState(x, base.gradient(x), hessian=hess), 0.7))
     assert counting.calls["hessian_vector"] == 0
     # the dense steps that could have been Hessian-free hand on the inverse
-    # of their own system, from the factor regularized_solve solved with
-    if case != "first step":
+    # of their own system, from a Cholesky factor of it
+    if "first step" not in case:
         assert got.state.preconditioner is None
     else:
-        system = symmetrize(base.hessian(x)) + (0.7 + 2 * 0.3) * base.metric.matrix
+        system = symmetrize(base.hessian(x)) + (0.7 + 2 * psi.quad_weight()) * base.metric.matrix
         inverse = got.state.preconditioner
         np.testing.assert_array_equal(inverse, inverse.T)
         # Cholesky, the triangular inversions and their product each round
@@ -209,6 +209,104 @@ def test_dense_steps_are_bitwise_unchanged(case):
         terms = np.abs(inverse)[:, :, None] * np.abs(system)[None, :, :]
         bound = roundoff_bound(4 * n, terms.transpose(0, 2, 1))
         assert np.all(np.abs(inverse @ system - np.eye(n)) <= bound)
+
+
+def _binding_box_step(seed):
+    """A logistic step origin x at the Hessian-free size, with beta, a box
+    around x that binds at x+ on about half the coordinates, and the
+    preconditioner a dense step from 0.5 x hands on."""
+    base = _instance("logistic")
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.standard_normal(N)
+    beta = 0.7
+    move = newton_step(base, ZERO, StepState(x, base.gradient(x), hessian=base.hessian(x)), beta).state.x - x
+    width = np.median(np.abs(move))
+    psi = CompositeTerm.box(x - width * rng.uniform(0.5, 1.5, N), x + width * rng.uniform(0.5, 1.5, N))
+    return base, psi, x, beta, _warm(base, ZERO, 0.5 * x, 0.4)
+
+
+def _box_step_disagreements(seed) -> list[str]:
+    """How a Hessian-free box step differs from the dense one from the same
+    state; empty when they agree.
+
+    The step's forcing term is `_FORCING_MAX` (its state's last right-hand
+    side is its own).  Both steps end on the same active sets, so x+ differs
+    only on the free coordinates F, by the error e of the last CG solve of
+    S_FF d_F = r_F, stopped once ||res||_P <= tol ||r_F||_P with P the free
+    block's preconditioner.  With [a, b] the spectrum of P S_FF that gives
+    ||e||_S <= tol sqrt(b / a) ||d_F||_S, d the dense step; roundoff is far
+    below it.
+    """
+    base, psi, x, beta, inverse = _binding_box_step(seed)
+    grad = base.gradient(x)
+    counting = CountingOracle(base)
+    got = newton_step(counting, psi, StepState(x, grad, inverse, rhs_norm=float(np.linalg.norm(grad))), beta)
+    dense = newton_step(base, psi, StepState(x, grad), beta)
+    found = []
+    if counting.calls["hessian"] != 0 or counting.calls["hessian_vector"] == 0:
+        found.append(f"{counting.calls['hessian']} Hessians and {counting.calls['hessian_vector']} products")
+    if got.state.preconditioner is not inverse:
+        found.append("the preconditioner was not handed on")
+    if not all(map(np.array_equal, got.state.active_set, dense.state.active_set)):
+        found.append("active sets")
+        return found
+    free = ~np.logical_or(*dense.state.active_set)
+    system = symmetrize(base.hessian(x)) + beta * base.metric.matrix
+    block = system[np.ix_(free, free)]
+    spectrum = np.linalg.eigvals(composite._free_block_inverse(inverse, free) @ block).real
+    d = (dense.state.x - x)[free]
+    e = got.state.x - dense.state.x
+    bound = composite._FORCING_MAX * np.sqrt(spectrum.max() / spectrum.min()) * np.sqrt(d @ block @ d)
+    if not np.sqrt(e @ system @ e) <= bound:
+        found.append(f"x+ is {np.sqrt(e @ system @ e):.3e} from the dense one, bound {bound:.3e}")
+    return found
+
+
+BOX_SEEDS = [3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("seed", BOX_SEEDS)
+def test_a_hessian_free_box_step_is_the_dense_one_up_to_the_forcing_term(seed):
+    # seed 5 comes within 1.3% of the bound
+    assert _box_step_disagreements(seed) == []
+
+
+def _lam_from_the_recurrence(operator, inverse, rhs, lower, upper, carried, tol):
+    """Planted mutation of `_hessian_free_box_step`: S d read off CG's
+    recurrence on the free rows, and on the active rows from the product at
+    d's active part alone, with no product at d."""
+
+    def solve(free, d):
+        system_d = operator(d) if d.any() else np.zeros_like(d)
+        if free.any():
+
+            def block(u):
+                full = np.zeros_like(d)
+                full[free] = u
+                return operator(full)[free]
+
+            reduced = rhs[free] - system_d[free]
+            solved = composite._preconditioned_cg(block, composite._free_block_inverse(inverse, free), reduced, tol)
+            if solved is None:
+                raise composite._CGFailure
+            d[free] = solved[0]
+            system_d[free] += solved[1]
+        return system_d
+
+    empty = np.zeros(rhs.shape, dtype=bool)
+    at_lower, at_upper = (empty, empty) if carried is None else carried
+    try:
+        return composite._active_set_loop(solve, 1.0 / np.diag(inverse), rhs, lower, upper, at_lower, at_upper)
+    except (SingularSystemError, composite.MaxInnerIterationsError, composite._CGFailure):
+        return None
+
+
+@pytest.mark.parametrize("seed", BOX_SEEDS)
+def test_a_multiplier_without_the_product_at_d_is_caught(monkeypatch, seed):
+    # its multipliers send the loop round a cycle, and the step falls back
+    # to the dense one: a Hessian
+    monkeypatch.setattr(composite, "_hessian_free_box_step", _lam_from_the_recurrence)
+    assert _box_step_disagreements(seed) != []
 
 
 def test_a_hessian_free_step_hands_its_preconditioner_on():
@@ -242,16 +340,20 @@ class _NonFiniteProducts(_Planted):
         return np.full_like(u, np.nan)
 
 
+@pytest.mark.parametrize("box", [False, True])
 @pytest.mark.parametrize("solver", ["primal", "dual"])
-def test_breakdown_and_the_cap_fall_back_to_dense_steps(monkeypatch, solver):
+def test_breakdown_and_the_cap_fall_back_to_dense_steps(monkeypatch, solver, box):
     # every CG solve breaks down (a NaN product) or stops at a cap of no
-    # products, so every step is the dense one, bit for bit
+    # products, so every step is the dense one, bit for bit; on a box that
+    # binds at the solution, the first box step's CG solve of the whole
+    # system fails alike
     base = _instance("logistic")
-    dense = _dense(base, solver, monkeypatch)
-    broken = _solve(_NonFiniteProducts(base), solver)
+    psi = CompositeTerm.box(np.full(N, -0.05), np.full(N, 0.05)) if box else ZERO
+    dense = _dense(base, solver, monkeypatch, psi)
+    broken = _solve(_NonFiniteProducts(base), solver, psi)
     with monkeypatch.context() as patch:
         patch.setattr(composite, "_CG_MAX_ITERS", 0)
-        capped = _solve(base, solver)
+        capped = _solve(base, solver, psi)
     for run in (broken, capped):
         assert run[:2] == dense[:2]
         for x, ref in zip(run[2], dense[2]):

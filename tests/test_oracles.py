@@ -543,6 +543,10 @@ class _FdOnly(SmoothOracle):
         super().__init__(base.metric, base.qsc_constant)
         self._base = base
 
+    @property
+    def point_entries(self):
+        return self._base.point_entries
+
     def value(self, x):
         return self._base.value(x)
 
@@ -638,7 +642,7 @@ class TestBatchedCheckQsc:
         products inside the call); refinement adds the same calls to both."""
         base = _certify_instance(kind, 1)
         samples = 300
-        sampled_calls = -(-samples // chunk_size(base.dim, 3)) + 1
+        sampled_calls = -(-samples // chunk_size(base, 3)) + 1
         calls = {}
         for path, wrap in (("exact", lambda o: o), ("fd", _FdOnly)):
             for rounds in (0, 3):
@@ -660,3 +664,25 @@ class TestBatchedCheckQsc:
         report = check_qsc(o, seed=3, num_samples=50)
         rng = np.random.default_rng(3)
         np.testing.assert_array_equal(report.worst_triple[0], rng.standard_normal(4))
+
+
+def test_a_gram_familys_chunks_count_its_rows(monkeypatch):
+    # logistic with n = 5 and m = 10^4: at 25 entries a point, a pair chunk
+    # held 654 points, and each derived array of one call 52 MB; at 10^4
+    # entries a point each call holds one pair, as few as the checks allow
+    base = generate_synthetic("logistic", n=5, m=10_000, seed=1)
+    assert base.point_entries == 10_000 and chunk_size(base, 2) == 1
+    assert generate_synthetic("logistic", n=20, m=400, seed=1).point_entries == 400  # certify's size: unchanged
+    assert generate_synthetic("matrix_scaling", n=4, seed=1).point_entries == 64
+    points = []
+    for method in ("value", "gradient", "hessian"):
+        bound = getattr(base, method)
+
+        def spy(x, bound=bound):
+            points.append(np.size(x) // base.dim)
+            return bound(x)
+
+        monkeypatch.setattr(base, method, spy)
+    results = run_instance_checks(CountingOracle(base), seed=0, samples=20, pairs=10)
+    assert all(result["passed"] for result in results.values())
+    assert max(points) == 2
