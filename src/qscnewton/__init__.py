@@ -61,6 +61,7 @@ from .metric import (
     regularized_solve,
 )
 from .oracles import (
+    OracleCosts,
     QscCheckReport,
     SmoothOracle,
     add_oracles,

@@ -118,7 +118,7 @@ def solve_accelerated(
     """Run the contracting proximal-point scheme from x0.
 
     Each inner dual solve starts from the state the previous one ended in
-    (`solve_dual`'s `start`), so above the Hessian-free size its first step
+    (`solve_dual`'s `start`), so where steps are Hessian-free its first step
     is preconditioned by the last inverse built, not a dense step: the
     contracted system grows by 1/(1 - gamma) per outer iteration and its
     Hessian moves within the qsc stability factor, and preconditioned CG is

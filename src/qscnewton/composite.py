@@ -21,13 +21,16 @@ box multiplier of its active-set solve (none without a box).
 A solver that carries each step's `StepState` on to the next step, and
 across its own restarts (the adaptive search's retries, the dual's
 doublings, the accelerated scheme's inner solves), takes Hessian-free
-steps where they pay: on an oracle with cheap products, above
-`_CG_MIN_DIM` (`can_be_hessian_free`), the solve is CG on the products of
+steps where they pay: where the oracle's declared costs
+(`SmoothOracle.costs`) make a dense step cost more than a typical CG
+solve (`hessian_free_pays`), the solve is CG on the products of
 ``H + coeff*B``, each one single-point `hessian_vector` call (the Gram
 families' one-point memo computes what they share from x once),
 preconditioned by the inverse of the last dense system; on a box, each free
 block of the active-set loop is solved so, preconditioned by the inverse of
-that block of the last dense system.
+that block of the last dense system.  A CG solve gives up, and the step
+turns dense, once its products have cost what the dense step costs
+(`_cg_budget`).
 Under quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x),
 so that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
@@ -55,20 +58,25 @@ from .metric import (
     require_finite,
     symmetrize,
 )
-from .oracles import SmoothOracle
+from .oracles import OracleCosts, SmoothOracle
 
-# Hessian-free steps from this dimension up.  Per dual step on logistic
-# instances with m = 20n (one BLAS thread, seeds 1-3), dense against CG
-# took 0.221 against 0.192 ms at n = 30, 0.379 against 0.253 ms at n = 50
-# and 1.48 against 0.69 ms at n = 100.  Per whole solve the dense path
-# still wins at n = 30: lowering the constant to 30 ran the accelerated
-# jobs of the benchmark's box-accel-cli workload (n = 30) x1.11 slower,
-# and x1.86 slower with the step state carried across outer iterations.
-_CG_MIN_DIM = 50
-# A solve that needs more products than this ends in a dense step, which
-# refreshes the preconditioner.  With a stale one the solvers' steps took 5
-# products on average (logistic and soft-max, n = 100, m = 2000).
-_CG_MAX_ITERS = 8
+# What one call costs beyond its flops, in flops: numpy's dispatch and the
+# small vector operations around a Hessian's factorization or a CG product.
+# `hessian_free_pays` adds it to a dense step and to each product.  It is
+# fitted to the crossovers measured on the Gram families, whole solves on
+# one BLAS thread: dense steps win at n = 30, m = 300 (CG ran the
+# accelerated soft-max solves x1.11 slower, x1.86 with the carried step
+# state) and at n = 50, m = 200 (x1.14 and x1.18 in the median of the
+# constant-sigma primal and the dual), and CG wins where n >= 100 or
+# m >= 1000 (x0.39-0.77, n = 50 to 200, m = 4n and 20n).  The last two
+# hold for any value between 2e5 (below it CG is picked at n = 50,
+# m = 200) and 9.6e5 (above it dense is picked at n = 50, m = 1000); 4e5
+# is near their geometric mean.
+_CALL_OVERHEAD = 4e5
+# The products a Hessian-free step's CG solve typically takes: 1.4 to 3.8
+# per step in the console-script solves at n = 64, 2.8 to 3.5 in the dual
+# at n = 100.
+_CG_TYPICAL_PRODUCTS = 3
 # CG stops once the preconditioned residual r^T P r has fallen by the
 # square of the forcing term eta_k, relative to the step's own right-hand
 # side, the gradient it is meant to cancel (Dembo, Eisenstat and Steihaug,
@@ -189,11 +197,13 @@ class StepState:
     `grad` is the smooth gradient g(x) of f alone.  `preconditioner` is the
     explicit inverse of the last dense system H + coeff*B, which a
     Hessian-free step applies, a box step to its free blocks (see
-    `newton_step`); it is None where steps cannot be Hessian-free.
+    `newton_step`), and `system_diagonal` is that system's diagonal, by
+    which a Hessian-free box step scales its multiplier step; both are None
+    where steps are not Hessian-free.
     `rhs_norm` is the Euclidean norm of the right-hand side of the step
     that led to x, over the coordinates its carried active set left free on
     a box, from which the next step's forcing term is set; it is inf where
-    no such step is known or none can be Hessian-free.  `hessian` is H(x), as the oracle returned it, where
+    no such step is known or none is Hessian-free.  `hessian` is H(x), as the oracle returned it, where
     a caller already evaluated it, else None.  A step from it is dense,
     since its system then costs one factorization, and only its symmetric
     part enters the step.  `active_set` is the pair of at-lower and
@@ -210,6 +220,7 @@ class StepState:
     rhs_norm: float = math.inf
     hessian: np.ndarray | None = None
     active_set: tuple[np.ndarray, np.ndarray] | None = None
+    system_diagonal: np.ndarray | None = None
 
     @classmethod
     def at(cls, oracle: SmoothOracle, x) -> "StepState":
@@ -223,24 +234,64 @@ class StepResult:
     """One completed regularized Newton step.
 
     `state` is the state at x+, its gradient the one the subgradient
-    selection evaluated, for the next step to start from.
+    selection evaluated, for the next step to start from.  `hessian` is
+    H(x) at the step's origin, as the oracle returned it, where the step
+    evaluated it or its state held it, else None: a retry from the same
+    origin may share it (see `primal.adaptive_sigma_search`).
     `inner_iterations` is the number of linear solves of a box step, one
     per free block solved, from the start that produced x+ (a carried set
     that failed first is not counted).  It is 0 without a box.
     """
 
     state: StepState
+    hessian: np.ndarray | None
     subgradient: np.ndarray  # selected F'(x+) in the subdifferential of f + psi
     inner_iterations: int
     step_length: float  # ||x+ - x|| in the metric norm
     step_length_local: float  # ||x+ - x|| in the local (Hessian) norm at x
 
 
-def can_be_hessian_free(oracle: SmoothOracle) -> bool:
-    """Whether a step of `oracle` from a state with no Hessian can be
-    Hessian-free, with a box or without: cheap products and `_CG_MIN_DIM`
-    variables or more."""
-    return oracle.cheap_products and oracle.dim >= _CG_MIN_DIM
+def _step_costs(costs: OracleCosts, n: int) -> tuple[float, float]:
+    """(a dense step, one CG product) in flops, from an oracle's declared
+    costs in n variables: a Hessian and its Cholesky factorization, and a
+    product with the preconditioner's and B's products of the same vector,
+    each with `_CALL_OVERHEAD`."""
+    return costs.hessian + n**3 / 3 + _CALL_OVERHEAD, costs.product + 4 * n**2 + _CALL_OVERHEAD
+
+
+def _cg_budget(oracle: SmoothOracle) -> int:
+    """The products after which a CG solve of `oracle`'s step gives up:
+    the first count that costs as much as the dense step it falls back to.
+    0 where steps are dense: where a product costs no less than a Hessian,
+    or a dense step no more than a typical CG solve,
+    `_CG_TYPICAL_PRODUCTS` products."""
+    costs = oracle.costs
+    dense, product = _step_costs(costs, oracle.dim)
+    budget = math.ceil(dense / product)
+    return budget if costs.product < costs.hessian and budget > _CG_TYPICAL_PRODUCTS else 0
+
+
+def hessian_free_pays(oracle: SmoothOracle) -> bool:
+    """Whether a step of `oracle` from a state with no Hessian is
+    Hessian-free, with a box or without (see `_cg_budget`)."""
+    return _cg_budget(oracle) > 0
+
+
+# A retry of the adaptive search doubles beta, so the inverse of the try
+# before it, built from the same H(x), leaves the retry's preconditioned
+# spectrum in [1, 2], where CG gains a factor 3 - 2 sqrt(2) a product: it
+# takes this many products from the floor `_CG_TOL` (the forcing term at x0).
+_RETRY_CG_PRODUCTS = math.log(_CG_TOL) / math.log(3.0 - 2.0 * math.sqrt(2.0))
+
+
+def retry_shares_hessian(oracle: SmoothOracle) -> bool:
+    """Whether a retry at a point whose H(x) an earlier try formed is the
+    dense step from it: always where steps are dense, else where its
+    factorization and inverse, about n^3 flops, cost less than CG from
+    `_CG_TOL`."""
+    if not hessian_free_pays(oracle):
+        return True
+    return oracle.dim**3 + _CALL_OVERHEAD < _RETRY_CG_PRODUCTS * _step_costs(oracle.costs, oracle.dim)[1]
 
 
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
@@ -258,7 +309,7 @@ def _forcing_term(rhs_norm: float, previous: float) -> float:
     return min(_FORCING_MAX, max(_CG_TOL, _FORCING_GAMMA * (rhs_norm / previous) ** _FORCING_POWER))
 
 
-def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float):
+def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float, budget: int):
     """Solve S d = rhs by CG from d = 0, preconditioned by `inverse`, the
     explicit inverse of a nearby system; `system` is u -> S u.
 
@@ -266,14 +317,14 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float)
     from one more product, once r^T P r (P the inverse) has fallen to
     tol^2 times its initial value.  Returns None on breakdown (p^T S p
     not positive and finite, which a singular or non-finite system gives)
-    and after _CG_MAX_ITERS products."""
+    and after `budget` products (`_cg_budget`)."""
     d = np.zeros_like(rhs)
     r = rhs.copy()
     z = inverse @ r
     p = z.copy()
     rz = r @ z
     stop = tol**2 * rz
-    for _ in range(_CG_MAX_ITERS):
+    for _ in range(budget):
         q = system(p)
         curvature = p @ q
         if not 0.0 < curvature < np.inf:
@@ -292,7 +343,7 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float)
 
 
 class _CGFailure(RuntimeError):
-    """A free block's CG solve broke down or hit `_CG_MAX_ITERS`."""
+    """A free block's CG solve broke down or gave up."""
 
 
 def _active_set_loop(solve, scale, rhs, lower, upper, at_lower, at_upper):
@@ -390,15 +441,17 @@ def _free_block_inverse(inverse: np.ndarray, free: np.ndarray) -> np.ndarray:
     return block
 
 
-def _hessian_free_box_step(operator, inverse, rhs, lower, upper, carried, tol):
+def _hessian_free_box_step(operator, inverse, diagonal, rhs, lower, upper, carried, tol, budget):
     """The box QP of `_box_step`, solved by the same active-set loop on
     products: each free block by `_preconditioned_cg` to the relative
-    residual `tol`, preconditioned by `_free_block_inverse` of the stale
-    inverse P, and S d from one more product at d, from which the loop reads
-    lam.  The loop starts from the carried sets, else from the empty ones,
-    and scales its multiplier step by 1/diag(P).  Returns the loop's result,
-    or None on any failure: a block that does not factor, a CG breakdown
-    or cap, a cycle or `_BOX_MAX_INNER` solves."""
+    residual `tol` within `budget` products, preconditioned by
+    `_free_block_inverse` of the stale inverse P, and S d from one more
+    product at d, from which the loop reads lam.  The loop starts from the
+    carried sets, else from the empty ones, and scales its multiplier step
+    by `diagonal`, that of the system P inverts, as the dense loop scales
+    it by diag(S).  Returns the loop's result, or None on any failure: a
+    block that does not factor, a CG breakdown or give-up, a cycle or
+    `_BOX_MAX_INNER` solves."""
 
     def solve(free, d):
         base = operator(d) if d.any() else np.zeros_like(d)  # S d on the active coordinates
@@ -410,7 +463,7 @@ def _hessian_free_box_step(operator, inverse, rhs, lower, upper, carried, tol):
             full[free] = u
             return operator(full)[free]
 
-        solved = _preconditioned_cg(block, _free_block_inverse(inverse, free), rhs[free] - base[free], tol)
+        solved = _preconditioned_cg(block, _free_block_inverse(inverse, free), rhs[free] - base[free], tol, budget)
         if solved is None:
             raise _CGFailure
         d[free] = solved[0]
@@ -419,7 +472,7 @@ def _hessian_free_box_step(operator, inverse, rhs, lower, upper, carried, tol):
     empty = np.zeros(rhs.shape, dtype=bool)
     at_lower, at_upper = (empty, empty) if carried is None else carried
     try:
-        return _active_set_loop(solve, 1.0 / np.diag(inverse), rhs, lower, upper, at_lower, at_upper)
+        return _active_set_loop(solve, diagonal, rhs, lower, upper, at_lower, at_upper)
     except (SingularSystemError, MaxInnerIterationsError, _CGFailure):
         return None
 
@@ -451,26 +504,31 @@ def newton_step(
     from either start, with no jitter: coeff > 0 there, so a block of S
     that does not factor from the empty set raises `SingularSystemError`.
 
-    A step from a state with no Hessian can be Hessian-free where
-    `can_be_hessian_free` says so: an oracle with `cheap_products`,
-    `_CG_MIN_DIM` variables or more.  With a preconditioner in `state` it
+    A step from a state with no Hessian is Hessian-free where
+    `hessian_free_pays` says so, from the oracle's declared costs.  With a
+    preconditioner in `state` it
     solves ``(H + coeff*B) d = rhs`` by CG on `oracle.hessian_vector(x, u)`
     products plus coeff*B u, preconditioned by that inverse of an earlier
     system, and forms no Hessian; on a box, `_hessian_free_box_step` runs
-    the active-set loop with each free block solved so.  CG stops at
+    the active-set loop with each free block solved so, its multiplier step
+    scaled by `state.system_diagonal`.  CG stops at
     the forcing term `_forcing_term(|rhs|, state.rhs_norm)`, so the step is
     inexact: it moves from the dense step's by up to about `_FORCING_MAX`
     times its length.  Its state at x+ keeps the same preconditioner.  Every
-    step that could be Hessian-free hands |rhs| on in its state, on a box
+    step of an oracle whose steps are Hessian-free hands |rhs| on in its
+    state, H(x) in hand or not, on a box
     over the coordinates its carried active set left free (the multipliers
     balance the others, so the full |rhs| does not fall); the others hand on
-    inf.  The dense step runs instead, and hands on the inverse of its own
-    system, built from a Cholesky factor of it, when there is no
-    preconditioner, on a CG breakdown (a singular or non-finite system),
-    after `_CG_MAX_ITERS` products and, on a box, when the loop on products
-    fails in any way, so a singular system still goes through the jitter
-    ladder and a non-finite one still raises.  Every dense step is the
-    same, bit for bit, with or without a preconditioner.
+    inf.  The dense step runs instead when there is no preconditioner, on a
+    CG breakdown (a singular or non-finite system), once CG has spent
+    `_cg_budget` products and, on a box, when the loop on products fails
+    in any way, so a singular system still goes through the jitter
+    ladder and a non-finite one still raises.  Where a Hessian-free step
+    could follow, one with no H(x) in its state or with a preconditioner,
+    it hands on the inverse of its own system, built from a Cholesky factor
+    of it, and that system's diagonal.  Every dense step is the
+    same, bit for bit, with or without a preconditioner.  The result's
+    `hessian` is the H(x) the step formed or was given.
 
     Every step ends alike.  S d, its system S = H + coeff*B applied to d,
     is ``rhs + lam`` (lam the box multiplier, 0 without a box), CG's
@@ -500,33 +558,42 @@ def newton_step(
     if psi.is_box and coeff <= 0:
         raise ValueError("box-constrained model needs strong convexity: beta or a quadratic term")
 
-    hessian_free = hess is None and can_be_hessian_free(oracle)
+    budget = _cg_budget(oracle)
+    kind_free = budget > 0
     rhs_norm = math.inf
-    if hessian_free:
+    if kind_free:
         # on a box, the rows its carried active set leaves free
         free_rhs = rhs if state.active_set is None else rhs[~np.logical_or(*state.active_set)]
         rhs_norm = float(np.linalg.norm(free_rhs))
     lower, upper = psi.bounds
+    diagonal = state.system_diagonal
     solved = None
-    if hessian_free and preconditioner is not None:
+    if kind_free and hess is None and preconditioner is not None:
         tol = _forcing_term(rhs_norm, state.rhs_norm)
         operator = _system_operator(oracle, x, coeff)
         if psi.is_box:
-            solved = _hessian_free_box_step(operator, preconditioner, rhs, lower - x, upper - x, state.active_set, tol)
+            solved = _hessian_free_box_step(
+                operator, preconditioner, diagonal, rhs, lower - x, upper - x, state.active_set, tol, budget
+            )
         else:
-            solved = _preconditioned_cg(operator, preconditioner, rhs, tol)
+            solved = _preconditioned_cg(operator, preconditioner, rhs, tol, budget)
     if solved is None:
-        system = symmetrize(oracle.hessian(x) if hess is None else hess) + coeff * metric.matrix
+        if hess is None:
+            hess = oracle.hessian(x)
+        system = symmetrize(hess) + coeff * metric.matrix
+        # the inverse is built only where a Hessian-free step can follow
+        refresh = kind_free and (state.hessian is None or preconditioner is not None)
         if psi.is_box:
             d, _, at_lower, at_upper, lam, inner_iterations = _box_step(system, rhs, lower - x, upper - x, state.active_set)
             # an exact solve's S d is rhs + lam
             solved = d, rhs + lam, at_lower, at_upper, lam, inner_iterations
-            factor = _cholesky(system) if hessian_free else None
+            factor = _cholesky(system) if refresh else None
         else:
             d, factor = regularized_solve(system, metric, rhs)
             solved = d, rhs
-        # the inverse is built only where a Hessian-free step can follow
-        preconditioner = _cho_inverse(factor) if hessian_free and factor is not None else None
+        preconditioner = diagonal = None
+        if refresh and factor is not None:
+            preconditioner, diagonal = _cho_inverse(factor), np.diag(system).copy()
     inner_iterations, lam, active_set = 0, 0.0, None
     if psi.is_box:
         d, system_d, at_lower, at_upper, lam, inner_iterations = solved
@@ -542,7 +609,8 @@ def newton_step(
     grad_plus = oracle.gradient(x_plus)
     require_finite(grad_plus, "g(x+)")
     return StepResult(
-        state=StepState(x_plus, grad_plus, preconditioner, rhs_norm, active_set=active_set),
+        state=StepState(x_plus, grad_plus, preconditioner, rhs_norm, active_set=active_set, system_diagonal=diagonal),
+        hessian=hess,
         subgradient=grad_plus + psi.quad_gradient(x_plus, metric) - lam,
         inner_iterations=inner_iterations,
         step_length=metric.primal_norm(d),

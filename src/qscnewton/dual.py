@@ -121,15 +121,16 @@ def solve_dual(
     One `StepState` is carried through the inner steps, and on into the next
     outer iteration, which starts at the last inner point: the smooth
     gradient is evaluated once at x0 and then once per inner step, with one
-    Hessian.  Above the Hessian-free size most steps take a few
+    Hessian.  Where steps are Hessian-free most take a few
     Hessian-vector products in place of the Hessian, the state carrying
     each step's preconditioner on to the next, across outer iterations too
     (see `newton_step`).  On a box every step starts its active-set solve
     from the set the last box step ended on, carried the same way.  A retry
     after a doubling restarts from the outer iterate's state, with the
     latest preconditioner and active set.  `start`, a state an earlier solve
-    ended in (`DualResult.state`), lends the first step its preconditioner,
-    `rhs_norm` and active set; its x and g are never read, since g(x0)
+    ended in (`DualResult.state`), lends the first step its preconditioner
+    (with its system's diagonal), `rhs_norm` and active set; its x and g
+    are never read, since g(x0)
     is evaluated here, so `oracle` may differ from the one it came from (as
     the accelerated scheme's contracted oracles do).  A gradient or Hessian
     holding NaN or inf ends the run in `NON_FINITE` at that evaluation, at
@@ -153,7 +154,11 @@ def solve_dual(
         state = StepState.at(oracle, x)
         if start is not None:
             state = replace(
-                state, preconditioner=start.preconditioner, rhs_norm=start.rhs_norm, active_set=start.active_set
+                state,
+                preconditioner=start.preconditioner,
+                system_diagonal=start.system_diagonal,
+                rhs_norm=start.rhs_norm,
+                active_set=start.active_set,
             )
         anchor = state  # the outer iterate's state; `state` is the inner one
         # the box normal cone always holds 0, so this is a subgradient of F
@@ -186,7 +191,12 @@ def solve_dual(
                     # to bite; double it and retry this outer iteration
                     m_const *= 2.0
                     doublings += 1
-                    state = replace(anchor, preconditioner=state.preconditioner, active_set=state.active_set)
+                    state = replace(
+                        anchor,
+                        preconditioner=state.preconditioner,
+                        system_diagonal=state.system_diagonal,
+                        active_set=state.active_set,
+                    )
                     continue
                 status = DualStatus.QSC_PARAMETER_SUSPECT
                 break

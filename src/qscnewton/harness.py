@@ -210,12 +210,8 @@ class CountingOracle(SmoothOracle):
         return self._base.stacks
 
     @property
-    def cheap_products(self):
-        return self._base.cheap_products
-
-    @property
-    def point_entries(self):
-        return self._base.point_entries
+    def costs(self):
+        return self._base.costs
 
     def value(self, x):
         self.calls["value"] += _points(x)

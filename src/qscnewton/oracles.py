@@ -18,6 +18,7 @@ import abc
 import functools
 import operator
 from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +103,16 @@ def require_positive(value: float, what: str) -> float:
     return float(value)
 
 
+class OracleCosts(NamedTuple):
+    """What one evaluation of an oracle costs, as it declares it: the flops
+    of one Hessian and of one Hessian-vector product, and the entries the
+    arrays one point derives take."""
+
+    hessian: float
+    product: float
+    entries: int
+
+
 class SmoothOracle(abc.ABC):
     """Evaluation contract for the smooth component of a composite problem.
 
@@ -112,22 +123,19 @@ class SmoothOracle(abc.ABC):
     one call; for an oracle that does not, it calls them point by point.
 
     `hessian_vector` and `qsc_forms` have defaults built on `hessian`; an
-    oracle with cheaper or closed forms overrides them.  An oracle whose
-    `hessian_vector` products cost far less than its Hessian (the Gram
-    families: O(mn) a product against O(mn^2))
-    sets `cheap_products` to True, and the solvers then take Hessian-free
-    steps above a size (see `composite.newton_step`); an oracle whose
-    Hessian costs about as much as a few products keeps the dense step,
-    which is then the cheaper one.
+    oracle with cheaper or closed forms overrides them.
 
-    `point_entries` is the number of entries the arrays one point derives
-    take, by which the certifier sizes its stacked calls (`chunk_size`):
-    its Hessian's n^2 by default, and for the Gram families at least one per
-    design row.
+    `costs` declares what one evaluation costs (`OracleCosts`): the flops of
+    a Hessian and of a product, and the entries one point's derived arrays
+    take.  The solvers weigh the first two to choose a step's kind and when
+    its CG solve gives up (`composite.hessian_free_pays`), and the
+    certifier sizes its stacked calls by the third (`chunk_size`).  The
+    default, n^2 for each, declares products no cheaper than a Hessian, as
+    this default product is, so the steps stay dense; the Gram families
+    declare their own.
     """
 
     stacks = False
-    cheap_products = False
 
     def __init__(self, metric: Metric, qsc_constant: float) -> None:
         if not 0.0 <= qsc_constant < np.inf:  # NaN fails every comparison
@@ -144,8 +152,8 @@ class SmoothOracle(abc.ABC):
         return self._metric.dim
 
     @property
-    def point_entries(self) -> int:
-        return self.dim**2
+    def costs(self) -> OracleCosts:
+        return OracleCosts(self.dim**2, self.dim**2, self.dim**2)
 
     @property
     def qsc_constant(self) -> float:
@@ -222,12 +230,8 @@ class _TransformedOracle(SmoothOracle):
         return self._base.stacks
 
     @property
-    def cheap_products(self):
-        return self._base.cheap_products
-
-    @property
-    def point_entries(self):
-        return self._base.point_entries
+    def costs(self):
+        return self._base.costs
 
     def _inner(self, x):
         if self._matrix is not None:
@@ -342,16 +346,11 @@ class _SumOracle(SmoothOracle):
         return self._first.stacks and self._second.stacks
 
     @property
-    def cheap_products(self):
-        # a product of the sum is one product of each summand.  The sum the
-        # harness builds adds a stored quadratic, whose product is u @ A, to
-        # a family, so its products are cheap when the family's are; a
-        # summand with the default product would form its Hessian in each
-        return self._first.cheap_products or self._second.cheap_products
-
-    @property
-    def point_entries(self):
-        return max(self._first.point_entries, self._second.point_entries)
+    def costs(self):
+        # a Hessian or a product of the sum is one of each summand; a point
+        # derives the arrays of both, one summand's at a time
+        first, second = self._first.costs, self._second.costs
+        return OracleCosts(first.hessian + second.hessian, first.product + second.product, max(first.entries, second.entries))
 
     def value(self, x):
         return self._first.value(x) + self._second.value(x)
@@ -396,7 +395,7 @@ def evaluate(oracle: SmoothOracle, method: str, x):
     return np.array([fn(point) for point in x])
 
 
-# Entries (points x `point_entries`) that one stacked call of the certifier
+# Entries (points x `costs.entries`) that one stacked call of the certifier
 # may cover: a hessian_vector or qsc_forms call of the qsc check, or an
 # `evaluate` call of the pair or finite-difference checks.  The zoo holds a
 # few arrays of about this many entries per call, so a check adds well under
@@ -413,7 +412,7 @@ def chunk_size(oracle: SmoothOracle, points: int) -> int:
     """Items per stacked call of `oracle` when each item has `points`
     points: three per triple of the qsc check, two per pair of the pair
     checks or per coordinate of the finite-difference checks."""
-    return max(1, _QSC_CHUNK_ENTRIES // (points * oracle.point_entries))
+    return max(1, _QSC_CHUNK_ENTRIES // (points * oracle.costs.entries))
 
 
 def _central_differences(oracle: SmoothOracle, method: str, x: np.ndarray, step: float):

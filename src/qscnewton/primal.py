@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, StepState, can_be_hessian_free, newton_step
+from .composite import CompositeTerm, MaxInnerIterationsError, StepState, newton_step, retry_shares_hessian
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
@@ -152,18 +152,18 @@ def adaptive_sigma_search(
     Returns (accepted sigma, StepResult, retries).  The caller should start
     the next iteration from half the accepted value.  Every retry restarts
     from `state`, with the same g(x), forcing-term history and carried
-    active set, and the latest preconditioner.  Where the steps can be
-    Hessian-free (`can_be_hessian_free`, with a box or without, and no
-    `state.hessian`) a retry after a dense try then solves on products
-    preconditioned by the inverse that try just built, and no H(x) is
-    formed up front.  Otherwise the retries share one `StepState.hessian`,
-    the caller's or evaluated here, unsymmetrized: only the regularization,
-    and so the factorization, changes.
+    active set, and the latest preconditioner.  A try that formed H(x), or
+    was given it, hands it on to the retries where `retry_shares_hessian`
+    says a dense retry from it costs less than CG: then only the
+    regularization, and so the factorization, changes.  That holds
+    wherever steps are dense, and on the Gram families, whose retries at
+    x0 would otherwise run CG from the forcing term's floor.  A retry after
+    a try that took a Hessian-free step runs on products too,
+    preconditioned by the latest inverse.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
-    if state.hessian is None and not can_be_hessian_free(oracle):
-        state = replace(state, hessian=oracle.hessian(state.x))
+    shares = retry_shares_hessian(oracle)
     sigma = sigma_start
     for retries in range(_MAX_DOUBLINGS + 1):
         step = newton_step(oracle, psi, state, sigma * grad_norm)
@@ -172,7 +172,12 @@ def adaptive_sigma_search(
         if _progress_condition(progress, g_next, sigma, grad_norm):
             return sigma, step, retries
         sigma *= 2.0
-        state = replace(state, preconditioner=step.state.preconditioner)
+        state = replace(
+            state,
+            preconditioner=step.state.preconditioner,
+            system_diagonal=step.state.system_diagonal,
+            hessian=step.hessian if shares else state.hessian,
+        )
     raise AdaptiveSearchError(
         f"progress condition still failing after {_MAX_DOUBLINGS} doublings"
     )
@@ -193,7 +198,7 @@ def solve_primal(
     holds H(x_k) as the oracle returned it), and F is evaluated once per
     iterate.  Without diagnostics the state carries
     each step's preconditioner on to the next, and through the adaptive
-    search's retries, so above the Hessian-free size most steps form no
+    search's retries, so where steps are Hessian-free most form no
     Hessian (see `newton_step` and `adaptive_sigma_search`).  A value,
     gradient or Hessian holding NaN or inf ends the run in `NON_FINITE` at that
     evaluation, at x0 as well; a non-finite F(x_k) leaves no row for x_k.

@@ -13,11 +13,12 @@ of their rows; the declared constants are only valid under these metrics.
 Every family overrides `SmoothOracle.qsc_forms` with its qsc forms
 u^T H(x) u and D^3 f(x)[u, u, v] in closed form, from one pass over the
 design or the weight matrix per stack of triples.  The soft-max and
-separable families also declare `cheap_products`, since their Hessian
-costs m n^2 against 2mn a product: a product is two passes over the design
-rows, with the per-point weights (the margins' loss'' or the soft-max pi)
-from the memo below.  A quadratic's Hessian is stored and a matrix family's
-costs about two products, so they do not.
+separable families declare their costs (`SmoothOracle.costs`): m n^2 flops
+a Hessian against 4mn a product, which is two passes over the design rows,
+with the per-point weights (the margins' loss'' or the soft-max pi) from
+the memo below.  A quadratic's Hessian is stored and a matrix family's
+costs about as much as a product, so they keep the default, which declares
+products no cheaper than a Hessian.
 
 The two Gram families keep a one-entry memo of the last point's or stack's
 derived quantities: the margins and the loss derivatives, or pi, g and the
@@ -47,7 +48,7 @@ import scipy.special
 from scipy.linalg.lapack import dpstrf
 
 from .metric import Metric, matvec, symmetrize
-from .oracles import SmoothOracle, require_positive
+from .oracles import OracleCosts, SmoothOracle, require_positive
 
 _EXP_CLAMP = 700.0  # exp argument above which float64 overflows
 
@@ -180,7 +181,6 @@ class _GramObjective(SmoothOracle):
     """
 
     stacks = True
-    cheap_products = True
 
     def __init__(self, rows, offsets, qsc_constant: float, metric: Metric | None) -> None:
         rows = np.asarray(rows, dtype=float)
@@ -196,15 +196,18 @@ class _GramObjective(SmoothOracle):
         self._rows = rows
         self._offsets = offsets
         self._memo = (None, None)
+        # SYRK's m n^2 flops a Hessian, two passes over the rows a product;
+        # a point's derived arrays hold one entry per design row
+        m, n = rows.shape
+        self._costs = OracleCosts(m * n**2, 4 * m * n, max(n**2, m))
 
     @property
     def rows(self):
         return self._rows
 
     @property
-    def point_entries(self):
-        # a point's derived arrays hold one entry per design row
-        return max(self.dim**2, self._rows.shape[0])
+    def costs(self):
+        return self._costs
 
     def _derived(self, x):
         return _memoized(self, x, self._point)

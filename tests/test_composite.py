@@ -24,6 +24,7 @@ from qscnewton.dual import DualConfig, DualStatus, solve_dual
 from qscnewton.oracles import affine_substitute
 from qscnewton.primal import PrimalConfig, adaptive_sigma_search
 
+from declared_costs import declare_cheap_products
 from roundoff import gamma
 
 
@@ -366,7 +367,7 @@ class TestStepTail:
         o, psi, x = _tail_instance(kind == "box", prox)
         state = StepState.at(o, x)
         if kind == "hessian-free":
-            monkeypatch.setattr(composite, "_CG_MIN_DIM", 1)
+            declare_cheap_products(monkeypatch)
             warm = newton_step(o, CompositeTerm.zero(), StepState.at(o, 0.5 * x), 0.4).state.preconditioner
             state = StepState(x, state.grad, warm)
         step = newton_step(o, psi, state, 0.1)
@@ -407,8 +408,8 @@ def _state_writes(step_fn) -> list[str]:
     """The fields of its given state that `step_fn` writes into, over a
     dense step with a prox term, a box step and a Hessian-free step; empty
     when it writes none (the dual restarts a retry from a state it kept)."""
-    n = composite._CG_MIN_DIM
-    oracle = generate_synthetic("logistic", n=n, m=4 * n, seed=3)
+    n = 50  # with m = 20n the declared costs make the steps Hessian-free
+    oracle = generate_synthetic("logistic", n=n, m=20 * n, seed=3)
     x = 0.1 * np.random.default_rng(7).standard_normal(n)
     zero = CompositeTerm.zero()
     warm = newton_step(oracle, zero, StepState.at(oracle, 0.5 * x), 0.4).state.preconditioner
@@ -838,23 +839,53 @@ class TestCycleGuard:
             composite._box_step(system, rhs, lower, upper, None)
 
     def test_a_cycling_hessian_free_loop_falls_back_at_once(self):
-        # seed 1: with the multiplier step scaled by 1/diag(P), at most
-        # diag(S), the loop on products jumps between bounds and cycles
-        # after 4 solves, where the dense loop converges in 3
-        system, rhs, lower, upper = _seeded_box_qp(1)
-        inverse = np.linalg.inv(system)
+        # seed 808: with the exact inverse each free block takes one CG
+        # product, and S d one more, so the loop on products follows the
+        # dense loop round its cycle and stops at the same repeat, after 5
+        # solves and 10 products
+        system, rhs, lower, upper = _seeded_box_qp(808)
         products = []
 
         def operator(u):
             products.append(None)
             return system @ u
 
-        assert composite._hessian_free_box_step(operator, inverse, rhs, lower, upper, None, 1e-12) is None
-        # one CG product and one at d on the first, free pass; one product
-        # at d on each of the 3 passes with every coordinate active
-        assert len(products) == 5
-        d, _, at_lower, at_upper, lam, solves = composite._box_step(system, rhs, lower, upper, None)
-        assert solves == 3
-        oracle = QuadraticObjective(system, rhs)
-        brute = brute_force_box_step(oracle, lower, upper, np.zeros(3), 0.0)
-        np.testing.assert_allclose(d, brute, atol=1e-9)
+        inverse = np.linalg.inv(system)
+        assert composite._hessian_free_box_step(operator, inverse, np.diag(system), rhs, lower, upper, None, 1e-12, 3) is None
+        assert len(products) == 10
+
+
+def _products_loop_fallbacks(seeds, scale_of) -> list[int]:
+    """The seeds of `_seeded_box_qp` on which the loop on products, with
+    the exact inverse P and its multiplier step scaled by `scale_of(S, P)`,
+    falls back where the dense loop does not, or ends elsewhere."""
+    found = []
+    for seed in seeds:
+        system, rhs, lower, upper = _seeded_box_qp(seed)
+        inverse = np.linalg.inv(system)
+        dense = composite._box_step(system, rhs, lower, upper, None)
+        brute = brute_force_box_step(QuadraticObjective(system, rhs), lower, upper, np.zeros(len(rhs)), 0.0)
+        np.testing.assert_allclose(dense[0], brute, atol=1e-9)
+        got = composite._hessian_free_box_step(
+            lambda u: system @ u, inverse, scale_of(system, inverse), rhs, lower, upper, None, 1e-12, 3
+        )
+        if (
+            got is None
+            or got[-1] != dense[-1]
+            or not all(np.array_equal(a, b) for a, b in zip(got[2:4], dense[2:4]))
+            or not np.allclose(got[0], dense[0], rtol=0, atol=1e-12)
+        ):
+            found.append(seed)
+    return found
+
+
+def test_the_loop_on_products_falls_back_no_more_often_than_the_dense_loop():
+    # the dense loop converges on seeds 0-6; scaled by diag(S), as the dense
+    # loop is, the loop on products takes the same solves to the same sets
+    assert _products_loop_fallbacks(range(7), lambda system, inverse: np.diag(system)) == []
+
+
+def test_a_loop_scaled_by_the_inverse_diagonal_is_caught():
+    # planted mutation: the multiplier step scaled by 1/diag(P), at most
+    # diag(S), jumps from one bound to the other and cycles
+    assert _products_loop_fallbacks(range(7), lambda system, inverse: 1.0 / np.diag(inverse)) == [1, 2, 3, 6]

@@ -18,7 +18,7 @@ from qscnewton import (
     with_qsc_constant,
 )
 from qscnewton.problems import KINDS
-from qscnewton.oracles import SmoothOracle
+from qscnewton.oracles import OracleCosts, SmoothOracle
 
 
 class _HessianOnly(SmoothOracle):
@@ -114,11 +114,22 @@ def test_combinators_forward_hessian_vector(kind, n, stack, seed):
     # scale of the transformed Hessians (the zoo test covers the cancelling
     # soft-max with its own scale)
     base = generate_synthetic(kind, n=n, m=n + 10, seed=seed, smoothing=4.0)
-    assert base.cheap_products is isinstance(base, (SoftMaxObjective, SeparableObjective))
+    costs, dim = base.costs, base.dim
+    default = OracleCosts(dim**2, dim**2, dim**2)  # products no cheaper than a Hessian
+    if isinstance(base, (SoftMaxObjective, SeparableObjective)):
+        m = base.rows.shape[0]
+        assert costs == (m * dim**2, 4 * m * dim, max(dim**2, m))
+    else:
+        assert costs == default
     for name, oracle in _combinators(base, np.random.default_rng(seed)).items():
         _assert_matches_hessian(oracle, *_points(oracle.dim, stack, seed + 1))
-        # the wrappers declare their base's cheap products; a sum, either summand's
-        assert oracle.cheap_products is (name != "default" and base.cheap_products), name
+        # the wrappers declare their base's costs; a sum, its summands' added
+        # up with the larger entry count (the bump keeps the default)
+        expected = {
+            "default": default,
+            "sum": (costs.hessian + default.hessian, costs.product + default.product, max(costs.entries, default.entries)),
+        }.get(name, costs)
+        assert oracle.costs == expected, name
 
 
 def _assert_products_at_one_point_match_hessian(oracle, x, u):

@@ -240,8 +240,11 @@ def _memo_misses(kind, wrapper, monkeypatch) -> list[str]:
     memo holds x, computes the family's per-point quantities (`_point`)
     other than once, at the base point of x+; empty when the memo serves
     every product."""
-    n = composite._CG_MIN_DIM
-    counting = CountingOracle(generate_synthetic(kind, n=n, m=4 * n, seed=2, smoothing=1.0))
+    # with m = 20n the declared costs make the steps Hessian-free, and let
+    # a CG solve take 5 products
+    n = 50
+    counting = CountingOracle(generate_synthetic(kind, n=n, m=20 * n, seed=2, smoothing=1.0))
+    assert composite.hessian_free_pays(counting)
     rng = np.random.default_rng(5)
     oracle = {
         "counting": counting,

@@ -544,8 +544,8 @@ class _FdOnly(SmoothOracle):
         self._base = base
 
     @property
-    def point_entries(self):
-        return self._base.point_entries
+    def costs(self):
+        return self._base.costs
 
     def value(self, x):
         return self._base.value(x)
@@ -671,9 +671,9 @@ def test_a_gram_familys_chunks_count_its_rows(monkeypatch):
     # held 654 points, and each derived array of one call 52 MB; at 10^4
     # entries a point each call holds one pair, as few as the checks allow
     base = generate_synthetic("logistic", n=5, m=10_000, seed=1)
-    assert base.point_entries == 10_000 and chunk_size(base, 2) == 1
-    assert generate_synthetic("logistic", n=20, m=400, seed=1).point_entries == 400  # certify's size: unchanged
-    assert generate_synthetic("matrix_scaling", n=4, seed=1).point_entries == 64
+    assert base.costs.entries == 10_000 and chunk_size(base, 2) == 1
+    assert generate_synthetic("logistic", n=20, m=400, seed=1).costs.entries == 400  # certify's size: unchanged
+    assert generate_synthetic("matrix_scaling", n=4, seed=1).costs.entries == 64
     points = []
     for method in ("value", "gradient", "hessian"):
         bound = getattr(base, method)
