@@ -29,8 +29,8 @@ families' one-point memo computes what they share from x once),
 preconditioned by the inverse of the last dense system; on a box, each free
 block of the active-set loop is solved so, preconditioned by the inverse of
 that block of the last dense system.  A CG solve gives up, and the step
-turns dense, once its products have cost what the dense step costs
-(`_cg_budget`).
+turns dense, where the products it still needs would cost more than the
+dense step (`_cg_budget`).
 Under quasi-self-concordance H(y) stays within exp(+-M ||y - x||) of H(x),
 so that stale inverse keeps the preconditioned spectrum near 1 (the
 lazy-Hessian idea of Doikov, Chayti and Jaggi, *Second-order optimization
@@ -73,10 +73,21 @@ from .oracles import OracleCosts, SmoothOracle
 # m = 200) and 9.6e5 (above it dense is picked at n = 50, m = 1000); 4e5
 # is near their geometric mean.
 _CALL_OVERHEAD = 4e5
-# The products a Hessian-free step's CG solve typically takes: 1.4 to 3.8
-# per step in the console-script solves at n = 64, 2.8 to 3.5 in the dual
-# at n = 100.
+# The products a Hessian-free step's CG solve typically takes, measured:
+# 1.4 to 3.8 per step in the console-script solves at n = 64, 2.8 to 3.5
+# in the dual at n = 100.  The kind rule needs it beside the overhead: a
+# step is Hessian-free where a dense step costs more than this many
+# products.  With the overhead above, any value from 2 to 4 keeps the
+# crossovers: the budget is 2 at n = 30, m = 300 and at n = 50, m = 200,
+# where dense steps won, and 5 at n = 50, m = 1000, where CG won.
 _CG_TYPICAL_PRODUCTS = 3
+# The flop counts misprice a product where the design outgrows the cache:
+# it then runs at about a fifth of the Hessian's flop rate, and a dense
+# step took 7.8 products at n = 200, m = 4000 where the counts give 44.
+# No dense step of the Gram families took more than 15.3 products (soft-max
+# at n = 30 to 200, m = 200 to 4000, one BLAS thread; the most at n = 200,
+# m = 800), so a budget stops at 16.
+_CG_MAX_BUDGET = 16
 # CG stops once the preconditioned residual r^T P r has fallen by the
 # square of the forcing term eta_k, relative to the step's own right-hand
 # side, the gradient it is meant to cancel (Dembo, Eisenstat and Steihaug,
@@ -260,14 +271,15 @@ def _step_costs(costs: OracleCosts, n: int) -> tuple[float, float]:
 
 
 def _cg_budget(oracle: SmoothOracle) -> int:
-    """The products after which a CG solve of `oracle`'s step gives up:
-    the first count that costs as much as the dense step it falls back to.
-    0 where steps are dense: where a product costs no less than a Hessian,
-    or a dense step no more than a typical CG solve,
-    `_CG_TYPICAL_PRODUCTS` products."""
+    """What the dense step of `oracle` costs in CG products: the first
+    count that costs as much, at most `_CG_MAX_BUDGET`.  A CG solve gives
+    up where the products it still needs would cost more (see
+    `_preconditioned_cg`).  0 where steps are dense: where a product costs
+    no less than a Hessian, or a dense step no more than a typical CG
+    solve, `_CG_TYPICAL_PRODUCTS` products."""
     costs = oracle.costs
     dense, product = _step_costs(costs, oracle.dim)
-    budget = math.ceil(dense / product)
+    budget = min(_CG_MAX_BUDGET, math.ceil(dense / product))
     return budget if costs.product < costs.hessian and budget > _CG_TYPICAL_PRODUCTS else 0
 
 
@@ -275,23 +287,6 @@ def hessian_free_pays(oracle: SmoothOracle) -> bool:
     """Whether a step of `oracle` from a state with no Hessian is
     Hessian-free, with a box or without (see `_cg_budget`)."""
     return _cg_budget(oracle) > 0
-
-
-# A retry of the adaptive search doubles beta, so the inverse of the try
-# before it, built from the same H(x), leaves the retry's preconditioned
-# spectrum in [1, 2], where CG gains a factor 3 - 2 sqrt(2) a product: it
-# takes this many products from the floor `_CG_TOL` (the forcing term at x0).
-_RETRY_CG_PRODUCTS = math.log(_CG_TOL) / math.log(3.0 - 2.0 * math.sqrt(2.0))
-
-
-def retry_shares_hessian(oracle: SmoothOracle) -> bool:
-    """Whether a retry at a point whose H(x) an earlier try formed is the
-    dense step from it: always where steps are dense, else where its
-    factorization and inverse, about n^3 flops, cost less than CG from
-    `_CG_TOL`."""
-    if not hessian_free_pays(oracle):
-        return True
-    return oracle.dim**3 + _CALL_OVERHEAD < _RETRY_CG_PRODUCTS * _step_costs(oracle.costs, oracle.dim)[1]
 
 
 def _system_operator(oracle: SmoothOracle, x: np.ndarray, coeff: float):
@@ -317,14 +312,21 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float,
     from one more product, once r^T P r (P the inverse) has fallen to
     tol^2 times its initial value.  Returns None on breakdown (p^T S p
     not positive and finite, which a singular or non-finite system gives)
-    and after `budget` products (`_cg_budget`)."""
+    and where it gives up: from the second product on, once the products
+    still needed at the last one's rate of decrease of r^T P r exceed
+    `budget`, what the dense step costs (`_cg_budget`), and after 2 budget
+    products, so that a solve never costs more than a give-up at `budget`
+    and its dense step.  The first product is a steepest-descent step, so
+    its rate is not CG's.  The products already spent do not count: a
+    solve that is nearly done finishes, one that converges slowly gives up
+    early."""
     d = np.zeros_like(rhs)
     r = rhs.copy()
     z = inverse @ r
     p = z.copy()
     rz = r @ z
     stop = tol**2 * rz
-    for _ in range(budget):
+    for used in range(1, 2 * budget + 1):
         q = system(p)
         curvature = p @ q
         if not 0.0 < curvature < np.inf:
@@ -336,6 +338,9 @@ def _preconditioned_cg(system, inverse: np.ndarray, rhs: np.ndarray, tol: float,
         rz_next = r @ z
         if rz_next <= stop:
             return d, rhs - r
+        # the products still needed, at the last one's rate
+        if used > 1 and not (rz_next < rz and math.log(rz_next / stop) <= budget * math.log(rz / rz_next)):
+            return None
         p *= rz_next / rz
         p += z
         rz = rz_next
@@ -444,7 +449,7 @@ def _free_block_inverse(inverse: np.ndarray, free: np.ndarray) -> np.ndarray:
 def _hessian_free_box_step(operator, inverse, diagonal, rhs, lower, upper, carried, tol, budget):
     """The box QP of `_box_step`, solved by the same active-set loop on
     products: each free block by `_preconditioned_cg` to the relative
-    residual `tol` within `budget` products, preconditioned by
+    residual `tol`, giving up as it does with `budget`, preconditioned by
     `_free_block_inverse` of the stale inverse P, and S d from one more
     product at d, from which the loop reads lam.  The loop starts from the
     carried sets, else from the empty ones, and scales its multiplier step
@@ -511,7 +516,8 @@ def newton_step(
     products plus coeff*B u, preconditioned by that inverse of an earlier
     system, and forms no Hessian; on a box, `_hessian_free_box_step` runs
     the active-set loop with each free block solved so, its multiplier step
-    scaled by `state.system_diagonal`.  CG stops at
+    scaled by `state.system_diagonal` (a state without it takes the dense
+    box step, which hands it on).  CG stops at
     the forcing term `_forcing_term(|rhs|, state.rhs_norm)`, so the step is
     inexact: it moves from the dense step's by up to about `_FORCING_MAX`
     times its length.  Its state at x+ keeps the same preconditioner.  Every
@@ -520,13 +526,16 @@ def newton_step(
     over the coordinates its carried active set left free (the multipliers
     balance the others, so the full |rhs| does not fall); the others hand on
     inf.  The dense step runs instead when there is no preconditioner, on a
-    CG breakdown (a singular or non-finite system), once CG has spent
-    `_cg_budget` products and, on a box, when the loop on products fails
+    CG breakdown (a singular or non-finite system), where CG gives up
+    (see `_preconditioned_cg`) and, on a box, when the loop on products fails
     in any way, so a singular system still goes through the jitter
     ladder and a non-finite one still raises.  Where a Hessian-free step
-    could follow, one with no H(x) in its state or with a preconditioner,
-    it hands on the inverse of its own system, built from a Cholesky factor
-    of it, and that system's diagonal.  Every dense step is the
+    could follow, a dense step that formed H(x) hands on the inverse of its
+    own system, built from a Cholesky factor of it, and that system's
+    diagonal; one given H(x) in its state, such as an adaptive retry after
+    a try that formed it, hands on the preconditioner and diagonal it was
+    given (none with the diagnostics, which give H(x) at every step), so
+    that the retries at one point build no inverse of their own.  Every dense step is the
     same, bit for bit, with or without a preconditioner.  The result's
     `hessian` is the H(x) the step formed or was given.
 
@@ -571,18 +580,20 @@ def newton_step(
     if kind_free and hess is None and preconditioner is not None:
         tol = _forcing_term(rhs_norm, state.rhs_norm)
         operator = _system_operator(oracle, x, coeff)
-        if psi.is_box:
+        if not psi.is_box:
+            solved = _preconditioned_cg(operator, preconditioner, rhs, tol, budget)
+        elif diagonal is not None:  # else the dense step hands it on
             solved = _hessian_free_box_step(
                 operator, preconditioner, diagonal, rhs, lower - x, upper - x, state.active_set, tol, budget
             )
-        else:
-            solved = _preconditioned_cg(operator, preconditioner, rhs, tol, budget)
     if solved is None:
         if hess is None:
             hess = oracle.hessian(x)
         system = symmetrize(hess) + coeff * metric.matrix
-        # the inverse is built only where a Hessian-free step can follow
-        refresh = kind_free and (state.hessian is None or preconditioner is not None)
+        # the inverse is built only where a Hessian-free step can follow, and
+        # once per H(x): a step given H(x), an adaptive retry, hands on the
+        # preconditioner it was given, built from H(x) by the try before it
+        refresh = kind_free and state.hessian is None
         if psi.is_box:
             d, _, at_lower, at_upper, lam, inner_iterations = _box_step(system, rhs, lower - x, upper - x, state.active_set)
             # an exact solve's S d is rhs + lam
@@ -591,7 +602,8 @@ def newton_step(
         else:
             d, factor = regularized_solve(system, metric, rhs)
             solved = d, rhs
-        preconditioner = diagonal = None
+        if refresh or not kind_free:
+            preconditioner = diagonal = None
         if refresh and factor is not None:
             preconditioner, diagonal = _cho_inverse(factor), np.diag(system).copy()
     inner_iterations, lam, active_set = 0, 0.0, None

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .composite import CompositeTerm, MaxInnerIterationsError, StepState, newton_step, retry_shares_hessian
+from .composite import CompositeTerm, MaxInnerIterationsError, StepState, newton_step
 from .metric import NonFiniteError, SingularSystemError, min_generalized_eigenvalue, require_finite
 from .oracles import SmoothOracle, check_bounds, param, phi, verdict
 
@@ -153,17 +153,13 @@ def adaptive_sigma_search(
     the next iteration from half the accepted value.  Every retry restarts
     from `state`, with the same g(x), forcing-term history and carried
     active set, and the latest preconditioner.  A try that formed H(x), or
-    was given it, hands it on to the retries where `retry_shares_hessian`
-    says a dense retry from it costs less than CG: then only the
-    regularization, and so the factorization, changes.  That holds
-    wherever steps are dense, and on the Gram families, whose retries at
-    x0 would otherwise run CG from the forcing term's floor.  A retry after
-    a try that took a Hessian-free step runs on products too,
-    preconditioned by the latest inverse.
+    was given it, hands it on to the retries, which are then dense steps
+    from it: only the regularization, and so the factorization, changes.
+    A retry after a try that took a Hessian-free step runs on products
+    too, preconditioned by the latest inverse.
     """
     if grad_norm <= 0 or sigma_start <= 0:
         raise ValueError("adaptive search needs positive gradient norm and sigma_start")
-    shares = retry_shares_hessian(oracle)
     sigma = sigma_start
     for retries in range(_MAX_DOUBLINGS + 1):
         step = newton_step(oracle, psi, state, sigma * grad_norm)
@@ -176,7 +172,7 @@ def adaptive_sigma_search(
             state,
             preconditioner=step.state.preconditioner,
             system_diagonal=step.state.system_diagonal,
-            hessian=step.hessian if shares else state.hessian,
+            hessian=step.hessian,
         )
     raise AdaptiveSearchError(
         f"progress condition still failing after {_MAX_DOUBLINGS} doublings"

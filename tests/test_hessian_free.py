@@ -187,7 +187,10 @@ def _warm(oracle, psi, x, beta):
     return newton_step(oracle, psi, StepState.at(oracle, x), beta).state
 
 
-DENSE_CASES = ["costs pick dense", "hessian passed", "no cheap products", "first step", "box, first step"]
+# "box, no diagonal": a state built as StepState(x, g, P), with no
+# system_diagonal, by which a box step on products scales its multiplier
+# step, takes the dense box step, which hands the diagonal on
+DENSE_CASES = ["costs pick dense", "hessian passed", "no cheap products", "first step", "box, first step", "box, no diagonal"]
 
 
 @pytest.mark.parametrize("case", DENSE_CASES)
@@ -203,15 +206,19 @@ def test_dense_steps_are_bitwise_unchanged(case):
     warm = StepState(x, None) if "first step" in case else _warm(_instance("logistic", n=n), ZERO, 0.5 * x, 0.4)
     hess = base.hessian(x) if case == "hessian passed" else None
     counting = CountingOracle(base)
-    given = StepState(x, base.gradient(x), warm.preconditioner, hessian=hess, system_diagonal=warm.system_diagonal)
+    diagonal = None if case == "box, no diagonal" else warm.system_diagonal
+    given = StepState(x, base.gradient(x), warm.preconditioner, hessian=hess, system_diagonal=diagonal)
     got = newton_step(counting, psi, given, 0.7)
     _assert_same_step(got, newton_step(base, psi, StepState(x, base.gradient(x), hessian=hess), 0.7))
     assert counting.calls["hessian_vector"] == 0
     # the dense steps after which a Hessian-free step can follow hand on the
     # inverse of their own system, from a Cholesky factor of it, and its
-    # diagonal: a step from a state with no H(x), or with a preconditioner
+    # diagonal, where they formed H(x); one given H(x), as an adaptive retry
+    # is, hands on the preconditioner and diagonal it was given
     if case in ("costs pick dense", "no cheap products"):
         assert got.state.preconditioner is None and got.state.system_diagonal is None
+    elif case == "hessian passed":
+        assert got.state.preconditioner is warm.preconditioner and got.state.system_diagonal is warm.system_diagonal
     else:
         system = symmetrize(base.hessian(x)) + (0.7 + 2 * psi.quad_weight()) * base.metric.matrix
         inverse = got.state.preconditioner
